@@ -10,7 +10,13 @@ the slowdown at increasing core counts. A fine-grained Series workload
 
 from conftest import bench_config, emit
 from repro.bench import load_benchmark
-from repro.core import profile_program, run_layout, synthesize_layout
+from repro.core import (
+    RunOptions,
+    SynthesisOptions,
+    profile_program,
+    run_layout,
+    synthesize_layout,
+)
 from repro.runtime.machine import MachineConfig
 from repro.viz import render_table
 
@@ -26,14 +32,19 @@ def run_all(ctx):
     rows = []
     for cores in CORE_COUNTS:
         layout = synthesize_layout(
-            compiled, profile, cores, seed=0, config=bench_config()
+            compiled,
+            profile,
+            cores,
+            options=SynthesisOptions(seed=0, anneal=bench_config()),
         ).layout
         distributed = run_layout(compiled, layout, ARGS)
         centralized = run_layout(
             compiled,
             layout,
             ARGS,
-            config=MachineConfig(centralized_scheduler=True),
+            options=RunOptions(
+                machine=MachineConfig(centralized_scheduler=True)
+            ),
         )
         assert distributed.stdout == centralized.stdout
         rows.append(

@@ -16,7 +16,7 @@ Two claims of the `repro.fault` subsystem, measured:
 
 from conftest import emit
 from repro.bench import PAPER_BENCHMARKS
-from repro.core import run_layout, single_core_layout
+from repro.core import RunOptions, run_layout, single_core_layout
 from repro.fault import FaultPlan
 from repro.runtime.machine import MachineConfig
 from repro.viz import render_table
@@ -32,7 +32,9 @@ def run_overhead(ctx):
             compiled,
             single_core_layout(compiled),
             args,
-            config=MachineConfig(fault_plan=None, validate=True),
+            options=RunOptions(
+                machine=MachineConfig(fault_plan=None, validate=True)
+            ),
         )
         rows.append(
             {
@@ -63,7 +65,9 @@ def run_recovery(ctx):
                 compiled,
                 layout,
                 args,
-                config=MachineConfig(fault_plan=plan, validate=True),
+                options=RunOptions(
+                    machine=MachineConfig(fault_plan=plan, validate=True)
+                ),
             )
             rec = faulted.recovery
             rows.append(

@@ -7,7 +7,7 @@ climbing to the full machine, while KMeans' serialized aggregation flattens
 its curve early (the §4.6/§5 discussion of merge bottlenecks)."""
 
 from conftest import emit
-from repro.core import run_layout
+from repro.core import RunOptions, run_layout
 from repro.runtime.machine import MachineConfig
 from repro.viz import render_table
 from telemetry import write_telemetry
@@ -26,7 +26,10 @@ def run_all(ctx):
         for cores in CORE_COUNTS:
             layout = ctx.synthesis_report(name, num_cores=cores).layout
             result = run_layout(
-                compiled, layout, args, config=MachineConfig(observe=True)
+                compiled,
+                layout,
+                args,
+                options=RunOptions(machine=MachineConfig(observe=True)),
             )
             series.append(
                 {

@@ -7,11 +7,7 @@ Figure 10 setting):
    cache on vs off. The DSA loop re-scores kept candidates every
    iteration, so the cache converts a large fraction of evaluation
    requests into hits; wall-clock must drop measurably.
-2. **Delta re-simulation** — the same synthesis with
-   ``delta_sim`` on vs off. Candidates one migration from a simulated
-   parent resume from a snapshot instead of replaying the shared
-   timeline prefix; results must be bit-identical either way.
-3. **Worker sweep** — the same synthesis at ``workers`` 1, 2, and 4.
+2. **Worker sweep** — the same synthesis at ``workers`` 1, 2, and 4.
    Results must be bit-identical across the sweep (the
    :mod:`repro.search` batch contract); wall seconds are recorded per
    worker count.
@@ -38,7 +34,7 @@ def search_config() -> AnnealConfig:
     return AnnealConfig(seed=0, max_iterations=10, max_evaluations=600)
 
 
-def synthesize(ctx, workers: int, sim_cache: bool, delta_sim: bool = True):
+def synthesize(ctx, workers: int, sim_cache: bool):
     return synthesize_layout(
         load_benchmark(BENCH),
         ctx.profile(BENCH),
@@ -48,7 +44,6 @@ def synthesize(ctx, workers: int, sim_cache: bool, delta_sim: bool = True):
             hints=get_spec(BENCH).hints,
             workers=workers,
             sim_cache=sim_cache,
-            delta_sim=delta_sim,
         ),
     )
 
@@ -56,22 +51,16 @@ def synthesize(ctx, workers: int, sim_cache: bool, delta_sim: bool = True):
 def run_all(ctx):
     cached = synthesize(ctx, workers=1, sim_cache=True)
     uncached = synthesize(ctx, workers=1, sim_cache=False)
-    no_delta = synthesize(ctx, workers=1, sim_cache=True, delta_sim=False)
     sweep = {1: cached}
     for workers in WORKER_SWEEP[1:]:
         sweep[workers] = synthesize(ctx, workers=workers, sim_cache=True)
-    return cached, uncached, no_delta, sweep
+    return cached, uncached, sweep
 
 
 def test_search_engine(benchmark, ctx):
-    cached, uncached, no_delta, sweep = benchmark.pedantic(
+    cached, uncached, sweep = benchmark.pedantic(
         run_all, args=(ctx,), iterations=1, rounds=1
     )
-
-    # Delta re-simulation is wall-clock only: same search, bit for bit.
-    assert no_delta.estimated_cycles == cached.estimated_cycles
-    assert no_delta.layout.as_dict() == cached.layout.as_dict()
-    assert no_delta.history == cached.history
 
     # The cache is semantically transparent (unbounded-budget equality is
     # enforced in tests/test_search.py; here budget applies, so only the
@@ -97,8 +86,6 @@ def test_search_engine(benchmark, ctx):
     rows = [
         ["cache off", 1, uncached.evaluations, uncached.cache_hits,
          f"{uncached.wall_seconds:.2f}s"],
-        ["delta off", 1, no_delta.evaluations, no_delta.cache_hits,
-         f"{no_delta.wall_seconds:.2f}s"],
     ] + [
         [f"cache on", workers, report.evaluations, report.cache_hits,
          f"{report.wall_seconds:.2f}s"]
@@ -114,9 +101,6 @@ def test_search_engine(benchmark, ctx):
         + f"\n\ncache hit rate: {hit_rate:.1%}"
         + f"\ncache speedup:  "
         f"{uncached.wall_seconds / cached.wall_seconds:.2f}x"
-        + f"\ndelta speedup:  "
-        f"{no_delta.wall_seconds / cached.wall_seconds:.2f}x"
-        + "\ndelta on == delta off: True"
         + "\nworker sweep bit-identical: True"
         + f"\nhost cpus: {os.cpu_count()}"
         " (worker walls only meaningful on a multi-core host)",
@@ -137,12 +121,6 @@ def test_search_engine(benchmark, ctx):
                 "search": cached.search_metrics,
             },
             "cache_speedup": uncached.wall_seconds / cached.wall_seconds,
-            "delta_off": {
-                "wall_seconds": no_delta.wall_seconds,
-                "search": no_delta.search_metrics,
-            },
-            "delta_speedup": no_delta.wall_seconds / cached.wall_seconds,
-            "delta_bit_identical": True,
             "worker_sweep": {
                 str(workers): {
                     "wall_seconds": report.wall_seconds,

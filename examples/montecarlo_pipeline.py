@@ -13,7 +13,12 @@ Run:  python examples/montecarlo_pipeline.py
 """
 
 from repro.bench import get_spec, load_benchmark
-from repro.core import profile_program, run_layout, synthesize_layout
+from repro.core import (
+    SynthesisOptions,
+    profile_program,
+    run_layout,
+    synthesize_layout,
+)
 from repro.schedule.simulator import simulate
 
 NUM_CORES = 16
@@ -47,7 +52,9 @@ def main() -> None:
     profile = profile_program(compiled, args)
 
     print(f"synthesizing a {NUM_CORES}-core implementation ...")
-    report = synthesize_layout(compiled, profile, NUM_CORES, seed=0)
+    report = synthesize_layout(
+        compiled, profile, NUM_CORES, options=SynthesisOptions(seed=0)
+    )
     layout = report.layout
     print(layout.describe())
 

@@ -42,11 +42,10 @@ from .core import (
     single_core_layout,
     synthesize_layout,
 )
-from .schedule import DeltaMove, SimResult, SimSession, simulate
+from .schedule import SimResult, SimSession, simulate
 
 __all__ = [
     "CompiledProgram",
-    "DeltaMove",
     "DistOptions",
     "RunOptions",
     "SequentialResult",

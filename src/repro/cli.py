@@ -229,7 +229,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     workers=args.workers,
                     sim_cache=not args.no_sim_cache,
-                    delta_sim=not args.no_delta_sim,
                     worker_timeout_mult=args.worker_timeout_mult,
                     checkpoint_path=args.checkpoint,
                     resume=args.resume,
@@ -420,7 +419,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
         profile=profile,
         num_cores=args.cores,
         mesh_width=args.mesh_width,
-        delta=not args.no_delta_sim,
         source_digest=hashlib.sha256(
             "\x00".join([source] + prog_args).encode("utf-8")
         ).hexdigest(),
@@ -719,11 +717,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             compiled,
             profile,
             args.cores,
-            options=SynthesisOptions(
-                anneal=anneal,
-                workers=args.workers,
-                delta_sim=not args.no_delta_sim,
-            ),
+            options=SynthesisOptions(anneal=anneal, workers=args.workers),
         )
 
     started = time.perf_counter_ns()
@@ -831,12 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--no-sim-cache", action="store_true",
         help="disable simulation memoization in the layout search",
-    )
-    p_run.add_argument(
-        "--no-delta-sim", action="store_true",
-        help="disable incremental delta re-simulation in the layout "
-             "search (results are bit-identical either way; full "
-             "simulations only cost more wall clock)",
     )
     p_run.add_argument(
         "--search-metrics-out", metavar="FILE", default=None,
@@ -947,11 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--evaluations", type=int, default=600, metavar="N",
         help="anneal simulation budget",
-    )
-    p_profile.add_argument(
-        "--no-delta-sim", action="store_true",
-        help="disable incremental delta re-simulation (for before/after "
-             "profiling; results are bit-identical either way)",
     )
     p_profile.add_argument(
         "-O", "--optimize", action="store_true",
@@ -1140,7 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dco.add_argument("--cores", type=int, default=16)
     p_dco.add_argument("--mesh-width", type=int, default=None)
     p_dco.add_argument("--optimize", action="store_true")
-    p_dco.add_argument("--no-delta-sim", action="store_true")
     p_dco.add_argument(
         "--restarts", type=int, default=25,
         help="independent annealing restarts = shards (default 25)",

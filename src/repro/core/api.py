@@ -18,8 +18,7 @@ Typical use::
 Run-time behaviour (fault injection, resilience, observability, sinks) is
 configured through :class:`RunOptions`; search-time behaviour (anneal
 schedule, hints, workers, simulation cache) through
-:class:`SynthesisOptions`. The pre-options keyword arguments still work
-but raise ``DeprecationWarning``.
+:class:`SynthesisOptions`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from ..runtime.profiler import ProfileData
 from ..schedule.layout import Layout
 from ..sema.symbols import ProgramInfo
 from ..sema.typecheck import analyze
-from .options import RunOptions, _UNSET, warn_deprecated_kwargs
+from .options import RunOptions
 
 _P_LEX = prof.intern_phase("pipeline.lex")
 _P_PARSE = prof.intern_phase("pipeline.parse")
@@ -124,8 +123,6 @@ def run_layout(
     layout: Layout,
     args: Sequence[str],
     options: Optional[RunOptions] = None,
-    config=_UNSET,
-    collect_profile=_UNSET,
 ) -> MachineResult:
     """Executes the program on the many-core machine under ``layout``.
 
@@ -133,26 +130,7 @@ def run_layout(
     trace/metrics sinks) comes from ``options``; when ``trace_path`` or
     ``metrics_path`` is set the run is observed and the sink written
     before returning — the CLI and the library share this one code path.
-
-    ``config=``/``collect_profile=`` are the pre-:class:`RunOptions`
-    spelling, kept as a deprecated shim.
     """
-    legacy = {}
-    if config is not _UNSET:
-        legacy["config"] = config
-    if collect_profile is not _UNSET:
-        legacy["collect_profile"] = collect_profile
-    if legacy:
-        warn_deprecated_kwargs("run_layout", "RunOptions", legacy)
-        if options is not None:
-            raise TypeError(
-                "run_layout() takes either options= or the deprecated "
-                "config=/collect_profile= keywords, not both"
-            )
-        options = RunOptions(
-            machine=legacy.get("config"),
-            collect_profile=bool(legacy.get("collect_profile", False)),
-        )
     options = options or RunOptions()
     machine = ManyCoreMachine(
         compiled,

@@ -15,15 +15,12 @@ them into two dataclasses — one per phase of the paper's workflow:
   resilience, validation, observability), profile collection, and trace
   or metrics sinks to write after the run.
 
-The old keyword signatures survive as thin shims that raise
-``DeprecationWarning`` and forward here; the CLI and the benchmark
-drivers build these objects directly, so the library and the tools share
-one code path.
+The CLI and the benchmark drivers build these objects directly, so the
+library and the tools share one code path.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
@@ -35,11 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
     from ..resilience.config import ResilienceConfig
     from ..search import HostChaosPlan, RetryPolicy, SimCache
-
-
-#: Sentinel distinguishing "not passed" from an explicit None/default in
-#: the deprecated keyword shims.
-_UNSET = object()
 
 
 @dataclass
@@ -72,23 +64,6 @@ class DistOptions:
     degrade_after: float = 10.0
 
 
-#: release in which the deprecated keyword shims (and the legacy
-#: simulator entry points) are scheduled for removal
-SHIM_REMOVAL_VERSION = "0.9"
-
-
-def warn_deprecated_kwargs(function: str, options_type: str, names) -> None:
-    """One uniform DeprecationWarning for every legacy keyword shim."""
-    warnings.warn(
-        f"passing {', '.join(sorted(names))} to {function}() directly is "
-        f"deprecated and will be removed in version {SHIM_REMOVAL_VERSION}; "
-        f"build a {options_type} instead "
-        f"(from repro import {options_type})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass
 class SynthesisOptions:
     """Options for :func:`repro.core.pipeline.synthesize_layout`."""
@@ -107,12 +82,6 @@ class SynthesisOptions:
     #: candidate simulations fan out across this many worker processes;
     #: results are bit-identical to ``workers=1``
     workers: int = 1
-    #: incremental delta re-simulation: candidates one migration away
-    #: from an already-simulated parent resume from the parent's event
-    #: timeline instead of re-simulating from scratch. Results are
-    #: bit-identical either way (test-enforced per benchmark) — this is
-    #: purely a wall-clock knob
-    delta_sim: bool = True
     #: memoize simulation results by layout fingerprint
     sim_cache: bool = True
     #: LRU bound for the per-run cache (None = unbounded)

@@ -24,7 +24,7 @@ from ..schedule.coregroup import GroupGraph, build_group_graph
 from ..schedule.layout import Layout
 from ..schedule.rules import ReplicaSuggestion, suggest_replicas
 from .api import CompiledProgram, annotated_cstg
-from .options import SynthesisOptions, _UNSET, warn_deprecated_kwargs
+from .options import SynthesisOptions
 
 _P_SYNTHESIZE = prof.intern_phase("pipeline.synthesize")
 _P_CSTG = prof.intern_phase("synthesize.cstg")
@@ -93,7 +93,6 @@ def _synthesize_dist(
         hints=options.hints,
         mesh_width=options.mesh_width,
         core_speeds=options.core_speeds,
-        delta=options.delta_sim,
         source_digest=hashlib.sha256(
             compiled.source.encode("utf-8")
         ).hexdigest(),
@@ -142,11 +141,6 @@ def synthesize_layout(
     profile: ProfileData,
     num_cores: int,
     options: Optional[SynthesisOptions] = None,
-    seed=_UNSET,
-    config=_UNSET,
-    hints=_UNSET,
-    mesh_width=_UNSET,
-    core_speeds=_UNSET,
 ) -> SynthesisReport:
     """Synthesizes an optimized layout for ``num_cores`` cores.
 
@@ -155,37 +149,8 @@ def synthesize_layout(
     simulator. All knobs live on :class:`SynthesisOptions`;
     ``options.core_speeds`` enables the heterogeneous-cores extension and
     ``options.workers``/``options.sim_cache`` the parallel, memoized
-    search. The ``seed=``/``config=``/``hints=``/``mesh_width=``/
-    ``core_speeds=`` keywords are the pre-options spelling, kept as a
-    deprecated shim.
+    search.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("seed", seed),
-            ("config", config),
-            ("hints", hints),
-            ("mesh_width", mesh_width),
-            ("core_speeds", core_speeds),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        warn_deprecated_kwargs("synthesize_layout", "SynthesisOptions", legacy)
-        if options is not None:
-            raise TypeError(
-                "synthesize_layout() takes either options= or the "
-                "deprecated seed=/config=/hints=/mesh_width=/core_speeds= "
-                "keywords, not both"
-            )
-        options = SynthesisOptions(
-            # The old signature always forced config.seed = seed (default 0).
-            seed=legacy.get("seed", 0),
-            anneal=legacy.get("config"),
-            hints=legacy.get("hints"),
-            mesh_width=legacy.get("mesh_width"),
-            core_speeds=legacy.get("core_speeds"),
-        )
     options = options or SynthesisOptions()
 
     with prof.phase(_P_SYNTHESIZE):
@@ -240,7 +205,6 @@ def _synthesize(
         checkpoint_path=options.checkpoint_path,
         resume=options.resume,
         cancel_check=options.cancel_check,
-        delta=options.delta_sim,
     ) as dsa:
         with prof.phase(_P_ANNEAL):
             result: AnnealResult = dsa.run()

@@ -2,7 +2,7 @@
 
 Everything else in :mod:`repro.obs` measures *simulated cycles*; this
 module measures where real wall-clock time goes, so the ROADMAP's perf
-work (incremental simulation, event-loop flattening, pool dispatch) has
+work (event-loop flattening, pool dispatch) has
 a ranked table to aim at instead of guesswork.
 
 Design constraints, in order:

@@ -17,17 +17,7 @@ from .mapping import (
 )
 from .preprocess import GroupTree, build_group_tree, duplication_factors
 from .rules import ReplicaSuggestion, replica_choice_sets, suggest_replicas
-from .simulator import (
-    DeltaMove,
-    ExitChooser,
-    SchedulingSimulator,
-    SessionStore,
-    SimResult,
-    SimSession,
-    TraceEvent,
-    estimate_layout,
-    simulate,
-)
+from .simulator import ExitChooser, SimResult, SimSession, TraceEvent, simulate
 
 __all__ = [
     "AnnealConfig",
@@ -35,7 +25,6 @@ __all__ = [
     "Candidate",
     "CoreGroup",
     "CriticalPath",
-    "DeltaMove",
     "ExitChooser",
     "GroupGraph",
     "GroupTree",
@@ -43,8 +32,6 @@ __all__ = [
     "Move",
     "ReplicaSuggestion",
     "Router",
-    "SchedulingSimulator",
-    "SessionStore",
     "SimResult",
     "SimSession",
     "TraceEvent",
@@ -58,7 +45,6 @@ __all__ = [
     "duplication_factors",
     "enumerate_candidates",
     "enumerate_layouts",
-    "estimate_layout",
     "mesh_hops",
     "random_layouts",
     "replica_choice_sets",

@@ -59,7 +59,7 @@ from .mapping import (
     with_instance_moved,
 )
 from .rules import replica_choice_sets, suggest_replicas
-from .simulator import DeltaMove, SimResult
+from .simulator import SimResult
 
 _P_ITERATION = prof.intern_phase("anneal.iteration")
 _P_EVALUATE = prof.intern_phase("anneal.evaluate")
@@ -161,7 +161,6 @@ class DirectedSimulatedAnnealing:
         checkpoint_path: Optional[str] = None,
         resume: Optional[str] = None,
         cancel_check=None,
-        delta: bool = True,
     ):
         self.compiled = compiled
         self.profile = profile
@@ -172,10 +171,6 @@ class DirectedSimulatedAnnealing:
         self.core_speeds = core_speeds
         self.checkpoint_path = checkpoint_path
         self.resume = resume
-        #: feed the evaluator delta-resimulation hints (candidate = parent
-        #: plus one move). Purely a cost knob: delta-on results are
-        #: bit-identical to delta-off (test-enforced per benchmark).
-        self.delta = delta
         #: zero-argument callable polled at iteration boundaries; a true
         #: return raises :class:`SearchCancelled`. Purely an early-exit
         #: hook — it cannot alter the result of a run it does not stop.
@@ -204,16 +199,8 @@ class DirectedSimulatedAnnealing:
                 supervise=supervise,
                 policy=retry_policy,
                 chaos=host_chaos,
-                delta=delta,
             )
         self.evaluator = evaluator
-        #: candidate layout -> DeltaMove hint for the *next* evaluation
-        #: batch (rebuilt every iteration, checkpointed alongside the
-        #: candidate set so a resumed search stays warm)
-        self._pending_hints: Dict[Layout, DeltaMove] = {}
-        #: lazily probed: does the (possibly caller-supplied) evaluator's
-        #: ``evaluate`` accept the ``deltas`` keyword?
-        self._supports_deltas: Optional[bool] = None
         self.evaluations = 0
         self.cache_hits = 0
         self.pruned_evaluations = 0
@@ -245,51 +232,19 @@ class DirectedSimulatedAnnealing:
         scored = outcome.scored[0]
         return scored.cycles, scored.result
 
-    def _delta_kwargs(self, candidates: List[Layout]) -> Dict[str, object]:
-        """The ``deltas=`` keyword for the batch evaluation, or nothing.
-
-        Caller-supplied evaluators may predate the keyword (the
-        :class:`~repro.search.Evaluator` protocol added it with the
-        session API), so it is probed once and the hints are silently
-        dropped when unsupported — hints are advice, not semantics.
-        """
-        if not self._pending_hints or not self.delta:
-            return {}
-        if self._supports_deltas is None:
-            import inspect
-
-            try:
-                parameters = inspect.signature(
-                    self.evaluator.evaluate
-                ).parameters
-            except (TypeError, ValueError):  # pragma: no cover - exotic
-                self._supports_deltas = False
-            else:
-                self._supports_deltas = "deltas" in parameters
-        if not self._supports_deltas:
-            return {}
-        return {
-            "deltas": [
-                self._pending_hints.get(layout) for layout in candidates
-            ]
-        }
-
     # -- neighbor generation ----------------------------------------------------------
 
     def _critical_path_neighbors(
         self, layout: Layout, result: SimResult
-    ) -> List[Tuple[Layout, str]]:
-        """Yields ``(neighbor, moved_task)`` pairs — the moved task names
-        the delta against the parent layout for incremental re-simulation."""
-        neighbors: List[Tuple[Layout, str]] = []
+    ) -> List[Layout]:
+        neighbors: List[Layout] = []
         path = compute_critical_path(result)
         for move in suggest_moves(
             result, layout, path, max_moves=self.config.moves_per_candidate
         ):
-            for neighbor in self._apply_move(
+            neighbors += self._apply_move(
                 layout, move.task, move.from_core, move.to_core
-            ):
-                neighbors.append((neighbor, move.task))
+            )
         return neighbors
 
     def _apply_move(
@@ -312,16 +267,15 @@ class DirectedSimulatedAnnealing:
                 continue
         return valid
 
-    def _random_neighbors(self, layout: Layout) -> List[Tuple[Layout, str]]:
-        neighbors: List[Tuple[Layout, str]] = []
+    def _random_neighbors(self, layout: Layout) -> List[Layout]:
+        neighbors: List[Layout] = []
         tasks = layout.tasks()
         for _ in range(self.config.random_moves_per_candidate):
             task = self.rng.choice(tasks)
             cores = layout.cores_of(task)
             from_core = self.rng.choice(cores)
             to_core = self.rng.randrange(self.num_cores)
-            for neighbor in self._apply_move(layout, task, from_core, to_core):
-                neighbors.append((neighbor, task))
+            neighbors += self._apply_move(layout, task, from_core, to_core)
         return neighbors
 
     # -- initial candidates ---------------------------------------------------------
@@ -382,16 +336,11 @@ class DirectedSimulatedAnnealing:
             pruned_evaluations=self.pruned_evaluations,
             initial_layouts=list(initial_snapshot),
             cache_state=(
-                self.cache.state(include_sessions=True)
-                if self.cache is not None
-                else None
+                self.cache.state() if self.cache is not None else None
             ),
             checkpoints_written=self.checkpoints_written,
             checkpoint_events=list(self._checkpoint_events),
             config_digest=config_digest(self.config),
-            candidate_deltas=[
-                self._pending_hints.get(layout) for layout in candidates
-            ],
         )
 
     def write_final_checkpoint(self) -> Optional[str]:
@@ -429,14 +378,6 @@ class DirectedSimulatedAnnealing:
         self._checkpoint_events = list(state.checkpoint_events)
         if self.cache is not None and state.cache_state is not None:
             self.cache.restore(state.cache_state)
-        if state.candidate_deltas is not None:
-            self._pending_hints = {
-                layout: hint
-                for layout, hint in zip(
-                    state.candidates, state.candidate_deltas
-                )
-                if hint is not None
-            }
         return state
 
     # -- main loop ----------------------------------------------------------------------
@@ -512,7 +453,6 @@ class DirectedSimulatedAnnealing:
                         cutoff=cutoff,
                         budget=config.max_evaluations - spent,
                         charge_hits=charge_hits,
-                        **self._delta_kwargs(candidates),
                     )
                 self.evaluations += outcome.simulations
                 self.cache_hits += outcome.cache_hits
@@ -540,55 +480,25 @@ class DirectedSimulatedAnnealing:
                     if self.rng.random() < config.keep_poor_probability:
                         kept.append(item)
 
-                # Generate the next candidate set. Each neighbor is its
-                # parent plus one migration, so it carries a DeltaMove
-                # hint (parent fingerprint + moved task) for the
-                # evaluator's incremental re-simulation. Hints never
-                # affect scores — only how much of the parent's event
-                # timeline the simulator gets to skip.
                 next_candidates: List[Layout] = []
                 seen = set()
-                hints: Dict[Layout, DeltaMove] = {}
-                fingerprint = (
-                    getattr(self.evaluator, "fingerprint", None)
-                    if self.delta
-                    else None
-                )
 
-                def push(layout: Layout, hint: Optional[DeltaMove] = None):
+                def push(layout: Layout):
                     key = (layout.canonical_key(), tuple(layout.cores_used()))
                     if key not in seen:
                         seen.add(key)
                         next_candidates.append(layout)
-                        if hint is not None:
-                            hints[layout] = hint
 
                 with prof.phase(_P_CANDIDATES):
                     for cycles, layout, result in kept:
                         push(layout)
-                        parent = (
-                            fingerprint(layout)
-                            if fingerprint is not None
-                            else None
-                        )
                         if config.use_critical_path:
-                            for neighbor, moved in self._critical_path_neighbors(
+                            for neighbor in self._critical_path_neighbors(
                                 layout, result
                             ):
-                                push(
-                                    neighbor,
-                                    DeltaMove(parent, moved)
-                                    if parent is not None
-                                    else None,
-                                )
-                        for neighbor, moved in self._random_neighbors(layout):
-                            push(
-                                neighbor,
-                                DeltaMove(parent, moved)
-                                if parent is not None
-                                else None,
-                            )
-                self._pending_hints = hints
+                                push(neighbor)
+                        for neighbor in self._random_neighbors(layout):
+                            push(neighbor)
 
                 if not improved:
                     patience -= 1
@@ -680,19 +590,17 @@ def directed_simulated_annealing(
     host_chaos=None,
     checkpoint_path: Optional[str] = None,
     resume: Optional[str] = None,
-    delta: bool = True,
 ) -> AnnealResult:
     """Runs DSA and returns the best layout found. ``resume=`` restores a
     checkpoint written by an earlier (interrupted) run with the same
     schedule; the resumed result is bit-identical to an uninterrupted
-    run's. ``delta=False`` disables incremental re-simulation (full
-    simulations only — same results, more wall clock)."""
+    run's."""
     with DirectedSimulatedAnnealing(
         compiled, profile, num_cores, config=config, hints=hints,
         mesh_width=mesh_width, core_speeds=core_speeds,
         workers=workers, cache=cache, use_cache=use_cache,
         supervise=supervise, retry_policy=retry_policy,
         host_chaos=host_chaos, checkpoint_path=checkpoint_path,
-        resume=resume, delta=delta,
+        resume=resume,
     ) as dsa:
         return dsa.run(initial)

@@ -21,25 +21,14 @@ Entry points
 ------------
 
 * :func:`simulate` — simulate one layout once (the facade).
-* :class:`SimSession` — a reusable session that shares per-program lookup
-  tables across simulations and supports **delta re-simulation**: a DSA
-  candidate differs from its parent by a single instance migration, so the
-  session snapshots the parent's event-timeline prefix (keyed by
-  ``layout_fingerprint``), tracks when each task's placement is first
-  consulted, and resumes the child from the latest snapshot taken before
-  the moved task's placement mattered. Replay is exact — a delta resume
-  is **bit-identical** to a full simulation (test-enforced) — and the
-  session falls back to a full run whenever no usable snapshot exists.
-* :class:`SchedulingSimulator` / :func:`estimate_layout` — the legacy
-  run-once entry points, kept as :class:`DeprecationWarning` shims.
+* :class:`SimSession` — a reusable session that shares the per-program
+  lookup tables across simulations; every call is one full simulation.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
-import warnings
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter_ns as _perf_counter_ns
 from typing import Deque, Dict, List, Optional, Tuple
@@ -85,7 +74,6 @@ from ..schedule.layout import (
     mesh_hops,
     scale_duration,
 )
-from ..schedule.mapping import layout_fingerprint
 from ..sema import builtins
 
 
@@ -93,7 +81,7 @@ from ..sema import builtins
 #: never observed (see _SimEngine._dispatch).
 UNPROFILED_TASK_CYCLES = 200
 
-#: Heap event kinds (ints compare faster than strings and pickle smaller).
+#: Heap event kinds (ints compare faster than strings).
 _EV_ARRIVE = 0
 _EV_KICK = 1
 
@@ -102,17 +90,6 @@ _ENQUEUE = costs.ENQUEUE_COST
 _MSG_SEND = costs.MSG_SEND_COST
 _HOP = costs.HOP_COST
 _MSG_WORD = costs.MSG_WORD_COST
-
-#: Delta-session snapshot cadence (events between prefix snapshots) and
-#: the bound on snapshots kept per parent (the list is thinned and the
-#: interval doubled when it fills).
-SNAPSHOT_INTERVAL = 1024
-_SNAPSHOT_MAX = 32
-#: A resume must skip at least this many events to be worth the copy.
-MIN_RESUME_EVENTS = 512
-
-#: ``first_touch`` value for tasks whose placement was never consulted.
-_FT_INF = 1 << 30
 
 
 @dataclass
@@ -124,21 +101,12 @@ class SimObject:
     state: AState
     tag_key: Optional[int] = None
 
-    def __reduce__(self):
-        # Positional pickling: smaller and faster than the __dict__ path,
-        # which matters when session snapshots land in checkpoints.
-        return (SimObject, (self.obj_id, self.class_name, self.state,
-                            self.tag_key))
-
 
 @dataclass
 class QueueEntry:
     obj: SimObject
     arrived_at: int
     producer_event: Optional[int]  # trace event id that produced the object
-
-    def __reduce__(self):
-        return (QueueEntry, (self.obj, self.arrived_at, self.producer_event))
 
 
 @dataclass
@@ -190,22 +158,6 @@ class SimResult:
         return sorted(
             (e for e in self.trace if e.core == core), key=lambda e: e.start
         )
-
-
-@dataclass(frozen=True)
-class DeltaMove:
-    """How a candidate layout differs from an already-simulated parent.
-
-    ``parent`` is the parent layout's fingerprint
-    (:func:`repro.schedule.mapping.layout_fingerprint`, same core speeds);
-    ``task`` is the one task whose instance set changed. A
-    :class:`SimSession` uses this purely as a *hint*: a stale or wrong
-    hint can only cost a fallback to full simulation, never change a
-    result.
-    """
-
-    parent: str
-    task: str
 
 
 class ExitChooser:
@@ -441,87 +393,6 @@ class _ProgramTables:
         return plan
 
 
-# -- delta-session records -----------------------------------------------------
-
-
-@dataclass
-class _Snapshot:
-    """One copy of the engine's live state at an event-count boundary."""
-
-    epoch: int  # monotonically increasing id within the parent's run
-    processed: int  # events processed when the copy was taken
-    last_time: int  # sim clock of the last processed event
-    #: the deep-copied timeline state, or None for a *phantom* snapshot —
-    #: a placeholder proving a resume point exists; the state is captured
-    #: lazily by re-running the parent when a delta hint first wants it
-    state: Optional[Dict[str, object]]
-
-
-@dataclass
-class _ParentRecord:
-    """Everything needed to resume a child one migration away."""
-
-    fingerprint: str
-    layout: Layout
-    #: task -> epoch count at its first placement consultation; missing
-    #: means the placement was never consulted (any snapshot is usable)
-    first_touch: Dict[str, int]
-    snapshots: Tuple[_Snapshot, ...]
-
-
-class SessionStore:
-    """A thread-safe LRU of :class:`_ParentRecord`s.
-
-    One instance backs a :class:`SimSession`; a
-    :class:`repro.search.SimCache` owns one so session state rides along
-    with the result cache into search checkpoints (but *not* into the
-    serving layer's disk store — records are cheap to rebuild and
-    version-fragile). Records are immutable once stored, so readers copy
-    from them without holding the lock.
-    """
-
-    def __init__(self, max_parents: int = 16):
-        if max_parents <= 0:
-            raise ValueError("max_parents must be positive")
-        self.max_parents = max_parents
-        self._records: "OrderedDict[str, _ParentRecord]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, fingerprint: str) -> Optional[_ParentRecord]:
-        with self._lock:
-            record = self._records.get(fingerprint)
-            if record is not None:
-                self._records.move_to_end(fingerprint)
-            return record
-
-    def put(self, fingerprint: str, record: _ParentRecord) -> None:
-        with self._lock:
-            self._records[fingerprint] = record
-            self._records.move_to_end(fingerprint)
-            while len(self._records) > self.max_parents:
-                self._records.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-
-    # -- checkpoint support ----------------------------------------------------
-
-    def state(self) -> Dict[str, object]:
-        """A restorable snapshot (records in LRU order, by reference —
-        records are immutable once stored)."""
-        with self._lock:
-            return {"records": list(self._records.items())}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        with self._lock:
-            self._records = OrderedDict(state["records"])
-
-
 # -- the engine ----------------------------------------------------------------
 
 
@@ -613,251 +484,24 @@ class _SimEngine:
         self._mail_k = 0
         self._form_k = 0
 
-        #: delta-session recording state (off unless _enable_recording)
-        self._snapshots: Optional[List[_Snapshot]] = None
-        self._first_touch: Optional[Dict[str, int]] = None
-        self._snap_interval = 0
-        self._snap_epoch = 0
-        self._snap_capture = True
-        self._snap_next = -1  # next `processed` count to snapshot at
-        self._resumed = False
-        self._resume_processed = 0
-        self._resume_last_time = _INIT
-
-    # -- delta-session recording -----------------------------------------------
-
-    def _enable_recording(self, interval: int, capture: bool = True) -> None:
-        """Turns on delta-session recording.
-
-        With ``capture=False`` the engine records only the cheap parts —
-        the first-touch epoch map and *phantom* snapshots (epoch,
-        processed-count, and clock, but no state copy). A phantom record
-        is enough to decide whether a later one-move delta could resume
-        profitably; the expensive state capture is deferred until a hint
-        actually proves it worthwhile (:meth:`SimSession._warm_parent`).
-        """
-        self._snapshots = []
-        if self._first_touch is None:
-            self._first_touch = {}
-        self._snap_capture = capture
-        self._snap_interval = interval
-        self._snap_next = self._resume_processed + interval - (
-            self._resume_processed % interval
-        )
-
-    def _take_snapshot(self, processed: int, last_time: int) -> None:
-        snaps = self._snapshots
-        if len(self._first_touch) >= len(self.layout.instances):
-            # Every task's placement has been consulted, so no snapshot
-            # from here on could ever be resumed for a one-task move —
-            # stop paying for copies.
-            self._snap_next = -1
-            return
-        if len(snaps) >= _SNAPSHOT_MAX:
-            # Thin to every other snapshot and halve the cadence; epochs
-            # ride along inside the records, so first_touch comparisons
-            # stay valid across thinning.
-            del snaps[1::2]
-            self._snap_interval *= 2
-        snaps.append(
-            _Snapshot(
-                self._snap_epoch,
-                processed,
-                last_time,
-                self._capture_state() if self._snap_capture else None,
-            )
-        )
-        self._snap_epoch += 1
-        self._snap_next = processed + self._snap_interval
-
-    def _capture_state(self) -> Dict[str, object]:
-        """Deep-copies the live timeline state.
-
-        One SimObject is aliased by every QueueEntry that carries it (an
-        object routed to two consumers is *shared* — a transition through
-        one is visible to the other), so the copy memoizes on identity to
-        preserve the aliasing graph exactly. Completed TraceEvents and
-        AStates are immutable and shared by reference.
-        """
-        memo: Dict[int, object] = {}
-
-        def cp(entry: QueueEntry) -> QueueEntry:
-            out = memo.get(id(entry))
-            if out is None:
-                obj = entry.obj
-                nobj = memo.get(id(obj))
-                if nobj is None:
-                    nobj = SimObject(obj.obj_id, obj.class_name, obj.state,
-                                     obj.tag_key)
-                    memo[id(obj)] = nobj
-                out = QueueEntry(nobj, entry.arrived_at, entry.producer_event)
-                memo[id(entry)] = out
-            return out
-
-        return {
-            "events": [
-                e if e[6] is None
-                else (e[0], e[1], e[2], e[3], e[4], e[5], cp(e[6]))
-                for e in self._events
-            ],
-            "sets": {
-                key: [deque(cp(e) for e in dq) for dq in lst]
-                for key, lst in self._sets.items()
-            },
-            "ready": {
-                core: deque([cp(e) for e in combo] for combo in dq)
-                for core, dq in self.ready.items()
-            },
-            "ready_task": {
-                core: deque(dq) for core, dq in self._ready_task.items()
-            },
-            "busy_until": dict(self.busy_until),
-            "core_busy": dict(self.core_busy),
-            "invocations": dict(self.invocations),
-            "rr_state": dict(self._rr_state),
-            "alloc_carry": dict(self._alloc_carry),
-            "trace": list(self.trace),
-            "taken": dict(self.chooser._taken),
-            "total": dict(self.chooser._total),
-            "seq": self._seq,
-            "next_obj_id": self._next_obj_id,
-            "next_event_id": self._next_event_id,
-        }
-
-    def _restore_for_delta(self, snap: _Snapshot, moved: str) -> bool:
-        """Adopts a parent snapshot as this engine's starting state.
-
-        The caller guarantees the layouts differ only in ``moved``'s
-        instance set and that the snapshot predates ``moved``'s first
-        placement consultation. This method re-verifies the consequences
-        (nothing in the prefix can mention the moved task, and cores the
-        child no longer uses must be untouched) and returns False —
-        leaving the engine unusable — when any check fails.
-        """
-        st = snap.state
-        used = set(self._core_list)
-        if moved in st["invocations"]:
-            return False
-        for core, value in st["busy_until"].items():
-            if core not in used and value != _INIT:
-                return False
-        for core, value in st["core_busy"].items():
-            if core not in used and value:
-                return False
-        for core, dq in st["ready"].items():
-            if core not in used and dq:
-                return False
-        for tasks in st["ready_task"].values():
-            if moved in tasks:
-                return False
-        for (core, task), lst in st["sets"].items():
-            if (task == moved or core not in used) and any(lst):
-                return False
-        for event in st["events"]:
-            if event[2] == _EV_ARRIVE and event[4] == moved:
-                return False
-        for origin, task in st["rr_state"]:
-            if task == moved or origin not in used:
-                return False
-        for scope in st["total"]:
-            if scope[0] == moved:
-                return False
-
-        memo: Dict[int, object] = {}
-
-        def cp(entry: QueueEntry) -> QueueEntry:
-            out = memo.get(id(entry))
-            if out is None:
-                obj = entry.obj
-                nobj = memo.get(id(obj))
-                if nobj is None:
-                    nobj = SimObject(obj.obj_id, obj.class_name, obj.state,
-                                     obj.tag_key)
-                    memo[id(obj)] = nobj
-                out = QueueEntry(nobj, entry.arrived_at, entry.producer_event)
-                memo[id(entry)] = out
-            return out
-
-        # The copied heap list is a valid heap verbatim: the prefix's
-        # push/pop sequence is deterministic, so a full child run would
-        # have produced the identical array.
-        self._events = [
-            e if e[6] is None
-            else (e[0], e[1], e[2], e[3], e[4], e[5], cp(e[6]))
-            for e in st["events"]
-        ]
-        self._seq = st["seq"]
-        self._next_obj_id = st["next_obj_id"]
-        self._next_event_id = st["next_event_id"]
-        self._rr_state = dict(st["rr_state"])
-        self._alloc_carry = dict(st["alloc_carry"])
-        self.invocations = dict(st["invocations"])
-        self.trace = list(st["trace"])
-        self.chooser._taken = dict(st["taken"])
-        self.chooser._total = dict(st["total"])
-        # Re-key per-core state in *this* layout's cores_used() order so
-        # dict iteration (the trailing kick sweep, result dicts) matches a
-        # full child run; cores new to the child start cold.
-        busy = st["busy_until"]
-        busyc = st["core_busy"]
-        readys = st["ready"]
-        rtasks = st["ready_task"]
-        setsrc = st["sets"]
-        self.busy_until = {
-            core: busy.get(core, _INIT) for core in self._core_list
-        }
-        self.core_busy = {core: busyc.get(core, 0) for core in self._core_list}
-        ready: Dict[int, Deque[List[QueueEntry]]] = {}
-        ready_task: Dict[int, Deque[str]] = {}
-        sets: Dict[Tuple[int, str], List[Deque[QueueEntry]]] = {}
-        for core in self._core_list:
-            dq = readys.get(core)
-            ready[core] = (
-                deque([cp(e) for e in combo] for combo in dq) if dq else deque()
-            )
-            rt = rtasks.get(core)
-            ready_task[core] = deque(rt) if rt else deque()
-            for task in self.layout.tasks_on_core(core):
-                nparams = self.tables.rec(task).nparams
-                if task == moved:
-                    sets[(core, task)] = [deque() for _ in range(nparams)]
-                else:
-                    src = setsrc.get((core, task))
-                    if src is None:  # pragma: no cover - layouts pre-checked
-                        return False
-                    sets[(core, task)] = [
-                        deque(cp(e) for e in dq) for dq in src
-                    ]
-        self.ready = ready
-        self._ready_task = ready_task
-        self._sets = sets
-        self._resumed = True
-        self._resume_processed = snap.processed
-        self._resume_last_time = snap.last_time
-        return True
-
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> SimResult:
         profiler = None if self._observe is False else prof.active()
 
-        if not self._resumed:
-            startup = SimObject(
-                self._next_obj_id,
-                builtins.STARTUP_CLASS,
-                AState.make([builtins.STARTUP_FLAG]),
-                None,
-            )
-            self._next_obj_id += 1
-            self._route(startup, None, _INIT, None)
+        startup = SimObject(
+            self._next_obj_id,
+            builtins.STARTUP_CLASS,
+            AState.make([builtins.STARTUP_FLAG]),
+            None,
+        )
+        self._next_obj_id += 1
+        self._route(startup, None, _INIT, None)
 
         if profiler is None:
-            processed, finished, pruned, last_time = self._drain()
+            finished, pruned, last_time = self._drain()
         else:
-            processed, finished, pruned, last_time = self._drain_profiled(
-                profiler
-            )
-        self.processed = processed
+            finished, pruned, last_time = self._drain_profiled(profiler)
 
         total = max([last_time] + list(self.busy_until.values()))
         busy_time = sum(self.core_busy.values())
@@ -873,7 +517,7 @@ class _SimEngine:
             pruned=pruned,
         )
 
-    def _drain(self) -> Tuple[int, bool, bool, int]:
+    def _drain(self) -> Tuple[bool, bool, int]:
         """The event loop, unobserved: the simulator's hot path."""
         events = self._events
         pop = heapq.heappop
@@ -885,13 +529,12 @@ class _SimEngine:
         busy_until = self.busy_until
         dispatch = self._dispatch
         try_form = self._try_form
-        snap_at = self._snap_next
-        processed = self._resume_processed
+        processed = 0
         finished = True
         pruned = False
         # Event times are nondecreasing (pushes never go backwards), so
         # tracking the last popped time needs no max().
-        last_time = self._resume_last_time
+        last_time = _INIT
         while events:
             processed += 1
             if processed > max_events:
@@ -913,12 +556,9 @@ class _SimEngine:
                 if ready_task[core] and busy_until[core] <= time:
                     self._seq = s = self._seq + 1
                     push(events, (time, s, _EV_KICK, core, None, 0, None))
-            if processed == snap_at:
-                self._take_snapshot(processed, last_time)
-                snap_at = self._snap_next
-        return processed, finished, pruned, last_time
+        return finished, pruned, last_time
 
-    def _drain_profiled(self, profiler) -> Tuple[int, bool, bool, int]:
+    def _drain_profiled(self, profiler) -> Tuple[bool, bool, int]:
         """The event loop with sampled per-bucket wall accounting.
 
         Same event-for-event behavior as :meth:`_drain` — the results
@@ -945,15 +585,14 @@ class _SimEngine:
         events = self._events
         cutoff = self.cutoff
         max_events = self.max_events
-        snap_at = self._snap_next
         queue_ns = arrive_ns = dispatch_ns = 0
         sampled = arrive_k = dispatch_k = 0
         arrive_n = dispatch_n = 0
         countdown = 1  # sample the first event, then every Nth
-        processed = self._resume_processed
+        processed = 0
         finished = True
         pruned = False
-        last_time = self._resume_last_time
+        last_time = _INIT
         loop_start = clock()
         try:
             while events:
@@ -975,9 +614,6 @@ class _SimEngine:
                     else:
                         arrive_n += 1
                         self._arrive(core, task, param_index, entry, time)
-                    if processed == snap_at:
-                        self._take_snapshot(processed, last_time)
-                        snap_at = self._snap_next
                     continue
                 countdown = _SAMPLE_EVERY
                 sampled += 1
@@ -1010,9 +646,6 @@ class _SimEngine:
                     )
                     arrive_k += 1
                 self._timing = False
-                if processed == snap_at:
-                    self._take_snapshot(processed, last_time)
-                    snap_at = self._snap_next
         finally:
             loop_ns = clock() - loop_start
             self._route = self._route_impl
@@ -1042,14 +675,14 @@ class _SimEngine:
                 loop_ns,
                 estimates,
                 {
-                    "queue": processed - self._resume_processed,
+                    "queue": processed,
                     "arrive": arrive_n,
                     "dispatch": dispatch_n,
                     "mail": self._mail_n,
                     "form": self._form_n,
                 },
             )
-        return processed, finished, pruned, last_time
+        return finished, pruned, last_time
 
     def _flush_buckets(
         self,
@@ -1328,18 +961,12 @@ class _SimEngine:
         consumers = self.router.consumers(obj.class_name, obj.state)
         if not consumers:
             return
-        first_touch = self._first_touch
         cores_of = self._cores_of
         tables = self.tables
         layout = self.layout
         rr_state = self._rr_state
         events = self._events
         for task, param_index in consumers:
-            if first_touch is not None and task not in first_touch:
-                # The routing decision below is the first time this task's
-                # placement can influence the timeline; any snapshot taken
-                # before now is reusable for a migration of this task.
-                first_touch[task] = self._snap_epoch
             cores = cores_of[task]
             if len(cores) == 1:
                 dest = cores[0]
@@ -1390,29 +1017,22 @@ class _SimEngine:
             )
 
 
-# -- sessions -------------------------------------------------------------------
+
+
+# -- sessions & facade ----------------------------------------------------------
 
 
 class SimSession:
     """A reusable simulation context for one (program, profile) pair.
 
-    Sharing a session across simulations buys two things:
-
-    * the layout-independent :class:`_ProgramTables` memos are computed
-      once, and
-    * **delta re-simulation**: when :meth:`simulate` is given a
-      :class:`DeltaMove` hint naming an already-simulated parent layout,
-      the session resumes from the latest parent snapshot taken before
-      the moved task's placement was first consulted and replays only
-      the downstream events. Resumed runs are bit-identical to full
-      runs — the hint can change cost, never results — and the session
-      falls back to a full simulation whenever no usable snapshot
-      exists.
-
-    Sessions are cheap to create and safe to use from one thread at a
-    time; the backing :class:`SessionStore` may be shared across
-    threads (the serving layer shares one per context cache).
+    The layout-independent :class:`_ProgramTables` memos are computed
+    once and shared by every :meth:`simulate` call; each call is one full
+    simulation. Sessions are cheap to create and safe to use from one
+    thread at a time.
     """
+
+    # Always 0; the benchmark's traced run (perfbench/spans.py) reads them.
+    delta_attempts = delta_resumes = events_skipped = 0
 
     def __init__(
         self,
@@ -1423,10 +1043,6 @@ class SimSession:
         core_speeds: Optional[Dict[int, float]] = None,
         exit_policy: str = "sequence",
         max_events: int = 2_000_000,
-        delta: bool = True,
-        snapshot_interval: int = SNAPSHOT_INTERVAL,
-        min_resume_events: int = MIN_RESUME_EVENTS,
-        store: Optional[SessionStore] = None,
     ):
         self.compiled = compiled
         self.profile = profile
@@ -1434,41 +1050,17 @@ class SimSession:
         self.core_speeds = core_speeds
         self.exit_policy = exit_policy
         self.max_events = max_events
-        self.delta = delta
-        self.snapshot_interval = snapshot_interval
-        self.min_resume_events = min_resume_events
-        self.store = store if store is not None else SessionStore()
         self.tables = _ProgramTables(compiled, profile, core_speeds)
-        self.full_simulations = 0
-        self.delta_attempts = 0
-        self.delta_resumes = 0
-        self.delta_fallbacks = 0
-        self.events_skipped = 0
-        self.snapshots_taken = 0
-        self.parent_warmups = 0
 
-    def fingerprint(self, layout: Layout) -> str:
-        return layout_fingerprint(layout, self.core_speeds)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "full_simulations": self.full_simulations,
-            "delta_attempts": self.delta_attempts,
-            "delta_resumes": self.delta_resumes,
-            "delta_fallbacks": self.delta_fallbacks,
-            "events_skipped": self.events_skipped,
-            "snapshots_taken": self.snapshots_taken,
-            "parent_warmups": self.parent_warmups,
-            "parents_stored": len(self.store),
-        }
-
-    def _engine(
+    def simulate(
         self,
         layout: Layout,
-        cutoff: Optional[int],
-        observe: Optional[bool],
-    ) -> _SimEngine:
-        engine = _SimEngine(
+        *,
+        cutoff: Optional[int] = None,
+        observe: Optional[bool] = None,
+    ) -> SimResult:
+        """Simulates ``layout`` once, sharing the session's tables."""
+        return _SimEngine(
             self.compiled,
             layout,
             self.profile,
@@ -1479,169 +1071,7 @@ class SimSession:
             cutoff=cutoff,
             tables=self.tables,
             observe=observe,
-        )
-        return engine
-
-    def simulate(
-        self,
-        layout: Layout,
-        *,
-        cutoff: Optional[int] = None,
-        delta: Optional[DeltaMove] = None,
-        observe: Optional[bool] = None,
-    ) -> SimResult:
-        """Simulates ``layout``; ``delta`` is a pure cost hint."""
-        fingerprint = layout_fingerprint(layout, self.core_speeds)
-        if delta is not None and self.delta:
-            self.delta_attempts += 1
-            result = self._try_delta(delta, layout, fingerprint, cutoff,
-                                     observe)
-            if result is not None:
-                return result
-            self.delta_fallbacks += 1
-        engine = self._engine(layout, cutoff, observe)
-        if self.delta:
-            # Record cheaply: first-touch epochs and phantom snapshots
-            # only. Real state copies are deferred to _warm_parent, paid
-            # exactly once per layout that a delta hint proves resumable.
-            engine._enable_recording(self.snapshot_interval, capture=False)
-        result = engine.run()
-        self.full_simulations += 1
-        self._store_record(fingerprint, layout, engine)
-        return result
-
-    def _pick_snapshot(
-        self, record: _ParentRecord, moved: str, cutoff: Optional[int]
-    ) -> Optional[_Snapshot]:
-        """The latest parent snapshot reusable for a ``moved`` migration
-        evaluated under ``cutoff`` — phantom or real — or None."""
-        touch_epoch = record.first_touch.get(moved, _FT_INF)
-        best: Optional[_Snapshot] = None
-        for snapshot in record.snapshots:
-            if snapshot.epoch >= touch_epoch:
-                break
-            if cutoff is not None and snapshot.last_time > cutoff:
-                # The snapshot's prefix already crossed the cutoff; a
-                # cutoff run would have stopped earlier, so resuming from
-                # it could not reproduce the pruned result exactly.
-                break
-            best = snapshot
-        return best
-
-    def _warm_parent(self, record: _ParentRecord) -> Optional[_ParentRecord]:
-        """Re-simulates a phantom parent with full state capture.
-
-        The engine is deterministic, so the warm run retraces the
-        original exactly — same epochs, same first touches — and merely
-        fills in the states the phantom record proved worth having. One
-        full-simulation cost, amortized over every child that names this
-        parent (and over later iterations, while the record stays in the
-        store).
-        """
-        engine = self._engine(record.layout, None, False)
-        engine._enable_recording(self.snapshot_interval, capture=True)
-        engine.run()
-        self.parent_warmups += 1
-        self._store_record(record.fingerprint, record.layout, engine)
-        return self.store.get(record.fingerprint)
-
-    def _try_delta(
-        self,
-        hint: DeltaMove,
-        layout: Layout,
-        fingerprint: str,
-        cutoff: Optional[int],
-        observe: Optional[bool],
-    ) -> Optional[SimResult]:
-        record = self.store.get(hint.parent)
-        if record is None:
-            return None
-        moved = hint.task
-        parent = record.layout
-        if (
-            parent.num_cores != layout.num_cores
-            or parent.mesh_width != layout.mesh_width
-            or parent.topology != layout.topology
-        ):
-            return None
-        parent_instances = parent.instances
-        child_instances = layout.instances
-        if len(parent_instances) != len(child_instances):
-            return None
-        for (ptask, pcores), (ctask, ccores) in zip(
-            parent_instances, child_instances
-        ):
-            if ptask != ctask:
-                return None
-            if pcores != ccores and ptask != moved:
-                return None
-        best = self._pick_snapshot(record, moved, cutoff)
-        if best is None or best.processed < self.min_resume_events:
-            return None
-        if best.state is None:
-            # Phantom record: the resume is provably worthwhile (enough
-            # skippable prefix), so pay the one-time warm-up now. The
-            # warm run may extend past a cutoff the original stopped at,
-            # which only ever adds usable snapshots; re-pick against the
-            # fresh record either way.
-            record = self._warm_parent(record)
-            if record is None:  # pragma: no cover - store raced/evicted
-                return None
-            best = self._pick_snapshot(record, moved, cutoff)
-            if (
-                best is None
-                or best.state is None
-                or best.processed < self.min_resume_events
-            ):
-                return None
-        engine = self._engine(layout, cutoff, observe)
-        # Tasks already touched in the reused prefix resume as "touched
-        # before any of the child's own snapshots" (epoch 0).
-        engine._first_touch = {
-            task: 0
-            for task, epoch in record.first_touch.items()
-            if epoch <= best.epoch
-        }
-        if not engine._restore_for_delta(best, moved):
-            return None
-        # The resumed child records phantoms too — if it becomes a parent
-        # worth resuming from, _warm_parent rebuilds it from scratch.
-        engine._enable_recording(self.snapshot_interval, capture=False)
-        result = engine.run()
-        self.delta_resumes += 1
-        self.events_skipped += best.processed
-        self._store_record(fingerprint, layout, engine)
-        return result
-
-    def _store_record(
-        self, fingerprint: str, layout: Layout, engine: _SimEngine
-    ) -> None:
-        snapshots = engine._snapshots
-        if not snapshots:
-            return
-        if snapshots[0].state is None:
-            existing = self.store.get(fingerprint)
-            if (
-                existing is not None
-                and existing.snapshots
-                and existing.snapshots[0].state is not None
-            ):
-                # Never clobber a warmed (real-state) record with a
-                # phantom one — the warm-up cost is already sunk.
-                return
-        self.snapshots_taken += len(snapshots)
-        self.store.put(
-            fingerprint,
-            _ParentRecord(
-                fingerprint=fingerprint,
-                layout=layout,
-                first_touch=engine._first_touch,
-                snapshots=tuple(snapshots),
-            ),
-        )
-
-
-# -- facade & legacy shims ------------------------------------------------------
+        ).run()
 
 
 def simulate(
@@ -1656,14 +1086,12 @@ def simulate(
     cutoff: Optional[int] = None,
     observe: Optional[bool] = None,
     session: Optional[SimSession] = None,
-    delta: Optional[DeltaMove] = None,
 ) -> SimResult:
     """Simulate one layout and return its :class:`SimResult`.
 
     The one entry point for scheduling simulation. With ``session``
-    (a :class:`SimSession`), per-program tables are shared across calls
-    and ``delta`` hints enable incremental re-simulation; the per-call
-    keyword knobs (``hints``/``core_speeds``/``exit_policy``/
+    (a :class:`SimSession`), per-program tables are shared across calls;
+    the per-call keyword knobs (``hints``/``core_speeds``/``exit_policy``/
     ``max_events``) then live on the session and must not be repeated
     here. ``observe`` controls profiler attachment: ``None`` (auto)
     attaches to the active :mod:`repro.obs.prof` profiler if one is
@@ -1678,9 +1106,7 @@ def simulate(
             raise ScheduleError(
                 "simulate(): hints/core_speeds live on the session"
             )
-        return session.simulate(
-            layout, cutoff=cutoff, delta=delta, observe=observe
-        )
+        return session.simulate(layout, cutoff=cutoff, observe=observe)
     if profile is None:
         raise ScheduleError("simulate() requires a profile (or a session)")
     engine = _SimEngine(
@@ -1695,86 +1121,3 @@ def simulate(
         observe=observe,
     )
     return engine.run()
-
-
-_REMOVAL_VERSION = "0.9"
-
-
-class SchedulingSimulator:
-    """Deprecated run-once wrapper around the simulation engine.
-
-    Use :func:`simulate` (or a :class:`SimSession` for repeated
-    simulations) instead. Scheduled for removal in version
-    {version}; semantics are exactly the legacy ones — construct, then
-    :meth:`run` once.
-    """
-
-    def __init__(
-        self,
-        compiled: "CompiledProgram",
-        layout: Layout,
-        profile: ProfileData,
-        hints: Optional[Dict[str, str]] = None,
-        max_events: int = 2_000_000,
-        exit_policy: str = "sequence",
-        core_speeds: Optional[Dict[int, float]] = None,
-        cutoff: Optional[int] = None,
-    ):
-        warnings.warn(
-            "SchedulingSimulator is deprecated and will be removed in "
-            f"version {_REMOVAL_VERSION}; use repro.schedule.simulate() "
-            "or SimSession instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._engine = _SimEngine(
-            compiled,
-            layout,
-            profile,
-            hints=hints,
-            max_events=max_events,
-            exit_policy=exit_policy,
-            core_speeds=core_speeds,
-            cutoff=cutoff,
-        )
-
-    def __getattr__(self, name):
-        # Legacy callers poked at simulator internals (chooser, trace,
-        # ready queues); forward to the engine so they keep working for
-        # the shim's deprecation window.
-        return getattr(self._engine, name)
-
-    def run(self) -> SimResult:
-        return self._engine.run()
-
-
-SchedulingSimulator.__doc__ = SchedulingSimulator.__doc__.format(
-    version=_REMOVAL_VERSION
-)
-
-
-def estimate_layout(
-    compiled: "CompiledProgram",
-    layout: Layout,
-    profile: ProfileData,
-    hints: Optional[Dict[str, str]] = None,
-    core_speeds: Optional[Dict[int, float]] = None,
-) -> SimResult:
-    """Deprecated convenience wrapper: simulate one layout once.
-
-    Use :func:`simulate` instead; removal in version {version}.
-    """
-    warnings.warn(
-        "estimate_layout is deprecated and will be removed in version "
-        f"{_REMOVAL_VERSION}; use repro.schedule.simulate() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return simulate(
-        compiled, layout, profile, hints=hints, core_speeds=core_speeds
-    )
-
-
-estimate_layout.__doc__ = estimate_layout.__doc__.format(
-    version=_REMOVAL_VERSION
-)

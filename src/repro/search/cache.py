@@ -37,8 +37,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
-from ..schedule.simulator import SessionStore
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
     from ..schedule.simulator import SimResult
@@ -75,12 +73,6 @@ class SimCache:
         #: guards the LRU order, the counters, and their registry deltas
         #: (re-entrant: restore() counts deltas while already holding it)
         self._lock = threading.RLock()
-        #: delta-session parent records (snapshots for incremental
-        #: re-simulation) living beside the result entries. They share the
-        #: cache's lifetime, not its LRU: records are bulky, so the store
-        #: keeps its own small bound. Excluded from the default state()
-        #: so disk-persisted caches (repro.serve) carry results only.
-        self.sessions = SessionStore()
 
     # -- instrumentation -----------------------------------------------------
 
@@ -149,7 +141,7 @@ class SimCache:
 
     # -- checkpoint support --------------------------------------------------
 
-    def state(self, include_sessions: bool = False) -> Dict[str, object]:
+    def state(self) -> Dict[str, object]:
         """A restorable snapshot of the cache: entries (in LRU order) plus
         every counter.
 
@@ -158,23 +150,15 @@ class SimCache:
         boundary stays valid even while the search keeps inserting. The
         annealer captures one per boundary so an interrupt mid-iteration
         can checkpoint the boundary state, not the half-mutated one.
-
-        ``include_sessions=True`` adds the delta-session store (immutable
-        parent records, also by reference) — search checkpoints want it so
-        a resumed run re-simulates nothing; the serving layer's disk
-        persistence deliberately leaves it out.
         """
         with self._lock:
-            state: Dict[str, object] = {
+            return {
                 "entries": list(self._entries.items()),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "bound_misses": self.bound_misses,
             }
-            if include_sessions:
-                state["sessions"] = self.sessions.state()
-            return state
 
     def restore(self, state: Dict[str, object]) -> None:
         """Restores a :meth:`state` snapshot, counters included, so a
@@ -194,9 +178,6 @@ class SimCache:
             self.misses = state["misses"]
             self.evictions = state["evictions"]
             self.bound_misses = state["bound_misses"]
-            sessions = state.get("sessions")
-            if sessions is not None:
-                self.sessions.restore(sessions)
 
     # -- reporting -----------------------------------------------------------
 

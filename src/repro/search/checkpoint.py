@@ -9,12 +9,12 @@ and the simulation cache — so
 and produce a run bit-identical to an uninterrupted one (test-enforced
 per benchmark).
 
-File format (``repro.search/checkpoint-v2``)
+File format (``repro.search/checkpoint-v3``)
 --------------------------------------------
 
 One ASCII JSON header line, then the pickled payload::
 
-    {"format": "repro.search/checkpoint-v2", "digest": "<sha256>", ...}\n
+    {"format": "repro.search/checkpoint-v3", "digest": "<sha256>", ...}\n
     <pickle bytes>
 
 The atomic-write + digest mechanics (tmp + fsync + rename + directory
@@ -25,15 +25,10 @@ every on-disk format.
 
 Compatibility policy: the format version is bumped on any payload shape
 change and old versions are *not* migrated — a checkpoint is a crash
-artifact, not an archive. v2 added the delta-resimulation state: the
-candidate set's :class:`~repro.schedule.simulator.DeltaMove` hints and
-(inside ``cache_state``) the session store's parent snapshots, so a
-resumed search resumes *warm* — it re-simulates nothing it already
-simulated and keeps replaying candidate deltas from the restored
-snapshots, bit-identically to the uninterrupted run. Resuming also re-checks that the anneal
-schedule matches the one the checkpoint was written under, because
-resuming under different search parameters would silently diverge from
-both runs.
+artifact, not an archive (v3 dropped the delta re-simulation state v2
+carried). Resuming also re-checks that the anneal schedule matches the
+one the checkpoint was written under, because resuming under different
+search parameters would silently diverge from both runs.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from ..lang.errors import BambooError
 from ..schedule.layout import Layout
 from .storage import StorageError, read_pickle_record, write_pickle_record
 
-CHECKPOINT_FORMAT = "repro.search/checkpoint-v2"
+CHECKPOINT_FORMAT = "repro.search/checkpoint-v3"
 
 
 class CheckpointError(BambooError):
@@ -81,10 +76,6 @@ class SearchCheckpoint:
     checkpoint_events: List[Dict[str, object]] = field(default_factory=list)
     #: fingerprint of the anneal schedule this state was produced under
     config_digest: str = ""
-    #: per-candidate :class:`~repro.schedule.simulator.DeltaMove` hints
-    #: (aligned with ``candidates``; None where a candidate has no
-    #: parent). Pure cost advice — dropping them changes wall clock only.
-    candidate_deltas: Optional[List[Optional[object]]] = None
 
 
 def config_digest(config) -> str:

@@ -59,8 +59,6 @@ class JobContext:
     hints: Optional[Dict[str, str]] = None
     mesh_width: Optional[int] = None
     core_speeds: Optional[Dict[int, float]] = None
-    #: feed delta-resimulation hints to shard evaluators (cost knob only)
-    delta: bool = True
     #: identifies the program+workload for frontier-checkpoint safety;
     #: callers pass e.g. sha256 of the source text plus arguments
     source_digest: str = ""
@@ -157,7 +155,6 @@ def job_digest(context: JobContext, shards: List[ShardSpec]) -> str:
         "mesh_width": context.mesh_width,
         "core_speeds": sorted((context.core_speeds or {}).items()),
         "hints": sorted((context.hints or {}).items()),
-        "delta": context.delta,
         "shards": [(s.shard_id, s.config) for s in shards],
     }
     return payload_digest(pack_pickle_record("dist-job-summary", summary))
@@ -182,7 +179,6 @@ def execute_shard(context: JobContext, spec: ShardSpec) -> ShardResult:
             mesh_width=context.mesh_width,
             core_speeds=context.core_speeds,
             cache=SimCache(),
-            delta=context.delta,
         ) as dsa:
             outcome = dsa.run()
     return ShardResult(

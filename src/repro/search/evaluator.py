@@ -46,7 +46,7 @@ except ImportError:  # pragma: no cover - py3.7 fallback
 from ..obs import prof
 from ..schedule.layout import Layout
 from ..schedule.mapping import layout_fingerprint
-from ..schedule.simulator import DeltaMove, SimResult, SimSession
+from ..schedule.simulator import SimResult, SimSession
 from .cache import CacheEntry, SimCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -130,7 +130,6 @@ class Evaluator(Protocol):
         cutoff: Optional[int] = None,
         budget: Optional[int] = None,
         charge_hits: bool = False,
-        deltas: Optional[Sequence[Optional[DeltaMove]]] = None,
     ) -> BatchOutcome:
         """Scores ``layouts`` under the batch contract above."""
         ...  # pragma: no cover - protocol
@@ -160,25 +159,16 @@ class _EvaluatorBase:
         hints: Optional[Dict[str, str]] = None,
         core_speeds: Optional[Dict[int, float]] = None,
         cache: Optional[SimCache] = None,
-        delta: bool = True,
     ):
         self.compiled = compiled
         self.profile = profile
         self.hints = hints
         self.core_speeds = core_speeds
         self.cache = cache
-        self.delta = delta
         # In-process simulation session: shares per-program tables across
-        # the whole search and (with delta=True) resumes candidates from
-        # their parent's snapshots. Results are identical either way; the
-        # cache's session store makes the warm state checkpointable.
+        # the whole search.
         self.session = SimSession(
-            compiled,
-            profile,
-            hints=hints,
-            core_speeds=core_speeds,
-            delta=delta,
-            store=cache.sessions if cache is not None else None,
+            compiled, profile, hints=hints, core_speeds=core_speeds
         )
 
     def fingerprint(self, layout: Layout) -> str:
@@ -240,7 +230,6 @@ class _EvaluatorBase:
         cutoff: Optional[int] = None,
         budget: Optional[int] = None,
         charge_hits: bool = False,
-        deltas: Optional[Sequence[Optional[DeltaMove]]] = None,
     ) -> BatchOutcome:
         with prof.phase(_P_CACHE_LOOKUP):
             plan, hits = self._plan(layouts, cutoff, budget, charge_hits)
@@ -248,17 +237,9 @@ class _EvaluatorBase:
         miss_indices = [
             index for index, item in enumerate(plan) if item[2] is None
         ]
-        # ``deltas`` aligns with the *input* batch; re-align the miss
-        # subset by plan position. Hints are pure cost advice — a bad or
-        # missing hint changes nothing but wall clock.
-        if deltas is None:
-            miss_deltas: List[Optional[DeltaMove]] = [None] * len(miss_indices)
-        else:
-            miss_deltas = [deltas[plan[index][0]] for index in miss_indices]
         with prof.phase(_P_DISPATCH):
             results = self._simulate(
-                [plan[index][1] for index in miss_indices], cutoff,
-                miss_deltas,
+                [plan[index][1] for index in miss_indices], cutoff
             )
         with prof.phase(_P_REDUCE):
             for index, result in zip(miss_indices, results):
@@ -286,10 +267,7 @@ class _EvaluatorBase:
     # -- backend hooks -------------------------------------------------------
 
     def _simulate(
-        self,
-        layouts: Sequence[Layout],
-        cutoff: Optional[int],
-        deltas: Optional[Sequence[Optional[DeltaMove]]] = None,
+        self, layouts: Sequence[Layout], cutoff: Optional[int]
     ) -> List[SimResult]:
         raise NotImplementedError
 
@@ -307,18 +285,10 @@ class SerialEvaluator(_EvaluatorBase):
     """In-process, in-order evaluation — the reference backend."""
 
     def _simulate(
-        self,
-        layouts: Sequence[Layout],
-        cutoff: Optional[int],
-        deltas: Optional[Sequence[Optional[DeltaMove]]] = None,
+        self, layouts: Sequence[Layout], cutoff: Optional[int]
     ) -> List[SimResult]:
         session = self.session
-        if deltas is None:
-            deltas = [None] * len(layouts)
-        return [
-            session.simulate(layout, cutoff=cutoff, delta=delta)
-            for layout, delta in zip(layouts, deltas)
-        ]
+        return [session.simulate(layout, cutoff=cutoff) for layout in layouts]
 
 
 # -- process-pool backend ------------------------------------------------------
@@ -354,21 +324,15 @@ class _ChunkItemError(Exception):
         return self.cause_message
 
 
-def _init_worker(compiled, profile, hints, core_speeds, delta=True) -> None:
+def _init_worker(compiled, profile, hints, core_speeds) -> None:
     _WORKER_CONTEXT["compiled"] = compiled
     _WORKER_CONTEXT["profile"] = profile
     _WORKER_CONTEXT["hints"] = hints
     _WORKER_CONTEXT["core_speeds"] = core_speeds
-    # Each worker keeps its own long-lived session: program tables are
-    # built once per process, and delta hints resume against whatever
-    # parents this worker happens to have simulated. Hit patterns vary by
-    # scheduling; results cannot (delta resumes are exact).
+    # Each worker keeps its own long-lived session, so program tables are
+    # built once per process.
     _WORKER_CONTEXT["session"] = SimSession(
-        compiled,
-        profile,
-        hints=hints,
-        core_speeds=core_speeds,
-        delta=delta,
+        compiled, profile, hints=hints, core_speeds=core_speeds
     )
     # A forked worker inherits the parent's installed profiler; anything
     # it would record dies with the process, so drop it — the parent
@@ -394,10 +358,9 @@ def _simulate_in_worker(layout: Layout, cutoff: Optional[int]) -> SimResult:
 
 
 def _simulate_chunk(
-    items: Sequence[Tuple[Layout, Optional[DeltaMove]]],
-    cutoff: Optional[int],
+    layouts: Sequence[Layout], cutoff: Optional[int]
 ) -> List[SimResult]:
-    """Simulates one chunk of (layout, delta-hint) pairs in order.
+    """Simulates one chunk of layouts in order.
 
     Chunking is what amortizes pool IPC across a wave: one submit ships
     several layouts and returns several results, so the per-dispatch
@@ -405,11 +368,9 @@ def _simulate_chunk(
     candidate."""
     session = _worker_session()
     results: List[SimResult] = []
-    for offset, (layout, delta) in enumerate(items):
+    for offset, layout in enumerate(layouts):
         try:
-            results.append(
-                session.simulate(layout, cutoff=cutoff, delta=delta)
-            )
+            results.append(session.simulate(layout, cutoff=cutoff))
         except Exception as exc:
             raise _ChunkItemError(
                 offset, type(exc).__name__, str(exc)
@@ -418,15 +379,14 @@ def _simulate_chunk(
 
 
 def _simulate_chunk_timed(
-    items: Sequence[Tuple[Layout, Optional[DeltaMove]]],
-    cutoff: Optional[int],
+    layouts: Sequence[Layout], cutoff: Optional[int]
 ) -> Tuple[int, List[SimResult]]:
     """The chunk entry used when a profiler is active in the parent:
     returns ``(compute_ns, results)`` so the parent can split its dispatch
     wall into worker compute vs IPC overhead. The result objects are
     untouched — cache entries and checkpoints never see the timing."""
     started = _perf_counter_ns()
-    results = _simulate_chunk(items, cutoff)
+    results = _simulate_chunk(layouts, cutoff)
     return _perf_counter_ns() - started, results
 
 
@@ -461,11 +421,10 @@ class ParallelEvaluator(_EvaluatorBase):
         core_speeds: Optional[Dict[int, float]] = None,
         cache: Optional[SimCache] = None,
         workers: int = 2,
-        delta: bool = True,
     ):
         super().__init__(
             compiled, profile, hints=hints, core_speeds=core_speeds,
-            cache=cache, delta=delta,
+            cache=cache,
         )
         if workers < 2:
             raise ValueError(
@@ -485,31 +444,24 @@ class ParallelEvaluator(_EvaluatorBase):
                     self.profile,
                     self.hints,
                     self.core_speeds,
-                    self.delta,
                 ),
             )
         return self._executor
 
     def _simulate(
-        self,
-        layouts: Sequence[Layout],
-        cutoff: Optional[int],
-        deltas: Optional[Sequence[Optional[DeltaMove]]] = None,
+        self, layouts: Sequence[Layout], cutoff: Optional[int]
     ) -> List[SimResult]:
         if not layouts:
             return []
-        if deltas is None:
-            deltas = [None] * len(layouts)
         if len(layouts) == 1:
             # Not worth a round trip; the serial path is bit-identical.
-            return SerialEvaluator._simulate(self, layouts, cutoff, deltas)
+            return SerialEvaluator._simulate(self, layouts, cutoff)
         pool = self._pool()
         profiler = prof.active()
         worker = _simulate_chunk if profiler is None else _simulate_chunk_timed
-        items = list(zip(layouts, deltas))
-        chunks = _chunk_bounds(len(items), self.workers)
+        chunks = _chunk_bounds(len(layouts), self.workers)
         futures = [
-            pool.submit(worker, items[start:stop], cutoff)
+            pool.submit(worker, layouts[start:stop], cutoff)
             for start, stop in chunks
         ]
         results: List[SimResult] = []
@@ -519,10 +471,10 @@ class ParallelEvaluator(_EvaluatorBase):
                 outcome = future.result()
             except _ChunkItemError as exc:
                 raise EvaluationError(
-                    start + exc.offset, len(items), exc
+                    start + exc.offset, len(layouts), exc
                 ) from exc
             except Exception as exc:
-                raise EvaluationError(start, len(items), exc) from exc
+                raise EvaluationError(start, len(layouts), exc) from exc
             if profiler is None:
                 results.extend(outcome)
             else:
@@ -562,7 +514,6 @@ def make_evaluator(
     supervise: bool = False,
     policy=None,
     chaos=None,
-    delta: bool = True,
 ) -> Evaluator:
     """Builds the right backend for ``workers``.
 
@@ -571,8 +522,6 @@ def make_evaluator(
     deadlines, bounded retries, pool rebuilds, and serial degradation —
     see :mod:`repro.search.supervise`. Serial evaluation has no worker
     processes to supervise, so ``workers=1`` ignores these knobs.
-    ``delta=False`` disables incremental (delta) re-simulation; results
-    are bit-identical either way.
     """
     if workers > 1:
         if supervise or policy is not None or chaos is not None:
@@ -587,7 +536,6 @@ def make_evaluator(
                 workers=workers,
                 policy=policy,
                 chaos=chaos,
-                delta=delta,
             )
         return ParallelEvaluator(
             compiled,
@@ -596,9 +544,7 @@ def make_evaluator(
             core_speeds=core_speeds,
             cache=cache,
             workers=workers,
-            delta=delta,
         )
     return SerialEvaluator(
-        compiled, profile, hints=hints, core_speeds=core_speeds, cache=cache,
-        delta=delta,
+        compiled, profile, hints=hints, core_speeds=core_speeds, cache=cache
     )

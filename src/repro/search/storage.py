@@ -1,7 +1,7 @@
 """Hardened on-disk record storage shared by every persistence format.
 
 Two formats currently live on disk — search checkpoints
-(``repro.search/checkpoint-v1``, :mod:`repro.search.checkpoint`) and the
+(``repro.search/checkpoint-v3``, :mod:`repro.search.checkpoint`) and the
 serving layer's persistent simulation cache
 (``repro.serve/simcache-v1``, :mod:`repro.serve.store`). Both need the
 same hardening, so the machinery lives here once:

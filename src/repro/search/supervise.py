@@ -55,7 +55,7 @@ except ImportError:  # pragma: no cover - defensive
 from ..obs import prof
 from ..obs.events import Event, PoolRebuild, WorkerRetry
 from ..schedule.layout import Layout
-from ..schedule.simulator import DeltaMove, SimResult
+from ..schedule.simulator import SimResult
 from . import retry
 from .cache import SimCache
 from .evaluator import (
@@ -180,7 +180,7 @@ def _chaos_simulate(
 
 
 def _chaos_simulate_chunk(
-    items: Sequence[Tuple[Layout, Optional[DeltaMove]]],
+    layouts: Sequence[Layout],
     cutoff: Optional[int],
     chaos: Optional[Tuple[str, float]],
 ) -> Tuple[float, List[SimResult]]:
@@ -193,7 +193,7 @@ def _chaos_simulate_chunk(
         elif kind == "hang":
             time.sleep(min(seconds, HANG_SLEEP_CAP))
     started = time.monotonic()
-    results = _simulate_chunk(items, cutoff)
+    results = _simulate_chunk(layouts, cutoff)
     return time.monotonic() - started, results
 
 
@@ -217,11 +217,10 @@ class SupervisedEvaluator(ParallelEvaluator):
         workers: int = 2,
         policy: Optional[RetryPolicy] = None,
         chaos: Optional["HostChaosPlan"] = None,
-        delta: bool = True,
     ):
         super().__init__(
             compiled, profile, hints=hints, core_speeds=core_speeds,
-            cache=cache, workers=workers, delta=delta,
+            cache=cache, workers=workers,
         )
         self.policy = policy or RetryPolicy()
         self.policy.validate()
@@ -321,28 +320,21 @@ class SupervisedEvaluator(ParallelEvaluator):
     # -- the supervised batch ------------------------------------------------
 
     def _serial_one(self, position: int, total: int, layout: Layout,
-                    cutoff: Optional[int],
-                    delta: Optional[DeltaMove] = None) -> SimResult:
+                    cutoff: Optional[int]) -> SimResult:
         """In-process ground truth; a failure here is a real error."""
         self.stats.serial_fallbacks += 1
         try:
-            return SerialEvaluator._simulate(self, [layout], cutoff,
-                                             [delta])[0]
+            return SerialEvaluator._simulate(self, [layout], cutoff)[0]
         except Exception as exc:
             raise EvaluationError(position, total, exc) from exc
 
     def _simulate(
-        self,
-        layouts: Sequence[Layout],
-        cutoff: Optional[int],
-        deltas: Optional[Sequence[Optional[DeltaMove]]] = None,
+        self, layouts: Sequence[Layout], cutoff: Optional[int]
     ) -> List[SimResult]:
         if not layouts:
             return []
         policy = self.policy
         total = len(layouts)
-        if deltas is None:
-            deltas = [None] * total
         results: List[Optional[SimResult]] = [None] * total
         attempts = [0] * total
         profiler = prof.active()
@@ -359,8 +351,7 @@ class SupervisedEvaluator(ParallelEvaluator):
                 if self._serial_mode:
                     for index in pending:
                         results[index] = self._serial_one(
-                            index, total, layouts[index], cutoff,
-                            deltas[index],
+                            index, total, layouts[index], cutoff
                         )
                     break
                 # Tasks out of pool retries take the in-process path.
@@ -369,7 +360,7 @@ class SupervisedEvaluator(ParallelEvaluator):
                 ]
                 for index in exhausted:
                     results[index] = self._serial_one(
-                        index, total, layouts[index], cutoff, deltas[index]
+                        index, total, layouts[index], cutoff
                     )
                 pending = [i for i in pending if results[i] is None]
                 self._pending = pending
@@ -392,11 +383,11 @@ class SupervisedEvaluator(ParallelEvaluator):
                     pool = self._pool()
                     for chunk_id, member_indices in enumerate(chunks):
                         token = self._chaos_token(deadline)
-                        items = [
-                            (layouts[i], deltas[i]) for i in member_indices
-                        ]
                         futures[chunk_id] = pool.submit(
-                            _chaos_simulate_chunk, items, cutoff, token
+                            _chaos_simulate_chunk,
+                            [layouts[i] for i in member_indices],
+                            cutoff,
+                            token,
                         )
                         for index in member_indices:
                             attempts[index] += 1

@@ -425,72 +425,6 @@ class TestEvaluatorContract:
 
 
 class TestOptionsShims:
-    def test_run_layout_config_kwarg_warns_and_works(self, tmp_path):
-        compiled = load_benchmark("Keyword")
-        layout = single_core_layout(compiled)
-        baseline = run_layout(compiled, layout, ["4"])
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            legacy = run_layout(compiled, layout, ["4"], config=None)
-        assert legacy.total_cycles == baseline.total_cycles
-
-    def test_run_layout_collect_profile_kwarg_warns(self):
-        compiled = load_benchmark("Keyword")
-        layout = single_core_layout(compiled)
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            result = run_layout(
-                compiled, layout, ["4"], collect_profile=True
-            )
-        assert result.profile is not None
-
-    def test_run_layout_rejects_options_plus_legacy(self):
-        compiled = load_benchmark("Keyword")
-        layout = single_core_layout(compiled)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                run_layout(
-                    compiled, layout, ["4"],
-                    options=RunOptions(), collect_profile=True,
-                )
-
-    def test_synthesize_layout_legacy_kwargs_warn_and_match(self):
-        compiled = load_benchmark("Keyword")
-        profile = profile_program(compiled, SMALL_ARGS["Keyword"])
-        anneal = AnnealConfig(seed=7, **SMALL_ANNEAL)
-        new = synthesize_layout(
-            compiled, profile, 4,
-            options=SynthesisOptions(seed=1, anneal=anneal),
-        )
-        with pytest.warns(DeprecationWarning, match="SynthesisOptions"):
-            old = synthesize_layout(
-                compiled, profile, 4, seed=1, config=anneal
-            )
-        assert report_fingerprint(old) == report_fingerprint(new)
-
-    def test_synthesize_layout_config_alone_forces_seed_zero(self):
-        # The old signature always overwrote config.seed with the seed
-        # parameter (default 0); the shim must preserve that.
-        compiled = load_benchmark("Keyword")
-        profile = profile_program(compiled, SMALL_ARGS["Keyword"])
-        anneal = AnnealConfig(seed=9, **SMALL_ANNEAL)
-        with pytest.warns(DeprecationWarning):
-            old = synthesize_layout(compiled, profile, 4, config=anneal)
-        new = synthesize_layout(
-            compiled, profile, 4,
-            options=SynthesisOptions(seed=0, anneal=anneal),
-        )
-        assert report_fingerprint(old) == report_fingerprint(new)
-        assert anneal.seed == 9  # the shim no longer mutates the config
-
-    def test_synthesize_layout_rejects_options_plus_legacy(self):
-        compiled = load_benchmark("Keyword")
-        profile = profile_program(compiled, SMALL_ARGS["Keyword"])
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                synthesize_layout(
-                    compiled, profile, 4,
-                    options=SynthesisOptions(), seed=1,
-                )
-
     def test_run_options_sinks_written(self, tmp_path):
         import json
 

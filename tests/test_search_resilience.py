@@ -334,7 +334,24 @@ class TestCheckpointFile:
             read_checkpoint(path)
         message = str(excinfo.value)
         assert "repro.search/checkpoint-v999" in message
+        assert "repro.search/checkpoint-v3" in message
+        assert "digest" not in message
+        assert "pickle" not in message
+
+    def test_v2_checkpoint_refused_naming_both_versions(self, tmp_path):
+        # v2 carried move hints and session snapshots that v3 dropped;
+        # the policy is to refuse old versions, never migrate them.
+        from repro.search.storage import write_pickle_record
+
+        path = str(tmp_path / "old.ckpt")
+        write_pickle_record(
+            path, "repro.search/checkpoint-v2", self._checkpoint()
+        )
+        with pytest.raises(CheckpointError) as excinfo:
+            read_checkpoint(path)
+        message = str(excinfo.value)
         assert "repro.search/checkpoint-v2" in message
+        assert "repro.search/checkpoint-v3" in message
         assert "digest" not in message
         assert "pickle" not in message
 

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.core import run_layout, single_core_layout
+from repro.bench import load_benchmark
+from repro.core import profile_program, run_layout, single_core_layout
+from repro.lang.errors import ScheduleError
 from repro.runtime.profiler import ProfileData
 from repro.schedule.layout import Layout
-from repro.schedule.simulator import ExitChooser, simulate
+from repro.schedule.simulator import ExitChooser, SimSession, simulate
+
+from test_search import SMALL_ARGS
 
 
 def quad_layout(compiled):
@@ -156,3 +160,69 @@ class TestStaleHandling:
             max_events=3,
         )
         assert not result.finished
+
+
+def trace_data(result):
+    """A SimResult's complete observable content, as comparable data."""
+    return (
+        result.total_cycles,
+        result.finished,
+        result.pruned,
+        repr(result.utilization),
+        sorted(result.core_busy.items()),
+        sorted(result.invocations.items()),
+        [
+            (e.event_id, e.task, e.core, e.start, e.end, e.exit_id,
+             e.data_ready, tuple(e.param_objects), tuple(e.inputs),
+             tuple(e.produced))
+            for e in result.trace
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def tracking_context():
+    compiled = load_benchmark("Tracking")
+    profile = profile_program(compiled, SMALL_ARGS["Tracking"])
+    return compiled, profile
+
+
+class TestSessionApi:
+    def test_facade_rejects_per_call_knobs_with_session(
+        self, tracking_context
+    ):
+        compiled, profile = tracking_context
+        session = SimSession(compiled, profile)
+        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
+        other_profile = profile_program(compiled, SMALL_ARGS["Tracking"])
+        with pytest.raises(ScheduleError, match="session"):
+            simulate(compiled, layout, other_profile, session=session)
+        with pytest.raises(ScheduleError, match="session"):
+            simulate(
+                compiled, layout, session=session, hints={"x": "per_object"}
+            )
+        with pytest.raises(ScheduleError, match="profile"):
+            simulate(compiled, layout)
+
+    def test_facade_with_session_matches_sessionless(self, tracking_context):
+        compiled, profile = tracking_context
+        session = SimSession(compiled, profile)
+        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
+        with_session = simulate(compiled, layout, session=session)
+        without = simulate(compiled, layout, profile)
+        assert trace_data(with_session) == trace_data(without)
+
+    def test_all_public_symbols_import(self):
+        import repro
+        import repro.schedule
+        import repro.search
+        import repro.serve
+
+        for module in (repro, repro.schedule, repro.search, repro.serve):
+            for name in module.__all__:
+                assert not name.startswith("_"), (module.__name__, name)
+                assert hasattr(module, name), (module.__name__, name)
+        # The session API is part of the top-level surface.
+        for name in ("simulate", "SimSession", "SimResult"):
+            assert name in repro.__all__
+            assert name in repro.schedule.__all__
