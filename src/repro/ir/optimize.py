@@ -14,78 +14,31 @@ paper's unoptimized per-task code generation.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Set
 
 from ..lang.errors import RuntimeBambooError
 from . import instructions as ir
+from . import ops
 from .verify import verify_function
 
 
 def _fold_binop(op: str, kind: str, left, right):
-    """Evaluates a constant binary operation; returns None when the fold is
-    unsafe (faulting or semantics-changing)."""
-    try:
-        if kind == "int":
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op in ("/", "%"):
-                if right == 0:
-                    return None  # preserve the runtime fault
-                quotient = abs(left) // abs(right)
-                if (left < 0) != (right < 0):
-                    quotient = -quotient
-                return quotient if op == "/" else left - right * quotient
-        elif kind == "float":
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0.0:
-                    return None
-                return left / right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "concat" and isinstance(left, str) and isinstance(right, str):
-            return left + right
-    except TypeError:
+    """Evaluates a constant binary operation through the operator table;
+    returns None when the fold is unsafe (faulting or semantics-changing)."""
+    if op == "concat" and not (isinstance(left, str) and isinstance(right, str)):
         return None
-    return None
+    function = ops.binary_function(op, kind)
+    if function is None:
+        return None
+    try:
+        return function(left, right)
+    except (RuntimeBambooError, TypeError):
+        return None  # the fault (or type error) stays a runtime one
 
 
 def _fold_unop(op: str, kind: str, value):
-    if op == "neg":
-        return -value
-    if op == "not":
-        return not value
-    if op == "i2f":
-        return float(value)
-    if op == "f2i":
-        return math.trunc(value)
-    if op == "tostr":
-        if kind == "bool":
-            return "true" if value else "false"
-        if kind == "float":
-            return repr(float(value))
-        return str(value)
-    return None
+    function = ops.unary_function(op, kind)
+    return None if function is None else function(value)
 
 
 class FunctionOptimizer:

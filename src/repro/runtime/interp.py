@@ -10,20 +10,34 @@ machine simulator calls :meth:`Interpreter.run_task` / ``run_method`` and
 spends the returned cycles on a core's clock, while the sequential baseline
 harness calls ``run_method`` directly (no runtime overhead), mirroring the
 paper's single-core C versions.
+
+Execution is decode-once. The first time a function runs on an
+interpreter, its blocks are split into straight-line *segments*, each
+ending at a terminator or right after a :class:`~repro.ir.instructions.Call`.
+A segment's static cycle cost and step count are summed at decode time
+(from :mod:`repro.ir.costs` only), its constants move into a per-function
+frame template so every operand is a register index, and its non-terminator
+instructions compile into one generated Python function. The run loop then
+charges cycles and steps once per segment, makes one call per segment and
+handles the terminator itself; only array allocation adds a dynamic cost.
+Generated source holds nothing but integers, fixed helper names and
+operator expressions from :mod:`repro.ir.ops`: constants, messages and IR
+objects reach it through the frame template or a side table (``K<n>``).
 """
 
 from __future__ import annotations
 
 import io as _io
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..lang.errors import RuntimeBambooError
 from ..sema import builtins
+from ..sema import types as ty
 from ..sema.symbols import ProgramInfo
 from ..ir import costs
 from ..ir import instructions as ir
+from ..ir import ops
 from .objects import BArray, BObject, Heap, TagInstance, default_field_value
 
 #: Hard limit on interpreted instructions per top-level run, to turn infinite
@@ -32,16 +46,8 @@ DEFAULT_MAX_STEPS = 500_000_000
 
 _MAX_CALL_DEPTH = 400
 
-
-def _int_div(a: int, b: int) -> int:
-    if b == 0:
-        raise RuntimeBambooError("integer division by zero")
-    quotient = abs(a) // abs(b)
-    return -quotient if (a < 0) != (b < 0) else quotient
-
-
-def _int_rem(a: int, b: int) -> int:
-    return a - b * _int_div(a, b)
+# Segment terminators, as the run loop sees them.
+_BRANCH, _GOTO, _RET, _EXIT, _TRAP = range(5)
 
 
 @dataclass
@@ -61,6 +67,26 @@ class TaskEffects:
     new_objects: List[NewObjectRecord] = field(default_factory=list)
     #: Resolved tag actions per parameter index: (op, tag instance).
     tag_actions: Dict[int, List[Tuple[str, TagInstance]]] = field(default_factory=dict)
+
+
+class _Code:
+    """One IR function as decoded for one interpreter.
+
+    ``entry`` is the entry segment (None until the first run decodes the
+    function). A segment is the list ``[steps, cycles, body, term, x, y,
+    z]``: ``body(interp, regs, depth)`` runs its non-terminator
+    instructions (None when there are none), and ``term`` picks the
+    operands — ``_BRANCH``: condition slot ``x``, successors ``y``/``z``;
+    ``_GOTO``: successor ``y``; ``_RET``: result slot ``x`` (or None);
+    ``_EXIT``: exit id ``x``; ``_TRAP``: message ``x``.
+    """
+
+    __slots__ = ("func", "template", "entry")
+
+    def __init__(self, func: ir.IRFunction):
+        self.func = func
+        self.template: List[object] = []
+        self.entry: Optional[list] = None
 
 
 class Interpreter:
@@ -91,6 +117,9 @@ class Interpreter:
         self._builtin_cache: Dict[str, builtins.BuiltinFunction] = {
             fn.key: fn for fn in builtins.all_builtins()
         }
+        #: Decoded functions, by ``id`` of their IRFunction. Generated code
+        #: cannot be pickled, so it lives here and never on the IR.
+        self._codes: Dict[int, _Code] = {}
         # Per-run state:
         self._cycles = 0
         self._new_objects: List[NewObjectRecord] = []
@@ -99,9 +128,9 @@ class Interpreter:
 
     def run_method(self, qualified_name: str, args: List[object]) -> Tuple[object, int]:
         """Runs a method/constructor; returns ``(return value, cycles)``."""
-        func = self.ir_program.methods[qualified_name]
+        code = self._code(self.ir_program.methods[qualified_name])
         start = self._cycles
-        value = self._run(func, list(args), depth=0)
+        value = self._run(code, list(args), depth=0)
         return value, self._cycles - start
 
     def run_task(self, task_name: str, params: List[BObject]) -> TaskEffects:
@@ -114,11 +143,11 @@ class Interpreter:
         them (and pays :data:`repro.ir.costs.FLAG_UPDATE_COST`) so that
         dispatch policy stays out of the interpreter.
         """
-        func = self.ir_program.tasks[task_name]
+        code = self._code(self.ir_program.tasks[task_name])
         start_cycles = self._cycles
         saved_new = self._new_objects
         self._new_objects = []
-        exit_state = self._run(func, list(params), depth=0)
+        exit_state = self._run(code, list(params), depth=0)
         assert isinstance(exit_state, _TaskExitSignal)
         effects = TaskEffects(
             exit_id=exit_state.exit_id,
@@ -134,240 +163,79 @@ class Interpreter:
 
     # -- execution core ---------------------------------------------------------
 
-    def _run(self, func: ir.IRFunction, args: List[object], depth: int):
+    def _code(self, func: ir.IRFunction) -> _Code:
+        code = self._codes.get(id(func))
+        if code is None:
+            code = self._codes[id(func)] = _Code(func)
+        return code
+
+    def _run(self, code: _Code, args: List[object], depth: int):
         if depth > _MAX_CALL_DEPTH:
-            raise RuntimeBambooError(f"call depth exceeded in {func.name}")
-        regs: List[object] = [None] * func.num_regs
-        for index, value in enumerate(args):
-            regs[index] = value
-
-        block = func.blocks[func.entry]
-        instr_index = 0
-        instructions = block.instructions
-        heap = self.heap
-
+            raise RuntimeBambooError(f"call depth exceeded in {code.func.name}")
+        seg = code.entry or self._decode(code)
+        regs = code.template[:]
+        regs[: len(args)] = args
+        max_steps = self.max_steps
         while True:
-            self.steps += 1
-            if self.steps > self.max_steps:
+            steps, cycles, body, term, x, y, z = seg
+            steps += self.steps
+            if steps > max_steps:
                 raise RuntimeBambooError(
-                    f"instruction budget exhausted in {func.name}"
+                    f"instruction budget exhausted in {code.func.name}"
                 )
-            instr = instructions[instr_index]
-            instr_index += 1
-            kind = type(instr)
+            self.steps = steps
+            self._cycles += cycles
+            if body is not None:
+                body(self, regs, depth)
+            if term == _BRANCH:
+                seg = y if regs[x] else z
+            elif term == _GOTO:
+                seg = y
+            elif term == _RET:
+                return None if x is None else regs[x]
+            elif term == _EXIT:
+                return self._task_exit(code.func, x, regs)
+            else:
+                raise RuntimeBambooError(x)
 
-            if kind is ir.Move:
-                self._cycles += costs.MOVE_COST
-                src = instr.src
-                regs[instr.dst.index] = (
-                    regs[src.index] if type(src) is ir.Reg else src.value
-                )
-            elif kind is ir.BinOp:
-                self._cycles += costs.binop_cost(instr.op, instr.kind)
-                a = instr.a
-                b = instr.b
-                left = regs[a.index] if type(a) is ir.Reg else a.value
-                right = regs[b.index] if type(b) is ir.Reg else b.value
-                regs[instr.dst.index] = self._binop(instr.op, instr.kind, left, right)
-            elif kind is ir.UnOp:
-                self._cycles += costs.instruction_cost(instr)
-                a = instr.a
-                value = regs[a.index] if type(a) is ir.Reg else a.value
-                regs[instr.dst.index] = self._unop(instr.op, instr.kind, value)
-            elif kind is ir.Load:
-                self._cycles += costs.LOAD_COST
-                obj = self._operand(regs, instr.obj)
-                if obj is None:
+    def _task_exit(self, func: ir.IRFunction, exit_id: int, regs: List[object]):
+        tag_actions: Dict[int, List[Tuple[str, TagInstance]]] = {}
+        for param_index, actions in func.exits[exit_id].tag_updates.items():
+            resolved = []
+            for action in actions:
+                tag = regs[action.tag_reg.index]
+                if not isinstance(tag, TagInstance):
                     raise RuntimeBambooError(
-                        f"null dereference loading .{instr.field_name} in {func.name}"
+                        "taskexit tag action on an unbound tag variable"
                     )
-                regs[instr.dst.index] = obj.fields[instr.field_index]
-            elif kind is ir.Store:
-                self._cycles += costs.STORE_COST
-                obj = self._operand(regs, instr.obj)
-                if obj is None:
-                    raise RuntimeBambooError(
-                        f"null dereference storing .{instr.field_name} in {func.name}"
-                    )
-                obj.fields[instr.field_index] = self._operand(regs, instr.src)
-            elif kind is ir.ALoad:
-                self._cycles += costs.ALOAD_COST + self._array_access_cost_extra
-                array = self._operand(regs, instr.array)
-                index = self._operand(regs, instr.index)
-                self._check_array(array, index, func)
-                regs[instr.dst.index] = array.values[index]
-            elif kind is ir.AStore:
-                self._cycles += costs.ASTORE_COST + self._array_access_cost_extra
-                array = self._operand(regs, instr.array)
-                index = self._operand(regs, instr.index)
-                self._check_array(array, index, func)
-                array.values[index] = self._operand(regs, instr.src)
-            elif kind is ir.ArrLen:
-                self._cycles += costs.ARRLEN_COST
-                array = self._operand(regs, instr.array)
-                if array is None:
-                    raise RuntimeBambooError(f"null array length in {func.name}")
-                regs[instr.dst.index] = len(array.values)
-            elif kind is ir.NewObj:
-                self._cycles += costs.NEWOBJ_COST
-                regs[instr.dst.index] = self._new_object(instr)
-            elif kind is ir.NewArr:
-                dims = [self._operand(regs, d) for d in instr.dims]
-                regs[instr.dst.index] = self._new_array(instr, dims)
-            elif kind is ir.Call:
-                self._cycles += costs.CALL_OVERHEAD
-                callee = self.ir_program.methods[instr.target]
-                call_args = [self._operand(regs, a) for a in instr.args]
-                result = self._run(callee, call_args, depth + 1)
-                if instr.dst is not None:
-                    regs[instr.dst.index] = result
-            elif kind is ir.CallBuiltin:
-                fn = self._builtin_cache[instr.key]
-                self._cycles += fn.cost
-                call_args = [self._operand(regs, a) for a in instr.args]
-                result = self._call_builtin(fn, call_args)
-                if instr.dst is not None:
-                    regs[instr.dst.index] = result
-            elif kind is ir.NewTag:
-                self._cycles += costs.NEWTAG_COST
-                regs[instr.dst.index] = heap.new_tag(instr.tag_type)
-            elif kind is ir.BindTag:
-                self._cycles += costs.BINDTAG_COST
-                obj = self._operand(regs, instr.obj)
-                tag = self._operand(regs, instr.tag)
-                obj.bind_tag(tag)
-            elif kind is ir.Jump:
-                self._cycles += costs.JUMP_COST
-                block = func.blocks[instr.target]
-                instructions = block.instructions
-                instr_index = 0
-            elif kind is ir.Branch:
-                self._cycles += costs.BRANCH_COST
-                cond = self._operand(regs, instr.cond)
-                target = instr.true_target if cond else instr.false_target
-                block = func.blocks[target]
-                instructions = block.instructions
-                instr_index = 0
-            elif kind is ir.Ret:
-                self._cycles += costs.RET_COST
-                if instr.src is None:
-                    return None
-                return self._operand(regs, instr.src)
-            elif kind is ir.Exit:
-                self._cycles += costs.EXIT_COST
-                spec = func.exits[instr.exit_id]
-                tag_actions: Dict[int, List[Tuple[str, TagInstance]]] = {}
-                for param_index, actions in spec.tag_updates.items():
-                    resolved = []
-                    for action in actions:
-                        tag = regs[action.tag_reg.index]
-                        if not isinstance(tag, TagInstance):
-                            raise RuntimeBambooError(
-                                "taskexit tag action on an unbound tag variable"
-                            )
-                        resolved.append((action.op, tag))
-                    tag_actions[param_index] = resolved
-                return _TaskExitSignal(exit_id=instr.exit_id, tag_actions=tag_actions)
-            elif kind is ir.Trap:
-                raise RuntimeBambooError(instr.message)
-            else:  # pragma: no cover - exhaustive over instruction set
-                raise RuntimeBambooError(f"unknown instruction {instr!r}")
+                resolved.append((action.op, tag))
+            tag_actions[param_index] = resolved
+        return _TaskExitSignal(exit_id=exit_id, tag_actions=tag_actions)
 
-    @staticmethod
-    def _operand(regs: List[object], operand: ir.Operand):
-        return regs[operand.index] if type(operand) is ir.Reg else operand.value
+    def _decode(self, code: _Code) -> list:
+        decoder = _Decoder(self, code.func)
+        # Only per-function constants go here: the interpreter reaches the
+        # bodies as an argument, so a run's heap is freed with it.
+        namespace = dict(
+            ops.HELPERS, Fault=RuntimeBambooError, array_fault=_array_fault
+        )
+        namespace.update(
+            (f"K{index}", value) for index, value in enumerate(decoder.side)
+        )
+        exec(compile(decoder.source(), "<decoded IR>", "exec"), namespace)
+        for index in decoder.bodies:
+            decoder.segments[index][2] = namespace[f"s{index}"]
+        code.template = decoder.template
+        code.entry = decoder.entry
+        return code.entry
 
-    def _check_array(self, array, index, func: ir.IRFunction) -> None:
-        if array is None:
-            raise RuntimeBambooError(f"null array access in {func.name}")
-        if not isinstance(index, int) or not (0 <= index < len(array.values)):
-            raise RuntimeBambooError(
-                f"array index {index} out of bounds "
-                f"(length {len(array.values)}) in {func.name}"
-            )
-
-    def _binop(self, op: str, kind: str, left, right):
-        if kind == "int":
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                return _int_div(left, right)
-            if op == "%":
-                return _int_rem(left, right)
-        elif kind == "float":
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0.0:
-                    raise RuntimeBambooError("float division by zero")
-                return left / right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return self._ref_eq(left, right) if kind == "ref" else left == right
-        if op == "!=":
-            return not self._ref_eq(left, right) if kind == "ref" else left != right
-        if op == "concat":
-            return left + right
-        if op in ("&&", "||"):
-            # Only produced by non-short-circuit contexts (none today), keep
-            # strict semantics for completeness.
-            return (left and right) if op == "&&" else (left or right)
-        raise RuntimeBambooError(f"unknown {kind} operator '{op}'")
-
-    @staticmethod
-    def _ref_eq(left, right) -> bool:
-        if isinstance(left, str) or isinstance(right, str):
-            return left == right
-        return left is right
-
-    @staticmethod
-    def _unop(op: str, kind: str, value):
-        if op == "neg":
-            return -value
-        if op == "not":
-            return not value
-        if op == "i2f":
-            return float(value)
-        if op == "f2i":
-            return math.trunc(value)
-        if op == "tostr":
-            if kind == "bool":
-                return "true" if value else "false"
-            if kind == "float":
-                return repr(float(value))
-            return str(value)
-        raise RuntimeBambooError(f"unknown unary operator '{op}'")
-
-    def _call_builtin(self, fn: builtins.BuiltinFunction, args: List[object]):
-        result = fn.impl(self.stdout, *args)
-        if isinstance(result, list):  # String.split returns a Python list
-            return BArray(elem_type="String", values=result)
-        return result
-
-    def _new_object(self, instr: ir.NewObj) -> BObject:
-        class_info = self.info.class_info(instr.class_name)
-        obj = self.heap.new_object(instr.class_name, len(class_info.fields))
-        for fld in class_info.fields.values():
-            obj.fields[fld.index] = default_field_value(str(fld.type))
-        site = self.ir_program.alloc_sites[instr.site_id]
-        for flag, value in site.flag_inits.items():
+    def _new_object(self, site: tuple) -> BObject:
+        class_name, defaults, flag_inits, site_id = site
+        obj = self.heap.new_object(class_name, len(defaults))
+        obj.fields[:] = defaults
+        for flag, value in flag_inits:
             obj.set_flag(flag, value)
-        self._new_objects.append(NewObjectRecord(obj=obj, site_id=instr.site_id))
+        self._new_objects.append(NewObjectRecord(obj=obj, site_id=site_id))
         return obj
 
     def _new_array(self, instr: ir.NewArr, dims: List[int]) -> BArray:
@@ -379,7 +247,10 @@ class Interpreter:
         length = dims[level]
         if not isinstance(length, int) or length < 0:
             raise RuntimeBambooError(f"invalid array length {length}")
-        self._cycles += costs.NEWARR_BASE_COST + costs.NEWARR_PER_ELEM_COST * length
+        # The segment already paid the outermost array's base cost.
+        self._cycles += costs.NEWARR_PER_ELEM_COST * length + (
+            costs.NEWARR_BASE_COST if level else 0
+        )
         if level + 1 < len(dims):
             values = [
                 self._alloc_array_level(elem_type, dims, extra_dims, level + 1)
@@ -388,6 +259,248 @@ class Interpreter:
             return BArray(elem_type=elem_type, values=values)
         fill = default_field_value(elem_type) if extra_dims == 0 else None
         return BArray(elem_type=elem_type, values=[fill] * length)
+
+
+def _array_fault(array, index, func_name: str) -> None:
+    """Raises the error of an array access that failed its inline check."""
+    if array is None:
+        raise RuntimeBambooError(f"null array access in {func_name}")
+    raise RuntimeBambooError(
+        f"array index {index} out of bounds "
+        f"(length {len(array.values)}) in {func_name}"
+    )
+
+
+class _Decoder:
+    """Decodes one IR function: segments, frame template and source.
+
+    ``segments`` are the run-loop lists; each index in ``bodies`` has a
+    generated body ``s<index>`` in :meth:`source`, and ``side`` holds the
+    objects generated code names ``K<n>``.
+    """
+
+    def __init__(self, interp: Interpreter, func: ir.IRFunction):
+        self.interp = interp
+        self.func = func
+        self.template: List[object] = [None] * func.num_regs
+        self.side: List[object] = []
+        self.bodies: List[int] = []
+        self._const_slots: Dict[tuple, int] = {}
+        self._lines: List[str] = []
+        self._name = self._k(func.name)
+
+        spans = []  # (body instructions, terminator or None for fall-through)
+        first: List[int] = []  # block position -> its first segment
+        for block in func.blocks:
+            first.append(len(spans))
+            body: List[ir.Instr] = []
+            for instr in block.instructions:
+                if isinstance(instr, ir.TERMINATORS):
+                    spans.append((body, instr))
+                    break
+                body.append(instr)
+                if type(instr) is ir.Call:
+                    spans.append((body, None))
+                    body = []
+            else:
+                raise RuntimeBambooError(
+                    f"{func.name}: block B{block.block_id} lacks a terminator"
+                )
+
+        self.segments: List[list] = []
+        for index, (body, term) in enumerate(spans):
+            counted = body if term is None else body + [term]
+            if body:
+                self._lines.append(f"def s{index}(interp, regs, depth):")
+                for instr in body:
+                    _EMITTERS[type(instr)](self, instr)
+                self.bodies.append(index)
+            self.segments.append(
+                [len(counted), sum(map(self._cost, counted)), None]
+                + self._terminator(term)
+            )
+        for index, (_, term) in enumerate(spans):
+            seg = self.segments[index]
+            if term is None:
+                seg[5] = self.segments[index + 1]
+            elif type(term) is ir.Jump:
+                seg[5] = self.segments[first[term.target]]
+            elif type(term) is ir.Branch:
+                seg[5] = self.segments[first[term.true_target]]
+                seg[6] = self.segments[first[term.false_target]]
+        self.entry = self.segments[first[func.entry]]
+
+    def source(self) -> str:
+        return "\n".join(self._lines) + "\n"
+
+    def _slot(self, operand: ir.Operand) -> int:
+        """The register index of an operand; constants get template slots."""
+        if type(operand) is ir.Reg:
+            return int(operand.index)
+        value = operand.value
+        key = (type(value), repr(value))
+        slot = self._const_slots.get(key)
+        if slot is None:
+            slot = self._const_slots[key] = len(self.template)
+            self.template.append(value)
+        return slot
+
+    def _r(self, operand: ir.Operand) -> str:
+        return f"regs[{self._slot(operand)}]"
+
+    def _k(self, value: object) -> str:
+        """Names a side-table entry for generated code."""
+        self.side.append(value)
+        return f"K{len(self.side) - 1}"
+
+    def _terminator(self, term: Optional[ir.Instr]) -> list:
+        if term is None or type(term) is ir.Jump:
+            return [_GOTO, None, None, None]
+        if type(term) is ir.Branch:
+            return [_BRANCH, self._slot(term.cond), None, None]
+        if type(term) is ir.Ret:
+            slot = None if term.src is None else self._slot(term.src)
+            return [_RET, slot, None, None]
+        if type(term) is ir.Exit:
+            return [_EXIT, term.exit_id, None, None]
+        return [_TRAP, term.message, None, None]
+
+    def _cost(self, instr: ir.Instr) -> int:
+        cost = costs.instruction_cost(instr)
+        if type(instr) is ir.CallBuiltin:
+            cost += self.interp._builtin_cache[instr.key].cost
+        elif type(instr) in (ir.ALoad, ir.AStore):
+            cost += self.interp._array_access_cost_extra
+        return cost
+
+    # -- segment bodies ------------------------------------------------------------
+
+    def _line(self, text: str) -> None:
+        self._lines.append("    " + text)
+
+    def _null_check(self, value: str, message: str) -> None:
+        self._line(f"if {value} is None: raise Fault({self._k(message)})")
+
+    def _array_check(self, array: str, index: str) -> None:
+        self._line(
+            f"if {array} is None or not 0 <= {index} < len({array}.values): "
+            f"array_fault({array}, {index}, {self._name})"
+        )
+
+    def _move(self, instr: ir.Move) -> None:
+        self._line(f"{self._r(instr.dst)} = {self._r(instr.src)}")
+
+    def _binop(self, instr: ir.BinOp) -> None:
+        expr = ops.BINARY.get((instr.op, instr.kind))
+        if expr is None:
+            message = f"unknown {instr.kind} operator '{instr.op}'"
+            self._line(f"raise Fault({self._k(message)})")
+        else:
+            value = expr.format(self._r(instr.a), self._r(instr.b))
+            self._line(f"{self._r(instr.dst)} = {value}")
+
+    def _unop(self, instr: ir.UnOp) -> None:
+        expr = ops.UNARY.get((instr.op, instr.kind))
+        if expr is None:
+            message = f"unknown unary operator '{instr.op}'"
+            self._line(f"raise Fault({self._k(message)})")
+        else:
+            self._line(f"{self._r(instr.dst)} = {expr.format(self._r(instr.a))}")
+
+    def _load(self, instr: ir.Load) -> None:
+        obj = self._r(instr.obj)
+        self._null_check(
+            obj, f"null dereference loading .{instr.field_name} in {self.func.name}"
+        )
+        field_index = int(instr.field_index)
+        self._line(f"{self._r(instr.dst)} = {obj}.fields[{field_index}]")
+
+    def _store(self, instr: ir.Store) -> None:
+        obj = self._r(instr.obj)
+        self._null_check(
+            obj, f"null dereference storing .{instr.field_name} in {self.func.name}"
+        )
+        field_index = int(instr.field_index)
+        self._line(f"{obj}.fields[{field_index}] = {self._r(instr.src)}")
+
+    def _aload(self, instr: ir.ALoad) -> None:
+        array, index = self._r(instr.array), self._r(instr.index)
+        self._array_check(array, index)
+        self._line(f"{self._r(instr.dst)} = {array}.values[{index}]")
+
+    def _astore(self, instr: ir.AStore) -> None:
+        array, index = self._r(instr.array), self._r(instr.index)
+        self._array_check(array, index)
+        self._line(f"{array}.values[{index}] = {self._r(instr.src)}")
+
+    def _arrlen(self, instr: ir.ArrLen) -> None:
+        array = self._r(instr.array)
+        self._null_check(array, f"null array length in {self.func.name}")
+        self._line(f"{self._r(instr.dst)} = len({array}.values)")
+
+    def _newobj(self, instr: ir.NewObj) -> None:
+        class_info = self.interp.info.class_info(instr.class_name)
+        defaults: List[object] = [None] * len(class_info.fields)
+        for fld in class_info.fields.values():
+            defaults[fld.index] = default_field_value(str(fld.type))
+        flag_inits = self.interp.ir_program.alloc_sites[instr.site_id].flag_inits
+        site = (instr.class_name, defaults, tuple(flag_inits.items()), instr.site_id)
+        self._line(f"{self._r(instr.dst)} = interp._new_object({self._k(site)})")
+
+    def _newarr(self, instr: ir.NewArr) -> None:
+        dims = ", ".join(map(self._r, instr.dims))
+        self._line(
+            f"{self._r(instr.dst)} = interp._new_array({self._k(instr)}, [{dims}])"
+        )
+
+    def _call(self, instr: ir.Call) -> None:
+        callee = self.interp._code(self.interp.ir_program.methods[instr.target])
+        args = ", ".join(map(self._r, instr.args))
+        call = f"interp._run({self._k(callee)}, [{args}], depth + 1)"
+        self._line(call if instr.dst is None else f"{self._r(instr.dst)} = {call}")
+
+    def _callbuiltin(self, instr: ir.CallBuiltin) -> None:
+        fn = self.interp._builtin_cache[instr.key]
+        impl = fn.impl
+        if isinstance(fn.return_type, ty.ArrayType):
+            impl = _array_result(impl)
+        args = "".join(", " + self._r(a) for a in instr.args)
+        call = f"{self._k(impl)}(interp.stdout{args})"
+        self._line(call if instr.dst is None else f"{self._r(instr.dst)} = {call}")
+
+    def _newtag(self, instr: ir.NewTag) -> None:
+        tag_type = self._k(instr.tag_type)
+        self._line(f"{self._r(instr.dst)} = interp.heap.new_tag({tag_type})")
+
+    def _bindtag(self, instr: ir.BindTag) -> None:
+        self._line(f"{self._r(instr.obj)}.bind_tag({self._r(instr.tag)})")
+
+
+_EMITTERS = {
+    ir.Move: _Decoder._move,
+    ir.BinOp: _Decoder._binop,
+    ir.UnOp: _Decoder._unop,
+    ir.Load: _Decoder._load,
+    ir.Store: _Decoder._store,
+    ir.ALoad: _Decoder._aload,
+    ir.AStore: _Decoder._astore,
+    ir.ArrLen: _Decoder._arrlen,
+    ir.NewObj: _Decoder._newobj,
+    ir.NewArr: _Decoder._newarr,
+    ir.Call: _Decoder._call,
+    ir.CallBuiltin: _Decoder._callbuiltin,
+    ir.NewTag: _Decoder._newtag,
+    ir.BindTag: _Decoder._bindtag,
+}
+
+
+def _array_result(impl):
+    """Wraps a builtin that returns a Python list (``String.split``)."""
+
+    def call(stdout, *args):
+        return BArray(elem_type="String", values=impl(stdout, *args))
+
+    return call
 
 
 @dataclass

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 from ..analysis.astate import AState, state_of_object
 from ..ir import costs
 from ..lang.errors import ScheduleError
+from ..obs import prof
 from ..obs.events import (
     Event,
     LockAcquire,
@@ -57,6 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fault.stats import RecoveryStats
     from ..resilience.config import ResilienceConfig
     from ..resilience.watchdog import QuarantineRecord
+
+#: Profiler phase of the task bodies, so a profiled run splits into
+#: interpreter time and the machine's own (its parent phase's self time).
+_P_INTERP = prof.intern_phase("runtime.interp")
 
 #: Event kinds that are bookkeeping rather than machine activity: they
 #: never extend the run's total cycle count.
@@ -520,7 +525,8 @@ class ManyCoreMachine:
 
             snapshot = snapshot_objects(invocation.objects)
             out_pos = self.interp.stdout.tell()
-        effects = self.interp.run_task(invocation.task, invocation.objects)
+        with prof.phase(_P_INTERP):
+            effects = self.interp.run_task(invocation.task, invocation.objects)
         output: Optional[str] = None
         if self._fault_engine is not None:
             buf = self.interp.stdout

@@ -5,7 +5,12 @@ import pytest
 from repro.bench import benchmark_names, load_source
 from repro.core import compile_program, run_layout, run_sequential, single_core_layout
 from repro.ir import instructions as ir
-from repro.ir.optimize import optimize_function, optimize_program
+from repro.ir.optimize import (
+    _fold_binop,
+    _fold_unop,
+    optimize_function,
+    optimize_program,
+)
 from repro.ir.builder import lower_program
 from repro.lang.parser import parse_program
 from repro.sema import analyze
@@ -57,6 +62,30 @@ class TestFolding:
             if isinstance(i, ir.BinOp) and i.op == "/"
         ]
         assert divisions  # the fault is preserved
+
+    @pytest.mark.parametrize(
+        "op, kind, left, right",
+        [
+            ("/", "int", 1, 0),
+            ("%", "int", 1, 0),
+            ("/", "float", 1.0, 0.0),
+            ("concat", "str", "a", 1),
+            ("&&", "int", True, False),
+            ("%", "float", 5.0, 2.0),
+        ],
+    )
+    def test_faulting_or_unknown_operations_not_folded(self, op, kind, left, right):
+        assert _fold_binop(op, kind, left, right) is None
+
+    def test_folds_agree_with_the_operator_table(self):
+        assert _fold_binop("/", "int", -7, 2) == -3
+        assert _fold_binop("%", "int", -7, 2) == -1
+        assert _fold_binop("==", "ref", None, None) is True
+        assert _fold_binop("!=", "ref", "x", "x") is False
+        assert _fold_binop("concat", "str", "a", "b") == "ab"
+        assert _fold_unop("tostr", "bool", True) == "true"
+        assert _fold_unop("tostr", "float", 2) == "2.0"
+        assert _fold_unop("neg", "bool", True) is None
 
     def test_branch_on_constant_folds(self):
         func, _ = optimized_task(

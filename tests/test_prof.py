@@ -22,7 +22,14 @@ import pytest
 
 from conftest import KEYWORD_SOURCE
 
-from repro.core import SynthesisOptions, compile_program, profile_program, synthesize_layout
+from repro.core import (
+    SynthesisOptions,
+    compile_program,
+    profile_program,
+    run_layout,
+    single_core_layout,
+    synthesize_layout,
+)
 from repro.obs import prof
 from repro.obs.artifacts import (
     ArtifactError,
@@ -207,7 +214,23 @@ class TestOffMode:
         assert any(path.endswith("anneal.iteration") for path in paths)
         assert any(path.endswith("search.dispatch") for path in paths)
         assert any(path.endswith("sim.dispatch") for path in paths)
+        assert "pipeline.profile/pipeline.run/runtime.interp" in paths
         assert doc["counters"]["sim.events_processed"] > 0
+
+    def test_machine_run_bit_identical_with_profiler_on(self):
+        """The interpreter phase splits a machine run without changing it."""
+        compiled = compile_program(KEYWORD_SOURCE, "keyword-test")
+        layout = single_core_layout(compiled)
+        plain = run_layout(compiled, layout, ["6"])
+        with prof.profiled() as profiler:
+            profiled = run_layout(compiled, layout, ["6"])
+        assert profiled.total_cycles == plain.total_cycles
+        assert profiled.stdout == plain.stdout
+        assert profiled.invocations == plain.invocations
+        run = by_name(profiler.snapshot()["phases"])["pipeline.run"]
+        interp = by_name(run["children"])["runtime.interp"]
+        assert interp["count"] == sum(plain.invocations.values())
+        assert 0 < interp["total_ns"] <= run["total_ns"]
 
 
 # -- simulator buckets ---------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_program
 from repro.lang.pretty import format_expr, format_program
 from repro.lang.tokens import TokenKind
-from repro.runtime.interp import _int_div, _int_rem
+from repro.ir.ops import int_div, int_rem
 from repro.runtime.profiler import ProfileData
 from repro.schedule.layout import Layout, mesh_hops
 
@@ -110,19 +110,19 @@ anyint = st.integers(min_value=-10**6, max_value=10**6)
 @given(anyint, nonzero)
 def test_int_division_identity(a, b):
     # Java invariant: a == (a / b) * b + (a % b)
-    assert _int_div(a, b) * b + _int_rem(a, b) == a
+    assert int_div(a, b) * b + int_rem(a, b) == a
 
 
 @given(anyint, nonzero)
 def test_int_division_truncates_toward_zero(a, b):
-    quotient = _int_div(a, b)
+    quotient = int_div(a, b)
     exact = abs(a) // abs(b)
     assert abs(quotient) == exact
 
 
 @given(anyint, nonzero)
 def test_remainder_sign(a, b):
-    remainder = _int_rem(a, b)
+    remainder = int_rem(a, b)
     assert remainder == 0 or (remainder > 0) == (a > 0)
     assert abs(remainder) < abs(b)
 
