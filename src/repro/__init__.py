@@ -18,6 +18,8 @@ Subpackages:
   shared across requests and restarts (results bit-identical to offline).
 * :mod:`repro.bench` — the paper's benchmarks and experiment runners.
 * :mod:`repro.viz` — DOT/text visualization.
+* :mod:`repro.chaos` — the fault-injection kernel the four seeded chaos
+  harnesses (machine, host, network, multi-host) share.
 
 The public API re-exports here, so typical use is just::
 

@@ -213,8 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             base_seed=args.seed,
             workers=max(2, args.workers),
         )
-        print(host_report.describe())
-        return 0 if host_report.ok else 1
+        return _chaos_verdict(host_report)
     if args.cores <= 1:
         layout = single_core_layout(compiled)
     else:
@@ -275,8 +274,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             base_seed=args.seed,
             resilience=resilience,
         )
-        print(chaos.describe())
-        return 0 if chaos.ok else 1
+        return _chaos_verdict(chaos)
     result = run_layout(compiled, layout, args.args, options=run_options)
     if result.stdout:
         print(result.stdout)
@@ -343,19 +341,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_server(config, announce=announce)
 
 
-def _cmd_serve_chaos(args: argparse.Namespace) -> int:
-    from .serve.netchaos import run_net_chaos
-
-    report = run_net_chaos(plans=args.plans, base_seed=args.seed)
+def _chaos_verdict(report, path: Optional[str] = None) -> int:
+    """Prints a chaos sweep's report (and writes its JSON artifact to
+    ``path``); the exit code is nonzero on any invariant violation."""
     print(report.describe())
-    if args.report:
+    if path:
         import json
 
-        with open(args.report, "w") as handle:
+        with open(path, "w") as handle:
             json.dump(report.as_dict(), handle, indent=2)
             handle.write("\n")
-        print(f"[report: {args.report}]", file=sys.stderr)
+        print(f"[report: {path}]", file=sys.stderr)
     return 0 if report.ok else 1
+
+
+def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
+    if args.command == "serve-chaos":
+        from .serve.netchaos import run_net_chaos as run_sweep
+    else:
+        from .search.dist.chaos import run_dist_chaos as run_sweep
+    return _chaos_verdict(
+        run_sweep(plans=args.plans, base_seed=args.seed), args.report
+    )
 
 
 def _resolve_program(target: str, args: List[str]):
@@ -437,7 +444,7 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     else:
         chaos = None
         if args.chaos_crash or args.chaos_hang or args.chaos_expire:
-            from .search.hostchaos import DistChaosPlan
+            from .search.dist import DistChaosPlan
 
             chaos = DistChaosPlan.scripted(
                 crash=args.chaos_crash,
@@ -463,20 +470,14 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
             chaos_plan=chaos,
             announce=sys.stderr,
         )
-        host, port = coordinator.start()
-        procs = []
-        try:
-            from .search.dist.worker import spawn_worker_process
+        from .search.dist.worker import local_workers
 
-            for index in range(args.local_workers):
-                procs.append(spawn_worker_process(host, port, f"w{index}"))
-            result = coordinator.run()
+        host, port = coordinator.start()
+        try:
+            with local_workers(host, port, args.local_workers):
+                result = coordinator.run()
         finally:
             coordinator.stop()
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.kill()
-                proc.wait()
     print(describe_dist_result(result))
     if result.stats is not None:
         print(f"[dist: {json.dumps(result.stats, sort_keys=True)}]",
@@ -506,21 +507,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
             handle.write(render_prometheus(registry))
         print(f"[dist prometheus: {args.prom_out}]", file=sys.stderr)
     return 0
-
-
-def _cmd_dist_chaos(args: argparse.Namespace) -> int:
-    from .search.dist.chaos import run_dist_chaos
-
-    report = run_dist_chaos(plans=args.plans, base_seed=args.seed)
-    print(report.describe())
-    if args.report:
-        import json
-
-        with open(args.report, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"[report: {args.report}]", file=sys.stderr)
-    return 0 if report.ok else 1
 
 
 _HEAVY_REQUEST_OPS = ("compile", "profile", "synthesize", "simulate")
@@ -794,6 +780,21 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _add_chaos_sweep(parser: argparse.ArgumentParser, plans: int) -> None:
+    """The arguments shared by the ``serve-chaos`` and ``dist-chaos``
+    sweeps."""
+    parser.add_argument(
+        "plans", type=int, nargs="?", default=plans,
+        help="number of seeded plans (plan 0 is the fault-free control)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--report", metavar="FILE", default=None,
+        help="write the machine-readable sweep report as JSON",
+    )
+    parser.set_defaults(func=_cmd_chaos_sweep)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1096,21 +1097,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_request.set_defaults(func=_cmd_request)
 
-    p_netchaos = sub.add_parser(
-        "serve-chaos",
-        help="sweep seeded network/daemon fault plans against a live "
-             "serve subprocess; exit nonzero on any invariant violation",
+    _add_chaos_sweep(
+        sub.add_parser(
+            "serve-chaos",
+            help="sweep seeded network/daemon fault plans against a live "
+                 "serve subprocess; exit nonzero on any invariant violation",
+        ),
+        plans=8,
     )
-    p_netchaos.add_argument(
-        "plans", type=int, nargs="?", default=8,
-        help="number of seeded plans (plan 0 is the fault-free control)",
-    )
-    p_netchaos.add_argument("--seed", type=int, default=0)
-    p_netchaos.add_argument(
-        "--report", metavar="FILE", default=None,
-        help="write the machine-readable sweep report as JSON",
-    )
-    p_netchaos.set_defaults(func=_cmd_serve_chaos)
 
     p_dco = sub.add_parser(
         "dist-coordinator",
@@ -1200,23 +1194,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_dwk.add_argument("--verbose", action="store_true")
     p_dwk.set_defaults(func=_cmd_dist_worker)
 
-    p_dch = sub.add_parser(
-        "dist-chaos",
-        help="sweep seeded distributed-search fault plans (worker "
-             "crashes/hangs, dropped/garbled connections, forced lease "
-             "expiries, coordinator kill+resume) and exit nonzero on any "
-             "invariant violation",
+    _add_chaos_sweep(
+        sub.add_parser(
+            "dist-chaos",
+            help="sweep seeded distributed-search fault plans (worker "
+                 "crashes/hangs, dropped/garbled connections, forced lease "
+                 "expiries, coordinator kill+resume) and exit nonzero on any "
+                 "invariant violation",
+        ),
+        plans=4,
     )
-    p_dch.add_argument(
-        "plans", type=int, nargs="?", default=4,
-        help="number of seeded plans (plan 0 is the fault-free control)",
-    )
-    p_dch.add_argument("--seed", type=int, default=0)
-    p_dch.add_argument(
-        "--report", metavar="FILE", default=None,
-        help="write the machine-readable sweep report as JSON",
-    )
-    p_dch.set_defaults(func=_cmd_dist_chaos)
 
     return parser
 

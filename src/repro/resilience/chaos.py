@@ -21,15 +21,17 @@ promises:
 Every plan keeps one protected survivor core fault-free, so recovery
 always has somewhere to migrate — a plan that kills every core is not an
 interesting chaos case, it is a configuration error the plan layer already
-rejects.
+rejects. The sweep loop, the verdict classes and the control's
+zero-activity check come from the shared kernel, :mod:`repro.chaos`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
+from .. import chaos
 from ..fault.plan import CoreCrash, FaultPlan, LinkDegrade, TransientStall
 from ..runtime.machine import MachineConfig, MachineResult
 from ..schedule.layout import Layout
@@ -82,67 +84,38 @@ def chaos_plan(
 
 
 @dataclass
-class ChaosRun:
+class ChaosRun(chaos.SweepRun):
     """Outcome of one seeded plan."""
 
-    index: int
-    seed: int
-    plan: FaultPlan
     result: Optional[MachineResult] = None
-    error: Optional[str] = None
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None and not self.violations
+    def counters(self) -> Dict[str, int]:
+        if self.result is None:
+            return {}
+        return {
+            "core_deaths": len(self.result.core_death_cycles or {}),
+            "quarantined": len(self.result.quarantined or []),
+        }
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(chaos.SweepReport):
     """Outcome of a full sweep."""
 
-    runs: List[ChaosRun]
-    baseline: MachineResult
+    baseline: Optional[MachineResult] = None
 
-    @property
-    def ok(self) -> bool:
-        return all(run.ok for run in self.runs)
+    INVARIANTS = (
+        "termination, exactly-once commit, quarantine accounting, "
+        "baseline equivalence"
+    )
 
-    def violations(self) -> List[str]:
-        lines: List[str] = []
-        for run in self.runs:
-            if run.error is not None:
-                lines.append(f"plan {run.index} (seed {run.seed}): {run.error}")
-            for violation in run.violations:
-                lines.append(f"plan {run.index} (seed {run.seed}): {violation}")
-        return lines
-
-    def describe(self) -> str:
+    def summary(self) -> List[str]:
         faults = sum(len(run.plan.events) for run in self.runs)
-        crashed = sum(
-            len(run.result.core_death_cycles or {})
-            for run in self.runs
-            if run.result is not None
-        )
-        quarantined = sum(
-            len(run.result.quarantined or [])
-            for run in self.runs
-            if run.result is not None
-        )
-        lines = [
+        return [
             f"chaos: {len(self.runs)} plan(s), {faults} fault event(s), "
-            f"{crashed} core death(s), {quarantined} quarantined group(s)"
+            f"{self.total('core_deaths')} core death(s), "
+            f"{self.total('quarantined')} quarantined group(s)"
         ]
-        bad = self.violations()
-        if bad:
-            lines.append(f"INVARIANT VIOLATIONS ({len(bad)}):")
-            lines.extend(f"  {line}" for line in bad)
-        else:
-            lines.append(
-                "all invariants held: termination, exactly-once commit, "
-                "quarantine accounting, baseline equivalence"
-            )
-        return "\n".join(lines)
 
 
 def _check_run(
@@ -170,6 +143,8 @@ def _check_run(
             baseline.stdout.splitlines()
         ):
             run.violations.append("output diverged from fault-free baseline")
+    # A fault-free plan kills no core and quarantines nothing.
+    chaos.check_accounting(run)
 
 
 def run_chaos(
@@ -194,32 +169,28 @@ def run_chaos(
     horizon = max(2, baseline.total_cycles)
     cores = sorted(layout.cores_used())
 
-    report_runs: List[ChaosRun] = []
-    for index in range(runs):
-        seed = base_seed + index
-        plan = chaos_plan(
+    def make_plan(index: int, seed: int) -> FaultPlan:
+        return chaos_plan(
             index, seed, cores, horizon, resilience.suspicion_window
         )
-        run = ChaosRun(index=index, seed=seed, plan=plan)
+
+    def execute(run: ChaosRun) -> None:
         config = MachineConfig(
-            fault_plan=None if plan.is_empty() else plan,
+            fault_plan=None if run.plan.is_empty() else run.plan,
             resilience=resilience,
             validate=True,
         )
-        try:
-            result = run_layout(
-                compiled, layout, args, options=RunOptions(machine=config)
-            )
-        except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-            run.error = f"{type(exc).__name__}: {exc}"
-            report_runs.append(run)
-            continue
-        run.result = result
-        _check_run(run, result, baseline)
-        if index == 0:
+        run.result = run_layout(
+            compiled, layout, args, options=RunOptions(machine=config)
+        )
+        _check_run(run, run.result, baseline)
+        if run.index == 0:
             _check_control(run, compiled, layout, args, baseline, resilience)
-        report_runs.append(run)
-    return ChaosReport(runs=report_runs, baseline=baseline)
+
+    return ChaosReport(
+        runs=chaos.sweep(ChaosRun, runs, base_seed, make_plan, execute),
+        baseline=baseline,
+    )
 
 
 def _check_control(
@@ -251,15 +222,9 @@ def _check_control(
             "resilience disabled is not bit-identical to the baseline"
         )
     result = run.result
-    if result is None:
-        return
     if result.stdout != baseline.stdout:
         run.violations.append("fault-free resilient run changed the output")
     if result.invocations != baseline.invocations:
         run.violations.append(
             "fault-free resilient run changed invocation counts"
-        )
-    if result.core_death_cycles or (result.quarantined or []):
-        run.violations.append(
-            "fault-free resilient run recorded deaths or quarantine"
         )

@@ -40,7 +40,8 @@ coordinator/worker protocol with leases, work-stealing, and frontier
 checkpointing whose merged result is bit-identical to a single-host
 serial run (its own chaos harness, :mod:`repro.search.dist.chaos`,
 machine-checks that). The shared backoff/jitter arithmetic all three
-retry layers use lives in :mod:`repro.search.retry`.
+retry layers use, and the EWMA deadline the supervisor and the dist
+leases share, live in :mod:`repro.search.retry`.
 
 The user-facing switchboard is :class:`repro.SynthesisOptions`
 (``workers=``, ``sim_cache=``, ``cache=``, ``cache_entries=``,
@@ -73,8 +74,6 @@ from .storage import (
     write_record,
 )
 from .hostchaos import (
-    DistChaosPlan,
-    DistFault,
     HostChaosPlan,
     HostChaosReport,
     HostChaosRun,
@@ -114,3 +113,13 @@ __all__ = [
     "write_pickle_record",
     "write_record",
 ]
+
+
+def __getattr__(name: str):
+    # The dist chaos plan lives with its harness in repro.search.dist;
+    # resolving it on first use keeps ``import repro.search`` light.
+    if name in ("DistChaosPlan", "DistFault"):
+        from .dist import chaos
+
+        return getattr(chaos, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

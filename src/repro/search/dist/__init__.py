@@ -31,11 +31,14 @@ from .coordinator import (
     run_dist_search,
 )
 from .worker import WorkerStats, run_dist_worker
+from .chaos import DistChaosPlan, DistFault
 
 __all__ = [
     "DIST_PROTOCOL",
+    "DistChaosPlan",
     "DistCoordinator",
     "DistError",
+    "DistFault",
     "DistProtocolError",
     "DistResult",
     "DistStats",

@@ -17,8 +17,9 @@ against real ``repro dist-worker`` subprocesses — and machine-checks:
 * **Exactly-once shard accounting** — the
   :meth:`~repro.search.dist.coordinator.DistStats.check_accounting`
   identity holds: every dispatch reaches exactly one terminal state.
-* **Control-plan zero activity** — plan 0 (empty) records no steals,
-  retries, failures, duplicates, injections, or degradation.
+* **Fired-fault accounting** — every planned dispatch and wire fault
+  fired; plan 0 (empty, the control) records no steals, retries,
+  failures, duplicates, injections, or degradation.
 
 A separate **interrupt + resume** phase abandons a coordinator
 mid-frontier (no shutdown, exactly what SIGKILL leaves behind: the
@@ -28,226 +29,199 @@ checkpoint from a *different* job is refused with a typed error.
 
 Fault transport: dispatch faults (``crash_worker``/``hang_worker``/
 ``expire_lease``) ride shard messages through the coordinator's own
-chaos hook; wire faults (``drop_conn``/``garble``) fire in
-:class:`DistChaosProxy`, a full-duplex cousin of
-:class:`repro.serve.netchaos.ChaosProxy` (that one is request/response
-lockstep; the dist protocol pushes coordinator→worker messages
-unprompted, so the proxy pumps each direction independently);
-``kill_worker`` is a literal ``SIGKILL`` of a worker subprocess mid-run.
+chaos hook; wire faults (``drop_conn``/``garble``) fire in the shared
+full-duplex :class:`repro.chaos.ChaosProxy` between workers and the
+coordinator; ``kill_worker`` is a literal ``SIGKILL`` of a worker
+subprocess mid-run. The sweep loop and verdict classes come from
+:mod:`repro.chaos`.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-import socket
-import struct
+import random
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..hostchaos import DistChaosPlan
-from .coordinator import DistCoordinator, DistError, LeasePolicy
+from ... import chaos
+from .coordinator import DistCoordinator, DistError, DistStats, LeasePolicy
 from .shards import JobContext, ShardSpec, run_serial_baseline
-from .worker import spawn_worker_process
+from .worker import local_workers
 
 #: seconds before a chaos run is declared hung (a termination violation)
 RUN_DEADLINE = 180.0
 
-_GARBAGE = b"\x16\x03\x01 not a dist message \xff\xfe\n"
 
+@dataclass(frozen=True)
+class DistFault:
+    """One injected distributed-search misbehavior.
 
-class DistChaosProxy:
-    """A full-duplex TCP proxy injecting wire faults between workers and
-    a coordinator.
-
-    Worker→coordinator bytes pass through untouched; coordinator→worker
-    *messages* (newline-framed) advance one global sequence shared
-    across connections, and when the armed plan designates the current
-    message the proxy misbehaves: ``drop_conn`` hard-drops both sides
-    with an RST, ``garble`` substitutes undecodable bytes. Either way
-    the worker reconnects (through the proxy again) and the coordinator
-    re-dispatches — the invariants say neither can change the result.
+    ``key`` indexes either the coordinator's global dispatch sequence
+    (dispatch faults) or the chaos proxy's downstream message sequence
+    (wire faults), so — like a host-chaos fault — a plan is pure data.
     """
 
-    def __init__(self, upstream_port: int, host: str = "127.0.0.1"):
-        self.host = host
-        self._upstream_port = upstream_port
-        self._plan: Optional[DistChaosPlan] = None
-        self._lock = threading.Lock()
-        self._sequence = 0
-        #: (message, kind) pairs that actually fired since the last arm()
-        self.fired: List[Tuple[int, str]] = []
-        self._closing = False
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, 0))
-        self._listener.listen(16)
-        self.port = self._listener.getsockname()[1]
-        threading.Thread(
-            target=self._accept_loop, name="dist-chaos-accept", daemon=True
-        ).start()
+    key: int
+    kind: str  # dispatch: crash_worker | hang_worker | expire_lease
+    #          # wire:     drop_conn | garble
+    param: Optional[float] = None
 
-    def arm(self, plan: Optional[DistChaosPlan]) -> None:
-        with self._lock:
-            self._plan = plan
-            self._sequence = 0
-            self.fired = []
 
-    def set_upstream(self, port: int) -> None:
-        """Re-points the proxy at a fresh coordinator (one per plan)."""
-        with self._lock:
-            self._upstream_port = port
+#: faults the coordinator injects itself, keyed by dispatch seq
+DIST_DISPATCH_KINDS = ("crash_worker", "hang_worker", "expire_lease")
+#: faults the chaos proxy injects in transit, keyed by message seq
+DIST_WIRE_KINDS = ("drop_conn", "garble")
 
-    def close(self) -> None:
-        self._closing = True
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
 
-    # -- internals -----------------------------------------------------------
+@dataclass(frozen=True)
+class DistChaosPlan:
+    """A seeded set of faults for one distributed search — the host-chaos
+    idea one level up: instead of misbehaving worker *processes* inside
+    one search, whole worker *hosts* and their connections misbehave.
 
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._handle,
-                args=(client,),
-                name="dist-chaos-conn",
-                daemon=True,
-            ).start()
+    Dispatch faults ride on shard messages (the worker crashes hard or
+    hangs past its lease; the coordinator force-expires a lease); wire
+    faults fire in the proxy between the two (connection dropped with an
+    RST, a message garbled in transit); ``kill_worker`` tells the
+    harness to SIGKILL one worker process externally mid-run. Plan 0 of
+    every sweep is empty — the control.
+    """
 
-    def _next_fault(self) -> Optional[str]:
-        with self._lock:
-            self._sequence += 1
-            sequence = self._sequence
-            plan = self._plan
-            if plan is None:
-                return None
-            kind = plan.wire_fault(sequence)
-            if kind is not None:
-                self.fired.append((sequence, kind))
-            return kind
+    dispatch_faults: Tuple[DistFault, ...] = ()
+    wire_faults: Tuple[DistFault, ...] = ()
+    kill_worker: bool = False
+    seed: int = 0
 
-    def _handle(self, client: socket.socket) -> None:
-        with self._lock:
-            upstream_port = self._upstream_port
-        try:
-            upstream = socket.create_connection(
-                (self.host, upstream_port), timeout=5.0
+    @classmethod
+    def make(
+        cls,
+        index: int,
+        seed: int,
+        horizon: int,
+        hang_seconds: float = 3.0,
+        max_faults: int = 2,
+    ) -> "DistChaosPlan":
+        """Builds the ``index``-th plan of a sweep. ``horizon`` should be
+        the shard count: with one dispatch per shard guaranteed, every
+        designated id in ``1..horizon`` is reached. Fault families rotate
+        on fixed strides (like :class:`repro.serve.netchaos.NetChaosPlan`)
+        so even a 4-plan sweep exercises dispatch faults, wire faults,
+        and an external worker SIGKILL."""
+        if index == 0:
+            return cls(seed=seed)
+        rng = random.Random(seed)
+        horizon = max(1, horizon)
+        count = rng.randint(1, max(1, min(max_faults, horizon)))
+        picks = rng.sample(range(1, horizon + 1), min(horizon, count))
+        dispatch = tuple(
+            DistFault(
+                key=pick,
+                kind=rng.choice(DIST_DISPATCH_KINDS),
+                param=hang_seconds,
             )
-        except OSError:
-            client.close()
-            return
-
-        def closer() -> None:
-            for sock in (client, upstream):
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover
-                    pass
-
-        def pump_up() -> None:
-            # worker → coordinator: raw passthrough
-            try:
-                while True:
-                    chunk = client.recv(65536)
-                    if not chunk:
-                        break
-                    upstream.sendall(chunk)
-            except OSError:
-                pass
-            closer()
-
-        def pump_down() -> None:
-            # coordinator → worker: one fault decision per message line
-            reader = upstream.makefile("rb")
-            try:
-                while True:
-                    line = reader.readline()
-                    if not line:
-                        break
-                    kind = self._next_fault()
-                    if kind is None:
-                        client.sendall(line)
-                        continue
-                    if kind == "drop_conn":
-                        # RST instead of FIN: the hard drop.
-                        client.setsockopt(
-                            socket.SOL_SOCKET,
-                            socket.SO_LINGER,
-                            struct.pack("ii", 1, 0),
-                        )
-                        break
-                    # "garble": undecodable bytes where a message was due
-                    client.sendall(_GARBAGE)
-                    break
-            except OSError:
-                pass
-            closer()
-
-        threading.Thread(target=pump_up, daemon=True).start()
-        pump_down()
-
-
-# -- sweep bookkeeping ---------------------------------------------------------
-
-
-@dataclass
-class DistChaosRun:
-    """Outcome of one plan."""
-
-    index: int
-    seed: int
-    plan: DistChaosPlan
-    stats: Optional[Dict[str, object]] = None
-    wire_fired: List[Tuple[int, str]] = field(default_factory=list)
-    error: Optional[str] = None
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None and not self.violations
-
-
-@dataclass
-class DistChaosReport:
-    """Outcome of a full dist-chaos sweep (plans + resume phase)."""
-
-    runs: List[DistChaosRun]
-    resume_violations: List[str] = field(default_factory=list)
-    resumed_shards: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.resume_violations and all(run.ok for run in self.runs)
-
-    def violations(self) -> List[str]:
-        lines: List[str] = []
-        for run in self.runs:
-            if run.error is not None:
-                lines.append(f"plan {run.index} (seed {run.seed}): {run.error}")
-            for violation in run.violations:
-                lines.append(
-                    f"plan {run.index} (seed {run.seed}): {violation}"
+            for pick in sorted(picks)
+        )
+        wire: Tuple[DistFault, ...] = ()
+        if index % 2 == 0:
+            wire = tuple(
+                DistFault(
+                    key=pick, kind=rng.choice(DIST_WIRE_KINDS)
                 )
-        lines.extend(f"resume phase: {line}" for line in self.resume_violations)
-        return lines
+                for pick in sorted(
+                    rng.sample(range(1, horizon + 1), min(horizon, 2))
+                )
+            )
+        return cls(
+            dispatch_faults=dispatch,
+            wire_faults=wire,
+            kill_worker=index % 3 == 2,
+            seed=seed,
+        )
 
-    def total(self, counter: str) -> int:
-        return sum(
-            int(run.stats.get(counter, 0))
-            for run in self.runs
-            if run.stats is not None
+    @classmethod
+    def scripted(
+        cls,
+        crash=(),
+        hang=(),
+        expire=(),
+        hang_seconds: float = 3.0,
+    ) -> "DistChaosPlan":
+        """A hand-written plan from explicit dispatch ids — what the
+        CLI's ``--chaos-crash/--chaos-hang/--chaos-expire`` flags and the
+        CI dist-smoke job build."""
+        faults = tuple(
+            [DistFault(key=s, kind="crash_worker") for s in crash]
+            + [
+                DistFault(key=s, kind="hang_worker", param=hang_seconds)
+                for s in hang
+            ]
+            + [DistFault(key=s, kind="expire_lease") for s in expire]
+        )
+        return cls(dispatch_faults=faults)
+
+    def dispatch_fault(self, seq: int) -> Optional[Tuple[str, Optional[float]]]:
+        """The coordinator's hook: the fault riding on dispatch ``seq``."""
+        for fault in self.dispatch_faults:
+            if fault.key == seq:
+                return fault.kind, fault.param
+        return None
+
+    def wire_fault(self, seq: int) -> Optional[str]:
+        """The proxy's hook: the fault for downstream message ``seq``
+        (numbered from 1)."""
+        for fault in self.wire_faults:
+            if fault.key == seq:
+                return fault.kind
+        return None
+
+    def is_empty(self) -> bool:
+        return not (
+            self.dispatch_faults or self.wire_faults or self.kill_worker
         )
 
     def describe(self) -> str:
+        if self.is_empty():
+            return "dist chaos: empty plan (control)"
+        parts = [
+            f"{fault.kind}@{fault.key}"
+            for fault in sorted(
+                self.dispatch_faults + self.wire_faults,
+                key=lambda f: (f.key, f.kind),
+            )
+        ]
+        if self.kill_worker:
+            parts.append("kill_worker")
+        return f"dist chaos: {len(parts)} fault(s): {', '.join(parts)}"
+
+
+@dataclass
+class DistChaosRun(chaos.SweepRun):
+    """Outcome of one plan."""
+
+    stats: Optional[Dict[str, object]] = None
+    wire_fired: List[Tuple[int, str]] = field(default_factory=list)
+
+    def counters(self) -> Dict[str, object]:
+        return self.stats or {}
+
+
+@dataclass
+class DistChaosReport(chaos.SweepReport):
+    """Outcome of a full dist-chaos sweep (plans + resume phase)."""
+
+    resumed_shards: int = 0
+
+    INVARIANTS = (
+        "termination, dist-vs-serial bit-identity, exactly-once shard "
+        "accounting, control-plan zero activity, checkpointed resume"
+    )
+    SWEEP_LABEL = "resume phase"
+    RUNS_KEY = "plans"
+
+    def summary(self) -> List[str]:
         lines = [f"dist chaos: {len(self.runs)} plan(s)"]
         for run in self.runs:
             status = "ok" if run.ok else "FAIL"
@@ -266,92 +240,46 @@ class DistChaosReport:
             f"resume phase: {self.resumed_shards} shard(s) resumed from the "
             "frontier checkpoint"
         )
-        bad = self.violations()
-        if bad:
-            lines.append(f"INVARIANT VIOLATIONS ({len(bad)}):")
-            lines.extend(f"  {line}" for line in bad)
-        else:
-            lines.append(
-                "all invariants held: termination, dist-vs-serial "
-                "bit-identity, exactly-once shard accounting, control-plan "
-                "zero activity, checkpointed resume"
-            )
-        return "\n".join(lines)
+        return lines
 
-    def as_dict(self) -> Dict[str, object]:
+    def artifact_fields(self) -> Dict[str, object]:
         return {
             "schema": "repro.search/dist-chaos-report-v1",
-            "ok": self.ok,
-            "plans": [
-                {
-                    "index": run.index,
-                    "seed": run.seed,
-                    "plan": run.plan.describe(),
-                    "ok": run.ok,
-                    "stats": run.stats,
-                    "wire_fired": [list(pair) for pair in run.wire_fired],
-                    "error": run.error,
-                    "violations": run.violations,
-                }
-                for run in self.runs
-            ],
             "resumed_shards": self.resumed_shards,
-            "violations": self.violations(),
         }
 
 
-#: the control plan must show exactly zero of each of these
-_CONTROL_ZERO = (
-    "steals",
-    "retries",
-    "dispatch_failures",
-    "duplicates_discarded",
-    "abandoned",
-    "lease_expiries",
-    "worker_crashes",
-    "worker_disconnects",
-    "worker_hangs",
-    "garbled_messages",
-    "local_only_shards",
-    "injected_crashes",
-    "injected_hangs",
-    "forced_lease_expiries",
-    "resumed_shards",
+#: counters every run moves, the control plan included; it must leave
+#: all the others at zero
+_BUSY = (
+    "workers_joined",
+    "workers_left",
+    "dispatches",
+    "local_executions",
+    "shards_completed",
+    "frontier_checkpoints",
 )
 
 
-def _check_run(run: DistChaosRun, result, baseline, check_accounting) -> None:
+def _check_run(run: DistChaosRun, result, baseline, stats: DistStats) -> None:
     if result.key() != baseline.key():
         run.violations.append(
             "chaos result diverged from the serial baseline "
             f"({result.best_cycles} vs {baseline.best_cycles} cycles)"
         )
-    run.violations.extend(check_accounting())
-    stats = run.stats or {}
-    if run.plan.is_empty():
-        activity = {
-            name: int(stats.get(name, 0))
-            for name in _CONTROL_ZERO
-            if int(stats.get(name, 0))
-        }
-        if activity:
-            run.violations.append(
-                f"control plan recorded fault activity: {activity}"
-            )
-        if stats.get("degraded"):
-            run.violations.append("control plan degraded to local execution")
-    else:
-        fired = (
-            int(stats.get("injected_crashes", 0))
-            + int(stats.get("injected_hangs", 0))
-            + int(stats.get("forced_lease_expiries", 0))
-            + len(run.wire_fired)
-            + (1 if run.plan.kill_worker else 0)
-        )
-        if fired == 0:
-            run.violations.append(
-                "no planned fault fired (horizon too large for workload?)"
-            )
+    run.violations.extend(stats.check_accounting())
+    run.stats = stats.snapshot()
+    # kill_worker is an external SIGKILL, not a counted injection: it is
+    # skipped when its target already died of a crash token.
+    chaos.check_accounting(
+        run,
+        planned=len(run.plan.dispatch_faults) + len(run.plan.wire_faults),
+        fired=stats.injected_crashes
+        + stats.injected_hangs
+        + stats.forced_lease_expiries
+        + len(run.wire_fired),
+        busy=_BUSY,
+    )
 
 
 def _run_plan(
@@ -361,7 +289,7 @@ def _run_plan(
     baseline,
     lease: LeasePolicy,
     workers: int,
-    proxy: DistChaosProxy,
+    proxy: chaos.ChaosProxy,
 ) -> None:
     coordinator = DistCoordinator(
         context,
@@ -374,53 +302,46 @@ def _run_plan(
     proxy.arm(run.plan)
     _, port = coordinator.start()
     proxy.set_upstream(port)
-    procs = []
     outcome: Dict[str, object] = {}
 
-    def drive() -> None:
+    def coordinate() -> None:
         try:
             outcome["result"] = coordinator.run()
-        except Exception as exc:  # noqa: BLE001 - verdict, not control flow
-            outcome["error"] = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
 
-    def killer() -> None:
+    def kill(proc) -> None:
         # SIGKILL one whole worker once the job is demonstrably underway.
         deadline = time.monotonic() + RUN_DEADLINE
         while time.monotonic() < deadline:
             if coordinator.stats.shards_completed >= 1:
                 break
             time.sleep(0.05)
-        if procs and procs[0].poll() is None:
-            os.kill(procs[0].pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
 
     try:
-        for index in range(workers):
-            # Workers dial the proxy, not the coordinator.
-            procs.append(
-                spawn_worker_process(proxy.host, proxy.port, f"w{index}")
-            )
-        driver = threading.Thread(target=drive, daemon=True)
-        driver.start()
-        if run.plan.kill_worker:
-            threading.Thread(target=killer, daemon=True).start()
-        driver.join(timeout=RUN_DEADLINE)
-        if driver.is_alive():
-            run.error = f"did not terminate within {RUN_DEADLINE:.0f}s"
-            return
+        # Workers dial the proxy, not the coordinator.
+        with local_workers(proxy.host, proxy.port, workers) as procs:
+            running = threading.Thread(target=coordinate, daemon=True)
+            running.start()
+            if run.plan.kill_worker and procs:
+                threading.Thread(
+                    target=kill, args=(procs[0],), daemon=True
+                ).start()
+            running.join(timeout=RUN_DEADLINE)
+            if running.is_alive():
+                raise TimeoutError(
+                    f"did not terminate within {RUN_DEADLINE:.0f}s"
+                )
     finally:
         coordinator.stop()
+        # Read the fired log before disarming: arm() resets it.
+        run.wire_fired = list(proxy.fired)
         proxy.arm(None)
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
     if "error" in outcome:
-        run.error = str(outcome["error"])
-        return
-    result = outcome["result"]
-    run.stats = coordinator.stats.snapshot()
-    run.wire_fired = list(proxy.fired)
-    _check_run(run, result, baseline, coordinator.stats.check_accounting)
+        raise outcome["error"]
+    _check_run(run, outcome["result"], baseline, coordinator.stats)
 
 
 def _resume_phase(
@@ -445,12 +366,12 @@ def _resume_phase(
         # shutdown — the checkpoint file is all a SIGKILL would leave.
         while first.stats.shards_completed < interrupt_after:
             if not first._maybe_run_local():
-                report.resume_violations.append(
+                report.sweep_violations.append(
                     "interrupted coordinator ran out of local shards early"
                 )
                 return
         if first.stats.frontier_checkpoints < 1:
-            report.resume_violations.append(
+            report.sweep_violations.append(
                 "no frontier checkpoint written before the interrupt"
             )
         second = DistCoordinator(
@@ -464,12 +385,12 @@ def _resume_phase(
         result = second.run()
         report.resumed_shards = second.stats.resumed_shards
         if second.stats.resumed_shards != interrupt_after:
-            report.resume_violations.append(
+            report.sweep_violations.append(
                 f"expected {interrupt_after} resumed shard(s), got "
                 f"{second.stats.resumed_shards}"
             )
         if result.key() != baseline.key():
-            report.resume_violations.append(
+            report.sweep_violations.append(
                 "resumed result diverged from the serial baseline"
             )
         # A checkpoint from a *different* job must be refused, typed.
@@ -486,7 +407,7 @@ def _resume_phase(
         except DistError:
             pass
         else:
-            report.resume_violations.append(
+            report.sweep_violations.append(
                 "a foreign job's frontier checkpoint was accepted"
             )
 
@@ -538,19 +459,22 @@ def run_dist_chaos(
     lease = LeasePolicy(timeout_floor=2.0, timeout_mult=8.0)
     baseline = run_serial_baseline(context, shard_list)
 
-    report = DistChaosReport(runs=[])
-    proxy = DistChaosProxy(upstream_port=0)
+    # Dist plans number downstream messages from 1.
+    proxy = chaos.ChaosProxy(upstream_port=0, first=1)
     try:
-        for index in range(plans):
-            seed = base_seed + index
-            plan = DistChaosPlan.make(
-                index, seed, horizon=restarts, hang_seconds=3.0
+        report = DistChaosReport(
+            runs=chaos.sweep(
+                DistChaosRun,
+                plans,
+                base_seed,
+                lambda index, seed: DistChaosPlan.make(
+                    index, seed, horizon=restarts, hang_seconds=3.0
+                ),
+                lambda run: _run_plan(
+                    run, context, shard_list, baseline, lease, workers, proxy
+                ),
             )
-            run = DistChaosRun(index=index, seed=seed, plan=plan)
-            _run_plan(
-                run, context, shard_list, baseline, lease, workers, proxy
-            )
-            report.runs.append(run)
+        )
         _resume_phase(context, shard_list, baseline, lease, report)
     finally:
         proxy.close()

@@ -7,9 +7,10 @@ Robustness is structural, not bolted on:
 
 * **Leases** — every remote dispatch carries a wall-clock deadline,
   ``max(timeout_floor, ewma × timeout_mult)`` over observed shard times
-  (the :class:`~repro.search.supervise.RetryPolicy` shape, one level
-  up). A monitor thread re-queues expired shards with capped backoff and
-  deterministic sha256 jitter (:mod:`repro.search.retry`).
+  (the :class:`~repro.search.supervise.RetryPolicy` deadline one level
+  up; both come from :mod:`repro.search.retry`). A monitor thread
+  re-queues expired shards with capped backoff and deterministic sha256
+  jitter from the same module.
 * **Work-stealing** — an expired shard is dispatched *again* while the
   original worker keeps running; whichever result arrives first wins,
   the loser is discarded by dispatch sequence id
@@ -43,7 +44,7 @@ import heapq
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ...lang.errors import BambooError
@@ -113,9 +114,7 @@ class LeasePolicy:
             raise ValueError("backoff parameters must be non-negative")
 
     def deadline_seconds(self, ewma: Optional[float]) -> float:
-        if ewma is None:
-            return self.timeout_floor
-        return max(self.timeout_floor, ewma * self.timeout_mult)
+        return retry.ewma_deadline(self.timeout_floor, self.timeout_mult, ewma)
 
 
 @dataclass
@@ -159,30 +158,8 @@ class DistStats:
     resumed_shards: int = 0
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "workers_joined": self.workers_joined,
-            "workers_left": self.workers_left,
-            "dispatches": self.dispatches,
-            "local_executions": self.local_executions,
-            "shards_completed": self.shards_completed,
-            "duplicates_discarded": self.duplicates_discarded,
-            "dispatch_failures": self.dispatch_failures,
-            "abandoned": self.abandoned,
-            "lease_expiries": self.lease_expiries,
-            "steals": self.steals,
-            "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
-            "worker_disconnects": self.worker_disconnects,
-            "worker_hangs": self.worker_hangs,
-            "garbled_messages": self.garbled_messages,
-            "local_only_shards": self.local_only_shards,
-            "injected_crashes": self.injected_crashes,
-            "injected_hangs": self.injected_hangs,
-            "forced_lease_expiries": self.forced_lease_expiries,
-            "degraded": self.degraded,
-            "frontier_checkpoints": self.frontier_checkpoints,
-            "resumed_shards": self.resumed_shards,
-        }
+        """Every counter, so the chaos control check sees them all."""
+        return asdict(self)
 
     def check_accounting(self) -> List[str]:
         """The exactly-once identity; returns violation strings."""
@@ -442,12 +419,10 @@ class DistCoordinator:
                 # next one by another grace period.
                 self._last_activity = time.monotonic()
                 if dispatch is not None:
-                    elapsed = time.monotonic() - dispatch.started
-                    alpha = self.lease.ewma_alpha
-                    self._ewma = (
-                        elapsed
-                        if self._ewma is None
-                        else (1 - alpha) * self._ewma + alpha * elapsed
+                    self._ewma = retry.ewma_update(
+                        self._ewma,
+                        time.monotonic() - dispatch.started,
+                        self.lease.ewma_alpha,
                     )
             self._write_frontier()
             if len(self._completed) == len(self.shards):
@@ -477,21 +452,23 @@ class DistCoordinator:
 
     # -- lease monitor -------------------------------------------------------
 
+    def _expire(self, dispatch: _Dispatch) -> None:
+        """Lock held. A breached lease: counted as a hang, shard stolen."""
+        dispatch.expired = True
+        self.stats.lease_expiries += 1
+        self.stats.worker_hangs += 1
+        self._count("lease_expiries")
+        self._count("worker_hangs")
+        self._requeue(dispatch.shard_id, "steal")
+
     def _tick_leases(self) -> None:
         now = time.monotonic()
         with self._lock:
             for dispatch in list(self._outstanding.values()):
                 if dispatch.done or dispatch.expired:
                     continue
-                if now < dispatch.deadline:
-                    continue
-                dispatch.expired = True
-                self.stats.lease_expiries += 1
-                self.stats.worker_hangs += 1
-                self._count("lease_expiries")
-                self._count("worker_hangs")
-                if dispatch.shard_id not in self._completed:
-                    self._requeue(dispatch.shard_id, "steal")
+                if now >= dispatch.deadline:
+                    self._expire(dispatch)
 
     def _monitor(self) -> None:
         while not self._done.is_set() and not self._stopping:
@@ -657,12 +634,7 @@ class DistCoordinator:
                 # which is what makes the injection deterministic.
                 self.stats.forced_lease_expiries += 1
                 self._count("forced_lease_expiries")
-                dispatch.expired = True
-                self.stats.lease_expiries += 1
-                self.stats.worker_hangs += 1
-                self._count("lease_expiries")
-                self._count("worker_hangs")
-                self._requeue(shard_id, "steal")
+                self._expire(dispatch)
         message: Dict[str, object] = {
             "op": "shard",
             "shard": shard_id,
@@ -824,17 +796,11 @@ def run_dist_search(
         expect_workers=workers,
         chaos_plan=chaos_plan,
     )
-    host, port = coordinator.start()
-    procs = []
-    try:
-        from .worker import spawn_worker_process
+    from .worker import local_workers
 
-        for index in range(workers):
-            procs.append(spawn_worker_process(host, port, f"w{index}"))
-        return coordinator.run()
+    host, port = coordinator.start()
+    try:
+        with local_workers(host, port, workers):
+            return coordinator.run()
     finally:
         coordinator.stop()
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()

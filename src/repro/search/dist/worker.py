@@ -19,9 +19,11 @@ from __future__ import annotations
 import os
 import socket
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
+from ...chaos import spawn_repro, worker_fault
 from .. import retry
 from .messages import (
     DIST_PROTOCOL,
@@ -157,7 +159,12 @@ def _serve_connection(
                     raise DistProtocolError(
                         "shard received before any job context"
                     )
-                _apply_chaos(message.get("chaos"), log, name)
+                token = message.get("chaos")
+                if isinstance(token, dict):  # an injected crash or hang
+                    _log(log, f"{name}: chaos token {token}")
+                    worker_fault(
+                        token.get("kind"), float(token.get("seconds", 1.0))
+                    )
                 spec = unpack_payload(
                     str(message.get("payload", "")),
                     SHARD_FORMAT,
@@ -203,53 +210,27 @@ def _serve_connection(
             pass
 
 
-def _apply_chaos(token, log, name: str) -> None:
-    """Honors an injected fault riding on a shard message: ``crash``
-    dies mid-shard exactly like ``kill -9`` (no cleanup, no unwinding),
-    ``hang`` sleeps past the shard's lease before working."""
-    if not isinstance(token, dict):
-        return
-    kind = token.get("kind")
-    if kind == "crash":
-        _log(log, f"{name}: chaos crash token — exiting hard")
-        os._exit(137)
-    if kind == "hang":
-        time.sleep(float(token.get("seconds", 1.0)))
-
-
 def _log(log, message: str) -> None:
     if log is not None:
         print(message, file=log, flush=True)
 
 
-def spawn_worker_process(host: str, port: int, name: str):
-    """Starts ``repro dist-worker`` as a subprocess against the given
-    coordinator; the caller owns the process handle."""
-    import subprocess
-    import sys
-
-    package_root = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-    source_root = os.path.dirname(package_root)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = source_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "dist-worker",
-            "--host",
-            host,
-            "--port",
-            str(port),
-            "--name",
-            name,
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+@contextmanager
+def local_workers(host: str, port: int, count: int) -> Iterator[list]:
+    """``count`` ``repro dist-worker`` subprocesses dialing ``host:port``
+    for the duration of the block; any still running at exit are killed."""
+    procs = []
+    try:
+        for index in range(count):
+            procs.append(
+                spawn_repro(
+                    ["dist-worker", "--host", host, "--port", str(port),
+                     "--name", f"w{index}"]
+                )
+            )
+        yield procs
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()

@@ -1,4 +1,5 @@
-"""Shared capped-exponential-backoff and deterministic-jitter helpers.
+"""Shared retry arithmetic: capped backoff, deterministic jitter, EWMA
+deadlines.
 
 Three layers retry failed work and must sleep between attempts without
 thundering in lockstep, yet replay identically in tests:
@@ -21,13 +22,22 @@ They all share the same two primitives, kept here once:
 * :func:`backoff_delay` — ``min(cap, base * 2**(failure-1))`` scaled
   into ``[low, high)`` of itself by :func:`jitter`.
 
-Extracted from the two policies above with behavior pinned unchanged
+Two of them also decide *when* to give up on a dispatch — the
+supervisor's per-chunk deadline and the dist coordinator's shard lease —
+from the same learned deadline, kept here next to the backoff:
+
+* :func:`ewma_deadline` — ``max(floor, ewma * mult)``, the floor alone
+  before anything was observed;
+* :func:`ewma_update` — folds one observed duration into the EWMA.
+
+Extracted from the policies above with behavior pinned unchanged
 (``tests/test_retry.py`` asserts the exact historical values).
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Optional
 
 
 def jitter(key: object, round_index: int) -> float:
@@ -62,3 +72,19 @@ def backoff_delay(
     return capped_backoff(base, cap, failure) * (
         low + (high - low) * jitter(key, failure)
     )
+
+
+def ewma_deadline(floor: float, mult: float, ewma: Optional[float]) -> float:
+    """The deadline in seconds learned from observed durations:
+    ``max(floor, ewma * mult)``, or ``floor`` before the first one."""
+    if ewma is None:
+        return floor
+    return max(floor, ewma * mult)
+
+
+def ewma_update(ewma: Optional[float], elapsed: float, alpha: float) -> float:
+    """The EWMA after observing ``elapsed`` seconds (the first observation
+    seeds it)."""
+    if ewma is None:
+        return elapsed
+    return alpha * elapsed + (1.0 - alpha) * ewma

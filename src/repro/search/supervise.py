@@ -36,15 +36,15 @@ bit-identical to a fault-free one.
 Host-chaos injection (:mod:`repro.search.hostchaos`) plugs in here: the
 supervisor numbers every pool dispatch with a global sequence id and asks
 the plan whether that dispatch should crash (``os._exit`` inside the
-worker) or hang (sleep past its deadline).
+worker) or hang (sleep past its deadline); the worker takes that step
+through :func:`repro.chaos.worker_fault`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 try:  # pragma: no cover - present on every supported runtime
@@ -52,6 +52,7 @@ try:  # pragma: no cover - present on every supported runtime
 except ImportError:  # pragma: no cover - defensive
     BrokenProcessPool = OSError  # type: ignore[assignment,misc]
 
+from ..chaos import worker_fault
 from ..obs import prof
 from ..obs.events import Event, PoolRebuild, WorkerRetry
 from ..schedule.layout import Layout
@@ -67,18 +68,13 @@ from .evaluator import (
     _ChunkItemError,
     _chunk_bounds,
     _init_worker,
-    _simulate_chunk,
-    _simulate_in_worker,
+    _simulate_chunk_timed,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import CompiledProgram
     from ..runtime.profiler import ProfileData
     from .hostchaos import HostChaosPlan
-
-#: Upper bound on an injected hang's sleep, so a worker the parent failed
-#: to terminate cannot outlive the run by more than this.
-HANG_SLEEP_CAP = 30.0
 
 
 @dataclass(frozen=True)
@@ -144,15 +140,13 @@ class SupervisionStats:
     events: List[Event] = field(default_factory=list)
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready counters for the search-metrics snapshot."""
+        """JSON-ready counters for the search-metrics snapshot: every
+        field but the event log, so the chaos control check sees them
+        all."""
         return {
-            "dispatches": self.dispatches,
-            "worker_retries": self.worker_retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "serial_fallbacks": self.serial_fallbacks,
-            "injected_crashes": self.injected_crashes,
-            "injected_hangs": self.injected_hangs,
-            "degraded": self.degraded,
+            item.name: getattr(self, item.name)
+            for item in fields(self)
+            if item.name != "events"
         }
 
 
@@ -163,38 +157,16 @@ class SupervisionStats:
 _jitter = retry.jitter
 
 
-def _chaos_simulate(
-    layout: Layout, cutoff: Optional[int], chaos: Optional[Tuple[str, float]]
-) -> Tuple[float, SimResult]:
-    """Single-layout supervised worker entry point: optionally misbehave,
-    then simulate and report the observed wall-time for the EWMA."""
-    if chaos is not None:
-        kind, seconds = chaos
-        if kind == "crash":
-            os._exit(3)
-        elif kind == "hang":
-            time.sleep(min(seconds, HANG_SLEEP_CAP))
-    started = time.monotonic()
-    result = _simulate_in_worker(layout, cutoff)
-    return time.monotonic() - started, result
-
-
 def _chaos_simulate_chunk(
     layouts: Sequence[Layout],
     cutoff: Optional[int],
     chaos: Optional[Tuple[str, float]],
-) -> Tuple[float, List[SimResult]]:
+) -> Tuple[int, List[SimResult]]:
     """The supervised chunk entry point: optionally misbehave, then
-    simulate the whole chunk and report its observed wall-time."""
+    simulate the whole chunk and report its compute nanoseconds."""
     if chaos is not None:
-        kind, seconds = chaos
-        if kind == "crash":
-            os._exit(3)
-        elif kind == "hang":
-            time.sleep(min(seconds, HANG_SLEEP_CAP))
-    started = time.monotonic()
-    results = _simulate_chunk(layouts, cutoff)
-    return time.monotonic() - started, results
+        worker_fault(*chaos)
+    return _simulate_chunk_timed(layouts, cutoff)
 
 
 class SupervisedEvaluator(ParallelEvaluator):
@@ -236,18 +208,13 @@ class SupervisedEvaluator(ParallelEvaluator):
 
     def _deadline(self) -> float:
         """Per-dispatch deadline in seconds, from the observed EWMA."""
-        if self._ewma is None:
-            return self.policy.timeout_floor
-        return max(
-            self.policy.timeout_floor, self._ewma * self.policy.timeout_mult
+        return retry.ewma_deadline(
+            self.policy.timeout_floor, self.policy.timeout_mult, self._ewma
         )
 
     def _observe(self, elapsed: float) -> None:
-        alpha = self.policy.ewma_alpha
-        self._ewma = (
-            elapsed
-            if self._ewma is None
-            else alpha * elapsed + (1.0 - alpha) * self._ewma
+        self._ewma = retry.ewma_update(
+            self._ewma, elapsed, self.policy.ewma_alpha
         )
 
     # -- pool lifecycle ------------------------------------------------------
@@ -399,12 +366,14 @@ class SupervisedEvaluator(ParallelEvaluator):
 
                 collected: List[int] = []
 
-                def harvest(member_indices, chunk_results, elapsed):
+                def harvest(member_indices, chunk_results, elapsed_ns):
                     nonlocal compute_ns, compute_count
                     # One elapsed covers the whole chunk; the EWMA tracks
-                    # per-simulation time, so observe the average.
-                    self._observe(elapsed / max(1, len(member_indices)))
-                    compute_ns += int(elapsed * 1e9)
+                    # per-simulation seconds, so observe the average.
+                    self._observe(
+                        elapsed_ns / 1e9 / max(1, len(member_indices))
+                    )
+                    compute_ns += elapsed_ns
                     compute_count += len(member_indices)
                     for index, result in zip(member_indices, chunk_results):
                         results[index] = result
@@ -420,7 +389,7 @@ class SupervisedEvaluator(ParallelEvaluator):
                         )
                         remaining = started + allowance - time.monotonic()
                         try:
-                            elapsed, chunk_results = futures[rank].result(
+                            elapsed_ns, chunk_results = futures[rank].result(
                                 timeout=max(0.0, remaining)
                             )
                         except FutureTimeout:
@@ -437,7 +406,7 @@ class SupervisedEvaluator(ParallelEvaluator):
                             raise EvaluationError(
                                 member_indices[0], total, exc
                             ) from exc
-                        harvest(member_indices, chunk_results, elapsed)
+                        harvest(member_indices, chunk_results, elapsed_ns)
                     if failure is not None:
                         # Harvest whatever else finished before the breach;
                         # a completed result is a completed result.
@@ -448,12 +417,12 @@ class SupervisedEvaluator(ParallelEvaluator):
                             if future is None or not future.done():
                                 continue
                             try:
-                                elapsed, chunk_results = future.result(
+                                elapsed_ns, chunk_results = future.result(
                                     timeout=0
                                 )
                             except Exception:
                                 continue
-                            harvest(member_indices, chunk_results, elapsed)
+                            harvest(member_indices, chunk_results, elapsed_ns)
 
                 pending = [i for i in pending if results[i] is None]
                 self._pending = pending

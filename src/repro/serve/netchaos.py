@@ -5,11 +5,12 @@ injects faults into the *simulated machine*, :mod:`repro.search.hostchaos`
 into the *host worker processes*, and this module into the *network and
 daemon process* between a client and the synthesis service:
 
-* a fault-injecting TCP proxy (:class:`ChaosProxy`) sits between a
-  retrying :class:`repro.serve.client.ServeClient` and a real ``repro
-  serve`` subprocess, and — per a seeded :class:`NetChaosPlan` — resets
-  connections, truncates responses mid-line, injects garbage bytes, or
-  delays responses past the client's timeout;
+* the shared fault-injecting TCP proxy (:class:`repro.chaos.ChaosProxy`)
+  sits between a retrying :class:`repro.serve.client.ServeClient` and a
+  real ``repro serve`` subprocess, and — per a seeded
+  :class:`NetChaosPlan` — resets connections, truncates responses
+  mid-line, injects garbage bytes, or delays responses past the client's
+  timeout;
 * server-side fault points fire through the daemon's gated ``inject``
   operation (a failing store flush) and through a mid-request SIGKILL of
   the daemon process followed by a restart on the same cache file.
@@ -36,7 +37,8 @@ control) and machine-checks the serve-layer failure contract:
 
 Like its siblings, nothing raises on violation — the
 :class:`NetChaosReport` carries the verdicts (and serializes to JSON for
-the CI artifact).
+the CI artifact). The sweep loop, the verdict classes and the accounting
+check come from :mod:`repro.chaos`.
 """
 
 from __future__ import annotations
@@ -45,15 +47,14 @@ import json
 import os
 import random
 import re
-import socket
-import struct
 import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import chaos
+from ..chaos import PROXY_FAULT_KINDS, ChaosProxy
 from .client import (
     ClientRetryPolicy,
     ServeClient,
@@ -61,9 +62,6 @@ from .client import (
     ServeUnavailable,
 )
 from .protocol import ProtocolError
-
-#: client-visible proxy fault kinds
-PROXY_FAULT_KINDS = ("reset", "truncate", "garbage", "delay")
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,14 @@ class NetChaosPlan:
             kill=index % 3 == 2,
         )
 
+    def wire_fault(self, request: int) -> Optional[str]:
+        """The proxy's hook: the fault for response line ``request``
+        (numbered from 0; one response per request)."""
+        for fault in self.faults:
+            if fault.request == request:
+                return fault.kind
+        return None
+
     def is_empty(self) -> bool:
         return not (self.faults or self.flush_fail or self.kill)
 
@@ -131,153 +137,6 @@ class NetChaosPlan:
         if self.kill:
             parts.append("kill")
         return f"net chaos: {len(parts)} fault(s): {', '.join(parts)}"
-
-
-# -- the fault-injecting proxy -------------------------------------------------
-
-
-class ChaosProxy:
-    """A line-oriented TCP proxy that injects :class:`NetFault` kinds.
-
-    Forwards newline-delimited requests to the upstream daemon and
-    responses back, counting requests on one global sequence (shared
-    across connections, so retries advance it). When the armed plan
-    designates the current request, the proxy misbehaves *on the
-    response path* — the daemon always sees and executes the request,
-    which is exactly the hard case: the client must decide to re-send
-    without knowing whether the work happened. Determinism makes that
-    safe.
-
-    ``set_upstream`` re-points the proxy after a daemon restart; new
-    connections reach the new daemon while old ones die with the old.
-    """
-
-    def __init__(
-        self,
-        upstream_port: int,
-        host: str = "127.0.0.1",
-        delay_seconds: float = 1.6,
-    ):
-        self.host = host
-        self.delay_seconds = delay_seconds
-        self._upstream_port = upstream_port
-        self._plan: Optional[NetChaosPlan] = None
-        self._lock = threading.Lock()
-        self._sequence = 0
-        #: (request, kind) pairs that actually fired since the last arm()
-        self.fired: List[Tuple[int, str]] = []
-        self._closing = False
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, 0))
-        self._listener.listen(16)
-        self.port = self._listener.getsockname()[1]
-        self._accepter = threading.Thread(
-            target=self._accept_loop, name="chaos-proxy-accept", daemon=True
-        )
-        self._accepter.start()
-
-    def arm(self, plan: Optional[NetChaosPlan]) -> None:
-        """Installs a plan and resets the request sequence and the fired
-        log (each plan numbers its own requests from 0)."""
-        with self._lock:
-            self._plan = plan
-            self._sequence = 0
-            self.fired = []
-
-    def set_upstream(self, port: int) -> None:
-        with self._lock:
-            self._upstream_port = port
-
-    def close(self) -> None:
-        self._closing = True
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    # -- internals -----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._handle,
-                args=(client,),
-                name="chaos-proxy-conn",
-                daemon=True,
-            ).start()
-
-    def _next_fault(self) -> Optional[str]:
-        with self._lock:
-            sequence = self._sequence
-            self._sequence += 1
-            plan = self._plan
-            if plan is None:
-                return None
-            for fault in plan.faults:
-                if fault.request == sequence:
-                    self.fired.append((sequence, fault.kind))
-                    return fault.kind
-            return None
-
-    def _handle(self, client: socket.socket) -> None:
-        with self._lock:
-            upstream_port = self._upstream_port
-        try:
-            upstream = socket.create_connection(
-                (self.host, upstream_port), timeout=5.0
-            )
-        except OSError:
-            # Daemon down (e.g. between kill and restart): drop the
-            # client, which sees a clean connection failure and retries.
-            client.close()
-            return
-        client_reader = client.makefile("rb")
-        upstream_reader = upstream.makefile("rb")
-        try:
-            while True:
-                request = client_reader.readline()
-                if not request:
-                    return
-                kind = self._next_fault()
-                upstream.sendall(request)
-                response = upstream_reader.readline()
-                if not response:
-                    return
-                if kind is None:
-                    client.sendall(response)
-                    continue
-                if kind == "reset":
-                    # RST instead of FIN: the hard drop.
-                    client.setsockopt(
-                        socket.SOL_SOCKET,
-                        socket.SO_LINGER,
-                        struct.pack("ii", 1, 0),
-                    )
-                    return
-                if kind == "truncate":
-                    client.sendall(response[: max(1, len(response) // 2)])
-                    return
-                if kind == "garbage":
-                    client.sendall(b"\x16\x03\x01 not json \xff\xfe\n")
-                    return
-                # "delay": hold the response past the client's timeout;
-                # the late bytes land on a connection the client already
-                # abandoned.
-                time.sleep(self.delay_seconds)
-                client.sendall(response)
-        except OSError:
-            return
-        finally:
-            for handle in (client_reader, upstream_reader, client, upstream):
-                try:
-                    handle.close()
-                except OSError:  # pragma: no cover
-                    pass
 
 
 # -- daemon subprocess management ----------------------------------------------
@@ -296,19 +155,8 @@ class DaemonProcess:
         startup_timeout: float = 30.0,
     ):
         self.cache_path = cache_path
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
-        )
-        source_root = os.path.dirname(package_root)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = source_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        self.proc = subprocess.Popen(
+        self.proc = chaos.spawn_repro(
             [
-                sys.executable,
-                "-m",
-                "repro",
                 "serve",
                 "--host",
                 "127.0.0.1",
@@ -325,8 +173,6 @@ class DaemonProcess:
                 "--allow-chaos",
                 *extra_args,
             ],
-            env=env,
-            stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
         )
         self.host: Optional[str] = None
@@ -387,103 +233,56 @@ class DaemonProcess:
 
 
 @dataclass
-class NetChaosRun:
+class NetChaosRun(chaos.SweepRun):
     """Outcome of one plan."""
 
-    index: int
-    seed: int
-    plan: NetChaosPlan
     calls: int = 0
     retries: int = 0
     fired: List[Tuple[int, str]] = field(default_factory=list)
     #: typed errors accepted by the contract (kill-phase call only)
     typed_errors: List[str] = field(default_factory=list)
-    error: Optional[str] = None
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None and not self.violations
+    def counters(self) -> Dict[str, int]:
+        return {"fired": len(self.fired), "retries": self.retries}
 
 
 @dataclass
-class NetChaosReport:
-    """Outcome of a full net-chaos sweep."""
+class NetChaosReport(chaos.SweepReport):
+    """Outcome of a full net-chaos sweep; its sweep-level violations come
+    from the final shutdown and cache checks."""
 
-    runs: List[NetChaosRun]
     #: exit code of the final graceful shutdown (0 = clean drain + flush)
     shutdown_exit: Optional[int] = None
-    #: sweep-level violations (shutdown / final cache checks)
-    sweep_violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.sweep_violations and all(run.ok for run in self.runs)
-
-    def violations(self) -> List[str]:
-        lines: List[str] = []
-        for run in self.runs:
-            if run.error is not None:
-                lines.append(f"plan {run.index} (seed {run.seed}): {run.error}")
-            for violation in run.violations:
-                lines.append(
-                    f"plan {run.index} (seed {run.seed}): {violation}"
-                )
-        lines.extend(f"sweep: {violation}" for violation in self.sweep_violations)
-        return lines
+    INVARIANTS = (
+        "typed outcomes, result bit-identity, daemon liveness, cache "
+        "durability, degradation reporting"
+    )
 
     def total_fired(self) -> int:
-        return sum(len(run.fired) for run in self.runs)
+        return self.total("fired")
 
     def total_retries(self) -> int:
-        return sum(run.retries for run in self.runs)
+        return self.total("retries")
 
-    def describe(self) -> str:
+    def summary(self) -> List[str]:
         kills = sum(1 for run in self.runs if run.plan.kill)
         flush_fails = sum(1 for run in self.runs if run.plan.flush_fail)
-        lines = [
+        return [
             f"net chaos: {len(self.runs)} plan(s), "
             f"{self.total_fired()} proxy fault(s) fired, "
             f"{kills} daemon kill(s), {flush_fails} flush failure(s), "
             f"{self.total_retries()} client retry(ies), "
             f"shutdown exit {self.shutdown_exit}"
         ]
-        bad = self.violations()
-        if bad:
-            lines.append(f"INVARIANT VIOLATIONS ({len(bad)}):")
-            lines.extend(f"  {line}" for line in bad)
-        else:
-            lines.append(
-                "all invariants held: typed outcomes, result bit-identity, "
-                "daemon liveness, cache durability, degradation reporting"
-            )
-        return "\n".join(lines)
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready form (the CI chaos-report artifact)."""
+    def artifact_fields(self) -> Dict[str, object]:
         return {
             "format": "repro.serve/net-chaos-report-v1",
-            "ok": self.ok,
             "plans": len(self.runs),
             "proxy_faults_fired": self.total_fired(),
             "client_retries": self.total_retries(),
             "shutdown_exit": self.shutdown_exit,
-            "violations": self.violations(),
-            "runs": [
-                {
-                    "index": run.index,
-                    "seed": run.seed,
-                    "plan": run.plan.describe(),
-                    "calls": run.calls,
-                    "retries": run.retries,
-                    "fired": [list(item) for item in run.fired],
-                    "typed_errors": run.typed_errors,
-                    "error": run.error,
-                    "violations": run.violations,
-                    "ok": run.ok,
-                }
-                for run in self.runs
-            ],
         }
 
 
@@ -580,30 +379,30 @@ def run_net_chaos(
                 warmup.call("simulate", **simulate_params)
                 warmup.flush()
 
-            runs: List[NetChaosRun] = []
-            for index in range(plans):
-                plan_seed = base_seed + index
-                plan = NetChaosPlan.make(
-                    index, plan_seed, horizon=len(workload)
+            def execute(run: NetChaosRun) -> None:
+                nonlocal daemon
+                daemon = _run_plan(
+                    run,
+                    daemon,
+                    proxy,
+                    workload,
+                    cache_path,
+                    client_timeout,
+                    execute_synthesize,
+                    synth_params,
                 )
-                run = NetChaosRun(index=index, seed=plan_seed, plan=plan)
-                try:
-                    daemon = _run_plan(
-                        run,
-                        plan,
-                        daemon,
-                        proxy,
-                        workload,
-                        cache_path,
-                        client_timeout,
-                        execute_synthesize,
-                        synth_params,
-                    )
-                except Exception as exc:  # noqa: BLE001 - verdict, not flow
-                    run.error = f"{type(exc).__name__}: {exc}"
-                runs.append(run)
 
-            report = NetChaosReport(runs=runs)
+            report = NetChaosReport(
+                runs=chaos.sweep(
+                    NetChaosRun,
+                    plans,
+                    base_seed,
+                    lambda index, seed: NetChaosPlan.make(
+                        index, seed, horizon=len(workload)
+                    ),
+                    execute,
+                )
+            )
             _final_checks(report, daemon, cache_path)
         finally:
             proxy.close()
@@ -617,7 +416,6 @@ def run_net_chaos(
 
 def _run_plan(
     run: NetChaosRun,
-    plan: NetChaosPlan,
     daemon: DaemonProcess,
     proxy: ChaosProxy,
     workload,
@@ -628,6 +426,7 @@ def _run_plan(
 ) -> DaemonProcess:
     """One plan: proxy-faulted workload, then the server-side fault
     phases. Returns the (possibly restarted) daemon."""
+    plan = run.plan
     proxy.arm(plan)
     policy = ClientRetryPolicy(
         max_attempts=6, backoff_base=0.02, backoff_cap=0.25
@@ -663,27 +462,12 @@ def _run_plan(
             f"daemon unresponsive after plan: {type(exc).__name__}: {exc}"
         )
 
-    # Accounting invariants.
-    if plan.is_empty():
-        if run.fired:
-            run.violations.append(
-                f"control plan fired {len(run.fired)} fault(s)"
-            )
-        if run.retries:
-            run.violations.append(
-                f"control plan needed {run.retries} retry(ies)"
-            )
-    elif plan.faults:
-        if len(run.fired) != len(plan.faults):
-            run.violations.append(
-                f"{len(plan.faults)} fault(s) planned but {len(run.fired)} "
-                f"fired"
-            )
-        if run.retries < len(run.fired):
-            run.violations.append(
-                f"{len(run.fired)} fault(s) fired but only {run.retries} "
-                f"retry(ies) recorded"
-            )
+    chaos.check_accounting(
+        run,
+        planned=len(plan.faults),
+        fired=len(run.fired),
+        retries=run.retries,
+    )
     return daemon
 
 

@@ -6,9 +6,13 @@ terminating with exactly-once commits, balanced quarantine accounting, and
 baseline.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro import chaos
 from repro.bench import load_benchmark
+from repro.core.api import run_layout
 from repro.fault.plan import CoreCrash, FaultPlan
 from repro.resilience import ResilienceConfig, chaos_plan, run_chaos
 from repro.resilience.chaos import ChaosReport, ChaosRun
@@ -102,11 +106,35 @@ class TestChaosSweep:
             plan=FaultPlan.make([]),
             error="ScheduleError: boom",
         )
-        report = ChaosReport(runs=[bad, crashed], baseline=None)
+        # The shared checks: a plan whose run raises becomes an error
+        # verdict, and a control plan with one nonzero counter (a dead
+        # core) is flagged.
+        def raises(run):
+            raise RuntimeError("boom in the machine")
+
+        (raised,) = chaos.sweep(
+            ChaosRun, 1, 7, lambda index, seed: FaultPlan.make([]), raises
+        )
+        baseline = run_layout(
+            keyword_compiled, spread_layout(keyword_compiled), ["8"]
+        )
+        control = ChaosRun(
+            index=0,
+            seed=0,
+            plan=FaultPlan.make([]),
+            result=replace(baseline, core_death_cycles={1: 100}),
+        )
+        chaos.check_accounting(control)
+        report = ChaosReport(runs=[bad, crashed, raised, control], baseline=None)
         assert not report.ok
         lines = report.violations()
         assert any("plan 3" in line and "exactly-once" in line for line in lines)
         assert any("plan 4" in line and "boom" in line for line in lines)
+        assert "plan 0 (seed 7): RuntimeError: boom in the machine" in lines
+        assert (
+            "plan 0 (seed 0): control plan recorded activity: "
+            "{'core_deaths': 1}" in lines
+        )
         assert "INVARIANT VIOLATIONS" in report.describe()
 
 

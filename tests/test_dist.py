@@ -10,8 +10,9 @@ killed mid-job resumes from its frontier checkpoint to the same answer.
 The full fault matrix (worker SIGKILL, dropped/garbled connections,
 forced lease expiries, interrupt + resume) lives in the
 machine-checked harness :func:`repro.search.dist.chaos.run_dist_chaos`,
-driven by CI; here we keep per-test workloads tiny and use in-thread
-workers wherever the fault does not require killing a real process.
+swept over three plans here (:class:`TestDistChaosSweep`) and four in
+CI; elsewhere we keep per-test workloads tiny and use in-thread workers
+wherever the fault does not require killing a real process.
 """
 
 import dataclasses
@@ -47,6 +48,7 @@ from repro.search.dist import (
     run_dist_worker,
     run_serial_baseline,
 )
+from repro.search.dist.chaos import run_dist_chaos
 from repro.search.dist.messages import (
     DIST_PROTOCOL,
     JOB_FORMAT,
@@ -389,6 +391,31 @@ class TestDistChaosPlan:
         assert any(p.wire_faults for p in plans)
         assert any(p.kill_worker for p in plans)
         assert any(p.dispatch_faults for p in plans)
+
+
+@pytest.mark.timeout(300)
+class TestDistChaosSweep:
+    def test_small_sweep_fires_and_classifies_faults(self):
+        """Three plans against real workers behind the fault proxy: plan 0
+        the control, plan 1 a worker crash, plan 2 a crash, two garbled
+        messages and a worker SIGKILL, then the resume phase."""
+        report = run_dist_chaos(plans=3)
+        assert report.ok, report.describe()
+        crash, wired = report.runs[1], report.runs[2]
+        # A worker that dies behind the proxy reads as a crash at once,
+        # not as a hang found when its lease expires.
+        assert [f.kind for f in crash.plan.dispatch_faults] == [
+            "crash_worker"
+        ]
+        assert crash.stats["worker_crashes"] >= 1
+        assert crash.stats["worker_hangs"] == 0
+        assert crash.stats["lease_expiries"] == 0
+        # Every planned wire fault fired and reached the report.
+        assert wired.plan.wire_faults
+        assert wired.wire_fired == [
+            (fault.key, fault.kind) for fault in wired.plan.wire_faults
+        ]
+        assert report.resumed_shards >= 1
 
 
 class TestPipelineIntegration:

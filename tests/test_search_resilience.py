@@ -250,7 +250,12 @@ class TestHostChaosHarness:
         # The checker itself must catch a lying run.
         from dataclasses import replace
 
-        from repro.search.hostchaos import HostChaosRun, _check_run
+        from repro import chaos
+        from repro.search.hostchaos import (
+            HostChaosReport,
+            HostChaosRun,
+            _check_run,
+        )
 
         baseline = small_synthesis("Keyword", workers=1, supervise=False)
         forged = replace(baseline, estimated_cycles=baseline.estimated_cycles + 1)
@@ -261,6 +266,28 @@ class TestHostChaosHarness:
         )
         _check_run(run, baseline)
         assert any("diverged" in v for v in run.violations)
+
+        # The shared checks: a control plan with one nonzero counter, and
+        # a plan whose run raises.
+        control = HostChaosRun(
+            index=0, seed=0, plan=crash_plan(), report=baseline,
+            supervision={"dispatches": 9, "worker_retries": 1},
+        )
+        _check_run(control, baseline)
+        assert control.violations == [
+            "control plan recorded activity: {'worker_retries': 1}"
+        ]
+
+        def raises(run):
+            raise RuntimeError("pool lost")
+
+        (raised,) = chaos.sweep(
+            HostChaosRun, 1, 5, lambda index, seed: crash_plan(3), raises
+        )
+        assert raised.error == "RuntimeError: pool lost"
+        report = HostChaosReport(runs=[run, control, raised])
+        assert not report.ok
+        assert "plan 0 (seed 5): RuntimeError: pool lost" in report.violations()
 
 
 class TestCheckpointFile:
