@@ -491,7 +491,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
             wall_seconds=result.wall_seconds,
             evaluations=result.evaluations,
             cache_hits=result.cache_hits,
-            pruned_evaluations=result.pruned_evaluations,
             cache_stats=None,
             registry=registry,
             dist=result.stats,
@@ -925,8 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--seed", type=int, default=0)
     p_profile.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the layout search (note: the sim.* "
-             "buckets are only visible with 1 — pool workers profile "
+        help="worker processes for the layout search (note: the sim.drain "
+             "phase is only visible with 1 — pool workers profile "
              "compute as a single search.worker_compute phase)",
     )
     p_profile.add_argument(

@@ -8,8 +8,7 @@ them into two dataclasses — one per phase of the paper's workflow:
 
 * :class:`SynthesisOptions` — everything the offline search consumes:
   the anneal schedule, developer hints, machine shape, per-core speeds,
-  and the :mod:`repro.search` engine knobs (workers, simulation cache,
-  early cutoff).
+  and the :mod:`repro.search` engine knobs (workers, simulation cache).
 * :class:`RunOptions` — everything one machine execution consumes: the
   machine config (or its common fields flattened — fault plan,
   resilience, validation, observability), profile collection, and trace

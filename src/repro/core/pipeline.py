@@ -50,8 +50,6 @@ class SynthesisReport:
     cache_hits: int = 0
     #: all evaluation requests: ``evaluations + cache_hits``
     requested_evaluations: int = 0
-    #: simulations stopped early by the incumbent cutoff
-    pruned_evaluations: int = 0
     #: search telemetry snapshot (``repro.obs/search-metrics-v1``)
     search_metrics: Dict[str, object] = field(default_factory=dict)
 
@@ -122,13 +120,11 @@ def _synthesize_dist(
         history=list(result.trajectory),
         cache_hits=result.cache_hits,
         requested_evaluations=result.requested_evaluations,
-        pruned_evaluations=result.pruned_evaluations,
         search_metrics=build_search_metrics(
             workers=dist.workers,
             wall_seconds=wall,
             evaluations=result.evaluations,
             cache_hits=result.cache_hits,
-            pruned_evaluations=result.pruned_evaluations,
             cache_stats=None,
             registry=registry,
             dist=result.stats,
@@ -234,13 +230,11 @@ def _synthesize(
         history=result.history,
         cache_hits=result.cache_hits,
         requested_evaluations=result.requested_evaluations,
-        pruned_evaluations=result.pruned_evaluations,
         search_metrics=build_search_metrics(
             workers=options.workers,
             wall_seconds=wall,
             evaluations=result.evaluations,
             cache_hits=result.cache_hits,
-            pruned_evaluations=result.pruned_evaluations,
             cache_stats=result.cache_stats,
             registry=registry,
             supervision=supervision,

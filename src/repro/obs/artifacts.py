@@ -222,7 +222,7 @@ def summarize_artifact(path: str) -> str:
         )
     elif schema == SEARCH_SCHEMA:
         for key in ("workers", "wall_seconds", "evaluations", "cache_hits",
-                    "cache_hit_rate", "pruned_evaluations"):
+                    "cache_hit_rate"):
             if key in payload:
                 lines.append(f"{key}: {payload[key]}")
     elif schema == SERVE_SCHEMA:

@@ -224,7 +224,6 @@ def build_search_metrics(
     wall_seconds: float,
     evaluations: int,
     cache_hits: int,
-    pruned_evaluations: int,
     cache_stats: Optional[Dict[str, object]],
     registry: Optional[MetricsRegistry] = None,
     supervision: Optional[Dict[str, object]] = None,
@@ -235,12 +234,12 @@ def build_search_metrics(
     """The JSON-ready metrics snapshot of one layout-search run.
 
     The synthesis pipeline calls this with the :mod:`repro.search`
-    counters (real simulations, cache hits/misses/evictions, early
-    cutoffs) so search telemetry exports through the same pipeline as
-    machine metrics — :func:`repro.obs.write_metrics_snapshot` accepts
-    either snapshot. When a registry is given, its instruments (e.g. the
-    ``sim_cache_*`` counters a :class:`repro.search.SimCache` maintains)
-    are folded into the snapshot.
+    counters (real simulations, cache hits/misses/evictions) so search
+    telemetry exports through the same pipeline as machine metrics —
+    :func:`repro.obs.write_metrics_snapshot` accepts either snapshot.
+    When a registry is given, its instruments (e.g. the ``sim_cache_*``
+    counters a :class:`repro.search.SimCache` maintains) are folded into
+    the snapshot.
 
     ``supervision`` is the host-fault supervision summary
     (:meth:`repro.search.SupervisionStats.snapshot`, ``None`` for
@@ -263,7 +262,6 @@ def build_search_metrics(
         "evaluations": evaluations,
         "cache_hits": cache_hits,
         "requested_evaluations": requested,
-        "pruned_evaluations": pruned_evaluations,
         "cache_hit_rate": cache_hits / requested if requested else 0.0,
         "sim_cache": cache_stats,
         "supervision": supervision,

@@ -24,8 +24,8 @@ Design constraints, in order:
 The data model is a tree of *phase nodes*. A node accumulates
 ``count`` (times entered), ``total_ns`` (wall clock inside the phase,
 children included) and ``self_ns`` (wall clock minus in-thread
-children). Externally measured time — simulator-internal buckets
-flushed at end of run, worker-process compute reported over IPC — is
+children). Externally measured time — the simulator's event loop, timed
+once per run, and worker-process compute reported over IPC — is
 attached with :meth:`Profiler.add_time`: *exclusive* buckets were
 measured inside the parent's wall and are subtracted from its self
 time; *non-exclusive* buckets (cross-process compute) overlap the
@@ -201,8 +201,9 @@ class Profiler:
         phase.
 
         ``exclusive`` time was measured on this thread inside the
-        current phase's wall (e.g. simulator-internal buckets flushed at
-        end of run) and is subtracted from the parent's self time.
+        current phase's wall (e.g. ``sim.drain``, the simulator's event
+        loop timed by two clock reads) and is subtracted from the
+        parent's self time.
         Non-exclusive time overlapped the parent in another process
         (worker compute), so the parent's self time — the wait the
         compute does *not* explain, i.e. IPC — is left alone.

@@ -11,12 +11,10 @@ undirected annealing (random moves only) — the ablation baseline.
 Candidate evaluation is delegated to :mod:`repro.search`: each iteration's
 candidate set is scored as one batch through an
 :class:`~repro.search.Evaluator` (serial in process, or fanned out across
-worker processes — bit-identical either way), memoized in a
-:class:`~repro.search.SimCache` keyed by exact layout fingerprint, and
-optionally cut off early once a candidate's simulated clock passes the
-incumbent best (``AnnealConfig.early_cutoff``). Cache hits do **not**
-consume the ``max_evaluations`` budget — only real simulations do; both
-tallies are reported on :class:`AnnealResult`.
+worker processes — bit-identical either way) and memoized in a
+:class:`~repro.search.SimCache` keyed by exact layout fingerprint. Cache
+hits do **not** consume the ``max_evaluations`` budget — only real
+simulations do; both tallies are reported on :class:`AnnealResult`.
 
 Host-level fault tolerance (this layer's :mod:`repro.resilience`
 counterpart) comes in two halves:
@@ -92,11 +90,6 @@ class AnnealConfig:
     #: real simulations only — cache hits are free (see AnnealResult)
     max_evaluations: int = 600
     use_critical_path: bool = True
-    #: stop a candidate's simulation as soon as its clock passes the
-    #: incumbent best entering the iteration (the candidate already lost).
-    #: Off by default: pruned candidates carry truncated traces, which
-    #: perturbs the critical-path move suggestions for kept-poor layouts.
-    early_cutoff: bool = False
     #: charge the ``max_evaluations`` budget per evaluation *request*
     #: (cache hits included) instead of per real simulation. Off by
     #: default — offline searches want hits to be budget-free. The serving
@@ -124,8 +117,6 @@ class AnnealResult:
     cache_hits: int = 0
     #: all evaluation requests: ``evaluations + cache_hits``
     requested_evaluations: int = 0
-    #: simulations stopped early by the incumbent cutoff
-    pruned_evaluations: int = 0
     #: snapshot of the simulation cache counters (None with the cache off)
     cache_stats: Optional[Dict[str, object]] = None
     #: host-level supervision counters (None when the evaluator was not
@@ -203,7 +194,6 @@ class DirectedSimulatedAnnealing:
         self.evaluator = evaluator
         self.evaluations = 0
         self.cache_hits = 0
-        self.pruned_evaluations = 0
         self.checkpoints_written = 0
         #: CheckpointWritten events, restored across resumes
         self._checkpoint_events: List[object] = []
@@ -333,7 +323,6 @@ class DirectedSimulatedAnnealing:
             patience=patience,
             evaluations=self.evaluations,
             cache_hits=self.cache_hits,
-            pruned_evaluations=self.pruned_evaluations,
             initial_layouts=list(initial_snapshot),
             cache_state=(
                 self.cache.state() if self.cache is not None else None
@@ -373,7 +362,6 @@ class DirectedSimulatedAnnealing:
         self.rng.setstate(state.rng_state)
         self.evaluations = state.evaluations
         self.cache_hits = state.cache_hits
-        self.pruned_evaluations = state.pruned_evaluations
         self.checkpoints_written = state.checkpoints_written
         self._checkpoint_events = list(state.checkpoint_events)
         if self.cache is not None and state.cache_state is not None:
@@ -433,30 +421,21 @@ class DirectedSimulatedAnnealing:
                 )
             iterations += 1
             with prof.phase(_P_ITERATION):
-                # Score the whole candidate set as one batch. The cutoff is
-                # the incumbent best *entering* the iteration — fixed for the
-                # batch, so the outcome cannot depend on evaluation order or
-                # worker count. Budget counts real simulations only, unless
-                # ``budget_charges_hits`` charges every request (the serve
-                # mode's cache-state-independent budget).
-                cutoff = (
-                    best_cycles
-                    if config.early_cutoff and best_cycles < (1 << 62)
-                    else None
-                )
+                # Score the whole candidate set as one batch. Budget counts
+                # real simulations only, unless ``budget_charges_hits``
+                # charges every request (the serve mode's
+                # cache-state-independent budget).
                 spent = self.evaluations + (
                     self.cache_hits if charge_hits else 0
                 )
                 with prof.phase(_P_EVALUATE):
                     outcome = self.evaluator.evaluate(
                         candidates,
-                        cutoff=cutoff,
                         budget=config.max_evaluations - spent,
                         charge_hits=charge_hits,
                     )
                 self.evaluations += outcome.simulations
                 self.cache_hits += outcome.cache_hits
-                self.pruned_evaluations += outcome.pruned
                 scored: List[Tuple[int, Layout, SimResult]] = [
                     (item.cycles, item.layout, item.result)
                     for item in outcome.scored
@@ -531,7 +510,6 @@ class DirectedSimulatedAnnealing:
             initial_layouts=initial_snapshot,
             cache_hits=self.cache_hits,
             requested_evaluations=self.evaluations + self.cache_hits,
-            pruned_evaluations=self.pruned_evaluations,
             cache_stats=self.cache.stats() if self.cache is not None else None,
             supervision=stats.snapshot() if stats is not None else None,
             checkpoints_written=self.checkpoints_written,

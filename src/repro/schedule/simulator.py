@@ -43,29 +43,6 @@ from ..ir import costs
 from ..lang.errors import ScheduleError
 from ..obs import prof
 from ..runtime.profiler import ProfileData
-
-# Internal wall-clock buckets, flushed to the active profiler at the end of
-# one run() (see ROADMAP item 1: "where does the simulator spend its
-# time?"). With no profiler installed the per-event instrumentation is a
-# single ``None`` check and the buckets never exist.
-_P_SIM_QUEUE = prof.intern_phase("sim.queue")
-_P_SIM_ARRIVE = prof.intern_phase("sim.arrive")
-_P_SIM_DISPATCH = prof.intern_phase("sim.dispatch")
-_P_SIM_MAIL = prof.intern_phase("sim.mail")
-_P_SIM_FORM = prof.intern_phase("sim.form")
-_C_SIM_EVENTS = prof.intern_phase("sim.events_processed")
-
-#: one event in this many is wall-clock-timed end-to-end by the profiled
-#: drain loop; counts stay exact, times are scaled at flush
-_SAMPLE_EVERY = 16
-
-_BUCKET_KEYS = {
-    "queue": _P_SIM_QUEUE,
-    "arrive": _P_SIM_ARRIVE,
-    "dispatch": _P_SIM_DISPATCH,
-    "mail": _P_SIM_MAIL,
-    "form": _P_SIM_FORM,
-}
 from ..schedule.layout import (
     Layout,
     Router,
@@ -75,6 +52,11 @@ from ..schedule.layout import (
     scale_duration,
 )
 from ..sema import builtins
+
+#: Under an active profiler, run() charges the whole event loop to one
+#: phase and adds the exact number of events it processed.
+_P_SIM_DRAIN = prof.intern_phase("sim.drain")
+_C_SIM_EVENTS = prof.intern_phase("sim.events_processed")
 
 
 #: Nominal duration charged to simulated invocations of tasks the profile
@@ -149,10 +131,6 @@ class SimResult:
     #: fraction of core-time spent busy — the paper's fallback metric for
     #: profiles that do not terminate
     utilization: float
-    #: the run stopped at an early cutoff: ``total_cycles`` is a *lower
-    #: bound* on the true makespan, sufficient to rank the layout worse
-    #: than the incumbent that set the cutoff
-    pruned: bool = False
 
     def events_on_core(self, core: int) -> List[TraceEvent]:
         return sorted(
@@ -403,10 +381,7 @@ class _SimEngine:
     param_index, entry)`` — ``(time, seq)`` is unique, so the trailing
     payload slots never participate in heap comparisons. ``kind`` is
     :data:`_EV_ARRIVE` or :data:`_EV_KICK`; kicks carry
-    ``(core, None, 0, None)``. ``_route``/``_try_form`` are instance
-    attributes aliasing the implementations; the profiled drain rebinds
-    them to counting wrappers for its duration, which keeps the
-    "am I being profiled?" branch out of the unobserved hot path.
+    ``(core, None, 0, None)``.
     """
 
     def __init__(
@@ -418,9 +393,7 @@ class _SimEngine:
         max_events: int = 2_000_000,
         exit_policy: str = "sequence",
         core_speeds: Optional[Dict[int, float]] = None,
-        cutoff: Optional[int] = None,
         tables: Optional[_ProgramTables] = None,
-        observe: Optional[bool] = None,
     ):
         layout.validate(compiled.info)
         self.compiled = compiled
@@ -430,8 +403,6 @@ class _SimEngine:
         self.max_events = max_events
         self.exit_policy = exit_policy
         self.core_speeds = core_speeds
-        self.cutoff = cutoff
-        self._observe = observe
         self.tables = (
             tables
             if tables is not None
@@ -468,27 +439,9 @@ class _SimEngine:
         self.trace: List[TraceEvent] = []
         self.invocations: Dict[str, int] = {}
 
-        #: hot-path aliases; the profiled drain temporarily rebinds these
-        #: to the counting wrappers
-        self._route = self._route_impl
-        self._try_form = self._try_form_impl
-
-        #: wall-clock bucket accounting (see _drain_profiled). ``_timing``
-        #: is True only inside a sampled event, where the counting
-        #: wrappers also read the clock.
-        self._timing = False
-        self._mail_ns = 0
-        self._form_ns = 0
-        self._mail_n = 0
-        self._form_n = 0
-        self._mail_k = 0
-        self._form_k = 0
-
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> SimResult:
-        profiler = None if self._observe is False else prof.active()
-
         startup = SimObject(
             self._next_obj_id,
             builtins.STARTUP_CLASS,
@@ -498,10 +451,14 @@ class _SimEngine:
         self._next_obj_id += 1
         self._route(startup, None, _INIT, None)
 
+        profiler = prof.active()
         if profiler is None:
-            finished, pruned, last_time = self._drain()
+            finished, last_time, _ = self._drain()
         else:
-            finished, pruned, last_time = self._drain_profiled(profiler)
+            started = _perf_counter_ns()
+            finished, last_time, processed = self._drain()
+            profiler.add_time(_P_SIM_DRAIN, _perf_counter_ns() - started)
+            profiler.add_count(_C_SIM_EVENTS, processed)
 
         total = max([last_time] + list(self.busy_until.values()))
         busy_time = sum(self.core_busy.values())
@@ -514,15 +471,13 @@ class _SimEngine:
             core_busy=dict(self.core_busy),
             invocations=dict(self.invocations),
             utilization=utilization,
-            pruned=pruned,
         )
 
-    def _drain(self) -> Tuple[bool, bool, int]:
-        """The event loop, unobserved: the simulator's hot path."""
+    def _drain(self) -> Tuple[bool, int, int]:
+        """The event loop: returns ``(finished, last_time, processed)``."""
         events = self._events
         pop = heapq.heappop
         push = heapq.heappush
-        cutoff = self.cutoff
         max_events = self.max_events
         sets = self._sets
         ready_task = self._ready_task
@@ -531,7 +486,6 @@ class _SimEngine:
         try_form = self._try_form
         processed = 0
         finished = True
-        pruned = False
         # Event times are nondecreasing (pushes never go backwards), so
         # tracking the last popped time needs no max().
         last_time = _INIT
@@ -541,12 +495,6 @@ class _SimEngine:
                 finished = False
                 break
             time, _, kind, core, task, param_index, entry = pop(events)
-            if cutoff is not None and time > cutoff:
-                # Every remaining event is at or past this one, so the true
-                # makespan exceeds the cutoff — the incumbent already wins.
-                pruned = True
-                last_time = time
-                break
             last_time = time
             if kind:
                 dispatch(core, time)
@@ -556,193 +504,11 @@ class _SimEngine:
                 if ready_task[core] and busy_until[core] <= time:
                     self._seq = s = self._seq + 1
                     push(events, (time, s, _EV_KICK, core, None, 0, None))
-        return finished, pruned, last_time
+        return finished, last_time, processed
 
-    def _drain_profiled(self, profiler) -> Tuple[bool, bool, int]:
-        """The event loop with sampled per-bucket wall accounting.
+    # -- invocation formation -----------------------------------------------------
 
-        Same event-for-event behavior as :meth:`_drain` — the results
-        are bit-identical either way; only wall clocks are read in
-        addition. Reading the clock around every one of the millions of
-        loop iterations would cost more than the work being measured
-        (~150ns per ``perf_counter_ns`` here), so one event in
-        :data:`_SAMPLE_EVERY` is timed end-to-end: its pop goes to the
-        ``queue`` bucket, its handler to ``arrive``/``dispatch``, and —
-        only inside the sampled window — the counting _route/_try_form
-        wrappers time themselves into ``mail``/``form``, whose delta is
-        subtracted from the handler's bucket to keep the five disjoint.
-        Call *counts* are exact; at flush the sampled times are scaled
-        by the per-bucket inverse sampling fraction and normalized so
-        the five buckets tile the once-measured loop wall exactly.
-        """
-        self._route = self._route_counted
-        self._try_form = self._try_form_counted
-        self._mail_ns = self._form_ns = 0
-        self._mail_n = self._form_n = 0
-        self._mail_k = self._form_k = 0
-        clock = _perf_counter_ns
-        pop = heapq.heappop
-        events = self._events
-        cutoff = self.cutoff
-        max_events = self.max_events
-        queue_ns = arrive_ns = dispatch_ns = 0
-        sampled = arrive_k = dispatch_k = 0
-        arrive_n = dispatch_n = 0
-        countdown = 1  # sample the first event, then every Nth
-        processed = 0
-        finished = True
-        pruned = False
-        last_time = _INIT
-        loop_start = clock()
-        try:
-            while events:
-                processed += 1
-                if processed > max_events:
-                    finished = False
-                    break
-                countdown -= 1
-                if countdown:  # unsampled: _drain's body plus exact counts
-                    time, _, kind, core, task, param_index, entry = pop(events)
-                    if cutoff is not None and time > cutoff:
-                        pruned = True
-                        last_time = time
-                        break
-                    last_time = time
-                    if kind:
-                        dispatch_n += 1
-                        self._dispatch(core, time)
-                    else:
-                        arrive_n += 1
-                        self._arrive(core, task, param_index, entry, time)
-                    continue
-                countdown = _SAMPLE_EVERY
-                sampled += 1
-                tick = clock()
-                time, _, kind, core, task, param_index, entry = pop(events)
-                now = clock()
-                queue_ns += now - tick
-                tick = now
-                if cutoff is not None and time > cutoff:
-                    pruned = True
-                    last_time = time
-                    break
-                last_time = time
-                self._timing = True
-                nested = self._mail_ns + self._form_ns
-                if kind:
-                    dispatch_n += 1
-                    self._dispatch(core, time)
-                    now = clock()
-                    dispatch_ns += (
-                        now - tick - (self._mail_ns + self._form_ns - nested)
-                    )
-                    dispatch_k += 1
-                else:
-                    arrive_n += 1
-                    self._arrive(core, task, param_index, entry, time)
-                    now = clock()
-                    arrive_ns += (
-                        now - tick - (self._mail_ns + self._form_ns - nested)
-                    )
-                    arrive_k += 1
-                self._timing = False
-        finally:
-            loop_ns = clock() - loop_start
-            self._route = self._route_impl
-            self._try_form = self._try_form_impl
-            self._timing = False
-            estimates = {
-                "queue": queue_ns * processed // sampled if sampled else 0,
-                "arrive": (
-                    arrive_ns * arrive_n // arrive_k if arrive_k else 0
-                ),
-                "dispatch": (
-                    dispatch_ns * dispatch_n // dispatch_k if dispatch_k else 0
-                ),
-                "mail": (
-                    self._mail_ns * self._mail_n // self._mail_k
-                    if self._mail_k
-                    else 0
-                ),
-                "form": (
-                    self._form_ns * self._form_n // self._form_k
-                    if self._form_k
-                    else 0
-                ),
-            }
-            self._flush_buckets(
-                profiler,
-                loop_ns,
-                estimates,
-                {
-                    "queue": processed,
-                    "arrive": arrive_n,
-                    "dispatch": dispatch_n,
-                    "mail": self._mail_n,
-                    "form": self._form_n,
-                },
-            )
-        return finished, pruned, last_time
-
-    def _flush_buckets(
-        self,
-        profiler,
-        loop_ns: int,
-        estimates: Dict[str, int],
-        counts: Dict[str, int],
-    ) -> None:
-        """Attributes the sampled bucket estimates to the active profiler.
-
-        The estimates are normalized to sum exactly to ``loop_ns`` — the
-        real in-thread wall of the drain loop — so the exclusive
-        attribution stays honest: the buckets subtract from the calling
-        phase's self time (``search.dispatch`` for a serial search,
-        ``pipeline.run`` for a machine run) precisely the time the loop
-        actually spent.
-        """
-        total = sum(estimates.values())
-        if total <= 0 or loop_ns <= 0:
-            if counts["queue"]:
-                profiler.add_count(_C_SIM_EVENTS, counts["queue"])
-            return
-        buckets = {
-            name: value * loop_ns // total for name, value in estimates.items()
-        }
-        largest = max(buckets, key=lambda name: buckets[name])
-        buckets[largest] += loop_ns - sum(buckets.values())
-        for name, key in _BUCKET_KEYS.items():
-            if buckets[name]:
-                profiler.add_time(
-                    key, buckets[name], count=counts[name], exclusive=True
-                )
-        profiler.add_count(_C_SIM_EVENTS, counts["queue"])
-
-    # -- arrivals & invocation formation -----------------------------------------
-
-    def _arrive(
-        self, core: int, task: str, param_index: int, entry: QueueEntry,
-        time: int
-    ) -> None:
-        self._sets[(core, task)][param_index].append(entry)
-        self._try_form(core, task, time)
-        if self._ready_task[core] and self.busy_until[core] <= time:
-            self._seq = s = self._seq + 1
-            heapq.heappush(
-                self._events, (time, s, _EV_KICK, core, None, 0, None)
-            )
-
-    def _try_form_counted(self, core: int, task: str, time: int) -> None:
-        self._form_n += 1
-        if not self._timing:
-            return self._try_form_impl(core, task, time)
-        tick = _perf_counter_ns()
-        try:
-            return self._try_form_impl(core, task, time)
-        finally:
-            self._form_ns += _perf_counter_ns() - tick
-            self._form_k += 1
-
-    def _try_form_impl(self, core: int, task: str, time: int) -> None:
+    def _try_form(self, core: int, task: str, time: int) -> None:
         sets = self._sets[(core, task)]
         if len(sets) == 1:
             pending = sets[0]
@@ -934,24 +700,7 @@ class _SimEngine:
 
     # -- routing --------------------------------------------------------------------
 
-    def _route_counted(
-        self,
-        obj: SimObject,
-        sender: Optional[int],
-        time: int,
-        producer_event: Optional[int],
-    ) -> None:
-        self._mail_n += 1
-        if not self._timing:
-            return self._route_impl(obj, sender, time, producer_event)
-        tick = _perf_counter_ns()
-        try:
-            return self._route_impl(obj, sender, time, producer_event)
-        finally:
-            self._mail_ns += _perf_counter_ns() - tick
-            self._mail_k += 1
-
-    def _route_impl(
+    def _route(
         self,
         obj: SimObject,
         sender: Optional[int],
@@ -1017,8 +766,6 @@ class _SimEngine:
             )
 
 
-
-
 # -- sessions & facade ----------------------------------------------------------
 
 
@@ -1052,13 +799,7 @@ class SimSession:
         self.max_events = max_events
         self.tables = _ProgramTables(compiled, profile, core_speeds)
 
-    def simulate(
-        self,
-        layout: Layout,
-        *,
-        cutoff: Optional[int] = None,
-        observe: Optional[bool] = None,
-    ) -> SimResult:
+    def simulate(self, layout: Layout) -> SimResult:
         """Simulates ``layout`` once, sharing the session's tables."""
         return _SimEngine(
             self.compiled,
@@ -1068,9 +809,7 @@ class SimSession:
             max_events=self.max_events,
             exit_policy=self.exit_policy,
             core_speeds=self.core_speeds,
-            cutoff=cutoff,
             tables=self.tables,
-            observe=observe,
         ).run()
 
 
@@ -1083,8 +822,6 @@ def simulate(
     core_speeds: Optional[Dict[int, float]] = None,
     exit_policy: str = "sequence",
     max_events: int = 2_000_000,
-    cutoff: Optional[int] = None,
-    observe: Optional[bool] = None,
     session: Optional[SimSession] = None,
 ) -> SimResult:
     """Simulate one layout and return its :class:`SimResult`.
@@ -1093,9 +830,7 @@ def simulate(
     (a :class:`SimSession`), per-program tables are shared across calls;
     the per-call keyword knobs (``hints``/``core_speeds``/``exit_policy``/
     ``max_events``) then live on the session and must not be repeated
-    here. ``observe`` controls profiler attachment: ``None`` (auto)
-    attaches to the active :mod:`repro.obs.prof` profiler if one is
-    installed, ``False`` forces the unobserved fast drain.
+    here.
     """
     if session is not None:
         if profile is not None and profile is not session.profile:
@@ -1106,7 +841,7 @@ def simulate(
             raise ScheduleError(
                 "simulate(): hints/core_speeds live on the session"
             )
-        return session.simulate(layout, cutoff=cutoff, observe=observe)
+        return session.simulate(layout)
     if profile is None:
         raise ScheduleError("simulate() requires a profile (or a session)")
     engine = _SimEngine(
@@ -1117,7 +852,5 @@ def simulate(
         max_events=max_events,
         exit_policy=exit_policy,
         core_speeds=core_speeds,
-        cutoff=cutoff,
-        observe=observe,
     )
     return engine.run()

@@ -12,10 +12,7 @@ This package factors the evaluation out of the annealer into:
 * a :class:`SimCache` memoizing simulation results by exact layout
   fingerprint across iterations, restarts, and (when shared) whole
   synthesis runs, with hit/miss/eviction counters surfaced through
-  :mod:`repro.obs` metrics and :class:`repro.schedule.anneal.AnnealResult`,
-  and
-* early cutoff: a candidate whose simulated clock passes the incumbent
-  best stops immediately (``AnnealConfig.early_cutoff``).
+  :mod:`repro.obs` metrics and :class:`repro.schedule.anneal.AnnealResult`.
 
 Because the search may run for hours on a real host, the package is also
 fault-tolerant at the *host* level (distinct from the simulated-machine

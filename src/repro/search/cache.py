@@ -10,16 +10,10 @@ simulated at most once per (profile, hints, speeds) context — across
 iterations, across restarts, and (when one cache instance is shared)
 across whole synthesis runs.
 
-Entries produced under an early cutoff are *lower bounds*: the simulation
-stopped as soon as the clock passed the incumbent best. A bound entry
-satisfies a later lookup only if it still proves the layout loses at that
-lookup's cutoff; otherwise it counts as a miss and the layout is
-re-simulated (and the entry upgraded).
-
-Hit / miss / eviction / bound-upgrade counts are kept both as plain
-integers and, when a :class:`repro.obs.MetricsRegistry` is attached, as
-``sim_cache_*`` counters so they export through the observability
-pipeline alongside machine metrics.
+Hit / miss / eviction counts are kept both as plain integers and, when a
+:class:`repro.obs.MetricsRegistry` is attached, as ``sim_cache_*``
+counters so they export through the observability pipeline alongside
+machine metrics.
 
 The cache is safe for concurrent use: one :mod:`repro.serve` daemon
 shares an instance across request-handler threads, so every LRU mutation
@@ -48,8 +42,6 @@ class CacheEntry:
 
     cycles: int
     result: "SimResult"
-    #: the entry is a lower bound (simulation stopped at an early cutoff)
-    pruned: bool = False
 
 
 class SimCache:
@@ -67,8 +59,6 @@ class SimCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: misses caused by a bound entry that could not answer the lookup
-        self.bound_misses = 0
         self.registry = registry
         #: guards the LRU order, the counters, and their registry deltas
         #: (re-entrant: restore() counts deltas while already holding it)
@@ -82,31 +72,13 @@ class SimCache:
 
     # -- the memo ------------------------------------------------------------
 
-    def get(
-        self, fingerprint: str, cutoff: Optional[int] = None
-    ) -> Optional[CacheEntry]:
-        """Returns the entry for ``fingerprint`` if it can answer a lookup
-        evaluated under ``cutoff``, else ``None`` (a miss).
-
-        An exact entry always answers. A bound entry (pruned at some
-        earlier cutoff, observed total ``cycles``) answers only when the
-        current cutoff is still below its observed total — then the true
-        makespan provably exceeds the cutoff and the layout loses without
-        re-simulation.
-        """
+    def get(self, fingerprint: str) -> Optional[CacheEntry]:
+        """Returns the entry for ``fingerprint``, else ``None`` (a miss)."""
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is None:
                 self.misses += 1
                 self._count("misses")
-                return None
-            if entry.pruned and (cutoff is None or cutoff >= entry.cycles):
-                # The bound no longer proves anything: the caller needs
-                # either the exact value or a deeper bound. Re-simulate.
-                self.misses += 1
-                self.bound_misses += 1
-                self._count("misses")
-                self._count("bound_misses")
                 return None
             self._entries.move_to_end(fingerprint)
             self.hits += 1
@@ -115,10 +87,6 @@ class SimCache:
 
     def put(self, fingerprint: str, entry: CacheEntry) -> None:
         with self._lock:
-            existing = self._entries.get(fingerprint)
-            if existing is not None and not existing.pruned and entry.pruned:
-                # Never downgrade an exact result to a bound.
-                return
             self._entries[fingerprint] = entry
             self._entries.move_to_end(fingerprint)
             if self.max_entries is not None:
@@ -157,7 +125,6 @@ class SimCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "bound_misses": self.bound_misses,
             }
 
     def restore(self, state: Dict[str, object]) -> None:
@@ -170,14 +137,13 @@ class SimCache:
                 # the ``sim_cache_*`` counters of a resumed run match an
                 # uninterrupted one (a resumed synthesis starts with a
                 # fresh registry but a warm cache).
-                for name in ("hits", "misses", "evictions", "bound_misses"):
+                for name in ("hits", "misses", "evictions"):
                     delta = state[name] - getattr(self, name)
                     if delta > 0:
                         self.registry.counter(f"sim_cache_{name}").inc(delta)
             self.hits = state["hits"]
             self.misses = state["misses"]
             self.evictions = state["evictions"]
-            self.bound_misses = state["bound_misses"]
 
     # -- reporting -----------------------------------------------------------
 
@@ -206,7 +172,6 @@ class SimCache:
                 "lookups": lookups,
                 "hits": hits,
                 "misses": misses,
-                "bound_misses": self.bound_misses,
                 "evictions": self.evictions,
                 "hit_rate": hits / lookups if lookups else 0.0,
             }

@@ -9,12 +9,12 @@ and the simulation cache — so
 and produce a run bit-identical to an uninterrupted one (test-enforced
 per benchmark).
 
-File format (``repro.search/checkpoint-v3``)
+File format (``repro.search/checkpoint-v4``)
 --------------------------------------------
 
 One ASCII JSON header line, then the pickled payload::
 
-    {"format": "repro.search/checkpoint-v3", "digest": "<sha256>", ...}\n
+    {"format": "repro.search/checkpoint-v4", "digest": "<sha256>", ...}\n
     <pickle bytes>
 
 The atomic-write + digest mechanics (tmp + fsync + rename + directory
@@ -26,9 +26,10 @@ every on-disk format.
 Compatibility policy: the format version is bumped on any payload shape
 change and old versions are *not* migrated — a checkpoint is a crash
 artifact, not an archive (v3 dropped the delta re-simulation state v2
-carried). Resuming also re-checks that the anneal schedule matches the
-one the checkpoint was written under, because resuming under different
-search parameters would silently diverge from both runs.
+carried; v4 dropped the early-cutoff prune counter). Resuming also
+re-checks that the anneal schedule matches the one the checkpoint was
+written under, because resuming under different search parameters would
+silently diverge from both runs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..lang.errors import BambooError
 from ..schedule.layout import Layout
 from .storage import StorageError, read_pickle_record, write_pickle_record
 
-CHECKPOINT_FORMAT = "repro.search/checkpoint-v3"
+CHECKPOINT_FORMAT = "repro.search/checkpoint-v4"
 
 
 class CheckpointError(BambooError):
@@ -63,10 +64,9 @@ class SearchCheckpoint:
     candidates: List[Layout]
     history: List[int]
     patience: int
-    #: budget counters (real simulations / cache hits / cutoff prunes)
+    #: budget counters (real simulations / cache hits)
     evaluations: int
     cache_hits: int
-    pruned_evaluations: int
     initial_layouts: List[Layout]
     #: ``SimCache.state()`` snapshot, or None when the cache is off
     cache_state: Optional[Dict[str, object]] = None

@@ -107,7 +107,6 @@ class ShardResult:
     evaluations: int
     cache_hits: int
     requested_evaluations: int
-    pruned_evaluations: int
     iterations: int
     history: List[int] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -122,7 +121,6 @@ def result_key(result: ShardResult) -> Tuple:
         result.evaluations,
         result.cache_hits,
         result.requested_evaluations,
-        result.pruned_evaluations,
         result.iterations,
         tuple(result.history),
     )
@@ -188,7 +186,6 @@ def execute_shard(context: JobContext, spec: ShardSpec) -> ShardResult:
         evaluations=outcome.evaluations,
         cache_hits=outcome.cache_hits,
         requested_evaluations=outcome.requested_evaluations,
-        pruned_evaluations=outcome.pruned_evaluations,
         iterations=outcome.iterations,
         history=list(outcome.history),
         wall_seconds=time.perf_counter() - started,
@@ -210,7 +207,6 @@ class DistResult:
     evaluations: int
     cache_hits: int
     requested_evaluations: int
-    pruned_evaluations: int
     wall_seconds: float = 0.0
     #: coordinator accounting snapshot (None for the serial baseline)
     stats: Optional[Dict[str, object]] = None
@@ -256,7 +252,6 @@ def merge_shard_results(
         evaluations=sum(r.evaluations for r in ordered),
         cache_hits=sum(r.cache_hits for r in ordered),
         requested_evaluations=sum(r.requested_evaluations for r in ordered),
-        pruned_evaluations=sum(r.pruned_evaluations for r in ordered),
     )
 
 

@@ -18,15 +18,12 @@ contract, which is what makes ``workers=N`` bit-identical to
    miss that would exceed the budget stops the batch — layouts from that
    position on are left unscored, exactly as the serial backend would
    have left them.
-3. Misses are simulated under the batch's fixed ``cutoff`` (the incumbent
-   best *entering* the batch — never updated mid-batch, so the outcome
-   cannot depend on completion order or worker count).
-4. Results are reduced **by input position**, not completion order.
+3. Results are reduced **by input position**, not completion order.
 
 Simulation itself is deterministic (the exit chooser is a deterministic
 replay of the profile; all randomness lives in the annealer, in the
-parent process), so the only sources of order dependence are the cache
-and cutoff policies — which the contract pins down.
+parent process), so the only source of order dependence is the cache
+policy — which the contract pins down.
 """
 
 from __future__ import annotations
@@ -36,12 +33,9 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter_ns as _perf_counter_ns
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
-
-try:  # pragma: no cover - exercised only where Protocol is available
-    from typing import Protocol
-except ImportError:  # pragma: no cover - py3.7 fallback
-    Protocol = object  # type: ignore[assignment]
+from typing import (
+    Dict, List, Optional, Protocol, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from ..obs import prof
 from ..schedule.layout import Layout
@@ -117,8 +111,6 @@ class BatchOutcome:
     #: real simulations performed (the unit ``max_evaluations`` budgets)
     simulations: int = 0
     cache_hits: int = 0
-    #: simulations stopped early by the cutoff
-    pruned: int = 0
 
 
 class Evaluator(Protocol):
@@ -127,7 +119,6 @@ class Evaluator(Protocol):
     def evaluate(
         self,
         layouts: Sequence[Layout],
-        cutoff: Optional[int] = None,
         budget: Optional[int] = None,
         charge_hits: bool = False,
     ) -> BatchOutcome:
@@ -177,7 +168,6 @@ class _EvaluatorBase:
     def _plan(
         self,
         layouts: Sequence[Layout],
-        cutoff: Optional[int],
         budget: Optional[int],
         charge_hits: bool = False,
     ) -> Tuple[List[Tuple[int, Layout, Optional[CacheEntry], str]], int]:
@@ -201,7 +191,7 @@ class _EvaluatorBase:
                 break
             fingerprint = self.fingerprint(layout)
             entry = (
-                self.cache.get(fingerprint, cutoff)
+                self.cache.get(fingerprint)
                 if self.cache is not None
                 else None
             )
@@ -217,9 +207,7 @@ class _EvaluatorBase:
     def _record(
         self, fingerprint: str, result: SimResult
     ) -> CacheEntry:
-        entry = CacheEntry(
-            cycles=_score(result), result=result, pruned=result.pruned
-        )
+        entry = CacheEntry(cycles=_score(result), result=result)
         if self.cache is not None:
             self.cache.put(fingerprint, entry)
         return entry
@@ -227,25 +215,22 @@ class _EvaluatorBase:
     def evaluate(
         self,
         layouts: Sequence[Layout],
-        cutoff: Optional[int] = None,
         budget: Optional[int] = None,
         charge_hits: bool = False,
     ) -> BatchOutcome:
         with prof.phase(_P_CACHE_LOOKUP):
-            plan, hits = self._plan(layouts, cutoff, budget, charge_hits)
+            plan, hits = self._plan(layouts, budget, charge_hits)
         outcome = BatchOutcome(cache_hits=hits)
         miss_indices = [
             index for index, item in enumerate(plan) if item[2] is None
         ]
         with prof.phase(_P_DISPATCH):
             results = self._simulate(
-                [plan[index][1] for index in miss_indices], cutoff
+                [plan[index][1] for index in miss_indices]
             )
         with prof.phase(_P_REDUCE):
             for index, result in zip(miss_indices, results):
                 outcome.simulations += 1
-                if result.pruned:
-                    outcome.pruned += 1
                 position, layout, _, fingerprint = plan[index]
                 plan[index] = (
                     position, layout, self._record(fingerprint, result),
@@ -266,9 +251,7 @@ class _EvaluatorBase:
 
     # -- backend hooks -------------------------------------------------------
 
-    def _simulate(
-        self, layouts: Sequence[Layout], cutoff: Optional[int]
-    ) -> List[SimResult]:
+    def _simulate(self, layouts: Sequence[Layout]) -> List[SimResult]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -284,27 +267,19 @@ class _EvaluatorBase:
 class SerialEvaluator(_EvaluatorBase):
     """In-process, in-order evaluation — the reference backend."""
 
-    def _simulate(
-        self, layouts: Sequence[Layout], cutoff: Optional[int]
-    ) -> List[SimResult]:
+    def _simulate(self, layouts: Sequence[Layout]) -> List[SimResult]:
         session = self.session
-        return [session.simulate(layout, cutoff=cutoff) for layout in layouts]
+        return [session.simulate(layout) for layout in layouts]
 
 
 # -- process-pool backend ------------------------------------------------------
 
 
 def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
-    """Shuts a pool down without stranding queued work.
-
-    ``cancel_futures`` (py >= 3.9) drops everything still queued so the
-    shutdown cannot deadlock behind an abandoned batch; on older runtimes
-    the plain shutdown is the best available.
-    """
-    try:
-        executor.shutdown(wait=True, cancel_futures=True)
-    except TypeError:  # pragma: no cover - py < 3.9 fallback
-        executor.shutdown(wait=True)
+    """Shuts a pool down without stranding queued work: ``cancel_futures``
+    drops everything still queued so the shutdown cannot deadlock behind
+    an abandoned batch."""
+    executor.shutdown(wait=True, cancel_futures=True)
 
 #: Per-worker simulation context, installed by the pool initializer.
 _WORKER_CONTEXT: Dict[str, object] = {}
@@ -353,9 +328,7 @@ def _worker_session() -> SimSession:
     return session
 
 
-def _simulate_chunk(
-    layouts: Sequence[Layout], cutoff: Optional[int]
-) -> List[SimResult]:
+def _simulate_chunk(layouts: Sequence[Layout]) -> List[SimResult]:
     """Simulates one chunk of layouts in order.
 
     Chunking is what amortizes pool IPC across a wave: one submit ships
@@ -366,7 +339,7 @@ def _simulate_chunk(
     results: List[SimResult] = []
     for offset, layout in enumerate(layouts):
         try:
-            results.append(session.simulate(layout, cutoff=cutoff))
+            results.append(session.simulate(layout))
         except Exception as exc:
             raise _ChunkItemError(
                 offset, type(exc).__name__, str(exc)
@@ -375,14 +348,14 @@ def _simulate_chunk(
 
 
 def _simulate_chunk_timed(
-    layouts: Sequence[Layout], cutoff: Optional[int]
+    layouts: Sequence[Layout],
 ) -> Tuple[int, List[SimResult]]:
     """The chunk entry used when a profiler is active in the parent:
     returns ``(compute_ns, results)`` so the parent can split its dispatch
     wall into worker compute vs IPC overhead. The result objects are
     untouched — cache entries and checkpoints never see the timing."""
     started = _perf_counter_ns()
-    results = _simulate_chunk(layouts, cutoff)
+    results = _simulate_chunk(layouts)
     return _perf_counter_ns() - started, results
 
 
@@ -444,20 +417,18 @@ class ParallelEvaluator(_EvaluatorBase):
             )
         return self._executor
 
-    def _simulate(
-        self, layouts: Sequence[Layout], cutoff: Optional[int]
-    ) -> List[SimResult]:
+    def _simulate(self, layouts: Sequence[Layout]) -> List[SimResult]:
         if not layouts:
             return []
         if len(layouts) == 1:
             # Not worth a round trip; the serial path is bit-identical.
-            return SerialEvaluator._simulate(self, layouts, cutoff)
+            return SerialEvaluator._simulate(self, layouts)
         pool = self._pool()
         profiler = prof.active()
         worker = _simulate_chunk if profiler is None else _simulate_chunk_timed
         chunks = _chunk_bounds(len(layouts), self.workers)
         futures = [
-            pool.submit(worker, layouts[start:stop], cutoff)
+            pool.submit(worker, layouts[start:stop])
             for start, stop in chunks
         ]
         results: List[SimResult] = []

@@ -137,7 +137,6 @@ def _report_key(report) -> Tuple:
         report.evaluations,
         report.cache_hits,
         report.requested_evaluations,
-        report.pruned_evaluations,
         report.iterations,
     )
 

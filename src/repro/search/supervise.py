@@ -44,13 +44,9 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
-
-try:  # pragma: no cover - present on every supported runtime
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - defensive
-    BrokenProcessPool = OSError  # type: ignore[assignment,misc]
 
 from ..chaos import worker_fault
 from ..obs import prof
@@ -159,14 +155,13 @@ _jitter = retry.jitter
 
 def _chaos_simulate_chunk(
     layouts: Sequence[Layout],
-    cutoff: Optional[int],
     chaos: Optional[Tuple[str, float]],
 ) -> Tuple[int, List[SimResult]]:
     """The supervised chunk entry point: optionally misbehave, then
     simulate the whole chunk and report its compute nanoseconds."""
     if chaos is not None:
         worker_fault(*chaos)
-    return _simulate_chunk_timed(layouts, cutoff)
+    return _simulate_chunk_timed(layouts)
 
 
 class SupervisedEvaluator(ParallelEvaluator):
@@ -225,10 +220,7 @@ class SupervisedEvaluator(ParallelEvaluator):
         if executor is None:
             return
         processes = list(getattr(executor, "_processes", {}).values())
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # pragma: no cover - py < 3.9 fallback
-            executor.shutdown(wait=False)
+        executor.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             try:
                 process.terminate()
@@ -286,18 +278,16 @@ class SupervisedEvaluator(ParallelEvaluator):
 
     # -- the supervised batch ------------------------------------------------
 
-    def _serial_one(self, position: int, total: int, layout: Layout,
-                    cutoff: Optional[int]) -> SimResult:
+    def _serial_one(self, position: int, total: int,
+                    layout: Layout) -> SimResult:
         """In-process ground truth; a failure here is a real error."""
         self.stats.serial_fallbacks += 1
         try:
-            return SerialEvaluator._simulate(self, [layout], cutoff)[0]
+            return SerialEvaluator._simulate(self, [layout])[0]
         except Exception as exc:
             raise EvaluationError(position, total, exc) from exc
 
-    def _simulate(
-        self, layouts: Sequence[Layout], cutoff: Optional[int]
-    ) -> List[SimResult]:
+    def _simulate(self, layouts: Sequence[Layout]) -> List[SimResult]:
         if not layouts:
             return []
         policy = self.policy
@@ -318,7 +308,7 @@ class SupervisedEvaluator(ParallelEvaluator):
                 if self._serial_mode:
                     for index in pending:
                         results[index] = self._serial_one(
-                            index, total, layouts[index], cutoff
+                            index, total, layouts[index]
                         )
                     break
                 # Tasks out of pool retries take the in-process path.
@@ -327,7 +317,7 @@ class SupervisedEvaluator(ParallelEvaluator):
                 ]
                 for index in exhausted:
                     results[index] = self._serial_one(
-                        index, total, layouts[index], cutoff
+                        index, total, layouts[index]
                     )
                 pending = [i for i in pending if results[i] is None]
                 self._pending = pending
@@ -353,7 +343,6 @@ class SupervisedEvaluator(ParallelEvaluator):
                         futures[chunk_id] = pool.submit(
                             _chaos_simulate_chunk,
                             [layouts[i] for i in member_indices],
-                            cutoff,
                             token,
                         )
                         for index in member_indices:

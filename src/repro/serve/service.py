@@ -446,7 +446,6 @@ def execute_synthesize(
         "wall_seconds": _time.perf_counter() - started,
         "evaluations": report.evaluations,
         "cache_hits": report.cache_hits,
-        "pruned_evaluations": report.pruned_evaluations,
     }
     if trace:
         telemetry["trace"] = trace

@@ -1,5 +1,7 @@
 """Shared fixtures: small compiled programs reused across test modules."""
 
+import threading
+
 import pytest
 
 from repro.core import compile_program, profile_program, single_core_layout
@@ -131,6 +133,26 @@ def keyword_profile(keyword_compiled):
 @pytest.fixture(scope="session")
 def tagged_compiled():
     return compile_program(TAGGED_SOURCE, "tagged-test")
+
+
+@pytest.fixture
+def synthesize_gate(monkeypatch):
+    """Holds every served synthesize execution until the returned event is
+    set, so a request is deterministically still in flight while a test
+    probes the daemon. The daemon runs in process and looks
+    ``execute_synthesize`` up at call time."""
+    from repro.serve import server
+
+    gate = threading.Event()
+    execute = server.execute_synthesize
+
+    def held(*args, **kwargs):
+        gate.wait(timeout=60)
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(server, "execute_synthesize", held)
+    yield gate
+    gate.set()
 
 
 def compile_snippet(body: str):

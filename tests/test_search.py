@@ -5,12 +5,12 @@ Three contracts are enforced here:
 * **Worker independence** — ``workers=N`` synthesis is bit-identical to
   ``workers=1`` on every benchmark program (same best layout, same cycle
   estimate, same iteration history, same accounting).
-* **Cache transparency** — with an unbounded budget and no early cutoff,
-  synthesis with the simulation cache on equals synthesis with it off.
+* **Cache transparency** — with an unbounded budget, synthesis with the
+  simulation cache on equals synthesis with it off.
 * **Fingerprint soundness** — distinct layout contents get distinct
   fingerprints; identical contents get identical fingerprints.
 
-Plus the :class:`SimCache` unit behaviour (LRU, counters, bound entries)
+Plus the :class:`SimCache` unit behaviour (LRU, counters)
 and the deprecated keyword shims of the options API redesign.
 """
 
@@ -89,7 +89,6 @@ def report_fingerprint(report):
         report.evaluations,
         report.cache_hits,
         report.requested_evaluations,
-        report.pruned_evaluations,
         report.iterations,
     )
 
@@ -106,32 +105,10 @@ class TestWorkerIndependence:
         parallel = small_synthesis("Keyword", workers=3)
         assert report_fingerprint(serial) == report_fingerprint(parallel)
 
-    def test_early_cutoff_is_worker_independent(self):
-        compiled = load_benchmark("KMeans")
-        profile = profile_program(compiled, SMALL_ARGS["KMeans"])
-        anneal = AnnealConfig(seed=3, early_cutoff=True, **SMALL_ANNEAL)
-        reports = [
-            synthesize_layout(
-                compiled, profile, 4,
-                options=SynthesisOptions(anneal=anneal, workers=workers),
-            )
-            for workers in (1, 2)
-        ]
-        assert report_fingerprint(reports[0]) == report_fingerprint(reports[1])
-
-    def test_early_cutoff_prunes_simulations(self):
-        compiled = load_benchmark("KMeans")
-        profile = profile_program(compiled, SMALL_ARGS["KMeans"])
-        anneal = AnnealConfig(seed=3, early_cutoff=True, **SMALL_ANNEAL)
-        report = synthesize_layout(
-            compiled, profile, 4, options=SynthesisOptions(anneal=anneal)
-        )
-        assert report.pruned_evaluations > 0
-
 
 class TestCacheTransparency:
     def test_cache_on_equals_cache_off(self):
-        # With an unbounded budget and no cutoff, memoization only skips
+        # With an unbounded budget, memoization only skips
         # re-simulation of identical layouts — it cannot change scores.
         on = small_synthesis("Keyword", sim_cache=True)
         off = small_synthesis("Keyword", sim_cache=False)
@@ -239,12 +216,12 @@ class TestLayoutFingerprint:
         assert layout_fingerprint(layout) == layout_fingerprint(layout)
 
 
-def _entry(cycles, pruned=False):
+def _entry(cycles):
     result = SimResult(
         total_cycles=cycles, finished=True, trace=[], core_busy={},
-        invocations={}, utilization=1.0, pruned=pruned,
+        invocations={}, utilization=1.0,
     )
-    return CacheEntry(cycles=cycles, result=result, pruned=pruned)
+    return CacheEntry(cycles=cycles, result=result)
 
 
 class TestSimCache:
@@ -266,24 +243,6 @@ class TestSimCache:
         assert cache.evictions == 1
         assert "b" not in cache
         assert "a" in cache and "c" in cache
-
-    def test_bound_entry_answers_only_below_its_cycles(self):
-        cache = SimCache()
-        cache.put("k", _entry(500, pruned=True))
-        # cutoff below the observed bound: the layout provably loses
-        assert cache.get("k", cutoff=400) is not None
-        # cutoff at/above the bound, or no cutoff: must re-simulate
-        assert cache.get("k", cutoff=500) is None
-        assert cache.get("k") is None
-        assert cache.bound_misses == 2
-
-    def test_exact_entry_never_downgraded(self):
-        cache = SimCache()
-        cache.put("k", _entry(500))
-        cache.put("k", _entry(450, pruned=True))
-        entry = cache.get("k")
-        assert entry is not None and not entry.pruned
-        assert entry.cycles == 500
 
     def test_registry_counters(self):
         registry = MetricsRegistry()
@@ -357,18 +316,6 @@ class TestEvaluatorContract:
         with pytest.raises(ValueError):
             ParallelEvaluator(compiled, profile, workers=1)
 
-    def test_cutoff_prunes_slow_layouts(self, keyword_setup):
-        compiled, profile, layouts = keyword_setup
-        evaluator = SerialEvaluator(compiled, profile)
-        full = evaluator.evaluate(layouts)
-        best = min(item.cycles for item in full.scored)
-        cut = evaluator.evaluate(layouts, cutoff=best)
-        assert cut.pruned > 0
-        # pruned scores are still lower-bounded above the cutoff
-        for before, after in zip(full.scored, cut.scored):
-            if after.result.pruned:
-                assert after.cycles > best or after.cycles == before.cycles
-
     def test_worker_exception_carries_batch_position(self, keyword_setup):
         compiled, profile, layouts = keyword_setup
 
@@ -386,7 +333,7 @@ class TestEvaluatorContract:
         evaluator = ParallelEvaluator(compiled, profile, workers=2)
         evaluator._executor = FailingPool()
         with pytest.raises(EvaluationError) as excinfo:
-            evaluator._simulate(layouts[:3], None)
+            evaluator._simulate(layouts[:3])
         assert excinfo.value.position == 0
         assert excinfo.value.batch_size == 3
         assert "layout 1/3" in str(excinfo.value)

@@ -303,7 +303,6 @@ class TestCheckpointFile:
             patience=1,
             evaluations=17,
             cache_hits=4,
-            pruned_evaluations=1,
             initial_layouts=[layout],
             config_digest="abc123",
         )
@@ -361,26 +360,28 @@ class TestCheckpointFile:
             read_checkpoint(path)
         message = str(excinfo.value)
         assert "repro.search/checkpoint-v999" in message
-        assert "repro.search/checkpoint-v3" in message
+        assert "repro.search/checkpoint-v4" in message
         assert "digest" not in message
         assert "pickle" not in message
 
     def test_v2_checkpoint_refused_naming_both_versions(self, tmp_path):
-        # v2 carried move hints and session snapshots that v3 dropped;
-        # the policy is to refuse old versions, never migrate them.
+        # v2 carried move hints and session snapshots that v3 dropped, and
+        # v3 the early-cutoff prune counter that v4 dropped; the policy is
+        # to refuse old versions, never migrate them.
         from repro.search.storage import write_pickle_record
 
-        path = str(tmp_path / "old.ckpt")
-        write_pickle_record(
-            path, "repro.search/checkpoint-v2", self._checkpoint()
-        )
-        with pytest.raises(CheckpointError) as excinfo:
-            read_checkpoint(path)
-        message = str(excinfo.value)
-        assert "repro.search/checkpoint-v2" in message
-        assert "repro.search/checkpoint-v3" in message
-        assert "digest" not in message
-        assert "pickle" not in message
+        for old in ("checkpoint-v2", "checkpoint-v3"):
+            path = str(tmp_path / f"{old}.ckpt")
+            write_pickle_record(
+                path, f"repro.search/{old}", self._checkpoint()
+            )
+            with pytest.raises(CheckpointError) as excinfo:
+                read_checkpoint(path)
+            message = str(excinfo.value)
+            assert f"repro.search/{old}" in message
+            assert "repro.search/checkpoint-v4" in message
+            assert "digest" not in message
+            assert "pickle" not in message
 
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

@@ -418,38 +418,49 @@ class TestServing:
         for seed in seeds:
             assert outcomes[seed] == canonical(offline_result(seed=seed))
 
-    def _wait_for_admitted(self, client, count, timeout=20.0):
+    def _wait_until(self, client, reached, what, timeout=20.0):
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if client.metrics()["admitted"] >= count:
+            if reached(client.metrics()):
                 return
             time.sleep(0.005)
-        raise AssertionError(f"daemon never reached {count} admitted requests")
+        raise AssertionError(f"daemon never reached {what}")
 
-    def test_admission_control_sheds_excess(self):
-        # Capacity 1: one slow request occupies the daemon; a *distinct*
+    def _wait_for_admitted(self, client):
+        self._wait_until(
+            client, lambda m: m["admitted"] >= 1, "1 admitted request"
+        )
+
+    def test_admission_control_sheds_excess(self, synthesize_gate):
+        # Capacity 1: one held request occupies the daemon; a *distinct*
         # second request must be shed, not queued.
         config = ServeConfig(max_concurrency=1, queue_limit=0)
         slow = dict(seed=0, max_iterations=50, max_evaluations=2000)
-        with ServerThread(config) as handle:
-            background = threading.Thread(
-                target=lambda: served_synthesize(handle.client(), **slow)
-            )
-            background.start()
+        def occupant(handle):
             with handle.client() as client:
-                self._wait_for_admitted(client, 1)
-                with pytest.raises(ServeError) as excinfo:
-                    served_synthesize(client, seed=99)
-                assert excinfo.value.code == "overloaded"
-                shed = client.metrics()["counters"]["serve_shed"]
-                assert shed == 1
+                served_synthesize(client, **slow)
+
+        with ServerThread(config) as handle:
+            background = threading.Thread(target=occupant, args=(handle,))
+            background.start()
+            try:
+                with handle.client() as client:
+                    self._wait_for_admitted(client)
+                    with pytest.raises(ServeError) as excinfo:
+                        served_synthesize(client, seed=99)
+                    assert excinfo.value.code == "overloaded"
+                    shed = client.metrics()["counters"]["serve_shed"]
+                    assert shed == 1
+            finally:
+                synthesize_gate.set()
             background.join()
         # The shed client was told to retry; the slow request finished.
 
-    def test_identical_inflight_requests_coalesce(self):
+    def test_identical_inflight_requests_coalesce(self, synthesize_gate):
         config = ServeConfig(max_concurrency=1, queue_limit=0)
         slow = dict(seed=0, max_iterations=50, max_evaluations=2000)
         first = {}
+        second = {}
 
         def leader(handle):
             with handle.client() as client:
@@ -457,20 +468,37 @@ class TestServing:
             first["result"] = result
             first["telemetry"] = telemetry
 
+        def follower(handle):
+            with handle.client() as client:
+                second["response"] = served_synthesize(client, **slow)
+
         with ServerThread(config) as handle:
             background = threading.Thread(target=leader, args=(handle,))
             background.start()
-            with handle.client() as client:
-                self._wait_for_admitted(client, 1)
-                # Identical request while the first is in flight: coalesces
-                # onto the running execution even though the daemon is at
-                # capacity (a distinct request would be shed — proven by
-                # test_admission_control_sheds_excess).
-                result, telemetry = served_synthesize(client, **slow)
-                assert telemetry.get("coalesced") is True
-                metrics = client.metrics()
-                assert metrics["counters"]["serve_coalesced"] == 1
-                assert metrics["counters"]["serve_shed"] == 0
+            try:
+                with handle.client() as client:
+                    self._wait_for_admitted(client)
+                    # Identical request while the first is held in flight:
+                    # coalesces onto the running execution even though the
+                    # daemon is at capacity (a distinct request would be
+                    # shed — proven by test_admission_control_sheds_excess).
+                    joiner = threading.Thread(target=follower, args=(handle,))
+                    joiner.start()
+                    self._wait_until(
+                        client,
+                        lambda m: m["counters"].get("serve_coalesced", 0) >= 1,
+                        "1 coalesced request",
+                    )
+                    synthesize_gate.set()
+                    joiner.join(timeout=60)
+                    assert not joiner.is_alive()
+                    result, telemetry = second["response"]
+                    assert telemetry.get("coalesced") is True
+                    metrics = client.metrics()
+                    assert metrics["counters"]["serve_coalesced"] == 1
+                    assert metrics["counters"]["serve_shed"] == 0
+            finally:
+                synthesize_gate.set()
             background.join()
         assert canonical(result) == canonical(first["result"])
 

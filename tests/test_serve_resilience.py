@@ -332,7 +332,7 @@ class TestGracefulDrain:
             assert isinstance(box["error"], ServeError)
             assert box["error"].code == "draining"
 
-    def test_drain_answers_admitted_work_within_timeout(self):
+    def test_drain_answers_admitted_work_within_timeout(self, synthesize_gate):
         config = ServeConfig(drain_timeout=60.0)
         with ServerThread(config) as handle:
             box = {}
@@ -346,9 +346,14 @@ class TestGracefulDrain:
 
             thread = threading.Thread(target=body, daemon=True)
             thread.start()
-            with handle.client() as control:
-                self._wait_admitted(control)
-                control.call("shutdown")
+            try:
+                with handle.client() as control:
+                    # The gate holds the request in flight until the
+                    # drain has begun.
+                    self._wait_admitted(control)
+                    control.call("shutdown")
+            finally:
+                synthesize_gate.set()
             thread.join(timeout=30.0)
             assert not thread.is_alive()
             # Admitted before the drain began → answered, and correctly.

@@ -167,7 +167,6 @@ def trace_data(result):
     return (
         result.total_cycles,
         result.finished,
-        result.pruned,
         repr(result.utilization),
         sorted(result.core_busy.items()),
         sorted(result.invocations.items()),
