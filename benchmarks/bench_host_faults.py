@@ -1,15 +1,16 @@
-"""What host-fault supervision costs: overhead when healthy, recovery
-price when not.
+"""What the supervised worker pool costs: its fault-free wall against the
+serial reference, and the recovery price when workers fail.
 
 Two measurements on a fixed DSA workload (Keyword at 8 cores — cheap
 enough that pool management, not simulation, dominates, which is the
-worst case for supervision overhead):
+worst case for the pool):
 
-1. **Supervision overhead** — identical fault-free parallel synthesis
-   with supervision off vs on. Supervision adds per-dispatch bookkeeping
-   (deadline computation, EWMA update, sequence numbering) but no extra
-   simulations, so the overhead must stay modest and the results
-   bit-identical.
+1. **Pool vs serial** — identical fault-free synthesis through the
+   serial reference (``workers=1``) and through the supervised pool
+   (``workers=2``). The pool adds dispatch, IPC and supervision
+   bookkeeping (deadline computation, EWMA update, sequence numbering)
+   but no extra simulations, so the results must be bit-identical; both
+   walls are reported.
 2. **Recovery cost** — the same synthesis under seeded host-chaos plans
    (worker crashes and hangs). Each fired fault forces retries and a
    pool rebuild; the run must still be bit-identical to fault-free, and
@@ -44,7 +45,7 @@ def search_config() -> AnnealConfig:
     return AnnealConfig(seed=0, max_iterations=8, max_evaluations=400)
 
 
-def synthesize(ctx, supervise: bool):
+def synthesize(ctx, workers: int):
     return synthesize_layout(
         load_benchmark(BENCH),
         ctx.profile(BENCH),
@@ -52,16 +53,15 @@ def synthesize(ctx, supervise: bool):
         options=SynthesisOptions(
             anneal=search_config(),
             hints=get_spec(BENCH).hints,
-            workers=WORKERS,
-            supervise=supervise,
-            retry_policy=POLICY if supervise else None,
+            workers=workers,
+            retry_policy=POLICY,
         ),
     )
 
 
 def run_all(ctx):
-    unsupervised = synthesize(ctx, supervise=False)
-    supervised = synthesize(ctx, supervise=True)
+    serial = synthesize(ctx, workers=1)
+    pooled = synthesize(ctx, workers=WORKERS)
     chaos = run_host_chaos(
         load_benchmark(BENCH),
         ctx.profile(BENCH),
@@ -74,20 +74,22 @@ def run_all(ctx):
         workers=WORKERS,
         policy=POLICY,
     )
-    return unsupervised, supervised, chaos
+    return serial, pooled, chaos
 
 
 def test_host_fault_costs(benchmark, ctx):
-    unsupervised, supervised, chaos = benchmark.pedantic(
+    serial, pooled, chaos = benchmark.pedantic(
         run_all, args=(ctx,), iterations=1, rounds=1
     )
 
-    # Supervision is result-transparent...
-    assert supervised.estimated_cycles == unsupervised.estimated_cycles
-    assert supervised.layout.as_dict() == unsupervised.layout.as_dict()
-    assert supervised.history == unsupervised.history
+    # The pool is result-transparent...
+    assert pooled.estimated_cycles == serial.estimated_cycles
+    assert pooled.layout.as_dict() == serial.layout.as_dict()
+    assert pooled.history == serial.history
     # ...and fault-free it recovers nothing.
-    stats = supervised.search_metrics["supervision"]
+    assert serial.search_metrics["supervision"] is None
+    stats = pooled.search_metrics["supervision"]
+    assert stats["dispatches"] > 0
     assert stats["worker_retries"] == 0
     assert stats["pool_rebuilds"] == 0
 
@@ -97,9 +99,9 @@ def test_host_fault_costs(benchmark, ctx):
     assert fired >= 1
     assert chaos.total("worker_retries") >= fired
 
-    overhead = (
-        supervised.wall_seconds / unsupervised.wall_seconds
-        if unsupervised.wall_seconds
+    pool_over_serial = (
+        pooled.wall_seconds / serial.wall_seconds
+        if serial.wall_seconds
         else 1.0
     )
     faulted = [run for run in chaos.runs if not run.plan.is_empty()]
@@ -108,9 +110,9 @@ def test_host_fault_costs(benchmark, ctx):
         run_fired = int(run.supervision.get("injected_crashes", 0)) + int(
             run.supervision.get("injected_hangs", 0)
         )
-        cost = run.report.wall_seconds - supervised.wall_seconds
+        cost = run.report.wall_seconds - pooled.wall_seconds
         recovery_rows.append(
-            [f"plan {run.index}", len(run.plan.faults), run_fired,
+            [f"plan {run.index}", WORKERS, len(run.plan.faults), run_fired,
              int(run.supervision.get("worker_retries", 0)),
              int(run.supervision.get("pool_rebuilds", 0)),
              f"{run.report.wall_seconds:.2f}s",
@@ -118,22 +120,22 @@ def test_host_fault_costs(benchmark, ctx):
         )
 
     table = render_table(
-        ["Run", "Planned", "Fired", "Retries", "Rebuilds", "Wall", "vs clean"],
+        ["Run", "Workers", "Planned", "Fired", "Retries", "Rebuilds",
+         "Wall", "vs clean pool"],
         [
-            ["unsupervised", "-", "-", "-", "-",
-             f"{unsupervised.wall_seconds:.2f}s", "-"],
-            ["supervised", 0, 0, 0, 0,
-             f"{supervised.wall_seconds:.2f}s",
-             f"{supervised.wall_seconds - unsupervised.wall_seconds:+.2f}s"],
+            ["serial", 1, "-", "-", "-", "-",
+             f"{serial.wall_seconds:.2f}s", "-"],
+            ["pool", WORKERS, 0, 0, 0, 0,
+             f"{pooled.wall_seconds:.2f}s", "-"],
         ]
         + recovery_rows,
     )
     emit(
-        f"Host-fault supervision: overhead and recovery "
+        f"Host faults: pool vs serial, and recovery "
         f"({BENCH}, {NUM_CORES} cores, {WORKERS} workers)",
         table
-        + f"\n\nsupervision overhead: {overhead:.2f}x (fault-free)"
-        + f"\nchaos invariants:     all held "
+        + f"\n\npool / serial wall: {pool_over_serial:.2f}x (fault-free)"
+        + f"\nchaos invariants:   all held "
         f"({fired} fault(s) fired, {chaos.total('worker_retries')} "
         f"retries, {chaos.total('pool_rebuilds')} rebuilds)",
         artifact="host_faults.txt",
@@ -144,16 +146,16 @@ def test_host_fault_costs(benchmark, ctx):
             "benchmark": BENCH,
             "num_cores": NUM_CORES,
             "workers": WORKERS,
-            "estimated_cycles": supervised.estimated_cycles,
-            "unsupervised": {
-                "wall_seconds": unsupervised.wall_seconds,
-                "search": unsupervised.search_metrics,
+            "estimated_cycles": pooled.estimated_cycles,
+            "serial": {
+                "wall_seconds": serial.wall_seconds,
+                "search": serial.search_metrics,
             },
-            "supervised": {
-                "wall_seconds": supervised.wall_seconds,
-                "search": supervised.search_metrics,
+            "pool": {
+                "wall_seconds": pooled.wall_seconds,
+                "search": pooled.search_metrics,
             },
-            "supervision_overhead": overhead,
+            "pool_over_serial": pool_over_serial,
             "chaos": {
                 "runs": CHAOS_RUNS,
                 "ok": chaos.ok,

@@ -195,6 +195,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_path=args.trace_out,
         metrics_path=args.metrics_out,
     )
+    retry_policy = None
+    if args.worker_timeout_mult is not None:
+        from .search import RetryPolicy
+
+        retry_policy = RetryPolicy(timeout_mult=args.worker_timeout_mult)
     if args.host_chaos:
         from .search import run_host_chaos
 
@@ -205,13 +210,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             profile,
             max(2, args.cores),
             options=SynthesisOptions(
-                seed=args.seed,
-                sim_cache=not args.no_sim_cache,
-                worker_timeout_mult=args.worker_timeout_mult,
+                seed=args.seed, sim_cache=not args.no_sim_cache
             ),
             runs=args.host_chaos,
             base_seed=args.seed,
             workers=max(2, args.workers),
+            policy=retry_policy,
         )
         return _chaos_verdict(host_report)
     if args.cores <= 1:
@@ -228,7 +232,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     workers=args.workers,
                     sim_cache=not args.no_sim_cache,
-                    worker_timeout_mult=args.worker_timeout_mult,
+                    retry_policy=retry_policy,
                     checkpoint_path=args.checkpoint,
                     resume=args.resume,
                 ),

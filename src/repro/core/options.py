@@ -83,29 +83,23 @@ class SynthesisOptions:
     workers: int = 1
     #: memoize simulation results by layout fingerprint
     sim_cache: bool = True
-    #: LRU bound for the per-run cache (None = unbounded)
-    cache_entries: Optional[int] = None
-    #: share a cache across synthesis runs (overrides ``cache_entries``)
+    #: share a cache across synthesis runs (None = a fresh, unbounded
+    #: per-run cache)
     cache: Optional["SimCache"] = None
     #: receive ``sim_cache_*`` counters (a fresh registry is created when
     #: None, so cache telemetry is always available on the report)
     metrics: Optional["MetricsRegistry"] = None
-    #: supervise worker processes (deadlines, bounded retries, pool
-    #: rebuilds, serial degradation); only meaningful with ``workers > 1``
-    supervise: bool = True
-    #: full retry policy override; built from the scalar knobs below when
-    #: None (see :class:`repro.search.RetryPolicy`)
+    #: supervision policy of the worker pool (deadlines, bounded retries,
+    #: pool rebuilds, serial degradation); None = the
+    #: :class:`repro.search.RetryPolicy` defaults. Only meaningful with
+    #: ``workers > 1``
     retry_policy: Optional["RetryPolicy"] = None
-    #: per-task deadline = max(floor, ewma * this); None = policy default
-    worker_timeout_mult: Optional[float] = None
-    #: retries per task before serial fallback; None = policy default
-    max_retries: Optional[int] = None
     #: write a resumable checkpoint here every
     #: ``AnnealConfig.checkpoint_every`` iterations
     checkpoint_path: Optional[str] = None
     #: resume from a checkpoint written by an earlier interrupted run
     resume: Optional[str] = None
-    #: inject host-level worker faults (testing; forces supervision)
+    #: inject host-level worker faults (testing; needs ``workers >= 2``)
     host_chaos: Optional["HostChaosPlan"] = None
     #: distribute the search as independent seeded restarts across
     #: workers (:mod:`repro.search.dist`); most single-run knobs above
@@ -125,23 +119,6 @@ class SynthesisOptions:
         if self.seed is not None and config.seed != self.seed:
             config = replace(config, seed=self.seed)
         return config
-
-    def effective_retry_policy(self) -> Optional["RetryPolicy"]:
-        """The retry policy with the scalar knob overrides applied, or
-        ``None`` when everything is at its default (the evaluator then
-        uses :class:`repro.search.RetryPolicy`'s own defaults)."""
-        policy = self.retry_policy
-        if self.worker_timeout_mult is None and self.max_retries is None:
-            return policy
-        from ..search.supervise import RetryPolicy
-
-        policy = policy if policy is not None else RetryPolicy()
-        overrides = {}
-        if self.worker_timeout_mult is not None:
-            overrides["timeout_mult"] = self.worker_timeout_mult
-        if self.max_retries is not None:
-            overrides["max_retries"] = self.max_retries
-        return replace(policy, **overrides)
 
 
 @dataclass

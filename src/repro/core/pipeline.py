@@ -175,13 +175,9 @@ def _synthesize(
     registry = options.metrics if options.metrics is not None else MetricsRegistry()
     cache = options.cache
     if cache is None and options.sim_cache:
-        cache = SimCache(max_entries=options.cache_entries, registry=registry)
+        cache = SimCache(registry=registry)
     elif cache is not None and cache.registry is None:
         cache.registry = registry
-
-    # An explicit chaos plan forces supervision on: injected crashes
-    # without a supervisor would just kill the synthesis.
-    supervise = options.supervise or options.host_chaos is not None
 
     with DirectedSimulatedAnnealing(
         compiled,
@@ -195,8 +191,7 @@ def _synthesize(
         cache=cache,
         workers=options.workers,
         use_cache=options.sim_cache,
-        supervise=supervise,
-        retry_policy=options.effective_retry_policy(),
+        retry_policy=options.retry_policy,
         host_chaos=options.host_chaos,
         checkpoint_path=options.checkpoint_path,
         resume=options.resume,

@@ -259,12 +259,13 @@ class Truncate(Event):
 # -- host-level search supervision ---------------------------------------------
 #
 # These events are emitted by the *host-side* layout search
-# (:mod:`repro.search.supervise` / :mod:`repro.search.checkpoint`), not by
-# the simulated machine, so ``time`` is a deterministic host sequence
-# number (the dispatch counter, or the annealing iteration) rather than a
-# simulated cycle. They ride in the ``repro.obs/search-metrics-v1``
-# snapshot's ``events`` list; wall-clock timings are deliberately excluded
-# so fault-free snapshots stay byte-comparable across runs.
+# (:class:`repro.search.ParallelEvaluator` /
+# :mod:`repro.search.checkpoint`), not by the simulated machine, so
+# ``time`` is a deterministic host sequence number (the dispatch counter,
+# or the annealing iteration) rather than a simulated cycle. They ride in
+# the ``repro.obs/search-metrics-v1`` snapshot's ``events`` list;
+# wall-clock timings are deliberately excluded so fault-free snapshots
+# stay byte-comparable across runs.
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,7 @@ class WorkerRetry(Event):
 
 @dataclass(frozen=True)
 class PoolRebuild(Event):
-    """The supervised evaluator tore down and rebuilt its process pool.
+    """The parallel evaluator tore down and rebuilt its process pool.
 
     ``consecutive`` counts pool failures without any collected result so
     far (it resets on progress); reaching the policy's

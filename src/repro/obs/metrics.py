@@ -243,7 +243,7 @@ def build_search_metrics(
 
     ``supervision`` is the host-fault supervision summary
     (:meth:`repro.search.SupervisionStats.snapshot`, ``None`` for
-    unsupervised runs) and ``events`` the typed host-level events
+    serial runs) and ``events`` the typed host-level events
     (``WorkerRetry``/``PoolRebuild``/``CheckpointWritten``) the run
     emitted; both deliberately carry no wall-clock fields, so fault-free
     snapshots stay byte-comparable across runs.

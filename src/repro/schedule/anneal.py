@@ -9,20 +9,21 @@ local maximum. Setting ``use_critical_path=False`` degenerates to plain
 undirected annealing (random moves only) — the ablation baseline.
 
 Candidate evaluation is delegated to :mod:`repro.search`: each iteration's
-candidate set is scored as one batch through an
-:class:`~repro.search.Evaluator` (serial in process, or fanned out across
-worker processes — bit-identical either way) and memoized in a
-:class:`~repro.search.SimCache` keyed by exact layout fingerprint. Cache
-hits do **not** consume the ``max_evaluations`` budget — only real
-simulations do; both tallies are reported on :class:`AnnealResult`.
+candidate set is scored as one batch (serial in process, or fanned out
+across the supervised worker pool — bit-identical either way) and
+memoized in a :class:`~repro.search.SimCache` keyed by exact layout
+fingerprint. Cache hits do **not** consume the ``max_evaluations``
+budget — only real simulations do; both tallies are reported on
+:class:`AnnealResult`.
 
 Host-level fault tolerance (this layer's :mod:`repro.resilience`
 counterpart) comes in two halves:
 
-* **Supervision** — with ``workers > 1`` the evaluator is wrapped in
-  :class:`repro.search.SupervisedEvaluator`: per-dispatch deadlines,
-  bounded retries, pool rebuilds, and serial degradation, all
-  result-transparent (see :mod:`repro.search.supervise`).
+* **Supervision** — with ``workers > 1`` the batch goes through
+  :class:`repro.search.ParallelEvaluator`, whose pool has per-dispatch
+  deadlines, bounded retries, pool rebuilds, and serial degradation,
+  all result-transparent (policy and counters in
+  :mod:`repro.search.supervise`).
 * **Checkpoint/resume** — ``checkpoint_path`` +
   ``AnnealConfig.checkpoint_every`` periodically serialize the *full*
   annealing state (RNG, incumbent, candidates, budget counters, cache) at
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import CompiledProgram
-    from ..search import Evaluator, SimCache
+    from ..search import SimCache
 
 from ..lang.errors import ScheduleError
 from ..obs import prof
@@ -119,8 +120,8 @@ class AnnealResult:
     requested_evaluations: int = 0
     #: snapshot of the simulation cache counters (None with the cache off)
     cache_stats: Optional[Dict[str, object]] = None
-    #: host-level supervision counters (None when the evaluator was not
-    #: supervised — serial searches, or ``supervise=False``)
+    #: host-level supervision counters (None for serial searches, which
+    #: have no worker pool to supervise)
     supervision: Optional[Dict[str, object]] = None
     #: periodic checkpoints written (including any restored-from history)
     checkpoints_written: int = 0
@@ -142,11 +143,9 @@ class DirectedSimulatedAnnealing:
         group_graph: Optional[GroupGraph] = None,
         mesh_width: Optional[int] = None,
         core_speeds: Optional[Dict[int, float]] = None,
-        evaluator: Optional["Evaluator"] = None,
         cache: Optional["SimCache"] = None,
         workers: int = 1,
         use_cache: bool = True,
-        supervise: bool = True,
         retry_policy=None,
         host_chaos=None,
         checkpoint_path: Optional[str] = None,
@@ -178,20 +177,11 @@ class DirectedSimulatedAnnealing:
         if cache is None and use_cache:
             cache = SimCache()
         self.cache = cache if use_cache else None
-        self._owns_evaluator = evaluator is None
-        if evaluator is None:
-            evaluator = make_evaluator(
-                compiled,
-                profile,
-                hints=hints,
-                core_speeds=core_speeds,
-                cache=self.cache,
-                workers=workers,
-                supervise=supervise,
-                policy=retry_policy,
-                chaos=host_chaos,
-            )
-        self.evaluator = evaluator
+        self.evaluator = make_evaluator(
+            compiled, profile, hints=hints, core_speeds=core_speeds,
+            cache=self.cache, workers=workers, policy=retry_policy,
+            chaos=host_chaos,
+        )
         self.evaluations = 0
         self.cache_hits = 0
         self.checkpoints_written = 0
@@ -201,9 +191,8 @@ class DirectedSimulatedAnnealing:
         self._boundary = None
 
     def close(self) -> None:
-        """Releases the evaluator's workers, if this search created them."""
-        if self._owns_evaluator:
-            self.evaluator.close()
+        """Releases the evaluator's worker processes."""
+        self.evaluator.close()
 
     def __enter__(self) -> "DirectedSimulatedAnnealing":
         return self
@@ -510,7 +499,9 @@ class DirectedSimulatedAnnealing:
             initial_layouts=initial_snapshot,
             cache_hits=self.cache_hits,
             requested_evaluations=self.evaluations + self.cache_hits,
-            cache_stats=self.cache.stats() if self.cache is not None else None,
+            cache_stats=(
+                self.cache.cache_stats() if self.cache is not None else None
+            ),
             supervision=stats.snapshot() if stats is not None else None,
             checkpoints_written=self.checkpoints_written,
             host_events=(
@@ -563,7 +554,6 @@ def directed_simulated_annealing(
     workers: int = 1,
     cache: Optional["SimCache"] = None,
     use_cache: bool = True,
-    supervise: bool = True,
     retry_policy=None,
     host_chaos=None,
     checkpoint_path: Optional[str] = None,
@@ -577,8 +567,7 @@ def directed_simulated_annealing(
         compiled, profile, num_cores, config=config, hints=hints,
         mesh_width=mesh_width, core_speeds=core_speeds,
         workers=workers, cache=cache, use_cache=use_cache,
-        supervise=supervise, retry_policy=retry_policy,
-        host_chaos=host_chaos, checkpoint_path=checkpoint_path,
-        resume=resume,
+        retry_policy=retry_policy, host_chaos=host_chaos,
+        checkpoint_path=checkpoint_path, resume=resume,
     ) as dsa:
         return dsa.run(initial)

@@ -5,10 +5,11 @@ The DSA loop (paper §4.5) spends essentially all of its wall-clock time
 in *independent* candidate simulations and re-visits layouts constantly.
 This package factors the evaluation out of the annealer into:
 
-* an :class:`Evaluator` protocol with a serial backend and a
-  process-pool backend (``workers=N`` is bit-identical to ``workers=1``
-  by construction — see :mod:`repro.search.evaluator` for the batch
-  contract that guarantees it),
+* two batch evaluators — :class:`SerialEvaluator` in process and the
+  supervised process pool :class:`ParallelEvaluator` (``workers=N`` is
+  bit-identical to ``workers=1`` by construction — see
+  :mod:`repro.search.evaluator` for the batch contract that guarantees
+  it),
 * a :class:`SimCache` memoizing simulation results by exact layout
   fingerprint across iterations, restarts, and (when shared) whole
   synthesis runs, with hit/miss/eviction counters surfaced through
@@ -18,7 +19,9 @@ Because the search may run for hours on a real host, the package is also
 fault-tolerant at the *host* level (distinct from the simulated-machine
 resilience of :mod:`repro.resilience`):
 
-* :mod:`repro.search.supervise` — deadlines from an EWMA of observed
+* pool supervision in :class:`ParallelEvaluator`, with its
+  :class:`RetryPolicy` and :class:`SupervisionStats` in
+  :mod:`repro.search.supervise` — deadlines from an EWMA of observed
   simulation times, bounded retries with deterministic backoff, pool
   teardown/rebuild on crashes and hangs, and graceful degradation to
   serial evaluation — all result-transparent (bit-identical to a
@@ -41,8 +44,8 @@ retry layers use, and the EWMA deadline the supervisor and the dist
 leases share, live in :mod:`repro.search.retry`.
 
 The user-facing switchboard is :class:`repro.SynthesisOptions`
-(``workers=``, ``sim_cache=``, ``cache=``, ``cache_entries=``,
-``supervise=``, ``checkpoint_path=``, ``resume=``, ``host_chaos=``).
+(``workers=``, ``sim_cache=``, ``cache=``, ``retry_policy=``,
+``checkpoint_path=``, ``resume=``, ``host_chaos=``).
 """
 
 from .cache import CacheEntry, SimCache
@@ -56,7 +59,6 @@ from .checkpoint import (
 from .evaluator import (
     BatchOutcome,
     EvaluationError,
-    Evaluator,
     INFEASIBLE_CYCLES,
     ParallelEvaluator,
     ScoredLayout,
@@ -77,7 +79,7 @@ from .hostchaos import (
     HostFault,
     run_host_chaos,
 )
-from .supervise import RetryPolicy, SupervisedEvaluator, SupervisionStats
+from .supervise import RetryPolicy, SupervisionStats
 
 __all__ = [
     "BatchOutcome",
@@ -87,7 +89,6 @@ __all__ = [
     "DistChaosPlan",
     "DistFault",
     "EvaluationError",
-    "Evaluator",
     "HostChaosPlan",
     "HostChaosReport",
     "HostChaosRun",
@@ -100,7 +101,6 @@ __all__ = [
     "SerialEvaluator",
     "SimCache",
     "StorageError",
-    "SupervisedEvaluator",
     "SupervisionStats",
     "make_evaluator",
     "read_checkpoint",

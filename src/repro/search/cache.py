@@ -175,7 +175,3 @@ class SimCache:
                 "evictions": self.evictions,
                 "hit_rate": hits / lookups if lookups else 0.0,
             }
-
-    def stats(self) -> Dict[str, object]:
-        """Alias of :meth:`cache_stats`, kept for existing callers."""
-        return self.cache_stats()

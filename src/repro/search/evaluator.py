@@ -5,12 +5,14 @@ simulations, so evaluation is exposed as a *batch* operation with two
 interchangeable backends:
 
 * :class:`SerialEvaluator` — simulates in order, in process; and
-* :class:`ParallelEvaluator` — fans the batch out across a
-  ``ProcessPoolExecutor``.
+* :class:`ParallelEvaluator` — fans the batch out across a supervised
+  ``ProcessPoolExecutor`` (deadlines, bounded retries, pool rebuilds and
+  serial degradation; the knobs and counters live in
+  :mod:`repro.search.supervise`).
 
-Both implement the :class:`Evaluator` protocol and obey the same batch
-contract, which is what makes ``workers=N`` bit-identical to
-``workers=1`` (test-enforced, like the fault/resilience/obs off-modes):
+Both obey the same batch contract, which is what makes ``workers=N``
+bit-identical to ``workers=1`` (test-enforced, like the
+fault/resilience/obs off-modes):
 
 1. Layouts are fingerprinted and looked up in the (optional)
    :class:`~repro.search.cache.SimCache` **in input order**.
@@ -23,29 +25,37 @@ contract, which is what makes ``workers=N`` bit-identical to
 Simulation itself is deterministic (the exit chooser is a deterministic
 replay of the profile; all randomness lives in the annealer, in the
 parent process), so the only source of order dependence is the cache
-policy — which the contract pins down.
+policy — which the contract pins down. The same determinism makes
+supervision result-transparent: a retried simulation is bit-identical to
+the one the lost worker would have produced, so the pool can only
+rescue results, never change them.
 """
 
 from __future__ import annotations
 
 import atexit
+import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from time import perf_counter_ns as _perf_counter_ns
+from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    Dict, List, Optional, Protocol, Sequence, Tuple, TYPE_CHECKING,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from ..chaos import worker_fault
 from ..obs import prof
+from ..obs.events import PoolRebuild, WorkerRetry
 from ..schedule.layout import Layout
 from ..schedule.mapping import layout_fingerprint
 from ..schedule.simulator import SimResult, SimSession
+from . import retry
 from .cache import CacheEntry, SimCache
+from .supervise import RetryPolicy, SupervisionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import CompiledProgram
     from ..runtime.profiler import ProfileData
+    from .hostchaos import HostChaosPlan
 
 #: Sentinel cycle count for simulations that did not finish — worse than
 #: any real layout, so unfinishable candidates always rank last.
@@ -111,29 +121,6 @@ class BatchOutcome:
     #: real simulations performed (the unit ``max_evaluations`` budgets)
     simulations: int = 0
     cache_hits: int = 0
-
-
-class Evaluator(Protocol):
-    """Anything that can score a batch of candidate layouts."""
-
-    def evaluate(
-        self,
-        layouts: Sequence[Layout],
-        budget: Optional[int] = None,
-        charge_hits: bool = False,
-    ) -> BatchOutcome:
-        """Scores ``layouts`` under the batch contract above."""
-        ...  # pragma: no cover - protocol
-
-    def close(self) -> None:
-        """Releases backend resources (worker processes)."""
-        ...  # pragma: no cover - protocol
-
-    def __enter__(self) -> "Evaluator":
-        ...  # pragma: no cover - protocol
-
-    def __exit__(self, *exc_info) -> None:
-        ...  # pragma: no cover - protocol
 
 
 def _score(result: SimResult) -> int:
@@ -274,15 +261,8 @@ class SerialEvaluator(_EvaluatorBase):
 
 # -- process-pool backend ------------------------------------------------------
 
-
-def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
-    """Shuts a pool down without stranding queued work: ``cancel_futures``
-    drops everything still queued so the shutdown cannot deadlock behind
-    an abandoned batch."""
-    executor.shutdown(wait=True, cancel_futures=True)
-
-#: Per-worker simulation context, installed by the pool initializer.
-_WORKER_CONTEXT: Dict[str, object] = {}
+#: Per-worker simulation session, installed by the pool initializer.
+_WORKER_CONTEXT: Dict[str, SimSession] = {}
 
 
 class _ChunkItemError(Exception):
@@ -300,10 +280,6 @@ class _ChunkItemError(Exception):
 
 
 def _init_worker(compiled, profile, hints, core_speeds) -> None:
-    _WORKER_CONTEXT["compiled"] = compiled
-    _WORKER_CONTEXT["profile"] = profile
-    _WORKER_CONTEXT["hints"] = hints
-    _WORKER_CONTEXT["core_speeds"] = core_speeds
     # Each worker keeps its own long-lived session, so program tables are
     # built once per process.
     _WORKER_CONTEXT["session"] = SimSession(
@@ -311,31 +287,27 @@ def _init_worker(compiled, profile, hints, core_speeds) -> None:
     )
     # A forked worker inherits the parent's installed profiler; anything
     # it would record dies with the process, so drop it — the parent
-    # attributes worker compute from the timed entry point instead.
+    # attributes worker compute from the chunk's reported time instead.
     prof.uninstall()
 
 
-def _worker_session() -> SimSession:
-    session = _WORKER_CONTEXT.get("session")
-    if session is None:  # pragma: no cover - initializer always ran
-        session = SimSession(
-            _WORKER_CONTEXT["compiled"],
-            _WORKER_CONTEXT["profile"],
-            hints=_WORKER_CONTEXT["hints"],
-            core_speeds=_WORKER_CONTEXT["core_speeds"],
-        )
-        _WORKER_CONTEXT["session"] = session
-    return session
-
-
-def _simulate_chunk(layouts: Sequence[Layout]) -> List[SimResult]:
-    """Simulates one chunk of layouts in order.
+def _simulate_chunk(
+    layouts: Sequence[Layout],
+    chaos: Optional[Tuple[str, float]],
+) -> Tuple[int, List[SimResult]]:
+    """The worker entry point: optionally misbehave (the host-chaos token
+    the parent designated for this dispatch), then simulate the chunk in
+    order and return ``(compute_ns, results)``.
 
     Chunking is what amortizes pool IPC across a wave: one submit ships
     several layouts and returns several results, so the per-dispatch
     pickling overhead is paid once per chunk instead of once per
-    candidate."""
-    session = _worker_session()
+    candidate. The compute time feeds the deadline EWMA and the parent's
+    profiler; the result objects never see it."""
+    if chaos is not None:
+        worker_fault(*chaos)
+    started = time.perf_counter_ns()
+    session = _WORKER_CONTEXT["session"]
     results: List[SimResult] = []
     for offset, layout in enumerate(layouts):
         try:
@@ -344,19 +316,7 @@ def _simulate_chunk(layouts: Sequence[Layout]) -> List[SimResult]:
             raise _ChunkItemError(
                 offset, type(exc).__name__, str(exc)
             ) from exc
-    return results
-
-
-def _simulate_chunk_timed(
-    layouts: Sequence[Layout],
-) -> Tuple[int, List[SimResult]]:
-    """The chunk entry used when a profiler is active in the parent:
-    returns ``(compute_ns, results)`` so the parent can split its dispatch
-    wall into worker compute vs IPC overhead. The result objects are
-    untouched — cache entries and checkpoints never see the timing."""
-    started = _perf_counter_ns()
-    results = _simulate_chunk(layouts)
-    return _perf_counter_ns() - started, results
+    return time.perf_counter_ns() - started, results
 
 
 def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
@@ -373,13 +333,36 @@ def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
 
 
 class ParallelEvaluator(_EvaluatorBase):
-    """Fans batch misses out across worker processes.
+    """Fans batch misses out across supervised worker processes.
 
     The compiled program and profile ship to each worker exactly once (via
     the pool initializer); per-batch traffic is just layouts out and
-    ``SimResult``s back. Futures are collected in submission order, so the
+    ``SimResult``s back. Results are collected by input position, so the
     reduction is independent of completion order and the outcome is
-    bit-identical to :class:`SerialEvaluator`.
+    bit-identical to :class:`SerialEvaluator` — with or without worker
+    failures:
+
+    * **Deadlines** — every dispatch gets a wall-clock deadline from an
+      EWMA of observed simulation times (:attr:`RetryPolicy.timeout_mult`,
+      floored at :attr:`RetryPolicy.timeout_floor` for cold starts); a
+      breach means the worker hung or the pool starved.
+    * **Retry with backoff** — a chunk lost to a crash or a breach is
+      re-submitted up to :attr:`RetryPolicy.max_retries` times, with
+      exponential backoff and deterministic jitter between rounds.
+    * **Pool rebuild** — a ``BrokenProcessPool`` or breach tears the pool
+      down (terminating stragglers) and rebuilds it; after
+      :attr:`RetryPolicy.max_pool_failures` consecutive failures without
+      progress the evaluator degrades permanently to in-process serial
+      simulation.
+    * **Per-task serial fallback** — a task out of retries is simulated
+      in-process; if it *still* fails, that is a real error and
+      propagates as :class:`EvaluationError` with its batch position.
+
+    Every dispatch is numbered with a global sequence id; an optional
+    :class:`~repro.search.hostchaos.HostChaosPlan` uses it to make
+    designated dispatches crash or hang inside the worker
+    (:func:`repro.chaos.worker_fault`). :attr:`stats` records what
+    supervision did.
     """
 
     def __init__(
@@ -390,6 +373,8 @@ class ParallelEvaluator(_EvaluatorBase):
         core_speeds: Optional[Dict[int, float]] = None,
         cache: Optional[SimCache] = None,
         workers: int = 2,
+        policy: Optional[RetryPolicy] = None,
+        chaos: Optional["HostChaosPlan"] = None,
     ):
         super().__init__(
             compiled, profile, hints=hints, core_speeds=core_speeds,
@@ -401,7 +386,31 @@ class ParallelEvaluator(_EvaluatorBase):
             )
         self.workers = workers
         self._executor: Optional[ProcessPoolExecutor] = None
+        self.policy = policy or RetryPolicy()
+        self.policy.validate()
+        self.chaos = chaos
+        self.stats = SupervisionStats()
+        self._ewma: Optional[float] = None
+        self._dispatch_seq = 0
+        self._serial_mode = False
+        self._consecutive_pool_failures = 0
+        self._pending: List[int] = []
         _LIVE_EVALUATORS.add(self)
+
+    # -- deadline model ------------------------------------------------------
+
+    def _deadline(self) -> float:
+        """Per-dispatch deadline in seconds, from the observed EWMA."""
+        return retry.ewma_deadline(
+            self.policy.timeout_floor, self.policy.timeout_mult, self._ewma
+        )
+
+    def _observe(self, elapsed: float) -> None:
+        self._ewma = retry.ewma_update(
+            self._ewma, elapsed, self.policy.ewma_alpha
+        )
+
+    # -- pool lifecycle ------------------------------------------------------
 
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -409,66 +418,247 @@ class ParallelEvaluator(_EvaluatorBase):
                 max_workers=self.workers,
                 initializer=_init_worker,
                 initargs=(
-                    self.compiled,
-                    self.profile,
-                    self.hints,
-                    self.core_speeds,
+                    self.compiled, self.profile, self.hints, self.core_speeds,
                 ),
             )
         return self._executor
 
-    def _simulate(self, layouts: Sequence[Layout]) -> List[SimResult]:
-        if not layouts:
-            return []
-        if len(layouts) == 1:
-            # Not worth a round trip; the serial path is bit-identical.
-            return SerialEvaluator._simulate(self, layouts)
-        pool = self._pool()
-        profiler = prof.active()
-        worker = _simulate_chunk if profiler is None else _simulate_chunk_timed
-        chunks = _chunk_bounds(len(layouts), self.workers)
-        futures = [
-            pool.submit(worker, layouts[start:stop])
-            for start, stop in chunks
-        ]
-        results: List[SimResult] = []
-        compute_ns = 0
-        for (start, _), future in zip(chunks, futures):
+    def _teardown_pool(self) -> None:
+        """Tears the pool down without waiting on hung workers:
+        ``cancel_futures`` drops everything still queued and stragglers
+        are terminated. The next batch rebuilds the pool."""
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        processes = list(getattr(executor, "_processes", {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
             try:
-                outcome = future.result()
-            except _ChunkItemError as exc:
-                raise EvaluationError(
-                    start + exc.offset, len(layouts), exc
-                ) from exc
-            except Exception as exc:
-                raise EvaluationError(start, len(layouts), exc) from exc
-            if profiler is None:
-                results.extend(outcome)
-            else:
-                elapsed, chunk_results = outcome
-                compute_ns += elapsed
-                results.extend(chunk_results)
-        if profiler is not None:
-            # Non-exclusive: worker compute overlaps the parent's
-            # ``search.dispatch`` wall (and, with N workers, can exceed
-            # it), so it must not be subtracted from dispatch self time —
-            # dispatch self is exactly the IPC + wait overhead.
-            profiler.add_time(
-                _P_COMPUTE, compute_ns, count=len(results), exclusive=False
-            )
-            profiler.add_count(_C_POOL_DISPATCHES)
-        return results
+                process.terminate()
+            except Exception:  # pragma: no cover - already dead
+                pass
 
     def close(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            _shutdown_executor(executor)
+        self._teardown_pool()
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
             self.close()
         except Exception:
             pass
+
+    def _handle_pool_failure(self, reason: str) -> None:
+        """One failure round: account, rebuild (or degrade), back off."""
+        self._consecutive_pool_failures += 1
+        self.stats.pool_rebuilds += 1
+        self.stats.events.append(
+            PoolRebuild(
+                time=self._dispatch_seq,
+                consecutive=self._consecutive_pool_failures,
+                reason=reason,
+            )
+        )
+        self._teardown_pool()
+        if self._consecutive_pool_failures >= self.policy.max_pool_failures:
+            self._serial_mode = True
+            self.stats.degraded = True
+            return
+        round_index = self._consecutive_pool_failures
+        time.sleep(
+            retry.backoff_delay(
+                self.policy.backoff_base,
+                self.policy.backoff_cap,
+                round_index,
+                self._dispatch_seq,
+                low=1.0,
+                high=2.0,
+            )
+        )
+
+    # -- chaos ---------------------------------------------------------------
+
+    def _chaos_token(self, deadline: float) -> Optional[Tuple[str, float]]:
+        """The fault (if any) the chaos plan designates for the dispatch
+        about to be numbered ``self._dispatch_seq``."""
+        if self.chaos is None:
+            return None
+        kind = self.chaos.kind_for(self._dispatch_seq)
+        if kind is None:
+            return None
+        if kind == "crash":
+            self.stats.injected_crashes += 1
+            return ("crash", 0.0)
+        self.stats.injected_hangs += 1
+        # Sleep comfortably past the batch's most generous allowance so
+        # the breach is detected, not raced.
+        return ("hang", deadline * (1.0 + len(self._pending)))
+
+    # -- the supervised batch ------------------------------------------------
+
+    def _serial_one(self, position: int, total: int,
+                    layout: Layout) -> SimResult:
+        """In-process ground truth; a failure here is a real error."""
+        self.stats.serial_fallbacks += 1
+        try:
+            return self.session.simulate(layout)
+        except Exception as exc:
+            raise EvaluationError(position, total, exc) from exc
+
+    def _simulate(self, layouts: Sequence[Layout]) -> List[SimResult]:
+        if not layouts:
+            return []
+        policy = self.policy
+        total = len(layouts)
+        results: List[Optional[SimResult]] = [None] * total
+        attempts = [0] * total
+        profiler = prof.active()
+        # Worker wall-time harvested from completed dispatches; attributed
+        # non-exclusively so the parent's dispatch self time stays the
+        # IPC + supervision overhead (serial fallbacks compute in-process
+        # and are therefore already inside the dispatch wall).
+        compute_ns = 0
+        compute_count = 0
+        self._pending = list(range(total))
+        try:
+            while self._pending:
+                pending = self._pending
+                if self._serial_mode:
+                    for index in pending:
+                        results[index] = self._serial_one(
+                            index, total, layouts[index]
+                        )
+                    break
+                # Tasks out of pool retries take the in-process path.
+                exhausted = [
+                    i for i in pending if attempts[i] >= policy.max_retries
+                ]
+                for index in exhausted:
+                    results[index] = self._serial_one(
+                        index, total, layouts[index]
+                    )
+                pending = [i for i in pending if results[i] is None]
+                self._pending = pending
+                if not pending:
+                    break
+
+                # The retry unit is a *chunk*: one chaos token, deadline,
+                # and re-submission decision per chunk; retry attempts and
+                # fallbacks stay accounted per layout.
+                chunks = [
+                    pending[start:stop]
+                    for start, stop in _chunk_bounds(len(pending),
+                                                     self.workers)
+                ]
+                deadline = self._deadline()
+                failure: Optional[str] = None
+                futures = {}
+                try:
+                    pool = self._pool()
+                    for chunk_id, member_indices in enumerate(chunks):
+                        token = self._chaos_token(deadline)
+                        futures[chunk_id] = pool.submit(
+                            _simulate_chunk,
+                            [layouts[i] for i in member_indices],
+                            token,
+                        )
+                        for index in member_indices:
+                            attempts[index] += 1
+                        self._dispatch_seq += 1
+                        self.stats.dispatches += 1
+                except (BrokenProcessPool, OSError, RuntimeError):
+                    # The pool died before the batch was even in flight.
+                    failure = "broken"
+
+                collected: List[int] = []
+
+                def harvest(member_indices, chunk_results, elapsed_ns):
+                    nonlocal compute_ns, compute_count
+                    # One elapsed covers the whole chunk; the EWMA tracks
+                    # per-simulation seconds, so observe the average.
+                    self._observe(
+                        elapsed_ns / 1e9 / max(1, len(member_indices))
+                    )
+                    compute_ns += elapsed_ns
+                    compute_count += len(member_indices)
+                    for index, result in zip(member_indices, chunk_results):
+                        results[index] = result
+                        collected.append(index)
+
+                if failure is None:
+                    started = time.monotonic()
+                    for rank, member_indices in enumerate(chunks):
+                        allowance = (
+                            deadline
+                            * len(member_indices)
+                            * (1 + rank // self.workers)
+                        )
+                        remaining = started + allowance - time.monotonic()
+                        try:
+                            elapsed_ns, chunk_results = futures[rank].result(
+                                timeout=max(0.0, remaining)
+                            )
+                        except FutureTimeout:
+                            failure = "deadline"
+                            break
+                        except BrokenProcessPool:
+                            failure = "broken"
+                            break
+                        except _ChunkItemError as exc:
+                            raise EvaluationError(
+                                member_indices[exc.offset], total, exc
+                            ) from exc
+                        except Exception as exc:
+                            raise EvaluationError(
+                                member_indices[0], total, exc
+                            ) from exc
+                        harvest(member_indices, chunk_results, elapsed_ns)
+                    if failure is not None:
+                        # Harvest whatever else finished before the breach;
+                        # a completed result is a completed result.
+                        for rank, member_indices in enumerate(chunks):
+                            if results[member_indices[0]] is not None:
+                                continue
+                            future = futures.get(rank)
+                            if future is None or not future.done():
+                                continue
+                            try:
+                                elapsed_ns, chunk_results = future.result(
+                                    timeout=0
+                                )
+                            except Exception:
+                                continue
+                            harvest(member_indices, chunk_results, elapsed_ns)
+
+                pending = [i for i in pending if results[i] is None]
+                self._pending = pending
+                if failure is None:
+                    break
+                if collected:
+                    self._consecutive_pool_failures = 0
+                for index in pending:
+                    self.stats.worker_retries += 1
+                    self.stats.events.append(
+                        WorkerRetry(
+                            time=self._dispatch_seq,
+                            position=index,
+                            attempt=attempts[index],
+                            reason=failure,
+                        )
+                    )
+                self._handle_pool_failure(failure)
+        finally:
+            self._pending = []
+            if profiler is not None and compute_count:
+                # Non-exclusive: worker compute overlaps the parent's
+                # ``search.dispatch`` wall (and, with N workers, can
+                # exceed it), so it must not be subtracted from dispatch
+                # self time — dispatch self is the IPC + wait overhead.
+                profiler.add_time(
+                    _P_COMPUTE, compute_ns, count=compute_count, exclusive=False
+                )
+                profiler.add_count(_C_POOL_DISPATCHES)
+        assert all(result is not None for result in results)
+        return results  # type: ignore[return-value]
 
 
 def make_evaluator(
@@ -478,39 +668,25 @@ def make_evaluator(
     core_speeds: Optional[Dict[int, float]] = None,
     cache: Optional[SimCache] = None,
     workers: int = 1,
-    supervise: bool = False,
-    policy=None,
-    chaos=None,
-) -> Evaluator:
-    """Builds the right backend for ``workers``.
+    policy: Optional[RetryPolicy] = None,
+    chaos: Optional["HostChaosPlan"] = None,
+) -> "SerialEvaluator | ParallelEvaluator":
+    """Builds the right backend for ``workers``: the supervised pool for
+    ``workers > 1``, the in-process serial evaluator otherwise.
 
-    With ``supervise=True`` (or an explicit retry ``policy`` / ``chaos``
-    plan) a multi-worker evaluator is wrapped in host-fault supervision:
-    deadlines, bounded retries, pool rebuilds, and serial degradation —
-    see :mod:`repro.search.supervise`. Serial evaluation has no worker
-    processes to supervise, so ``workers=1`` ignores these knobs.
+    Serial evaluation has no worker processes to supervise, so
+    ``workers=1`` ignores ``policy`` — and refuses a host-chaos plan,
+    which would otherwise run a plain search that fires nothing.
     """
     if workers > 1:
-        if supervise or policy is not None or chaos is not None:
-            from .supervise import SupervisedEvaluator
-
-            return SupervisedEvaluator(
-                compiled,
-                profile,
-                hints=hints,
-                core_speeds=core_speeds,
-                cache=cache,
-                workers=workers,
-                policy=policy,
-                chaos=chaos,
-            )
         return ParallelEvaluator(
-            compiled,
-            profile,
-            hints=hints,
-            core_speeds=core_speeds,
-            cache=cache,
-            workers=workers,
+            compiled, profile, hints=hints, core_speeds=core_speeds,
+            cache=cache, workers=workers, policy=policy, chaos=chaos,
+        )
+    if chaos is not None:
+        raise ValueError(
+            f"host chaos needs workers >= 2 (got workers={workers}): a "
+            "serial search has no worker processes to fault"
         )
     return SerialEvaluator(
         compiled, profile, hints=hints, core_speeds=core_speeds, cache=cache

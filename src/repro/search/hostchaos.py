@@ -187,23 +187,19 @@ def run_host_chaos(
 
     ``options`` is the :class:`repro.SynthesisOptions` template for every
     run (anneal schedule, hints, ...); the harness forces ``workers=1``
-    with supervision off for the baseline and ``workers``/supervision/
-    chaos for the plans. Like :func:`repro.resilience.chaos.run_chaos`,
-    nothing raises on violation — the report carries the verdicts.
+    for the baseline and ``workers``/``policy``/chaos for the plans.
+    Like :func:`repro.resilience.chaos.run_chaos`, nothing raises on
+    violation — the report carries the verdicts.
     """
     from dataclasses import replace
 
     from ..core.options import SynthesisOptions
     from ..core.pipeline import synthesize_layout
-    from .supervise import RetryPolicy
 
     options = options if options is not None else SynthesisOptions()
-    policy = policy or RetryPolicy()
     baseline = synthesize_layout(
         compiled, profile, num_cores,
-        options=replace(
-            options, workers=1, supervise=False, host_chaos=None,
-        ),
+        options=replace(options, workers=1, host_chaos=None),
     )
     horizon = max(1, baseline.evaluations)
 
@@ -214,13 +210,12 @@ def run_host_chaos(
             options=replace(
                 options,
                 workers=max(2, workers),
-                supervise=True,
                 retry_policy=policy,
                 host_chaos=None if run.plan.is_empty() else run.plan,
             ),
         )
-        # Plan 0 also runs *with* supervision, so its zero-counter check
-        # exercises the supervised path, not a disabled one.
+        # Plan 0 runs through the same supervised pool, so its
+        # zero-counter check exercises the real dispatch path.
         run.supervision = run.report.search_metrics.get("supervision") or {}
         if run.index == 0:
             # Dispatch ids count chunks, not simulations: the control's

@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..lang.errors import BambooError
 from ..search.retry import backoff_delay
-from ..search.retry import jitter as _jitter
 from .protocol import (
     HEAVY_OPS,
     MAX_LINE_BYTES,

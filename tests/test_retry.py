@@ -87,11 +87,6 @@ class TestDelegation:
                 high=1.0,
             )
 
-    def test_supervise_module_aliases_jitter(self):
-        from repro.search import supervise
-
-        assert supervise._jitter is jitter
-
     def test_dist_lease_uses_client_shape(self):
         # The coordinator requeues with backoff_delay(..., low=0.5,
         # high=1.0) keyed by "shard<id>"; pin the value the dist layer

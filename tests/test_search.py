@@ -32,7 +32,7 @@ from repro.obs import MetricsRegistry
 from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from repro.schedule.coregroup import build_group_graph
 from repro.schedule.mapping import layout_fingerprint, random_layouts
-from repro.schedule.simulator import SimResult
+from repro.schedule.simulator import SimResult, SimSession
 from repro.search import (
     CacheEntry,
     EvaluationError,
@@ -259,7 +259,7 @@ class TestSimCache:
         cache.put("a", _entry(10))
         cache.get("a")
         cache.get("zzz")
-        stats = cache.stats()
+        stats = cache.cache_stats()
         assert stats["entries"] == 1
         assert stats["max_entries"] == 8
         assert stats["hits"] == 1 and stats["misses"] == 1
@@ -295,12 +295,16 @@ class TestEvaluatorContract:
         compiled, profile, layouts = keyword_setup
         serial = SerialEvaluator(compiled, profile)
         parallel = ParallelEvaluator(compiled, profile, workers=2)
-        try:
-            a = serial.evaluate(layouts)
-            b = parallel.evaluate(layouts)
-            assert [s.cycles for s in a.scored] == [s.cycles for s in b.scored]
-        finally:
-            parallel.close()
+        with serial, parallel:
+            # A 1-layout batch goes through the pool like any other.
+            for batch in (layouts, layouts[:1]):
+                dispatched = parallel.stats.dispatches
+                a = serial.evaluate(batch)
+                b = parallel.evaluate(batch)
+                assert [s.cycles for s in a.scored] == [
+                    s.cycles for s in b.scored
+                ]
+                assert parallel.stats.dispatches > dispatched
 
     def test_factory_picks_backend(self, keyword_setup):
         compiled, profile, _ = keyword_setup
@@ -339,27 +343,31 @@ class TestEvaluatorContract:
         assert "layout 1/3" in str(excinfo.value)
         assert "ValueError: boom" in str(excinfo.value)
 
-    def test_single_layout_shortcut_never_touches_the_pool(
-        self, keyword_setup
+    def test_worker_failure_names_its_position_inside_a_chunk(
+        self, keyword_setup, monkeypatch
     ):
+        # Six layouts on two workers ship as three 2-layout chunks; the
+        # 4th layout (offset 1 of the second chunk) fails in its worker.
         compiled, profile, layouts = keyword_setup
+        assert len(layouts) == 6
+        failing = layout_fingerprint(layouts[3])
+        simulate = SimSession.simulate
 
-        class DeadPool:
-            def submit(self, fn, *args):
-                raise AssertionError("single-layout batch reached the pool")
+        def failing_simulate(session, layout):
+            if layout_fingerprint(layout) == failing:
+                raise ValueError("boom")
+            return simulate(session, layout)
 
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        serial = SerialEvaluator(compiled, profile)
-        parallel = ParallelEvaluator(compiled, profile, workers=2)
-        parallel._executor = DeadPool()
-        with serial, parallel:
-            expected = serial.evaluate(layouts[:1])
-            got = parallel.evaluate(layouts[:1])
-        assert [s.cycles for s in got.scored] == [
-            s.cycles for s in expected.scored
-        ]
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(SimSession, "simulate", failing_simulate)
+        with ParallelEvaluator(compiled, profile, workers=2) as evaluator:
+            with pytest.raises(EvaluationError) as excinfo:
+                evaluator.evaluate(layouts)
+            assert evaluator.stats.dispatches == 3
+        assert excinfo.value.position == 3
+        assert excinfo.value.batch_size == 6
+        assert "layout 4/6" in str(excinfo.value)
+        assert "ValueError: boom" in str(excinfo.value)
 
     def test_evaluator_context_manager_closes_pool(self, keyword_setup):
         compiled, profile, layouts = keyword_setup

@@ -3,11 +3,11 @@
 Four contracts are enforced here, mirroring the simulated-machine
 resilience suite (``test_resilience.py``/``test_chaos.py``) one level up:
 
-* **Supervision transparency** — a supervised search (deadlines, bounded
-  retries, pool rebuilds, serial degradation) is bit-identical to an
-  unsupervised one when fault-free, and bit-identical to the fault-free
-  run under injected worker crashes and hangs. Supervision may only
-  rescue work, never change it.
+* **Supervision transparency** — a search through the supervised pool
+  (deadlines, bounded retries, pool rebuilds, serial degradation) is
+  bit-identical to a serial one when fault-free, and bit-identical to
+  the fault-free run under injected worker crashes and hangs.
+  Supervision may only rescue work, never change it.
 * **Bounded recovery** — retry exhaustion falls back to in-process
   simulation; repeated pool failures degrade the evaluator to serial
   mode; both paths still produce the serial backend's exact results.
@@ -45,10 +45,10 @@ from repro.search import (
     CheckpointError,
     HostChaosPlan,
     HostFault,
+    ParallelEvaluator,
     RetryPolicy,
     SearchCheckpoint,
     SerialEvaluator,
-    SupervisedEvaluator,
     read_checkpoint,
     run_host_chaos,
     write_checkpoint,
@@ -66,7 +66,7 @@ def _keyword_evaluators(chaos=None, policy=FAST_POLICY, workers=2):
     compiled = load_benchmark("Keyword")
     profile = small_profile("Keyword")
     serial = SerialEvaluator(compiled, profile)
-    supervised = SupervisedEvaluator(
+    supervised = ParallelEvaluator(
         compiled, profile, workers=workers, policy=policy, chaos=chaos,
     )
     return serial, supervised
@@ -84,8 +84,8 @@ def crash_plan(*dispatches):
 
 class TestSupervisedEvaluator:
     def test_fault_free_supervision_is_transparent(self):
-        base = small_synthesis("Keyword", workers=1, supervise=False)
-        supervised = small_synthesis("Keyword", workers=2, supervise=True)
+        base = small_synthesis("Keyword", workers=1)
+        supervised = small_synthesis("Keyword", workers=2)
         assert report_fingerprint(supervised) == report_fingerprint(base)
         stats = supervised.search_metrics["supervision"]
         assert stats["worker_retries"] == 0
@@ -188,7 +188,7 @@ class TestSupervisedEvaluator:
         compiled = load_benchmark("Keyword")
         profile = small_profile("Keyword")
         cache = SimCache()
-        with SupervisedEvaluator(
+        with ParallelEvaluator(
             compiled, profile, workers=2, cache=cache,
             policy=FAST_POLICY, chaos=crash_plan(1),
         ) as supervised:
@@ -221,6 +221,12 @@ class TestHostChaosHarness:
         assert first == second
         assert not first.is_empty()
         assert all(f.dispatch < 50 for f in first.faults)
+
+    def test_host_chaos_needs_a_worker_pool(self):
+        # A serial search has no workers to fault: the plan is refused,
+        # not silently dropped into a plain search that fires nothing.
+        with pytest.raises(ValueError, match="workers >= 2"):
+            small_synthesis("Keyword", workers=1, host_chaos=crash_plan(0))
 
     def test_sweep_invariants_hold(self):
         compiled = load_benchmark("Keyword")
@@ -257,7 +263,7 @@ class TestHostChaosHarness:
             _check_run,
         )
 
-        baseline = small_synthesis("Keyword", workers=1, supervise=False)
+        baseline = small_synthesis("Keyword", workers=1)
         forged = replace(baseline, estimated_cycles=baseline.estimated_cycles + 1)
         run = HostChaosRun(
             index=1, seed=1, plan=crash_plan(0), report=forged,

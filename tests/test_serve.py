@@ -177,10 +177,6 @@ class TestConcurrentSimCache:
         assert len(cache) <= 64
         assert stats["entries"] == len(cache)
 
-    def test_cache_stats_is_stats(self):
-        cache = SimCache()
-        assert cache.cache_stats() == cache.stats()
-
 
 # -- the persistent store ------------------------------------------------------
 

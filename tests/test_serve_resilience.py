@@ -39,7 +39,6 @@ from repro.serve import (
     run_net_chaos,
     wait_for_server,
 )
-from repro.serve.client import _jitter
 from repro.serve.netchaos import PROXY_FAULT_KINDS
 from repro.serve.protocol import decode, encode
 
@@ -108,11 +107,13 @@ class TestClientRetryPolicy:
         assert policy.backoff("ping", 1) != policy.backoff("synthesize", 1)
 
     def test_jitter_matches_supervise_shape(self):
-        from repro.search.supervise import _jitter as supervise_jitter
+        from repro.search.retry import jitter
 
-        # Same construction: sha256(f"{key}:{round}") first 4 bytes / 2^32.
-        assert _jitter("7", 3) == supervise_jitter(7, 3)
-        assert 0.0 <= _jitter("synthesize", 1) < 1.0
+        # Same construction: sha256(f"{key}:{round}") first 4 bytes / 2^32,
+        # so the client's string op keys and the pool's integer dispatch
+        # ids jitter alike.
+        assert jitter("7", 3) == jitter(7, 3)
+        assert 0.0 <= jitter("synthesize", 1) < 1.0
 
 
 # -- the retrying client -------------------------------------------------------
