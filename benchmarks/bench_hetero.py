@@ -10,6 +10,7 @@ both executed on the heterogeneous machine."""
 from conftest import bench_config, emit
 from repro.bench import load_benchmark
 from repro.core import RunOptions, SynthesisOptions, run_layout, synthesize_layout
+from repro.runtime.machine import MachineConfig
 from repro.viz import render_table
 
 NUM_CORES = 16
@@ -33,7 +34,7 @@ def run_all(ctx):
         ).layout
         blind = ctx.synthesis_report(name, num_cores=NUM_CORES).layout
 
-        hetero = RunOptions(core_speeds=SPEEDS)
+        hetero = RunOptions(machine=MachineConfig(core_speeds=SPEEDS))
         aware_run = run_layout(compiled, aware, args, options=hetero)
         blind_run = run_layout(compiled, blind, args, options=hetero)
         assert aware_run.stdout == blind_run.stdout

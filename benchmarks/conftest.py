@@ -24,6 +24,7 @@ from repro.core import (
     single_core_layout,
     synthesize_layout,
 )
+from repro.runtime.machine import MachineConfig
 from repro.schedule.anneal import AnnealConfig
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -117,7 +118,7 @@ class ExperimentContext:
             # simulated cycle counts (bit-identity is test-enforced).
             self._many[key] = run_layout(
                 self.compiled(name), report.layout, self.args(name, double),
-                options=RunOptions(observe=True),
+                options=RunOptions(machine=MachineConfig(observe=True)),
             )
         return self._many[key]
 

@@ -31,7 +31,6 @@ The public API re-exports here, so typical use is just::
 
 from .core import (
     CompiledProgram,
-    DistOptions,
     RunOptions,
     SequentialResult,
     SynthesisOptions,
@@ -48,7 +47,6 @@ from .schedule import SimResult, SimSession, simulate
 
 __all__ = [
     "CompiledProgram",
-    "DistOptions",
     "RunOptions",
     "SequentialResult",
     "SimResult",

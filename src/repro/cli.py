@@ -59,7 +59,9 @@ Commands
     gates the fault-injection operation used by ``serve-chaos``.
     ``--metrics-port N`` additionally serves ``GET /metrics``
     (Prometheus text exposition), ``/healthz``, and ``/profilez`` over
-    plain HTTP — scrapable even while the daemon drains.
+    plain HTTP — scrapable even while the daemon drains. The daemon
+    always runs a wall-clock profiler; it feeds ``/profilez`` and the
+    ``repro_profile_*`` series and never changes a result.
 ``request OP [FILE [ARGS...]] --port N``
     Send one request to a running daemon and print the deterministic
     result JSON on stdout (telemetry goes to stderr). With ``--offline``
@@ -125,6 +127,7 @@ from .core import (
 )
 from .fault.plan import FaultPlan
 from .lang.errors import BambooError, RuntimeBambooError, ScheduleError
+from .runtime.machine import MachineConfig
 
 
 def _load(path: str, optimize: bool = False):
@@ -189,9 +192,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.verbose and fault_plan is not None:
         print(fault_plan.describe(), file=sys.stderr)
     run_options = RunOptions(
-        fault_plan=fault_plan,
-        resilience=resilience,
-        validate=args.validate,
+        machine=MachineConfig(
+            fault_plan=fault_plan,
+            resilience=resilience,
+            validate=args.validate,
+        ),
         trace_path=args.trace_out,
         metrics_path=args.metrics_out,
     )
@@ -293,7 +298,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"[trace: {args.trace_out}]", file=sys.stderr)
     if args.metrics_out:
         print(f"[metrics: {args.metrics_out}]", file=sys.stderr)
-    if run_options.wants_observe() and args.verbose and result.events is not None:
+    if args.verbose and result.events is not None:
         from .viz import render_machine_timeline
 
         print(
@@ -320,7 +325,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         idle_timeout=args.idle_timeout,
         allow_fault_injection=args.allow_chaos,
         metrics_port=args.metrics_port,
-        profile=not args.no_profile,
     )
 
     def announce(server):
@@ -983,7 +987,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_summarize.set_defaults(func=_cmd_obs)
 
     p_serve = sub.add_parser(
-        "serve", help="start the synthesis daemon (repro.serve)"
+        "serve",
+        help="start the synthesis daemon (repro.serve); it always runs a "
+             "wall-clock profiler (GET /profilez with --metrics-port)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -1040,11 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also serve GET /metrics (Prometheus text), /healthz, and "
              "/profilez over HTTP on this port (0 picks an ephemeral "
              "one, announced on stderr)",
-    )
-    p_serve.add_argument(
-        "--no-profile", action="store_true",
-        help="skip installing the daemon's wall-clock profiler "
-             "(disables /profilez and the repro_profile_* series)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

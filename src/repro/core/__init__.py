@@ -10,12 +10,11 @@ from .api import (
     run_sequential,
     single_core_layout,
 )
-from .options import DistOptions, RunOptions, SynthesisOptions
+from .options import RunOptions, SynthesisOptions
 from .pipeline import SynthesisReport, synthesize_layout
 
 __all__ = [
     "CompiledProgram",
-    "DistOptions",
     "RunOptions",
     "SequentialResult",
     "SynthesisOptions",

@@ -15,10 +15,11 @@ Typical use::
     )
     result = run_layout(compiled, report.layout, args=["8"]) # many-core run
 
-Run-time behaviour (fault injection, resilience, observability, sinks) is
-configured through :class:`RunOptions`; search-time behaviour (anneal
-schedule, hints, workers, simulation cache) through
-:class:`SynthesisOptions`.
+Run-time behaviour is configured through :class:`RunOptions`: fault
+injection, resilience and observability on its ``machine``
+(:class:`repro.runtime.machine.MachineConfig`), plus profile collection
+and trace/metrics sinks. Search-time behaviour (anneal schedule, hints,
+workers, simulation cache) goes through :class:`SynthesisOptions`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from ..lang.lexer import tokenize
 from ..lang.parser import Parser
 from ..obs import prof
 from ..runtime.interp import Interpreter
-from ..runtime.machine import MachineConfig, MachineResult, ManyCoreMachine
+from ..runtime.machine import MachineResult, ManyCoreMachine
 from ..runtime.objects import BArray, Heap
 from ..runtime.profiler import ProfileData
 from ..schedule.layout import Layout

@@ -54,84 +54,6 @@ class SynthesisReport:
     search_metrics: Dict[str, object] = field(default_factory=dict)
 
 
-def _synthesize_dist(
-    compiled: CompiledProgram,
-    profile: ProfileData,
-    num_cores: int,
-    options: SynthesisOptions,
-) -> SynthesisReport:
-    """The distributed path: ``options.dist.restarts`` independent seeded
-    annealing restarts, coordinated by :mod:`repro.search.dist` and
-    merged in shard-id order. The report's deterministic fields are
-    bit-identical to a single-host serial run of the same shard list."""
-    import hashlib
-
-    from ..obs.metrics import MetricsRegistry, build_search_metrics
-    from ..schedule.rules import suggest_replicas
-    from ..search.dist import (
-        JobContext,
-        make_restart_shards,
-        run_dist_search,
-    )
-
-    dist = options.dist
-    started = _time.perf_counter()
-    with prof.phase(_P_CSTG):
-        cstg = annotated_cstg(compiled, profile)
-    with prof.phase(_P_GROUP_GRAPH):
-        graph = build_group_graph(compiled.info, cstg, profile)
-    with prof.phase(_P_REPLICAS):
-        suggestions = suggest_replicas(compiled.info, graph, profile, num_cores)
-
-    registry = options.metrics if options.metrics is not None else MetricsRegistry()
-    context = JobContext(
-        compiled=compiled,
-        profile=profile,
-        num_cores=num_cores,
-        hints=options.hints,
-        mesh_width=options.mesh_width,
-        core_speeds=options.core_speeds,
-        source_digest=hashlib.sha256(
-            compiled.source.encode("utf-8")
-        ).hexdigest(),
-    )
-    shards = make_restart_shards(
-        options.effective_anneal(), dist.restarts, base_seed=dist.base_seed
-    )
-    result = run_dist_search(
-        context,
-        shards,
-        workers=dist.workers,
-        lease=dist.lease,
-        registry=registry,
-        checkpoint_path=dist.checkpoint_path,
-        resume=dist.resume,
-        degrade_after=dist.degrade_after,
-    )
-    wall = _time.perf_counter() - started
-    return SynthesisReport(
-        layout=result.best_layout,
-        estimated_cycles=result.best_cycles,
-        evaluations=result.evaluations,
-        iterations=sum(shard.iterations for shard in result.shards),
-        wall_seconds=wall,
-        group_graph=graph,
-        suggestions=suggestions,
-        history=list(result.trajectory),
-        cache_hits=result.cache_hits,
-        requested_evaluations=result.requested_evaluations,
-        search_metrics=build_search_metrics(
-            workers=dist.workers,
-            wall_seconds=wall,
-            evaluations=result.evaluations,
-            cache_hits=result.cache_hits,
-            cache_stats=None,
-            registry=registry,
-            dist=result.stats,
-        ),
-    )
-
-
 def synthesize_layout(
     compiled: CompiledProgram,
     profile: ProfileData,
@@ -148,6 +70,11 @@ def synthesize_layout(
     search.
     """
     options = options or SynthesisOptions()
+    if options.cache is not None and not options.sim_cache:
+        raise ValueError(
+            "SynthesisOptions.cache is set but SynthesisOptions.sim_cache is "
+            "False: a shared cache needs sim_cache=True"
+        )
 
     with prof.phase(_P_SYNTHESIZE):
         return _synthesize(compiled, profile, num_cores, options)
@@ -159,8 +86,6 @@ def _synthesize(
     num_cores: int,
     options: SynthesisOptions,
 ) -> SynthesisReport:
-    if options.dist is not None:
-        return _synthesize_dist(compiled, profile, num_cores, options)
     started = _time.perf_counter()
     with prof.phase(_P_CSTG):
         cstg = annotated_cstg(compiled, profile)
@@ -172,7 +97,7 @@ def _synthesize(
     from ..obs.metrics import MetricsRegistry, build_search_metrics
     from ..search import SimCache
 
-    registry = options.metrics if options.metrics is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     cache = options.cache
     if cache is None and options.sim_cache:
         cache = SimCache(registry=registry)

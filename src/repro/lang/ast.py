@@ -378,18 +378,6 @@ class ClassDecl:
     methods: List[MethodDecl]
     location: SourceLocation = UNKNOWN_LOCATION
 
-    def find_method(self, name: str) -> Optional[MethodDecl]:
-        for method in self.methods:
-            if method.name == name and not method.is_constructor:
-                return method
-        return None
-
-    def find_constructor(self) -> Optional[MethodDecl]:
-        for method in self.methods:
-            if method.is_constructor:
-                return method
-        return None
-
 
 @dataclass
 class TaskDecl:

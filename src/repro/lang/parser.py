@@ -275,10 +275,6 @@ class Parser:
 
     # -- types ------------------------------------------------------------------
 
-    def _type_starts_here(self, offset: int = 0) -> bool:
-        kind = self._peek(offset).kind
-        return kind in _PRIMITIVE_TYPE_KINDS or kind is TokenKind.IDENT
-
     def parse_type(self) -> ast.TypeNode:
         token = self._peek()
         if token.kind in _PRIMITIVE_TYPE_KINDS:

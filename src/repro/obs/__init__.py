@@ -30,7 +30,6 @@ from .events import (
     PoolRebuild,
     Tracer,
     WorkerRetry,
-    legacy_line,
     occupancy_intervals,
 )
 from .export import (
@@ -72,7 +71,6 @@ __all__ = [
     "chrome_trace",
     "cycle_accounting",
     "identify",
-    "legacy_line",
     "load_artifact",
     "occupancy_intervals",
     "prof",

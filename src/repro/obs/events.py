@@ -1,7 +1,7 @@
 """Typed, timestamped machine events and the tracer that collects them.
 
-One :class:`Tracer` accompanies a machine run when observability (or the
-legacy string trace) is enabled. The runtime emits one event per
+One :class:`Tracer` accompanies a machine run when observability
+(``MachineConfig.observe``) is enabled. The runtime emits one event per
 interesting occurrence — task dispatch/commit/preempt/retry, lock
 acquire/fail, mail send/receive, run-queue depth changes, heartbeats, and
 every fault/recovery phase — in deterministic processing order, so two
@@ -20,21 +20,12 @@ cycles off (crash, eviction, watchdog preemption) it emits a
 the write-off point — so replaying the stream with
 :func:`occupancy_intervals` reconstructs the core's true busy timeline,
 truncations included.
-
-Legacy trace
-------------
-
-The pre-observability machine recorded a ``List[str]`` trace of commit
-and fault lines. Those strings are now *derived* from the typed stream
-(:func:`legacy_line` maps the event kinds the old trace covered to their
-exact historical format), so ``MachineConfig.record_trace`` users see
-identical lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 #: occupancy labels for non-task busy intervals
 STALL_LABEL = "(stall)"
@@ -338,48 +329,6 @@ class Tracer:
             return
         self._depths[core] = depth
         self.events.append(QueueDepth(time=time, core=core, depth=depth))
-
-    def legacy_trace(self) -> List[str]:
-        """The historical ``List[str]`` trace, re-derived from the typed
-        stream — line-for-line identical to what the seed recorded."""
-        lines: List[str] = []
-        for event in self.events:
-            line = legacy_line(event)
-            if line is not None:
-                lines.append(line)
-        return lines
-
-
-def legacy_line(event: Event) -> Optional[str]:
-    """Maps one typed event to its pre-observability trace line (or None
-    for event kinds the legacy string trace never covered)."""
-    if isinstance(event, TaskCommit):
-        return (
-            f"{event.time} commit core {event.core} {event.task} "
-            f"exit {event.exit_id}"
-        )
-    if isinstance(event, Crash):
-        suffix = " (already evicted)" if event.already_evicted else ""
-        return f"{event.time} crash core {event.core}{suffix}"
-    if isinstance(event, Detect):
-        return (
-            f"{event.time} detect core {event.core} dead "
-            f"(latency {event.latency})"
-        )
-    if isinstance(event, Evict):
-        return f"{event.time} evict core {event.core} (suspected)"
-    if isinstance(event, Rejoin):
-        return f"{event.time} rejoin core {event.core}"
-    if isinstance(event, Stall):
-        return f"{event.time} stall core {event.core} until {event.until}"
-    if isinstance(event, TaskPreempt):
-        return f"{event.time} watchdog preempt core {event.core} {event.task}"
-    if isinstance(event, Quarantine):
-        return (
-            f"{event.time} quarantine {event.task} "
-            f"objects {list(event.object_ids)}"
-        )
-    return None
 
 
 # -- occupancy replay ----------------------------------------------------------

@@ -8,7 +8,7 @@ oracle no real machine has. This package closes the loop with failure
 * :mod:`repro.resilience.config` — :class:`ResilienceConfig`, the policy
   knobs (heartbeat period, suspicion threshold, watchdog multiplier,
   retry/backoff budget). Installed via ``MachineConfig.resilience``;
-  absent or disabled, the machine is bit-identical to the seed.
+  absent (None), the machine is bit-identical to the seed.
 * :mod:`repro.resilience.detector` — per-core heartbeats and the
   missed-beat monitor. Crashes become *silent halts*, discovered from the
   outside with measurable detection latency; long stalls can be falsely

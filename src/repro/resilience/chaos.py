@@ -14,9 +14,10 @@ promises:
   same output lines as the fault-free baseline (commit order, and hence
   line order, may legally differ under faults).
 * **Bit-identity of the control** — plan 0 re-run with resilience
-  *disabled* equals the baseline ``MachineResult`` field for field, and
-  re-run with resilience *enabled* changes nothing observable (same
-  stdout, same invocation counts, no deaths, no quarantine).
+  *off* (``resilience=None``) equals the baseline ``MachineResult``
+  field for field, and re-run with resilience *enabled* changes nothing
+  observable (same stdout, same invocation counts, no deaths, no
+  quarantine).
 
 Every plan keeps one protected survivor core fault-free, so recovery
 always has somewhere to migrate — a plan that kills every core is not an
@@ -185,7 +186,7 @@ def run_chaos(
         )
         _check_run(run, run.result, baseline)
         if run.index == 0:
-            _check_control(run, compiled, layout, args, baseline, resilience)
+            _check_control(run, compiled, layout, args, baseline)
 
     return ChaosReport(
         runs=chaos.sweep(ChaosRun, runs, base_seed, make_plan, execute),
@@ -199,27 +200,24 @@ def _check_control(
     layout: Layout,
     args: Sequence[str],
     baseline: MachineResult,
-    resilience: ResilienceConfig,
 ) -> None:
     """Plan-0 extras: the empty plan must be a true control.
 
-    With resilience disabled the run must be *bit-identical* to the
-    baseline; with it enabled (``run.result``) nothing observable may
-    change — heartbeats cost cycles but decide nothing on a healthy
-    machine.
+    With resilience off (``resilience=None``) the run must be
+    *bit-identical* to the baseline; with it on (``run.result``) nothing
+    observable may change — heartbeats cost cycles but decide nothing on
+    a healthy machine.
     """
     from ..core.api import run_layout
     from ..core.options import RunOptions
-    from dataclasses import replace
 
-    disabled = replace(resilience, enabled=False)
-    config = MachineConfig(fault_plan=None, resilience=disabled)
+    config = MachineConfig(resilience=None)
     control = run_layout(
         compiled, layout, args, options=RunOptions(machine=config)
     )
     if control != baseline:
         run.violations.append(
-            "resilience disabled is not bit-identical to the baseline"
+            "resilience off is not bit-identical to the baseline"
         )
     result = run.result
     if result.stdout != baseline.stdout:

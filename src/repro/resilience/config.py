@@ -8,8 +8,8 @@ until it is quarantined. Everything is deterministic — all thresholds are
 fixed cycle counts, so a resilient run is exactly as reproducible as a
 plain one.
 
-With ``MachineConfig.resilience`` absent (or ``enabled=False``) none of
-this machinery is installed and the run stays bit-identical to the seed.
+With ``MachineConfig.resilience`` absent (None) none of this machinery
+is installed and the run stays bit-identical to the seed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from ..runtime.profiler import ProfileData
 class ResilienceConfig:
     """Tunables for detection-driven failure handling."""
 
-    #: master switch; False leaves the machine bit-identical to the seed
-    enabled: bool = True
     #: cycles between liveness heartbeats on each live core
     heartbeat_interval: int = 500
     #: consecutive missed beats before the monitor suspects a core; the

@@ -86,23 +86,18 @@ class MachineConfig:
     fault_plan: Optional["FaultPlan"] = None
     #: detection-driven resilience (:mod:`repro.resilience`): heartbeats,
     #: missed-beat failure detection, watchdog deadlines, retry/backoff,
-    #: and poison quarantine; None (or ``enabled=False``) installs nothing
-    #: and the run is bit-identical to one without this field
+    #: and poison quarantine; None installs nothing and the run is
+    #: bit-identical to one without this field
     resilience: Optional["ResilienceConfig"] = None
     #: assert the termination invariant (no locks held, no queued
     #: invocations on live cores) at end of run
     validate: bool = False
-    #: record a per-commit/per-fault event trace on the result (for
-    #: determinism checks and debugging; off by default). The legacy
-    #: string lines are derived from the typed observability events.
-    record_trace: bool = False
     #: full observability (:mod:`repro.obs`): collect the typed event
     #: stream on ``MachineResult.events`` and derive the metrics snapshot
     #: (utilization, queue depths, latency histograms, machine-checked
     #: cycle accounting) on ``MachineResult.metrics``. Off by default —
-    #: ``observe`` and ``record_trace`` are the only config flags that
-    #: allocate per-event; with both off the run is bit-identical to one
-    #: without this machinery.
+    #: ``observe`` is the only config flag that allocates per event; with
+    #: it off the run is bit-identical to one without this machinery.
     observe: bool = False
     max_invocations: int = 5_000_000
     max_events: int = 20_000_000
@@ -126,8 +121,6 @@ class MachineResult:
     #: fault-handling telemetry; present iff a fault plan or resilience
     #: config was installed
     recovery: Optional["RecoveryStats"] = None
-    #: event trace (only with ``MachineConfig.record_trace``)
-    trace: Optional[List[str]] = None
     #: typed event stream (only with ``MachineConfig.observe``)
     events: Optional[List[Event]] = None
     #: metrics snapshot derived from the event stream, including the
@@ -249,7 +242,7 @@ class ManyCoreMachine:
         self._detector = None
         self._watchdog = None
         resilience = self.config.resilience
-        self._resilience_on = resilience is not None and resilience.enabled
+        self._resilience_on = resilience is not None
         has_faults = bool(
             self.config.fault_plan is not None and self.config.fault_plan.events
         )
@@ -279,13 +272,11 @@ class ManyCoreMachine:
             self._watchdog = TaskWatchdog(self, resilience, self.recovery)
             for scheduler in self.schedulers.values():
                 scheduler.poisoned = self.poisoned_ids
-        #: typed event collector; None unless observability (or the
-        #: legacy string trace, now derived from it) was requested — the
-        #: ``is not None`` guards keep the off path allocation-free
+        #: typed event collector; None unless observability was
+        #: requested — the ``is not None`` guards keep the off path
+        #: allocation-free
         self.tracer: Optional[Tracer] = (
-            Tracer()
-            if (self.config.observe or self.config.record_trace)
-            else None
+            Tracer() if self.config.observe else None
         )
 
         # statistics
@@ -414,13 +405,7 @@ class ManyCoreMachine:
             self.profile.run_cycles = total
         if self.config.validate:
             self._assert_quiescent()
-        trace = None
-        events = None
-        if self.tracer is not None:
-            if self.config.record_trace:
-                trace = self.tracer.legacy_trace()
-            if self.config.observe:
-                events = self.tracer.events
+        events = self.tracer.events if self.tracer is not None else None
         result = MachineResult(
             total_cycles=total,
             core_busy=busy,
@@ -433,7 +418,6 @@ class ManyCoreMachine:
             stdout=self.interp.output(),
             profile=self.profile,
             recovery=self.recovery,
-            trace=trace,
             quarantined=list(self.quarantined) if self._resilience_on else None,
             core_death_cycles=dict(self.death_cycles) or None,
             events=events,

@@ -1,7 +1,7 @@
 """Implementation synthesis: layouts, transformations, mapping search,
 scheduling simulation, critical paths, and directed simulated annealing."""
 
-from .anneal import AnnealConfig, AnnealResult, directed_simulated_annealing
+from .anneal import AnnealConfig, AnnealResult
 from .coregroup import CoreGroup, GroupGraph, build_group_graph, build_task_edges
 from .critpath import CriticalPath, Move, compute_critical_path, suggest_moves
 from .layout import Layout, Router, common_tag_binding, mesh_hops
@@ -41,7 +41,6 @@ __all__ = [
     "candidate_to_layout",
     "common_tag_binding",
     "compute_critical_path",
-    "directed_simulated_annealing",
     "duplication_factors",
     "enumerate_candidates",
     "enumerate_layouts",

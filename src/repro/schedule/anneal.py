@@ -540,34 +540,3 @@ class DirectedSimulatedAnnealing:
             from ..search.checkpoint import write_checkpoint
 
             write_checkpoint(self.checkpoint_path, self._boundary)
-
-
-def directed_simulated_annealing(
-    compiled: "CompiledProgram",
-    profile: ProfileData,
-    num_cores: int,
-    config: Optional[AnnealConfig] = None,
-    hints: Optional[Dict[str, str]] = None,
-    initial: Optional[List[Layout]] = None,
-    mesh_width: Optional[int] = None,
-    core_speeds: Optional[Dict[int, float]] = None,
-    workers: int = 1,
-    cache: Optional["SimCache"] = None,
-    use_cache: bool = True,
-    retry_policy=None,
-    host_chaos=None,
-    checkpoint_path: Optional[str] = None,
-    resume: Optional[str] = None,
-) -> AnnealResult:
-    """Runs DSA and returns the best layout found. ``resume=`` restores a
-    checkpoint written by an earlier (interrupted) run with the same
-    schedule; the resumed result is bit-identical to an uninterrupted
-    run's."""
-    with DirectedSimulatedAnnealing(
-        compiled, profile, num_cores, config=config, hints=hints,
-        mesh_width=mesh_width, core_speeds=core_speeds,
-        workers=workers, cache=cache, use_cache=use_cache,
-        retry_policy=retry_policy, host_chaos=host_chaos,
-        checkpoint_path=checkpoint_path, resume=resume,
-    ) as dsa:
-        return dsa.run(initial)

@@ -252,9 +252,6 @@ class Router:
         self._match_cache[key] = matches
         return matches
 
-    def instance_cores(self, task: str) -> Tuple[int, ...]:
-        return self.layout.cores_of(task)
-
     def pick_core(
         self,
         task: str,

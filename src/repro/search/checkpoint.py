@@ -5,7 +5,7 @@ an interrupted process. :class:`SearchCheckpoint` captures the *complete*
 annealing state at an iteration boundary — RNG state, incumbent, the
 candidate set for the next iteration, budget counters, patience, history,
 and the simulation cache — so
-:func:`repro.schedule.anneal.directed_simulated_annealing` can resume it
+:class:`repro.schedule.anneal.DirectedSimulatedAnnealing` can resume it
 and produce a run bit-identical to an uninterrupted one (test-enforced
 per benchmark).
 

@@ -66,10 +66,6 @@ def _split_words(io, s: str) -> List[str]:
     return s.split()
 
 
-def _float_div(a: float, b: float) -> float:
-    return a / b
-
-
 _NAMESPACE_FUNCTIONS: List[BuiltinFunction] = [
     # Math — costs approximate a software FP library on a simple in-order core.
     BuiltinFunction("Math", "sqrt", (ty.FLOAT,), ty.FLOAT, 30, lambda io, x: math.sqrt(x)),

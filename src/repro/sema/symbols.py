@@ -46,9 +46,6 @@ class ClassInfo:
     constructor: Optional[MethodInfo] = None
     decl: Optional[ast.ClassDecl] = None
 
-    def flag_index(self, flag: str) -> int:
-        return self.flags.index(flag)
-
 
 @dataclass
 class TaskInfo:
@@ -206,14 +203,6 @@ class ProgramInfo:
 
     def resolve(self, node: ast.TypeNode, location) -> ty.Type:
         return ty.resolve_type(node, self.class_names, location)
-
-    def tasks_touching_class(self, class_name: str) -> List[TaskInfo]:
-        """Tasks that take a parameter of the given class."""
-        return [
-            task
-            for task in self.tasks.values()
-            if class_name in task.param_classes
-        ]
 
 
 class Scope:

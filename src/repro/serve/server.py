@@ -152,10 +152,6 @@ class ServeConfig:
     #: serve ``GET /metrics`` (Prometheus text), ``/healthz``, and
     #: ``/profilez`` on this HTTP port (0 = ephemeral, None = no listener)
     metrics_port: Optional[int] = None
-    #: install a wall-clock profiler for the daemon's lifetime; it feeds
-    #: ``/profilez``, the profiler series on ``/metrics``, and the span
-    #: slices echoed in request telemetry. Never changes results.
-    profile: bool = True
 
 
 class SynthesisServer:
@@ -197,10 +193,10 @@ class SynthesisServer:
         self._flusher: Optional[asyncio.Task] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
-        #: the daemon's wall-clock profiler (None with ``profile=False``)
-        self.profiler: Optional[prof.Profiler] = (
-            prof.Profiler(record_spans=True) if self.config.profile else None
-        )
+        #: the daemon's wall-clock profiler, installed for its lifetime; it
+        #: feeds ``/profilez``, the profiler series on ``/metrics``, and the
+        #: span slices echoed in request telemetry. Never changes results.
+        self.profiler = prof.Profiler(record_spans=True)
         self._previous_profiler: Optional[prof.Profiler] = None
         self._http_server: Optional[asyncio.base_events.Server] = None
         #: bound address of the observability listener, once it is up
@@ -211,8 +207,7 @@ class SynthesisServer:
 
     async def start(self) -> None:
         self._stop = asyncio.Event()
-        if self.profiler is not None:
-            self._previous_profiler = prof.install(self.profiler)
+        self._previous_profiler = prof.install(self.profiler)
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.config.host,
@@ -248,8 +243,7 @@ class SynthesisServer:
             if self._http_server is not None:
                 self._http_server.close()
                 await self._http_server.wait_closed()
-            if self.profiler is not None:
-                prof.uninstall(self._previous_profiler)
+            prof.uninstall(self._previous_profiler)
             if self._flusher is not None:
                 self._flusher.cancel()
                 try:
@@ -490,12 +484,6 @@ class SynthesisServer:
             status = "200 OK" if healthy else "503 Service Unavailable"
             return (status, "application/json", body + b"\n")
         if path == "/profilez":
-            if self.profiler is None:
-                return (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    b"profiling is disabled on this daemon\n",
-                )
             doc = self.profiler.snapshot(
                 meta=run_metadata(),
                 extra={

@@ -124,14 +124,6 @@ class SimCacheStore:
                 self._caches[context] = cache
             return cache
 
-    def context_count(self) -> int:
-        with self._lock:
-            return len(self._caches)
-
-    def entry_count(self) -> int:
-        with self._lock:
-            return sum(len(cache) for cache in self._caches.values())
-
     # -- write-behind dirtiness ----------------------------------------------
 
     def mark_dirty(self) -> None:

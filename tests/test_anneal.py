@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core import run_layout, single_core_layout
-from repro.schedule.anneal import (
-    AnnealConfig,
-    DirectedSimulatedAnnealing,
-    directed_simulated_annealing,
-)
+from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from repro.schedule.simulator import simulate
 
 
@@ -25,9 +21,14 @@ def small_config(seed=0, **overrides):
     return config
 
 
+def run_dsa(compiled, profile, initial=None, **kwargs):
+    with DirectedSimulatedAnnealing(compiled, profile, **kwargs) as dsa:
+        return dsa.run(initial)
+
+
 class TestSearch:
     def test_finds_better_than_single_core(self, keyword_compiled, keyword_profile):
-        result = directed_simulated_annealing(
+        result = run_dsa(
             keyword_compiled, keyword_profile, num_cores=4, config=small_config()
         )
         single = simulate(
@@ -38,7 +39,7 @@ class TestSearch:
         assert result.best_cycles < single.total_cycles
 
     def test_best_layout_is_valid_and_runs(self, keyword_compiled, keyword_profile):
-        result = directed_simulated_annealing(
+        result = run_dsa(
             keyword_compiled, keyword_profile, num_cores=4, config=small_config()
         )
         result.best_layout.validate(keyword_compiled.info)
@@ -46,17 +47,17 @@ class TestSearch:
         assert machine_result.stdout == "total=12"
 
     def test_deterministic_given_seed(self, keyword_compiled, keyword_profile):
-        first = directed_simulated_annealing(
+        first = run_dsa(
             keyword_compiled, keyword_profile, num_cores=4, config=small_config(3)
         )
-        second = directed_simulated_annealing(
+        second = run_dsa(
             keyword_compiled, keyword_profile, num_cores=4, config=small_config(3)
         )
         assert first.best_cycles == second.best_cycles
         assert first.best_layout.canonical_key() == second.best_layout.canonical_key()
 
     def test_history_monotone_nonincreasing(self, keyword_compiled, keyword_profile):
-        result = directed_simulated_annealing(
+        result = run_dsa(
             keyword_compiled, keyword_profile, num_cores=4, config=small_config()
         )
         for before, after in zip(result.history, result.history[1:]):
@@ -64,14 +65,14 @@ class TestSearch:
 
     def test_evaluation_budget_respected(self, keyword_compiled, keyword_profile):
         config = small_config(max_evaluations=10)
-        result = directed_simulated_annealing(
+        result = run_dsa(
             keyword_compiled, keyword_profile, num_cores=4, config=config
         )
         assert result.evaluations <= 10
 
     def test_undirected_ablation_runs(self, keyword_compiled, keyword_profile):
         config = small_config(use_critical_path=False)
-        result = directed_simulated_annealing(
+        result = run_dsa(
             keyword_compiled, keyword_profile, num_cores=4, config=config
         )
         assert result.best_cycles < (1 << 62)
@@ -79,7 +80,7 @@ class TestSearch:
     def test_initial_layout_injection(self, keyword_compiled, keyword_profile):
         single = single_core_layout(keyword_compiled)
         # num_cores=1 leaves no room: the single-core layout must win.
-        result = directed_simulated_annealing(
+        result = run_dsa(
             keyword_compiled,
             keyword_profile,
             num_cores=1,

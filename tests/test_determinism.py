@@ -6,11 +6,14 @@ too: the same fault plan produces the same crash, the same recovery, and
 the same final state.
 """
 
+import json
+
 import pytest
 
 from repro.bench import benchmark_names, load_benchmark
 from repro.core import RunOptions, run_layout, single_core_layout
 from repro.fault import CoreCrash, FaultPlan, LinkDegrade, TransientStall
+from repro.obs.events import Crash
 from repro.runtime.machine import MachineConfig
 from repro.schedule.layout import Layout
 
@@ -43,32 +46,31 @@ def fingerprint(result):
         f"lock_failures={result.lock_failures}",
         f"stdout={result.stdout!r}",
     ]
-    if result.trace is not None:
-        lines.extend(result.trace)
+    if result.events is not None:
+        lines.extend(
+            json.dumps(event.to_json(), sort_keys=True)
+            for event in result.events
+        )
     return "\n".join(lines).encode()
 
 
 class TestMachineDeterminism:
     def test_identical_runs_byte_identical(self, keyword_compiled):
         layout = quad_layout(keyword_compiled)
-        config = MachineConfig(record_trace=True)
+        config = MachineConfig(observe=True)
         first = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         second = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
-        assert first.trace  # the trace actually recorded something
+        assert first.events  # the event stream actually recorded something
         assert fingerprint(first) == fingerprint(second)
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_benchmarks_byte_identical(self, name):
         compiled = load_benchmark(name)
         layout = single_core_layout(compiled)
-        config = MachineConfig(record_trace=True)
+        config = MachineConfig(observe=True)
         first = run_layout(compiled, layout, SMALL_ARGS[name], options=RunOptions(machine=config))
         second = run_layout(compiled, layout, SMALL_ARGS[name], options=RunOptions(machine=config))
         assert fingerprint(first) == fingerprint(second)
-
-    def test_trace_off_by_default(self, keyword_compiled):
-        result = run_layout(keyword_compiled, quad_layout(keyword_compiled), ["4"])
-        assert result.trace is None
 
 
 class TestFaultDeterminism:
@@ -81,12 +83,12 @@ class TestFaultDeterminism:
                 LinkDegrade(cycle=500, multiplier=2.0),
             ]
         )
-        config = MachineConfig(fault_plan=plan, validate=True, record_trace=True)
+        config = MachineConfig(fault_plan=plan, validate=True, observe=True)
         first = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         second = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         assert fingerprint(first) == fingerprint(second)
         assert first.recovery == second.recovery
-        assert "crash core 1" in "\n".join(first.trace)
+        assert [e.core for e in first.events if isinstance(e, Crash)] == [1]
 
     def test_fault_free_config_matches_no_config(self, keyword_compiled):
         # The fault machinery must be pay-for-what-you-use: an absent plan
@@ -107,7 +109,7 @@ class TestFaultDeterminism:
         plan = FaultPlan.make(
             [TransientStall(core=0, cycle=base.total_cycles // 2, duration=911)]
         )
-        config = MachineConfig(fault_plan=plan, validate=True, record_trace=True)
+        config = MachineConfig(fault_plan=plan, validate=True, observe=True)
         first = run_layout(compiled, layout, SMALL_ARGS[name], options=RunOptions(machine=config))
         second = run_layout(compiled, layout, SMALL_ARGS[name], options=RunOptions(machine=config))
         assert fingerprint(first) == fingerprint(second)

@@ -21,16 +21,8 @@ import threading
 
 import pytest
 
-from test_search import report_fingerprint
-
 from repro.bench import get_spec, load_source
-from repro.core import (
-    DistOptions,
-    SynthesisOptions,
-    compile_program,
-    profile_program,
-    synthesize_layout,
-)
+from repro.core import compile_program, profile_program
 from repro.schedule.anneal import AnnealConfig
 from repro.search import DistChaosPlan, DistFault
 from repro.search.dist import (
@@ -416,30 +408,6 @@ class TestDistChaosSweep:
             (fault.key, fault.kind) for fault in wired.plan.wire_faults
         ]
         assert report.resumed_shards >= 1
-
-
-class TestPipelineIntegration:
-    def _dist_report(self, **dist_kw):
-        context, _ = small_job()
-        options = SynthesisOptions(
-            anneal=SMALL_TEMPLATE,
-            dist=DistOptions(restarts=3, **dist_kw),
-        )
-        return synthesize_layout(
-            context.compiled, context.profile, 4, options=options
-        )
-
-    def test_dist_options_route_through_the_pipeline(self):
-        report = self._dist_report()
-        dist = report.search_metrics["dist"]
-        assert dist["shards_completed"] == 3
-        assert report.history  # merged incumbent trajectory
-        assert report.estimated_cycles > 0
-
-    def test_pipeline_dist_runs_are_bit_identical(self):
-        first = self._dist_report()
-        second = self._dist_report()
-        assert report_fingerprint(first) == report_fingerprint(second)
 
 
 class TestCli:

@@ -12,6 +12,7 @@ from repro.fault import (
     parse_fault_spec,
 )
 from repro.fault.recovery import restore_snapshot, snapshot_objects
+from repro.obs.events import LinkDegradeEvent
 from repro.runtime.machine import MachineConfig
 from repro.runtime.objects import BArray, Heap
 from repro.runtime.scheduler import LockManager
@@ -471,7 +472,7 @@ class TestFaultEdgeCases:
         plan = FaultPlan.make(
             [TransientStall(core=1, cycle=MIDRUN_CYCLE, duration=3_000)]
         )
-        config = MachineConfig(fault_plan=plan, validate=True, record_trace=True)
+        config = MachineConfig(fault_plan=plan, validate=True, observe=True)
         first = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         second = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         assert first.stdout == base.stdout
@@ -482,7 +483,9 @@ class TestFaultEdgeCases:
         # The in-flight invocation still committed (no rollback on stall).
         assert first.recovery.commits_dropped == 0
         # Deterministic across runs, boundary included.
-        assert first.trace == second.trace
+        assert [e.to_json() for e in first.events] == [
+            e.to_json() for e in second.events
+        ]
         assert first.total_cycles == second.total_cycles
 
     def test_link_restore_before_first_message_is_bit_identical(
@@ -496,7 +499,7 @@ class TestFaultEdgeCases:
         assert costs.RUNTIME_INIT_COST > 2  # the premise of this test
         layout = quad_layout(keyword_compiled)
         base = run_layout(
-            keyword_compiled, layout, ["12"], options=RunOptions(machine=MachineConfig(record_trace=True)))
+            keyword_compiled, layout, ["12"], options=RunOptions(machine=MachineConfig(observe=True)))
         plan = FaultPlan.make(
             [
                 LinkDegrade(cycle=1, multiplier=9.0),
@@ -504,13 +507,18 @@ class TestFaultEdgeCases:
             ]
         )
         result = run_layout(
-            keyword_compiled, layout, ["12"], options=RunOptions(machine=MachineConfig(fault_plan=plan, validate=True, record_trace=True)))
+            keyword_compiled, layout, ["12"], options=RunOptions(machine=MachineConfig(fault_plan=plan, validate=True, observe=True)))
         assert result.recovery.link_events == 2
         assert result.total_cycles == base.total_cycles
         assert result.messages == base.messages
         assert result.core_busy == base.core_busy
         assert result.stdout == base.stdout
-        assert result.trace == base.trace
+        # Apart from the two link events themselves, the streams agree.
+        assert [
+            e.to_json()
+            for e in result.events
+            if not isinstance(e, LinkDegradeEvent)
+        ] == [e.to_json() for e in base.events]
 
     def test_link_restore_mid_run_recovers_speed(self, keyword_compiled):
         # Restore to exactly 1.0 mid-run: the remaining messages are priced
@@ -552,7 +560,7 @@ class TestFaultEdgeCases:
         )
         # The plan layer orders the tie by core number.
         assert plan.crash_cores() == [1, 2]
-        config = MachineConfig(fault_plan=plan, validate=True, record_trace=True)
+        config = MachineConfig(fault_plan=plan, validate=True, observe=True)
         first = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         second = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         rec = first.recovery
@@ -562,7 +570,9 @@ class TestFaultEdgeCases:
         assert first.stdout == base.stdout == "total=24"
         assert first.invocations == base.invocations
         assert rec.exactly_once()
-        assert first.trace == second.trace
+        assert [e.to_json() for e in first.events] == [
+            e.to_json() for e in second.events
+        ]
         # Dead cores stop accruing busy cycles at the crash.
         assert first.core_busy[1] <= MIDRUN_CYCLE
         assert first.core_busy[2] <= MIDRUN_CYCLE

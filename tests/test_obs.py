@@ -12,7 +12,6 @@ The load-bearing claims:
    nothing about the simulation, only attaches ``events``/``metrics``.
 3. **The Chrome trace is schema-valid** — one track per core, properly
    nested spans, a span for every invocation.
-4. **The legacy string trace is a pure derivation** of the typed stream.
 """
 
 import json
@@ -31,13 +30,19 @@ from repro.lang.errors import ScheduleError
 from repro.obs import (
     chrome_trace,
     cycle_accounting,
-    legacy_line,
     occupancy_intervals,
     validate_chrome_trace,
     write_chrome_trace,
     write_metrics_snapshot,
 )
-from repro.obs.events import QueueDepth, TaskCommit, TaskDispatch, Tracer
+from repro.obs.events import (
+    Crash,
+    QueueDepth,
+    Stall,
+    TaskCommit,
+    TaskDispatch,
+    Tracer,
+)
 from repro.resilience import ResilienceConfig, chaos_plan
 from repro.runtime.machine import MachineConfig
 from repro.schedule.layout import Layout
@@ -244,6 +249,10 @@ class TestOffModeIdentity:
             keyword_compiled, layout, ["12"], options=RunOptions(machine=MachineConfig(fault_plan=plan, validate=True, observe=True)))
         assert fingerprint(plain) == fingerprint(observed)
         assert plain.recovery == observed.recovery
+        crashes = [e for e in observed.events if isinstance(e, Crash)]
+        assert [e.core for e in crashes] == [1]
+        stalls = [e for e in observed.events if isinstance(e, Stall)]
+        assert [(e.core, e.until) for e in stalls] == [(2, 1900)]
 
     def test_default_config_has_no_tracer(self):
         assert MachineConfig().observe is False
@@ -255,43 +264,6 @@ class TestOffModeIdentity:
         second = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         assert first.events == second.events
         assert first.metrics == second.metrics
-
-
-class TestLegacyTrace:
-    def test_trace_derived_from_events(self, keyword_compiled):
-        layout = quad_layout(keyword_compiled)
-        plan = FaultPlan.make(
-            [
-                CoreCrash(core=1, cycle=2000),
-                TransientStall(core=2, cycle=1200, duration=700),
-            ]
-        )
-        config = MachineConfig(
-            fault_plan=plan, validate=True, record_trace=True, observe=True
-        )
-        result = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
-        derived = [
-            line
-            for line in (legacy_line(e) for e in result.events)
-            if line is not None
-        ]
-        assert result.trace == derived
-        joined = "\n".join(result.trace)
-        assert "crash core 1" in joined
-        assert "stall core 2 until 1900" in joined
-
-    def test_commit_lines_exact_format(self, keyword_compiled):
-        result = run_layout(
-            keyword_compiled,
-            quad_layout(keyword_compiled),
-            ["4"], options=RunOptions(machine=MachineConfig(record_trace=True)))
-        assert result.events is None  # record_trace alone stays legacy-only
-        commits = [l for l in result.trace if " commit core " in l]
-        assert len(commits) == sum(result.invocations.values())
-        for line in commits:
-            parts = line.split()
-            assert parts[1] == "commit" and parts[2] == "core"
-            int(parts[0]), int(parts[3]), int(parts[-1])  # numeric fields
 
 
 class TestChromeExport:

@@ -1,18 +1,21 @@
 """Detection-driven resilience (repro.resilience).
 
-The contract under test: with ``MachineConfig.resilience`` absent or
-disabled the machine is bit-identical to the seed; enabled on a healthy
+The contract under test: with ``MachineConfig.resilience`` absent the
+machine is bit-identical to the seed; enabled on a healthy
 machine it changes nothing observable; under faults, failures are
 *discovered* (not announced by the injector), recovery preserves
 exactly-once commit, long stalls survive false suspicion, overruns are
 preempted and retried, and poison work lands in the dead-letter queue.
 """
 
+import json
+
 import pytest
 
 from repro.core import RunOptions, profile_program, run_layout
 from repro.core.adaptive import AdaptiveExecutable
 from repro.fault import CoreCrash, FaultError, FaultPlan, TransientStall
+from repro.obs.events import Crash, Detect, Evict, Quarantine, Rejoin
 from repro.resilience import QuarantineRecord, ResilienceConfig
 from repro.runtime.machine import MachineConfig, MachineResult
 from repro.schedule.layout import Layout
@@ -35,9 +38,17 @@ def fingerprint(result):
         f"lock_failures={result.lock_failures}",
         f"stdout={result.stdout!r}",
     ]
-    if result.trace is not None:
-        lines.extend(result.trace)
+    if result.events is not None:
+        lines.extend(
+            json.dumps(event.to_json(), sort_keys=True)
+            for event in result.events
+        )
     return "\n".join(lines).encode()
+
+
+def event_cores(result, kind):
+    """Cores of the typed events of one kind, in emission order."""
+    return [event.core for event in result.events if isinstance(event, kind)]
 
 
 #: Crash cycle landing mid-run on the quad layout with 12 sections.
@@ -84,20 +95,6 @@ class TestConfig:
 
 
 class TestGating:
-    def test_disabled_config_bit_identical(self, keyword_compiled):
-        layout = quad_layout(keyword_compiled)
-        config = MachineConfig(record_trace=True)
-        plain = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
-        gated = run_layout(
-            keyword_compiled,
-            layout,
-            ["12"], options=RunOptions(machine=MachineConfig(
-                resilience=ResilienceConfig(enabled=False), record_trace=True
-            )))
-        assert fingerprint(plain) == fingerprint(gated)
-        assert gated.recovery is None
-        assert gated.quarantined is None
-
     def test_enabled_healthy_machine_semantically_identical(
         self, keyword_compiled
     ):
@@ -128,7 +125,7 @@ class TestGating:
             fault_plan=plan,
             resilience=ResilienceConfig(),
             validate=True,
-            record_trace=True,
+            observe=True,
         )
         first = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         second = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
@@ -145,7 +142,7 @@ class TestDetection:
             fault_plan=FaultPlan.single_crash(1, MIDRUN_CYCLE),
             resilience=resilience,
             validate=True,
-            record_trace=True,
+            observe=True,
         )
         result = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         stats = result.recovery
@@ -165,9 +162,8 @@ class TestDetection:
             <= window + 2 * period
         )
         assert stats.mean_detection_latency() == stats.detection_latency_cycles
-        trace = "\n".join(result.trace)
-        assert "crash core 1" in trace
-        assert "detect core 1 dead" in trace
+        assert event_cores(result, Crash) == [1]
+        assert event_cores(result, Detect) == [1]
         # Work still finishes, exactly once, with the right answer.
         assert result.stdout == base.stdout
         assert stats.exactly_once()
@@ -204,7 +200,7 @@ class TestDetection:
             fault_plan=plan,
             resilience=resilience,
             validate=True,
-            record_trace=True,
+            observe=True,
         )
         result = run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config))
         stats = result.recovery
@@ -213,9 +209,8 @@ class TestDetection:
         assert stats.false_suspicions >= 1
         assert stats.rejoins == stats.false_suspicions
         assert stats.detections == 0
-        trace = "\n".join(result.trace)
-        assert "evict core 1" in trace
-        assert "rejoin core 1" in trace
+        assert 1 in event_cores(result, Evict)
+        assert 1 in event_cores(result, Rejoin)
         # No double-commit: the evicted core's in-flight work was rolled
         # back before its migrated copy re-executed.
         assert stats.exactly_once()
@@ -273,7 +268,7 @@ class TestWatchdog:
             backoff_base=64,
         )
         config = MachineConfig(
-            resilience=resilience, validate=True, record_trace=True
+            resilience=resilience, validate=True, observe=True
         )
         result = run_layout(keyword_compiled, layout, ["4"], options=RunOptions(machine=config))
         stats = result.recovery
@@ -286,7 +281,11 @@ class TestWatchdog:
         record = result.quarantined[0]
         assert isinstance(record, QuarantineRecord)
         assert record.attempts == resilience.max_retries + 1
-        assert "quarantine" in "\n".join(result.trace)
+        assert [
+            (event.task, event.object_ids)
+            for event in result.events
+            if isinstance(event, Quarantine)
+        ] == [(record.task, record.object_ids) for record in result.quarantined]
         # The run still terminates cleanly (validate=True above) and the
         # dropped work published nothing.
         assert stats.exactly_once()

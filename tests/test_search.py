@@ -151,9 +151,17 @@ class TestCacheTransparency:
         assert second.evaluations == 0
         assert second.cache_hits == second.requested_evaluations > 0
 
+    def test_shared_cache_with_sim_cache_off_is_refused(self):
+        # A shared cache the search would silently bypass is a caller
+        # error, caught before the cache is touched.
+        shared = SimCache()
+        with pytest.raises(ValueError, match="cache.*sim_cache"):
+            small_synthesis("Keyword", sim_cache=False, cache=shared)
+        assert shared.registry is None
+        assert shared.lookups == 0 and len(shared) == 0
+
     def test_report_carries_search_metrics_snapshot(self):
-        registry = MetricsRegistry()
-        report = small_synthesis("Keyword", metrics=registry)
+        report = small_synthesis("Keyword")
         snapshot = report.search_metrics
         assert snapshot["schema"] == "repro.obs/search-metrics-v1"
         assert snapshot["workers"] == 1
@@ -161,9 +169,8 @@ class TestCacheTransparency:
         assert snapshot["cache_hits"] == report.cache_hits
         assert snapshot["sim_cache"]["hits"] == report.cache_hits
         assert 0.0 <= snapshot["cache_hit_rate"] <= 1.0
-        # The caller's registry saw every cache event.
-        counters = registry.snapshot()["counters"]
-        assert counters["sim_cache_hits"] == report.cache_hits
+        # The pipeline's own registry saw every cache event.
+        assert snapshot["counters"]["sim_cache_hits"] == report.cache_hits
 
 
 def _keyword_layout_pool(count=40, num_cores=6, seed=11):

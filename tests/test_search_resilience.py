@@ -36,11 +36,7 @@ from test_search import (
 from repro.bench import benchmark_names, get_spec, load_benchmark
 from repro.core import SynthesisOptions, synthesize_layout
 from repro.obs import CheckpointWritten, PoolRebuild, WorkerRetry
-from repro.schedule.anneal import (
-    AnnealConfig,
-    DirectedSimulatedAnnealing,
-    directed_simulated_annealing,
-)
+from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from repro.search import (
     CheckpointError,
     HostChaosPlan,
@@ -507,9 +503,10 @@ class TestResume:
         profile = small_profile("Keyword")
         config = AnnealConfig(seed=7, **SMALL_ANNEAL)
         hints = get_spec("Keyword").hints
-        uninterrupted = directed_simulated_annealing(
+        with DirectedSimulatedAnnealing(
             compiled, profile, 4, config=config, hints=hints
-        )
+        ) as dsa:
+            uninterrupted = dsa.run()
         path = str(tmp_path / "search.ckpt")
         dsa = DirectedSimulatedAnnealing(
             compiled, profile, 4, config=config, hints=hints,
@@ -521,9 +518,10 @@ class TestResume:
                 dsa.run()
         saved = read_checkpoint(path)
         assert saved.iteration == 2
-        resumed = directed_simulated_annealing(
+        with DirectedSimulatedAnnealing(
             compiled, profile, 4, config=config, hints=hints, resume=path
-        )
+        ) as dsa:
+            resumed = dsa.run()
         assert resumed.best_cycles == uninterrupted.best_cycles
         assert resumed.best_layout.as_dict() == (
             uninterrupted.best_layout.as_dict()
@@ -544,20 +542,23 @@ class TestResume:
         config = AnnealConfig(seed=7, **SMALL_ANNEAL)
         hints = get_spec("Keyword").hints
         base_path = str(tmp_path / "base.ckpt")
-        baseline = directed_simulated_annealing(
+        with DirectedSimulatedAnnealing(
             compiled, profile, 4, config=config, hints=hints,
             checkpoint_path=base_path,
-        )
+        ) as dsa:
+            baseline = dsa.run()
         part_path = str(tmp_path / "part.ckpt")
-        directed_simulated_annealing(
+        with DirectedSimulatedAnnealing(
             compiled, profile, 4,
             config=replace(config, max_iterations=1), hints=hints,
             checkpoint_path=part_path,
-        )
-        resumed = directed_simulated_annealing(
+        ) as dsa:
+            dsa.run()
+        with DirectedSimulatedAnnealing(
             compiled, profile, 4, config=config, hints=hints,
             checkpoint_path=part_path, resume=part_path,
-        )
+        ) as dsa:
+            resumed = dsa.run()
         assert resumed.checkpoints_written == baseline.checkpoints_written
         base_events = [
             event.to_json()

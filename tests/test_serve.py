@@ -673,17 +673,6 @@ class TestObservabilityEndpoints:
                 reply = sock.recv(4096).decode("latin-1")
         assert "405" in reply.split("\r\n")[0]
 
-    def test_profiling_off_disables_profilez(self):
-        with ServerThread(
-            ServeConfig(metrics_port=0, profile=False)
-        ) as handle:
-            status, _body = self._fetch(handle, "/profilez")
-            assert status == 404
-            # /metrics still answers, without the profiler families.
-            status, text = self._fetch(handle, "/metrics")
-        assert status == 200
-        assert "repro_profile_phase_seconds_total" not in text
-
     def test_traced_request_merges_into_one_chrome_trace(self):
         from repro.obs import prof
         from repro.obs.export import validate_chrome_trace
