@@ -376,7 +376,7 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
 def _resolve_program(target: str, args: List[str]):
     """``TARGET`` as (source, label, args): a ``.bam`` file path or a
     benchmark name (the benchmark's canonical args fill in when none are
-    given)."""
+    given). An unknown target is a usage error (exit 2)."""
     import os
 
     if os.path.exists(target):
@@ -391,7 +391,7 @@ def _resolve_program(target: str, args: List[str]):
             spec.filename,
             list(args) if args else list(spec.args),
         )
-    raise BambooError(
+    raise FileNotFoundError(
         f"{target!r} is neither a file nor a benchmark "
         f"(benchmarks: {', '.join(benchmark_names())})"
     )
@@ -446,7 +446,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
         continue_probability=args.continue_probability,
     )
     shards = make_restart_shards(template, args.restarts, base_seed=args.seed)
-    registry = MetricsRegistry()
     if args.serial:
         result = run_serial_baseline(context, shards)
     else:
@@ -470,7 +469,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
             ),
             host=args.host,
             port=args.port,
-            registry=registry,
             checkpoint_path=args.checkpoint,
             resume=args.resume,
             degrade_after=args.degrade_after,
@@ -500,7 +498,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
             evaluations=result.evaluations,
             cache_hits=result.cache_hits,
             cache_stats=None,
-            registry=registry,
             dist=result.stats,
         )
         with open(args.metrics_out, "w") as handle:
@@ -510,6 +507,8 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     if args.prom_out:
         from .obs.promexp import render_prometheus
 
+        registry = MetricsRegistry()
+        registry.fill_counters("dist_", result.stats or {})
         with open(args.prom_out, "w") as handle:
             handle.write(render_prometheus(registry))
         print(f"[dist prometheus: {args.prom_out}]", file=sys.stderr)
@@ -670,33 +669,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from .obs import prof
     from .obs.runmeta import run_metadata
     from .schedule.anneal import AnnealConfig
 
-    if os.path.exists(args.target):
-        with open(args.target, "r") as handle:
-            source = handle.read()
-        label = args.target
-        prog_args = list(args.args)
-    elif args.target in benchmark_names():
-        from .bench import get_spec, load_source
-
-        spec = get_spec(args.target)
-        source = load_source(args.target)
-        label = spec.filename
-        prog_args = list(args.args) if args.args else list(spec.args)
-    else:
-        print(
-            f"error: {args.target!r} is neither a file nor a benchmark "
-            f"(benchmarks: {', '.join(benchmark_names())})",
-            file=sys.stderr,
-        )
-        return 2
-
+    source, label, prog_args = _resolve_program(args.target, args.args)
     anneal = AnnealConfig(
         seed=args.seed,
         max_iterations=args.iterations,

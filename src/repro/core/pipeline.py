@@ -7,8 +7,8 @@ drives candidate generation, simulation-based evaluation, and optimization.
 Search behaviour is configured through :class:`repro.SynthesisOptions`:
 ``workers=N`` fans candidate simulations out across worker processes
 (bit-identical to the serial search), ``sim_cache`` memoizes simulation
-results by layout fingerprint, and the cache counters export through the
-:mod:`repro.obs` metrics pipeline (``report.search_metrics``).
+results by layout fingerprint, and the search's counters export through
+the :mod:`repro.obs` search-metrics snapshot (``report.search_metrics``).
 """
 
 from __future__ import annotations
@@ -94,15 +94,12 @@ def _synthesize(
     with prof.phase(_P_REPLICAS):
         suggestions = suggest_replicas(compiled.info, graph, profile, num_cores)
 
-    from ..obs.metrics import MetricsRegistry, build_search_metrics
+    from ..obs.metrics import build_search_metrics
     from ..search import SimCache
 
-    registry = MetricsRegistry()
     cache = options.cache
     if cache is None and options.sim_cache:
-        cache = SimCache(registry=registry)
-    elif cache is not None and cache.registry is None:
-        cache.registry = registry
+        cache = SimCache()
 
     with DirectedSimulatedAnnealing(
         compiled,
@@ -125,20 +122,6 @@ def _synthesize(
         with prof.phase(_P_ANNEAL):
             result: AnnealResult = dsa.run()
     wall = _time.perf_counter() - started
-    supervision = result.supervision
-    if supervision is not None:
-        for counter, name in (
-            ("worker_retries", "search_worker_retries"),
-            ("pool_rebuilds", "search_pool_rebuilds"),
-            ("serial_fallbacks", "search_serial_fallbacks"),
-        ):
-            amount = int(supervision.get(counter, 0))
-            if amount:
-                registry.counter(name).inc(amount)
-    if result.checkpoints_written:
-        registry.counter("search_checkpoints_written").inc(
-            result.checkpoints_written
-        )
     return SynthesisReport(
         layout=result.best_layout,
         estimated_cycles=result.best_cycles,
@@ -156,8 +139,7 @@ def _synthesize(
             evaluations=result.evaluations,
             cache_hits=result.cache_hits,
             cache_stats=result.cache_stats,
-            registry=registry,
-            supervision=supervision,
+            supervision=result.supervision,
             checkpoints_written=result.checkpoints_written,
             events=result.host_events,
         ),

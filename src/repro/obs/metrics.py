@@ -198,6 +198,18 @@ class MetricsRegistry:
             self.histograms[name] = Histogram(name, buckets=buckets)
         return self.histograms[name]
 
+    def fill_counters(self, prefix: str, counts: Dict[str, object]) -> None:
+        """Sets counter ``prefix + name`` to every nonzero integer in
+        ``counts`` (booleans skipped).
+
+        Counts that live on a stats object (``DistStats``, a
+        :class:`repro.search.SimCache`) enter a registry only this way,
+        when it is exported, so no count is kept in two places.
+        """
+        for name, value in counts.items():
+            if type(value) is int and value:
+                self.counter(prefix + name).value = value
+
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """A JSON-ready dump of every instrument."""
         return {
@@ -225,7 +237,6 @@ def build_search_metrics(
     evaluations: int,
     cache_hits: int,
     cache_stats: Optional[Dict[str, object]],
-    registry: Optional[MetricsRegistry] = None,
     supervision: Optional[Dict[str, object]] = None,
     checkpoints_written: int = 0,
     events: Optional[Sequence[object]] = None,
@@ -237,9 +248,8 @@ def build_search_metrics(
     counters (real simulations, cache hits/misses/evictions) so search
     telemetry exports through the same pipeline as machine metrics —
     :func:`repro.obs.write_metrics_snapshot` accepts either snapshot.
-    When a registry is given, its instruments (e.g. the ``sim_cache_*``
-    counters a :class:`repro.search.SimCache` maintains) are folded into
-    the snapshot.
+    ``cache_stats`` is :meth:`repro.search.SimCache.cache_stats` (``None``
+    with the cache off).
 
     ``supervision`` is the host-fault supervision summary
     (:meth:`repro.search.SupervisionStats.snapshot`, ``None`` for
@@ -250,12 +260,12 @@ def build_search_metrics(
 
     ``dist`` is the distributed-search coordinator summary
     (:meth:`repro.search.dist.DistStats.snapshot`, ``None`` for
-    single-host runs) — counters only, same no-wall-clock rule; the
-    matching ``dist_*`` registry counters export as ``repro_dist_*``
-    Prometheus series through :mod:`repro.obs.promexp`.
+    single-host runs) — counters only, same no-wall-clock rule;
+    ``repro dist-coordinator --prom-out`` exports its nonzero integers
+    as ``repro_dist_*`` Prometheus series.
     """
     requested = evaluations + cache_hits
-    snapshot: Dict[str, object] = {
+    return {
         "schema": SEARCH_SCHEMA,
         "workers": workers,
         "wall_seconds": wall_seconds,
@@ -272,9 +282,6 @@ def build_search_metrics(
             for event in (events or [])
         ],
     }
-    if registry is not None:
-        snapshot.update(registry.snapshot())
-    return snapshot
 
 
 # -- serving metrics -----------------------------------------------------------
@@ -297,8 +304,9 @@ def build_serve_metrics(
 
     Served through the ``metrics`` operation of :mod:`repro.serve`: the
     registry carries the per-operation request counters and latency
-    histograms plus the load-shed/coalesce/deadline/drain counters and
-    the ``sim_cache_*`` counters of every context cache;
+    histograms plus the load-shed/coalesce/deadline/drain counters, and
+    the daemon fills in the ``sim_cache_*`` totals of its context caches
+    before each export;
     ``store``/``memo`` are the :meth:`repro.serve.SimCacheStore.stats`
     and :meth:`repro.serve.ProgramMemo.stats` snapshots, and
     ``load_report`` records what happened to the persistent cache file at

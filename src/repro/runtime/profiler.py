@@ -128,43 +128,3 @@ class ProfileData:
         if not stats or exit_id not in stats.exits:
             return {}
         return stats.exits[exit_id].avg_allocs()
-
-    # -- (de)serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "run_cycles": self.run_cycles,
-            "tasks": {
-                task: {
-                    "invocations": stats.invocations,
-                    "sequence": list(stats.sequence),
-                    "exits": {
-                        str(exit_id): {
-                            "count": e.count,
-                            "total_cycles": e.total_cycles,
-                            "allocs": {str(s): c for s, c in e.allocs.items()},
-                        }
-                        for exit_id, e in stats.exits.items()
-                    },
-                }
-                for task, stats in self.tasks.items()
-            },
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ProfileData":
-        profile = ProfileData()
-        profile.run_cycles = data.get("run_cycles", 0)
-        for task, tdata in data.get("tasks", {}).items():
-            stats = TaskStats(
-                invocations=tdata["invocations"],
-                sequence=list(tdata.get("sequence", [])),
-            )
-            for exit_key, edata in tdata["exits"].items():
-                stats.exits[int(exit_key)] = ExitStats(
-                    count=edata["count"],
-                    total_cycles=edata["total_cycles"],
-                    allocs={int(s): c for s, c in edata["allocs"].items()},
-                )
-            profile.tasks[task] = stats
-        return profile

@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..analysis.astate import AState, guard_matches
 from ..ir import costs
-from ..lang.errors import ScheduleError
 from ..obs import prof
 from ..runtime.profiler import ProfileData
 from ..schedule.layout import (
@@ -816,34 +815,18 @@ class SimSession:
 def simulate(
     compiled: "CompiledProgram",
     layout: Layout,
-    profile: Optional[ProfileData] = None,
+    profile: ProfileData,
     *,
     hints: Optional[Dict[str, str]] = None,
     core_speeds: Optional[Dict[int, float]] = None,
     exit_policy: str = "sequence",
     max_events: int = 2_000_000,
-    session: Optional[SimSession] = None,
 ) -> SimResult:
     """Simulate one layout and return its :class:`SimResult`.
 
-    The one entry point for scheduling simulation. With ``session``
-    (a :class:`SimSession`), per-program tables are shared across calls;
-    the per-call keyword knobs (``hints``/``core_speeds``/``exit_policy``/
-    ``max_events``) then live on the session and must not be repeated
-    here.
+    To simulate many layouts of one program, share the per-program
+    tables through :meth:`SimSession.simulate` instead.
     """
-    if session is not None:
-        if profile is not None and profile is not session.profile:
-            raise ScheduleError(
-                "simulate(): pass profile via the session, not per call"
-            )
-        if hints is not None or core_speeds is not None:
-            raise ScheduleError(
-                "simulate(): hints/core_speeds live on the session"
-            )
-        return session.simulate(layout)
-    if profile is None:
-        raise ScheduleError("simulate() requires a profile (or a session)")
     engine = _SimEngine(
         compiled,
         layout,

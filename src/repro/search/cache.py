@@ -10,18 +10,17 @@ simulated at most once per (profile, hints, speeds) context — across
 iterations, across restarts, and (when one cache instance is shared)
 across whole synthesis runs.
 
-Hit / miss / eviction counts are kept both as plain integers and, when a
-:class:`repro.obs.MetricsRegistry` is attached, as ``sim_cache_*``
-counters so they export through the observability pipeline alongside
-machine metrics.
+Hit / miss / eviction counts live here and nowhere else: exporters read
+them through :meth:`cache_stats` (the ``sim_cache`` block of the search
+metrics, the serve daemon's ``sim_cache_*`` counters).
 
 The cache is safe for concurrent use: one :mod:`repro.serve` daemon
 shares an instance across request-handler threads, so every LRU mutation
-and counter delta (including the registry replay) happens under one
-re-entrant lock, and :meth:`cache_stats` takes its whole snapshot inside
-it — a reader never observes a half-applied update (e.g. a hit counted
-but the entry not yet moved to the LRU tail). The single-threaded anneal
-loop pays only an uncontended-lock acquire per lookup.
+and counter update happens under one lock, and :meth:`cache_stats` takes
+its whole snapshot inside it — a reader never observes a half-applied
+update (e.g. a hit counted but the entry not yet moved to the LRU tail).
+The single-threaded anneal loop pays only an uncontended-lock acquire
+per lookup.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.metrics import MetricsRegistry
     from ..schedule.simulator import SimResult
 
 
@@ -47,11 +45,7 @@ class CacheEntry:
 class SimCache:
     """An LRU-bounded memo of layout-fingerprint → simulation outcome."""
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = None,
-        registry: Optional["MetricsRegistry"] = None,
-    ):
+    def __init__(self, max_entries: Optional[int] = None):
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive or None")
         self.max_entries = max_entries
@@ -59,16 +53,8 @@ class SimCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.registry = registry
-        #: guards the LRU order, the counters, and their registry deltas
-        #: (re-entrant: restore() counts deltas while already holding it)
-        self._lock = threading.RLock()
-
-    # -- instrumentation -----------------------------------------------------
-
-    def _count(self, name: str) -> None:
-        if self.registry is not None:
-            self.registry.counter(f"sim_cache_{name}").inc()
+        #: guards the LRU order and the counters
+        self._lock = threading.Lock()
 
     # -- the memo ------------------------------------------------------------
 
@@ -78,22 +64,23 @@ class SimCache:
             entry = self._entries.get(fingerprint)
             if entry is None:
                 self.misses += 1
-                self._count("misses")
                 return None
             self._entries.move_to_end(fingerprint)
             self.hits += 1
-            self._count("hits")
             return entry
 
     def put(self, fingerprint: str, entry: CacheEntry) -> None:
         with self._lock:
             self._entries[fingerprint] = entry
             self._entries.move_to_end(fingerprint)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-                    self._count("evictions")
+            self._trim()
+
+    def _trim(self) -> None:
+        """Lock held. Evicts least-recently-used entries down to the bound."""
+        if self.max_entries is not None:
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def __len__(self) -> int:
         with self._lock:
@@ -129,21 +116,18 @@ class SimCache:
 
     def restore(self, state: Dict[str, object]) -> None:
         """Restores a :meth:`state` snapshot, counters included, so a
-        resumed search reports bit-identical cache statistics."""
+        resumed search reports bit-identical cache statistics.
+
+        A snapshot taken under a larger bound (or none) is trimmed to
+        this cache's ``max_entries``, least recently used first, and the
+        trimmed entries count as evictions.
+        """
         with self._lock:
             self._entries = OrderedDict(state["entries"])
-            if self.registry is not None:
-                # Replay the restored totals into the attached registry so
-                # the ``sim_cache_*`` counters of a resumed run match an
-                # uninterrupted one (a resumed synthesis starts with a
-                # fresh registry but a warm cache).
-                for name in ("hits", "misses", "evictions"):
-                    delta = state[name] - getattr(self, name)
-                    if delta > 0:
-                        self.registry.counter(f"sim_cache_{name}").inc(delta)
             self.hits = state["hits"]
             self.misses = state["misses"]
             self.evictions = state["evictions"]
+            self._trim()
 
     # -- reporting -----------------------------------------------------------
 

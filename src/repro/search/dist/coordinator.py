@@ -207,7 +207,6 @@ class DistCoordinator:
         lease: Optional[LeasePolicy] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        registry=None,
         checkpoint_path: Optional[str] = None,
         resume: bool = False,
         checkpoint_every: int = 1,
@@ -230,7 +229,6 @@ class DistCoordinator:
         self.lease.validate()
         self.host = host
         self.port = port
-        self.registry = registry
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = max(1, checkpoint_every)
         self.degrade_after = degrade_after
@@ -274,12 +272,6 @@ class DistCoordinator:
             if not self._heap:
                 self._done.set()
 
-    # -- metrics -------------------------------------------------------------
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.registry is not None:
-            self.registry.counter(f"dist_{name}").inc(amount)
-
     # -- frontier checkpoint -------------------------------------------------
 
     def _load_frontier(self) -> None:
@@ -310,7 +302,6 @@ class DistCoordinator:
                 self._completed[shard_id] = result
                 self.stats.shards_completed += 1
                 self.stats.resumed_shards += 1
-        self._count("resumed_shards", self.stats.resumed_shards)
 
     def _write_frontier(self) -> None:
         """Called with the lock held, after folding in a new winner."""
@@ -333,7 +324,6 @@ class DistCoordinator:
             },
         )
         self.stats.frontier_checkpoints += 1
-        self._count("frontier_checkpoints")
 
     # -- shard queue ---------------------------------------------------------
 
@@ -345,7 +335,6 @@ class DistCoordinator:
             if shard_id not in self._local_queue:
                 self._local_queue.append(shard_id)
                 self.stats.local_only_shards += 1
-                self._count("local_only_shards")
             return
         self._heap_seq += 1
         heapq.heappush(self._heap, (ready_time, self._heap_seq, shard_id))
@@ -385,10 +374,8 @@ class DistCoordinator:
         self._push(shard_id, time.monotonic() + delay)
         if reason == "steal":
             self.stats.steals += 1
-            self._count("steals")
         else:
             self.stats.retries += 1
-            self._count("retries")
 
     # -- results -------------------------------------------------------------
 
@@ -408,11 +395,9 @@ class DistCoordinator:
                 dispatch.done = True
             if shard_id in self._completed:
                 self.stats.duplicates_discarded += 1
-                self._count("duplicates_discarded")
                 return False
             self._completed[shard_id] = result
             self.stats.shards_completed += 1
-            self._count("shards_completed")
             if remote:
                 # Only remote results refresh the degrade clock: a local
                 # execution proving the workers idle must not defer the
@@ -438,16 +423,12 @@ class DistCoordinator:
                 return
             dispatch.done = True
             self.stats.dispatch_failures += 1
-            self._count("dispatch_failures")
             if kind == "crash":
                 self.stats.worker_crashes += 1
-                self._count("worker_crashes")
             elif kind == "garbled":
                 self.stats.garbled_messages += 1
-                self._count("garbled_messages")
             else:
                 self.stats.worker_disconnects += 1
-                self._count("worker_disconnects")
             self._requeue(dispatch.shard_id, "retry")
 
     # -- lease monitor -------------------------------------------------------
@@ -457,8 +438,6 @@ class DistCoordinator:
         dispatch.expired = True
         self.stats.lease_expiries += 1
         self.stats.worker_hangs += 1
-        self._count("lease_expiries")
-        self._count("worker_hangs")
         self._requeue(dispatch.shard_id, "steal")
 
     def _tick_leases(self) -> None:
@@ -531,11 +510,9 @@ class DistCoordinator:
         kind, param = fault
         if kind == "crash_worker":
             self.stats.injected_crashes += 1
-            self._count("injected_crashes")
             return {"kind": "crash"}, False
         if kind == "hang_worker":
             self.stats.injected_hangs += 1
-            self._count("injected_hangs")
             return {"kind": "hang", "seconds": param}, False
         if kind == "expire_lease":
             return None, True
@@ -557,7 +534,6 @@ class DistCoordinator:
             with self._lock:
                 self._workers_connected += 1
                 self.stats.workers_joined += 1
-                self._count("workers_joined")
                 self._last_activity = time.monotonic()
             send_message(
                 conn, {"op": "job", "payload": self._job_payload}
@@ -584,7 +560,6 @@ class DistCoordinator:
             else:
                 with self._lock:
                     self.stats.garbled_messages += 1
-                    self._count("garbled_messages")
         except OSError:
             pass
         finally:
@@ -594,7 +569,6 @@ class DistCoordinator:
                 with self._lock:
                     self._workers_connected -= 1
                     self.stats.workers_left += 1
-                    self._count("workers_left")
             try:
                 conn.close()
             except OSError:
@@ -626,14 +600,12 @@ class DistCoordinator:
             )
             self._outstanding[seq] = dispatch
             self.stats.dispatches += 1
-            self._count("dispatches")
             self._last_activity = now
             if forced:
                 # Expire synchronously instead of shrinking the deadline
                 # and racing the monitor tick: the steal is guaranteed,
                 # which is what makes the injection deterministic.
                 self.stats.forced_lease_expiries += 1
-                self._count("forced_lease_expiries")
                 self._expire(dispatch)
         message: Dict[str, object] = {
             "op": "shard",
@@ -718,7 +690,6 @@ class DistCoordinator:
                         self.stats.degraded = True
             if shard_id is not None:
                 self.stats.local_executions += 1
-                self._count("local_executions")
         if shard_id is None:
             return False
         result = execute_shard(self.context, self.shards[shard_id])
@@ -754,7 +725,6 @@ class DistCoordinator:
                 if not dispatch.done:
                     dispatch.done = True
                     self.stats.abandoned += 1
-                    self._count("abandoned")
             self._outstanding.clear()
         if self._listener is not None:
             try:
@@ -775,7 +745,6 @@ def run_dist_search(
     shards: List[ShardSpec],
     workers: int = 0,
     lease: Optional[LeasePolicy] = None,
-    registry=None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     degrade_after: float = 10.0,
@@ -789,7 +758,6 @@ def run_dist_search(
         context,
         shards,
         lease=lease,
-        registry=registry,
         checkpoint_path=checkpoint_path,
         resume=resume,
         degrade_after=degrade_after,

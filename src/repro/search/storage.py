@@ -1,10 +1,17 @@
-"""Hardened on-disk record storage shared by every persistence format.
+"""Hardened record storage shared by every persistence and payload format.
 
-Two formats currently live on disk — search checkpoints
-(``repro.search/checkpoint-v3``, :mod:`repro.search.checkpoint`) and the
-serving layer's persistent simulation cache
-(``repro.serve/simcache-v1``, :mod:`repro.serve.store`). Both need the
-same hardening, so the machinery lives here once:
+Three formats live on disk — search checkpoints
+(``repro.search/checkpoint-v4``, :mod:`repro.search.checkpoint`), the
+distributed coordinator's frontier checkpoint
+(``repro.search/dist-frontier-v1``, :mod:`repro.search.dist.coordinator`)
+and the serving layer's persistent simulation cache
+(``repro.serve/simcache-v1``, :mod:`repro.serve.store`). The
+distributed search's wire payloads (``repro.search/dist-job-v1``,
+``dist-shard-v1`` and ``dist-result-v1``, :mod:`repro.search.dist.messages`)
+are the same records built in memory (:func:`pack_pickle_record`) and
+base64-encoded into one message field. All of them need the versioned
+header and the digest check below, and the files the atomic write too,
+so the machinery lives here once:
 
 * **Atomic writes** — write ``<path>.tmp`` in the same directory, flush,
   fsync, ``os.replace`` onto the target, then fsync the directory so the

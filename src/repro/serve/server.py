@@ -49,7 +49,8 @@ Failure story (the serve counterpart of ``repro.resilience`` /
 
 Metrics: per-operation request counters and latency histograms,
 load-shed/coalesce/deadline/drain counters, queue-depth and inflight
-gauges, the ``sim_cache_*`` counters of every context cache, and the
+gauges, the ``sim_cache_*`` totals of every context cache (this
+daemon's share; copied from the store at each export), and the
 store/memo snapshots — exported through the ``metrics`` operation as a
 ``repro.obs/serve-metrics-v1`` document.
 
@@ -164,7 +165,6 @@ class SynthesisServer:
         self.store = SimCacheStore(
             path=self.config.cache_path,
             max_entries=self.config.cache_entries,
-            registry=self.registry,
             max_quarantine=self.config.quarantine_keep,
         )
         self.load_report = self.store.load()
@@ -454,7 +454,7 @@ class SynthesisServer:
             )
         if path == "/metrics":
             text = render_prometheus(
-                self.registry,
+                self._filled_registry(),
                 profiler=self.profiler,
                 extra_gauges={
                     "serve_uptime_seconds": time.monotonic()
@@ -802,9 +802,20 @@ class SynthesisServer:
             float(self._admitted - executing)
         )
 
+    def _filled_registry(self) -> MetricsRegistry:
+        """The registry with the store's counts filled in for export:
+        the ``sim_cache_*`` totals and ``serve_quarantine_evictions``
+        live on the store and are copied here, never incremented."""
+        store = self.store
+        self.registry.fill_counters("sim_cache_", store.sim_cache_totals())
+        self.registry.fill_counters(
+            "serve_", {"quarantine_evictions": store.quarantine_evictions}
+        )
+        return self.registry
+
     def metrics_snapshot(self) -> Dict[str, object]:
         return build_serve_metrics(
-            registry=self.registry,
+            registry=self._filled_registry(),
             store=self.store.stats(),
             memo=self.memo.stats(),
             load_report={

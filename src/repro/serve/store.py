@@ -29,8 +29,8 @@ transparent.
 The quarantine itself is bounded: the newest refused file sits at
 ``<path>.corrupt``, older ones rotate to ``<path>.corrupt.1``,
 ``.corrupt.2``, … up to ``max_quarantine`` total, and anything beyond
-that is deleted (counted as ``serve_quarantine_evictions`` in the serve
-metrics). Without the bound, a daemon restart-looping against a bad disk
+that is deleted (counted in ``quarantine_evictions`` of :meth:`stats`).
+Without the bound, a daemon restart-looping against a bad disk
 would mint one orphan file per restart, forever.
 """
 
@@ -49,6 +49,9 @@ from ..search.storage import (
 )
 
 SIMCACHE_FORMAT = "repro.serve/simcache-v1"
+
+#: the :class:`SimCache` counters :meth:`SimCacheStore.sim_cache_totals` sums
+_COUNTERS = ("hits", "misses", "evictions")
 
 
 @dataclass
@@ -89,14 +92,14 @@ class SimCacheStore:
         self,
         path: Optional[str] = None,
         max_entries: Optional[int] = None,
-        registry=None,
         max_quarantine: int = 3,
     ):
         self.path = path
         #: LRU bound applied to every per-context cache (None = unbounded)
         self.max_entries = max_entries
-        #: receives the ``sim_cache_*`` counters of every context cache
-        self.registry = registry
+        #: per context, the counters :meth:`load` restored; they describe
+        #: earlier daemons, so :meth:`sim_cache_totals` leaves them out
+        self._restored: Dict[str, Dict[str, int]] = {}
         #: refused cache files kept for inspection (newest first);
         #: the rotation evicts anything older
         self.max_quarantine = max(1, max_quarantine)
@@ -118,9 +121,7 @@ class SimCacheStore:
         with self._lock:
             cache = self._caches.get(context)
             if cache is None:
-                cache = SimCache(
-                    max_entries=self.max_entries, registry=self.registry
-                )
+                cache = SimCache(max_entries=self.max_entries)
                 self._caches[context] = cache
             return cache
 
@@ -157,12 +158,11 @@ class SimCacheStore:
             return report
         with self._lock:
             for context, state in payload.get("contexts", {}).items():
-                # Restore before attaching the registry: the persisted
-                # counter totals describe past runs and must not replay
-                # into this daemon's fresh serve metrics.
                 cache = SimCache(max_entries=self.max_entries)
                 cache.restore(state)
-                cache.registry = self.registry
+                self._restored[context] = {
+                    name: state[name] for name in _COUNTERS
+                }
                 self._caches[context] = cache
             report.loaded = True
             report.contexts = len(self._caches)
@@ -181,8 +181,6 @@ class SimCacheStore:
             try:
                 os.remove(oldest)
                 self.quarantine_evictions += 1
-                if self.registry is not None:
-                    self.registry.counter("serve_quarantine_evictions").inc()
             except OSError:  # pragma: no cover - racing deletion
                 pass
         for index in range(self.max_quarantine - 1, 0, -1):
@@ -233,6 +231,18 @@ class SimCacheStore:
         return header
 
     # -- reporting -----------------------------------------------------------
+
+    def sim_cache_totals(self) -> Dict[str, int]:
+        """Hits, misses and evictions summed over every context cache,
+        less what :meth:`load` restored: what this store counted itself."""
+        totals = dict.fromkeys(_COUNTERS, 0)
+        with self._lock:
+            for context, cache in self._caches.items():
+                stats = cache.cache_stats()
+                restored = self._restored.get(context, {})
+                for name in _COUNTERS:
+                    totals[name] += stats[name] - restored.get(name, 0)
+        return totals
 
     def stats(self) -> Dict[str, object]:
         """A JSON-ready snapshot of the store and its context caches."""

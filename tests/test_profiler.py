@@ -54,23 +54,6 @@ class TestRecording:
         assert small_profile().exit_count("t", 1) == 2
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        profile = small_profile()
-        restored = ProfileData.from_dict(profile.to_dict())
-        assert restored.run_cycles == 1234
-        assert restored.invocations("t") == 3
-        assert restored.exit_sequence("t") == [1, 1, 2]
-        assert restored.avg_cycles("t", 1) == pytest.approx(110.0)
-        assert restored.avg_allocs("t", 1) == {0: 2.0}
-
-    def test_round_trip_is_fixpoint(self):
-        profile = small_profile()
-        once = ProfileData.from_dict(profile.to_dict()).to_dict()
-        twice = ProfileData.from_dict(once).to_dict()
-        assert once == twice
-
-
 class TestRealProfile(object):
     def test_keyword_profile_contents(self, keyword_profile):
         assert keyword_profile.invocations("startup") == 1

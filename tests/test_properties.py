@@ -200,7 +200,7 @@ def test_canonical_key_invariant_under_core_permutation(mapping, rng):
 
 
 # ---------------------------------------------------------------------------
-# Profile serialization
+# Profile statistics
 # ---------------------------------------------------------------------------
 
 profile_events = st.lists(
@@ -212,18 +212,6 @@ profile_events = st.lists(
     ),
     max_size=30,
 )
-
-
-@given(profile_events)
-def test_profile_serialization_round_trip(events):
-    profile = ProfileData()
-    for task, exit_id, cycles, allocs in events:
-        profile.record_invocation(task, exit_id, cycles, allocs)
-    restored = ProfileData.from_dict(profile.to_dict())
-    assert restored.to_dict() == profile.to_dict()
-    for task, _, _, _ in events:
-        assert restored.invocations(task) == profile.invocations(task)
-        assert restored.exit_sequence(task) == profile.exit_sequence(task)
 
 
 @given(profile_events)

@@ -28,7 +28,6 @@ from repro.core import (
     single_core_layout,
     synthesize_layout,
 )
-from repro.obs import MetricsRegistry
 from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from repro.schedule.coregroup import build_group_graph
 from repro.schedule.mapping import layout_fingerprint, random_layouts
@@ -151,13 +150,31 @@ class TestCacheTransparency:
         assert second.evaluations == 0
         assert second.cache_hits == second.requested_evaluations > 0
 
+    def test_shared_cache_runs_report_the_same_metric_keys(self):
+        # The counters of a run over a shared cache must not depend on
+        # which run touched the cache first.
+        compiled = load_benchmark("Keyword")
+        profile = profile_program(compiled, SMALL_ARGS["Keyword"])
+        options = SynthesisOptions(
+            anneal=AnnealConfig(seed=7, **SMALL_ANNEAL), cache=SimCache()
+        )
+        first, second = (
+            synthesize_layout(compiled, profile, 4, options=options)
+            for _ in range(2)
+        )
+        assert _key_paths(second.search_metrics) == _key_paths(
+            first.search_metrics
+        )
+        assert second.search_metrics["sim_cache"] == (
+            options.cache.cache_stats()
+        )
+
     def test_shared_cache_with_sim_cache_off_is_refused(self):
         # A shared cache the search would silently bypass is a caller
         # error, caught before the cache is touched.
         shared = SimCache()
         with pytest.raises(ValueError, match="cache.*sim_cache"):
             small_synthesis("Keyword", sim_cache=False, cache=shared)
-        assert shared.registry is None
         assert shared.lookups == 0 and len(shared) == 0
 
     def test_report_carries_search_metrics_snapshot(self):
@@ -169,8 +186,16 @@ class TestCacheTransparency:
         assert snapshot["cache_hits"] == report.cache_hits
         assert snapshot["sim_cache"]["hits"] == report.cache_hits
         assert 0.0 <= snapshot["cache_hit_rate"] <= 1.0
-        # The pipeline's own registry saw every cache event.
-        assert snapshot["counters"]["sim_cache_hits"] == report.cache_hits
+
+
+def _key_paths(doc, prefix=()):
+    """Every key path of a nested JSON document."""
+    paths = set()
+    for key, value in doc.items():
+        paths.add(prefix + (key,))
+        if isinstance(value, dict):
+            paths |= _key_paths(value, prefix + (key,))
+    return paths
 
 
 def _keyword_layout_pool(count=40, num_cores=6, seed=11):
@@ -250,16 +275,6 @@ class TestSimCache:
         assert cache.evictions == 1
         assert "b" not in cache
         assert "a" in cache and "c" in cache
-
-    def test_registry_counters(self):
-        registry = MetricsRegistry()
-        cache = SimCache(registry=registry)
-        cache.get("a")
-        cache.put("a", _entry(10))
-        cache.get("a")
-        counters = registry.snapshot()["counters"]
-        assert counters["sim_cache_hits"] == 1
-        assert counters["sim_cache_misses"] == 1
 
     def test_stats_snapshot(self):
         cache = SimCache(max_entries=8)

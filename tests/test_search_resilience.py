@@ -451,13 +451,12 @@ class TestResume:
             compiled, profile, 4,
             options=_small_options("Keyword", anneal=full, resume=path),
         )
-        # The resumed run starts with a fresh registry but a warm cache;
-        # restore replays the counter deltas so telemetry matches too.
-        base_metrics = uninterrupted.search_metrics
-        resumed_metrics = resumed.search_metrics
-        assert resumed_metrics["sim_cache"] == base_metrics["sim_cache"]
-        for counter in ("sim_cache_hits", "sim_cache_misses"):
-            assert resumed_metrics.get(counter) == base_metrics.get(counter)
+        # The checkpoint carries the cache counters, so the resumed
+        # run's telemetry matches the uninterrupted one.
+        assert (
+            resumed.search_metrics["sim_cache"]
+            == uninterrupted.search_metrics["sim_cache"]
+        )
 
     def test_resume_under_changed_schedule_is_refused(self, tmp_path):
         from dataclasses import replace

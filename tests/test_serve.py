@@ -13,6 +13,7 @@ execution.
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -165,15 +166,23 @@ class TestConcurrentSimCache:
         threads = [
             threading.Thread(target=worker, args=(n,)) for n in range(8)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-update, often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         stats = cache.cache_stats()
         # The snapshot is taken under the lock: the identity must hold
         # exactly, whatever interleaving happened.
         assert stats["lookups"] == stats["hits"] + stats["misses"]
+        # No counter update was lost to a racing thread.
+        assert stats["lookups"] == 8 * 200
         assert len(cache) <= 64
         assert stats["entries"] == len(cache)
 
@@ -251,21 +260,19 @@ class TestSimCacheStore:
         assert open(path + ".corrupt.1", "rb").read().endswith(b"first")
 
     def test_quarantine_bound_evicts_oldest(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
         path = str(tmp_path / "simcache.bin")
-        registry = MetricsRegistry()
-        store = SimCacheStore(path=path, registry=registry, max_quarantine=2)
+        store = SimCacheStore(path=path, max_quarantine=2)
         for tag in (b"one", b"two", b"three"):
             with open(path, "wb") as handle:
                 handle.write(b"bad cache " + tag)
             assert store.load().refused
         # Only the two newest survive; the oldest was deleted and counted.
-        assert open(path + ".corrupt", "rb").read().endswith(b"three")
-        assert open(path + ".corrupt.1", "rb").read().endswith(b"two")
+        corrupt = tmp_path / "simcache.bin.corrupt"
+        rotated = tmp_path / "simcache.bin.corrupt.1"
+        assert corrupt.read_bytes().endswith(b"three")
+        assert rotated.read_bytes().endswith(b"two")
         assert not os.path.exists(path + ".corrupt.2")
         assert store.quarantine_evictions == 1
-        assert registry.counter("serve_quarantine_evictions").value == 1
         stats = store.stats()
         assert stats["max_quarantine"] == 2
         assert stats["quarantine_evictions"] == 1
@@ -290,8 +297,9 @@ class TestSimCacheStore:
         assert "repro.search/checkpoint-v1" in report.error
 
     def test_loaded_counters_do_not_pollute_registry(self, tmp_path):
-        from repro.obs import MetricsRegistry
-
+        # The daemon exports sim_cache_totals() as its sim_cache_*
+        # counters: totals restored from the file belong to earlier
+        # daemons and stay out, while the restored caches keep them.
         path = str(tmp_path / "simcache.bin")
         store = SimCacheStore(path=path)
         _fill(store, "ctx", 5)
@@ -300,10 +308,34 @@ class TestSimCacheStore:
             cache.get(f"fp-{i}")
         store.flush()
 
-        registry = MetricsRegistry()
-        warm = SimCacheStore(path=path, registry=registry)
+        warm = SimCacheStore(path=path)
         warm.load()
-        assert registry.counter("sim_cache_hits").value == 0
+        assert warm.cache_for("ctx").hits == 5
+        assert warm.sim_cache_totals() == {
+            "hits": 0, "misses": 0, "evictions": 0,
+        }
+        warm.cache_for("ctx").get("fp-0")
+        warm.cache_for("new").get("fp-0")
+        assert warm.sim_cache_totals() == {
+            "hits": 1, "misses": 1, "evictions": 0,
+        }
+
+    def test_warm_load_applies_the_lru_bound(self, tmp_path):
+        path = str(tmp_path / "simcache.bin")
+        store = SimCacheStore(path=path)
+        _fill(store, "ctx", 5)
+        store.cache_for("ctx").get("fp-0")  # fp-0 becomes most recent
+        store.flush()
+
+        bounded = SimCacheStore(path=path, max_entries=2)
+        assert bounded.load().entries == 2
+        stats = bounded.stats()["per_context"]["ctx"]
+        assert stats["entries"] == 2 and stats["max_entries"] == 2
+        # The least recently used three were evicted, and counted.
+        cache = bounded.cache_for("ctx")
+        assert "fp-4" in cache and "fp-0" in cache
+        assert stats["evictions"] == 3
+        assert bounded.sim_cache_totals()["evictions"] == 3
 
 
 # -- protocol framing ----------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench import load_benchmark
 from repro.core import profile_program, run_layout, single_core_layout
-from repro.lang.errors import ScheduleError
 from repro.runtime.profiler import ProfileData
 from repro.schedule.layout import Layout
 from repro.schedule.simulator import ExitChooser, SimSession, simulate
@@ -187,27 +186,11 @@ def tracking_context():
 
 
 class TestSessionApi:
-    def test_facade_rejects_per_call_knobs_with_session(
-        self, tracking_context
-    ):
-        compiled, profile = tracking_context
-        session = SimSession(compiled, profile)
-        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        other_profile = profile_program(compiled, SMALL_ARGS["Tracking"])
-        with pytest.raises(ScheduleError, match="session"):
-            simulate(compiled, layout, other_profile, session=session)
-        with pytest.raises(ScheduleError, match="session"):
-            simulate(
-                compiled, layout, session=session, hints={"x": "per_object"}
-            )
-        with pytest.raises(ScheduleError, match="profile"):
-            simulate(compiled, layout)
-
     def test_facade_with_session_matches_sessionless(self, tracking_context):
         compiled, profile = tracking_context
         session = SimSession(compiled, profile)
         layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
-        with_session = simulate(compiled, layout, session=session)
+        with_session = session.simulate(layout)
         without = simulate(compiled, layout, profile)
         assert trace_data(with_session) == trace_data(without)
 
