@@ -17,7 +17,8 @@ a core that delays a key event is the second kind of move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .layout import Layout
 from .simulator import SimResult, TraceEvent
@@ -136,30 +137,39 @@ class Move:
     reason: str
 
 
-def _core_busy_intervals(
+def _core_activity(
     result: SimResult,
-) -> Dict[int, List[Tuple[int, int]]]:
+) -> Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, int]]:
+    """Per-core busy intervals and busy totals, from one pass over the
+    trace; the totals equal ``result.core_busy`` on the cores used."""
     intervals: Dict[int, List[Tuple[int, int]]] = {}
+    busy: Dict[int, int] = {}
     for event in result.trace:
-        intervals.setdefault(event.core, []).append((event.start, event.end))
-    for core in intervals:
-        intervals[core].sort()
-    return intervals
+        core = event.core
+        intervals.setdefault(core, []).append((event.start, event.end))
+        busy[core] = busy.get(core, 0) + event.end - event.start
+    return intervals, busy
+
+
+def _spare_cores(
+    intervals: Dict[int, List[Tuple[int, int]]],
+    num_cores: int,
+    start: int,
+    end: int,
+) -> Iterator[int]:
+    return (
+        core
+        for core in range(num_cores)
+        if not any(s < end and start < e for s, e in intervals.get(core, ()))
+    )
 
 
 def spare_cores_during(
     result: SimResult, layout: Layout, start: int, end: int
 ) -> List[int]:
     """Cores with no simulated activity overlapping [start, end)."""
-    intervals = _core_busy_intervals(result)
-    spare: List[int] = []
-    for core in range(layout.num_cores):
-        overlapping = any(
-            s < end and start < e for s, e in intervals.get(core, ())
-        )
-        if not overlapping:
-            spare.append(core)
-    return spare
+    intervals, _ = _core_activity(result)
+    return list(_spare_cores(intervals, layout.num_cores, start, end))
 
 
 def suggest_moves(
@@ -176,6 +186,7 @@ def suggest_moves(
     """
     if path is None:
         path = compute_critical_path(result)
+    intervals, busy = _core_activity(result)
     moves: List[Move] = []
     seen: Set[Tuple[str, int, int]] = set()
     keys = path.key_event_ids()
@@ -197,8 +208,10 @@ def suggest_moves(
     for step in delayed:
         event = step.event
         window_start = max(0, event.data_ready)
-        spare = spare_cores_during(result, layout, window_start, event.start)
-        for core in spare[:2]:
+        spare = _spare_cores(
+            intervals, layout.num_cores, window_start, event.start
+        )
+        for core in islice(spare, 2):
             add(
                 "migrate",
                 event.task,
@@ -211,10 +224,7 @@ def suggest_moves(
 
     # 2. Non-key events that precede key events on the same core.
     least_loaded = sorted(
-        range(layout.num_cores),
-        key=lambda c: sum(
-            e.duration for e in result.trace if e.core == c
-        ),
+        range(layout.num_cores), key=lambda c: busy.get(c, 0)
     )
     for current, nxt in zip(path.steps, path.steps[1:]):
         if (

@@ -31,7 +31,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter_ns as _perf_counter_ns
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -47,7 +47,6 @@ from ..schedule.layout import (
     Router,
     common_tag_binding,
     core_speed,
-    mesh_hops,
     scale_duration,
 )
 from ..sema import builtins
@@ -231,13 +230,17 @@ class ExitChooser:
 class _TaskRec:
     """Per-task lookups resolved once and shared across simulations."""
 
-    __slots__ = ("params", "nparams", "guards", "func", "has_exits",
-                 "fallback_exit")
+    __slots__ = ("params", "nparams", "tag_match", "guards", "func",
+                 "has_exits", "fallback_exit")
 
     def __init__(self, compiled: "CompiledProgram", profile: ProfileData,
                  task: str):
-        self.params = tuple(compiled.info.task_info(task).decl.params)
+        decl = compiled.info.task_info(task).decl
+        self.params = tuple(decl.params)
         self.nparams = len(self.params)
+        #: every parameter binds one shared tag, so an invocation's objects
+        #: must all carry the same tag key
+        self.tag_match = common_tag_binding(decl) is not None
         #: per-parameter memo of guard_matches(param, state) by state
         self.guards = tuple({} for _ in self.params)
         self.func = compiled.ir_program.tasks[task]
@@ -376,11 +379,20 @@ class _ProgramTables:
 class _SimEngine:
     """One discrete-event simulation of one layout.
 
-    Heap events are flat 7-slot tuples ``(time, seq, kind, core, task,
+    Heap events are flat 7-slot tuples ``(time, seq, kind, target, task,
     param_index, entry)`` — ``(time, seq)`` is unique, so the trailing
     payload slots never participate in heap comparisons. ``kind`` is
-    :data:`_EV_ARRIVE` or :data:`_EV_KICK`; kicks carry
-    ``(core, None, 0, None)``.
+    :data:`_EV_ARRIVE` (``target`` is the destination core) or
+    :data:`_EV_KICK`, a wake-up whose ``target`` lists the cores it
+    visits, in order, with ``(None, 0, None)`` after it.
+
+    A dispatch pushes one wake-up at its end time carrying the dispatching
+    core and then every other core that has queued work and is free by
+    then, in ascending order; an arrival that finds its core idle pushes a
+    one-core wake-up. ``_waiting`` holds the cores with a nonempty ready
+    queue, so a dispatch finds them without scanning every core. Each core
+    a wake-up visits counts as one processed event against
+    ``max_events``.
     """
 
     def __init__(
@@ -410,20 +422,20 @@ class _SimEngine:
         self.router = Router(compiled.info, layout)
         self._cores_of = self.router._cores
         self.chooser = ExitChooser(profile, hints, exit_policy)
-        self._core_list = layout.cores_used()
+        core_list = layout.cores_used()
 
         self._events: List[tuple] = []
         self._seq = 0
         self._next_obj_id = 0
         self._next_event_id = 0
         self.busy_until: Dict[int, int] = {
-            core: _INIT for core in self._core_list
+            core: _INIT for core in core_list
         }
-        self.core_busy: Dict[int, int] = {core: 0 for core in self._core_list}
+        self.core_busy: Dict[int, int] = {core: 0 for core in core_list}
         self.ready: Dict[int, Deque[List[QueueEntry]]] = {}
         sets: Dict[Tuple[int, str], List[Deque[QueueEntry]]] = {}
         tables_rec = self.tables.rec
-        for core in self._core_list:
+        for core in core_list:
             self.ready[core] = deque()
             for task in layout.tasks_on_core(core):
                 sets[(core, task)] = [
@@ -431,8 +443,10 @@ class _SimEngine:
                 ]
         self._sets = sets
         self._ready_task: Dict[int, Deque[str]] = {
-            core: deque() for core in self._core_list
+            core: deque() for core in core_list
         }
+        #: cores whose ready queue is nonempty
+        self._waiting: Set[int] = set()
         self._rr_state: Dict[Tuple[int, str], int] = {}
         self._alloc_carry: Dict[Tuple[str, int, int], float] = {}
         self.trace: List[TraceEvent] = []
@@ -479,7 +493,7 @@ class _SimEngine:
         push = heapq.heappush
         max_events = self.max_events
         sets = self._sets
-        ready_task = self._ready_task
+        waiting = self._waiting
         busy_until = self.busy_until
         dispatch = self._dispatch
         try_form = self._try_form
@@ -493,21 +507,33 @@ class _SimEngine:
             if processed > max_events:
                 finished = False
                 break
-            time, _, kind, core, task, param_index, entry = pop(events)
+            time, _, kind, target, task, param_index, entry = pop(events)
             last_time = time
             if kind:
-                dispatch(core, time)
+                # Every core after the first is one more processed event,
+                # so the budget can run out partway through a wake-up.
+                last = processed + len(target) - 1
+                if last > max_events:
+                    target = target[:max_events - processed + 1]
+                for core in target:
+                    if core in waiting and busy_until[core] <= time:
+                        dispatch(core, time)
+                if last > max_events:
+                    processed = max_events + 1
+                    finished = False
+                    break
+                processed = last
             else:
-                sets[(core, task)][param_index].append(entry)
-                try_form(core, task, time)
-                if ready_task[core] and busy_until[core] <= time:
+                sets[(target, task)][param_index].append(entry)
+                try_form(target, task)
+                if target in waiting and busy_until[target] <= time:
                     self._seq = s = self._seq + 1
-                    push(events, (time, s, _EV_KICK, core, None, 0, None))
+                    push(events, (time, s, _EV_KICK, (target,), None, 0, None))
         return finished, last_time, processed
 
     # -- invocation formation -----------------------------------------------------
 
-    def _try_form(self, core: int, task: str, time: int) -> None:
+    def _try_form(self, core: int, task: str) -> None:
         sets = self._sets[(core, task)]
         if len(sets) == 1:
             pending = sets[0]
@@ -517,55 +543,53 @@ class _SimEngine:
                 while pending:
                     ready.append([pending.popleft()])
                     ready_task.append(task)
+                self._waiting.add(core)
             return
-        params = self.tables.rec(task).params
+        tag_match = self.tables.rec(task).tag_match
         while all(sets):
-            combo = self._pop_compatible(params, sets)
+            combo = self._pop_compatible(sets, tag_match)
             if combo is None:
                 return
             self.ready[core].append(combo)
             self._ready_task[core].append(task)
+            self._waiting.add(core)
 
     @staticmethod
     def _pop_compatible(
-        params, sets: List[Deque[QueueEntry]]
+        sets: List[Deque[QueueEntry]], tag_match: bool
     ) -> Optional[List[QueueEntry]]:
-        shared = None
-        for param in params:
-            bindings = {g.binding for g in param.tag_guards}
-            shared = bindings if shared is None else shared & bindings
-        need_tag_match = bool(shared)
+        """Pops one entry per parameter set, the earliest in FIFO order.
 
-        def match(combo: List[QueueEntry]) -> bool:
-            if not need_tag_match:
-                return True
-            keys = {entry.obj.tag_key for entry in combo}
-            return len(keys) == 1 and None not in keys
-
-        def search(index: int, chosen: List[QueueEntry]):
-            if index == len(sets):
-                return list(chosen) if match(chosen) else None
-            for entry in sets[index]:
-                chosen.append(entry)
-                found = search(index + 1, chosen)
-                chosen.pop()
-                if found is not None:
-                    return found
-            return None
-
-        combo = search(0, [])
-        if combo is None:
-            return None
-        for bucket, entry in zip(sets, combo):
-            bucket.remove(entry)
-        return combo
+        With ``tag_match`` every entry must carry the same tag key: the
+        earliest entry of the first set whose key appears in every other
+        set wins, paired with the earliest holder of that key in each.
+        """
+        if not tag_match:
+            return [bucket.popleft() for bucket in sets]
+        for first in sets[0]:
+            key = first.obj.tag_key
+            if key is None:
+                continue
+            combo = [first]
+            for bucket in sets[1:]:
+                for entry in bucket:
+                    if entry.obj.tag_key == key:
+                        combo.append(entry)
+                        break
+                else:
+                    break
+            else:
+                for bucket, entry in zip(sets, combo):
+                    bucket.remove(entry)
+                return combo
+        return None
 
     # -- dispatch -----------------------------------------------------------------
 
     def _dispatch(self, core: int, time: int) -> None:
+        """Starts the first still-valid ready invocation on ``core``, which
+        the caller found free at ``time`` with a nonempty ready queue."""
         busy_until = self.busy_until
-        if busy_until[core] > time:
-            return
         ready = self.ready[core]
         ready_task = self._ready_task[core]
         tables = self.tables
@@ -604,12 +628,14 @@ class _SimEngine:
                     self._route(entry.obj, core, time, entry.producer_event)
                 else:
                     sets[index].appendleft(entry)
-            self._try_form(core, candidate_task, time)
+            self._try_form(core, candidate_task)
+        if not ready:
+            self._waiting.discard(core)
         if combo is None:
             return
 
         data_ready = max(entry.arrived_at for entry in combo)
-        start = time if time > busy_until[core] else busy_until[core]
+        start = time
         if rec.has_exits:
             exit_id = self.chooser.choose(task, combo[0].obj.obj_id)
             duration = tables.duration(task, exit_id, core, True)
@@ -688,14 +714,16 @@ class _SimEngine:
                         produced.append(obj.obj_id)
                         route(obj, core, end, event_id)
 
-        events = self._events
+        # One wake-up at ``end``: this core, then every other core with
+        # queued work that is free by then, in ascending order.
+        visits = [
+            other for other in self._waiting
+            if busy_until[other] <= end and other != core
+        ]
+        visits.sort()
+        visits.insert(0, core)
         self._seq = s = self._seq + 1
-        heapq.heappush(events, (end, s, _EV_KICK, core, None, 0, None))
-        ready_map = self.ready
-        for other in self._core_list:
-            if other != core and ready_map[other] and busy_until[other] <= end:
-                self._seq = s = self._seq + 1
-                heapq.heappush(events, (end, s, _EV_KICK, other, None, 0, None))
+        heapq.heappush(self._events, (end, s, _EV_KICK, visits, None, 0, None))
 
     # -- routing --------------------------------------------------------------------
 

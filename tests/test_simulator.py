@@ -1,10 +1,14 @@
 """Scheduling simulator tests (paper §4.4)."""
 
+import hashlib
+
 import pytest
 
-from repro.bench import load_benchmark
+from repro.bench import PAPER_BENCHMARKS, get_spec, load_benchmark
 from repro.core import profile_program, run_layout, single_core_layout
+from repro.obs import prof
 from repro.runtime.profiler import ProfileData
+from repro.schedule.coregroup import task_is_replicable
 from repro.schedule.layout import Layout
 from repro.schedule.simulator import ExitChooser, SimSession, simulate
 
@@ -161,6 +165,29 @@ class TestStaleHandling:
         assert not result.finished
 
 
+class TestTagPairing:
+    def test_each_drawing_meets_its_own_image(self, tagged_compiled):
+        # Two compress cores let Images reach finishsave out of their
+        # Drawings' order, so pairing must look past the queue heads.
+        profile = profile_program(tagged_compiled, ["12"])
+        layout = Layout.make(
+            2,
+            {"startup": [0], "startsave": [0, 1], "compress": [0, 1],
+             "finishsave": [0]},
+        )
+        result = simulate(tagged_compiled, layout, profile)
+        allocated = {
+            e.param_objects[0]: e.produced
+            for e in result.trace
+            if e.task == "startsave"
+        }
+        saves = [e for e in result.trace if e.task == "finishsave"]
+        assert result.finished and len(saves) == 12
+        for event in saves:
+            drawing, image = event.param_objects
+            assert image in allocated[drawing]
+
+
 def trace_data(result):
     """A SimResult's complete observable content, as comparable data."""
     return (
@@ -208,3 +235,88 @@ class TestSessionApi:
         for name in ("simulate", "SimSession", "SimResult"):
             assert name in repro.__all__
             assert name in repro.schedule.__all__
+
+
+# -- golden traces ---------------------------------------------------------------
+
+#: Per paper program, at its benchmark inputs, on all_cores_layout(16): the
+#: sha256 of repr(trace_data(result)) and the profiler's exact
+#: sim.events_processed. Any change to event order, wake-up batching or
+#: event counting moves these.
+GOLDEN = {
+    "Tracking": (
+        "a3925ac3f3785eedf6748b699d89976a419b1ff3d12cda3a332be7b42a4d8b21", 3283
+    ),
+    "KMeans": (
+        "588ad1d427a29c541d13d28c486607f6d9409d19c391bb4393d8b6b4312f1c16", 4912
+    ),
+    "MonteCarlo": (
+        "2f1b722496583aa7c6795a453def50735833fc8e3051294010c5be2275a358e2", 2512
+    ),
+    "FilterBank": (
+        "9965ca6566b7a869740e9ce44425420bdfc75953b76445a68f767cadca0f68b4", 1154
+    ),
+    "Fractal": (
+        "44b1c1f4a04cf17b6cd0f0b511d2f15b133a299c99fe258f26701886e0342f01", 3877
+    ),
+    "Series": (
+        "e15971e850e0235e5298477996f34da52bcd3cc809d50f003034beb80f013b9d", 3877
+    ),
+}
+
+
+def all_cores_layout(compiled, num_cores):
+    """Every replicable task but startup on every core; the rest on core 0."""
+    info = compiled.info
+    return Layout.make(
+        num_cores,
+        {
+            task: (
+                range(num_cores)
+                if task != "startup" and task_is_replicable(info, task)
+                else [0]
+            )
+            for task in info.tasks
+        },
+    )
+
+
+@pytest.fixture(scope="module")
+def paper_context():
+    contexts = {}
+
+    def get(name):
+        if name not in contexts:
+            spec = get_spec(name)
+            compiled = load_benchmark(name)
+            profile = profile_program(compiled, list(spec.args))
+            contexts[name] = (compiled, profile, spec.hints)
+        return contexts[name]
+
+    return get
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_trace_digest_and_event_count(self, name, paper_context):
+        compiled, profile, hints = paper_context(name)
+        with prof.profiled() as profiler:
+            result = simulate(
+                compiled, all_cores_layout(compiled, 16), profile, hints=hints
+            )
+        digest = hashlib.sha256(repr(trace_data(result)).encode()).hexdigest()
+        events = profiler.snapshot()["counters"]["sim.events_processed"]
+        assert result.finished
+        assert (digest, events) == GOLDEN[name]
+
+    def test_budget_ends_inside_a_multicore_wakeup(self, paper_context):
+        # Event 164 is the 8th of the 10 cores one KMeans wake-up visits;
+        # the 9th would start the 26th invocation.
+        compiled, profile, hints = paper_context("KMeans")
+        result = simulate(
+            compiled, all_cores_layout(compiled, 16), profile, hints=hints,
+            max_events=164,
+        )
+        assert (result.finished, result.total_cycles, len(result.trace)) == (
+            False, 119588, 25,
+        )
