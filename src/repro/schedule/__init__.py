@@ -17,7 +17,14 @@ from .mapping import (
 )
 from .preprocess import GroupTree, build_group_tree, duplication_factors
 from .rules import ReplicaSuggestion, replica_choice_sets, suggest_replicas
-from .simulator import ExitChooser, SimResult, SimSession, TraceEvent, simulate
+from .simulator import (
+    ExitChooser,
+    SimResult,
+    SimSession,
+    SimTrace,
+    TraceEvent,
+    simulate,
+)
 
 __all__ = [
     "AnnealConfig",
@@ -34,6 +41,7 @@ __all__ = [
     "Router",
     "SimResult",
     "SimSession",
+    "SimTrace",
     "TraceEvent",
     "build_group_graph",
     "build_group_tree",

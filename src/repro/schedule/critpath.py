@@ -16,24 +16,30 @@ a core that delays a key event is the second kind of move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .layout import Layout
-from .simulator import SimResult, TraceEvent
+from .simulator import SimResult, SimTrace, TraceEvent
 
 
 @dataclass
 class PathStep:
     """One event on the critical path."""
 
-    event: TraceEvent
+    #: the event's index in ``trace``
+    index: int
     #: what bound this event's start: "data" (waited for an input transfer),
     #: "resource" (waited for the core), or "start" (first event)
     bound: str
     #: resource-conflict delay: start - data_ready when positive
     delay: int
+    trace: SimTrace = field(repr=False, compare=False)
+
+    @property
+    def event(self) -> TraceEvent:
+        return self.trace[self.index]
 
     @property
     def is_delayed(self) -> bool:
@@ -55,9 +61,11 @@ class CriticalPath:
         """Events whose produced data the *next* critical event consumes."""
         keys: Set[int] = set()
         for current, nxt in zip(self.steps, self.steps[1:]):
-            producer_ids = {p for p, _ in nxt.event.inputs if p is not None}
-            if current.event.event_id in producer_ids:
-                keys.add(current.event.event_id)
+            trace = nxt.trace
+            index = nxt.index
+            low = trace.param_end[index - 1] if index else 0
+            if current.index in trace.producer[low:trace.param_end[index]]:
+                keys.add(current.index)
         return keys
 
     def format(self) -> str:
@@ -75,55 +83,57 @@ class CriticalPath:
 
 def compute_critical_path(result: SimResult) -> CriticalPath:
     """Backtracks from the last-finishing event through binding constraints."""
-    if not result.trace:
+    trace = result.trace
+    if not trace:
         return CriticalPath(steps=[], total=result.total_cycles)
-    events_by_id: Dict[int, TraceEvent] = {
-        e.event_id: e for e in result.trace
-    }
-    prev_on_core: Dict[int, Optional[TraceEvent]] = {}
-    by_core: Dict[int, List[TraceEvent]] = {}
-    for event in result.trace:
-        by_core.setdefault(event.core, []).append(event)
-    for core_events in by_core.values():
-        core_events.sort(key=lambda e: (e.start, e.event_id))
-        previous = None
-        for event in core_events:
-            prev_on_core[event.event_id] = previous
-            previous = event
+    core = trace.core
+    start = trace.start
+    end = trace.end
+    data_ready = trace.data_ready
+    producer = trace.producer
+    param_end = trace.param_end
+    # Each core's events are in start order along the trace, so one pass
+    # finds every event's predecessor on its core (-1 for none).
+    prev_on_core: List[int] = []
+    last_on: Dict[int, int] = {}
+    for index, event_core in enumerate(core):
+        prev_on_core.append(last_on.get(event_core, -1))
+        last_on[event_core] = index
 
-    last = max(result.trace, key=lambda e: (e.end, e.event_id))
+    # The last event to finish; ties go to the highest index.
+    total = max(end)
+    last = len(end) - 1 - end[::-1].index(total)
     steps: List[PathStep] = []
-    current: Optional[TraceEvent] = last
+    current = last
     seen: Set[int] = set()
-    while current is not None and current.event_id not in seen:
-        seen.add(current.event_id)
-        delay = max(0, current.start - current.data_ready)
-        predecessor: Optional[TraceEvent] = None
+    while current >= 0 and current not in seen:
+        seen.add(current)
+        current_start = start[current]
+        delay = max(0, current_start - data_ready[current])
+        predecessor = -1
         bound = "start"
-        previous = prev_on_core.get(current.event_id)
-        if previous is not None and previous.end >= current.start - 0:
-            # The core was occupied right up to our start: resource-bound.
-            if current.start == previous.end and delay > 0:
-                predecessor = previous
-                bound = "resource"
-        if predecessor is None:
-            # Data-bound: find the input whose arrival defined data_ready.
-            best: Optional[TraceEvent] = None
-            for producer_id, _latency in current.inputs:
-                if producer_id is None:
-                    continue
-                producer = events_by_id[producer_id]
-                if best is None or producer.end > best.end:
-                    best = producer
-            if best is not None:
-                predecessor = best
+        previous = prev_on_core[current]
+        # The core was occupied right up to our start: resource-bound.
+        if previous >= 0 and end[previous] == current_start and delay > 0:
+            predecessor = previous
+            bound = "resource"
+        else:
+            # Data-bound: the input whose producer finished last (the
+            # first such input on ties) defined data_ready.
+            best_end = -1
+            for source in producer[
+                param_end[current - 1] if current else 0:param_end[current]
+            ]:
+                if source >= 0 and end[source] > best_end:
+                    predecessor = source
+                    best_end = end[source]
+            if predecessor >= 0:
                 bound = "data"
-        steps.append(PathStep(event=current, bound=bound, delay=delay))
+        steps.append(PathStep(current, bound, delay, trace))
         current = predecessor
     steps.reverse()
-    if steps:
-        steps[0] = PathStep(event=steps[0].event, bound="start", delay=steps[0].delay)
-    return CriticalPath(steps=steps, total=last.end)
+    steps[0].bound = "start"
+    return CriticalPath(steps=steps, total=total)
 
 
 @dataclass(frozen=True)
@@ -144,10 +154,10 @@ def _core_activity(
     trace; the totals equal ``result.core_busy`` on the cores used."""
     intervals: Dict[int, List[Tuple[int, int]]] = {}
     busy: Dict[int, int] = {}
-    for event in result.trace:
-        core = event.core
-        intervals.setdefault(core, []).append((event.start, event.end))
-        busy[core] = busy.get(core, 0) + event.end - event.start
+    trace = result.trace
+    for core, start, end in zip(trace.core, trace.start, trace.end):
+        intervals.setdefault(core, []).append((start, end))
+        busy[core] = busy.get(core, 0) + end - start
     return intervals, busy
 
 
@@ -201,23 +211,27 @@ def suggest_moves(
         moves.append(Move(kind, task, from_core, to_core, reason))
 
     # 1. Resource-delayed events -> spare cores during the delay window.
+    trace = result.trace
     delayed = sorted(
         (s for s in path.steps if s.is_delayed),
         key=lambda s: -s.delay,
     )
     for step in delayed:
-        event = step.event
-        window_start = max(0, event.data_ready)
+        index = step.index
+        event_core = trace.core[index]
         spare = _spare_cores(
-            intervals, layout.num_cores, window_start, event.start
+            intervals,
+            layout.num_cores,
+            max(0, trace.data_ready[index]),
+            trace.start[index],
         )
         for core in islice(spare, 2):
             add(
                 "migrate",
-                event.task,
-                event.core,
+                trace.task[index],
+                event_core,
                 core,
-                f"delayed {step.delay} cycles waiting for core {event.core}",
+                f"delayed {step.delay} cycles waiting for core {event_core}",
             )
         if len(moves) >= max_moves:
             return moves[:max_moves]
@@ -228,15 +242,15 @@ def suggest_moves(
     )
     for current, nxt in zip(path.steps, path.steps[1:]):
         if (
-            nxt.event.event_id in keys
-            and current.event.event_id not in keys
-            and current.event.core == nxt.event.core
+            nxt.index in keys
+            and current.index not in keys
+            and trace.core[current.index] == trace.core[nxt.index]
         ):
             for core in least_loaded[:2]:
                 add(
                     "migrate",
-                    current.event.task,
-                    current.event.core,
+                    trace.task[current.index],
+                    trace.core[current.index],
                     core,
                     "non-key task delaying a key task",
                 )

@@ -15,7 +15,9 @@ chosen exit; fractional expected allocation counts accumulate so long runs
 emit the right totals.
 
 The simulated execution also produces the trace that the critical path
-analysis (§4.5.1) consumes.
+analysis (§4.5.1) consumes: a :class:`SimTrace`, stored one list per field
+so a result carries no per-invocation objects for the worker pool to
+pickle, the caches to hold or the garbage collector to walk.
 
 Entry points
 ------------
@@ -31,7 +33,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter_ns as _perf_counter_ns
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -86,12 +88,16 @@ class SimObject:
 class QueueEntry:
     obj: SimObject
     arrived_at: int
-    producer_event: Optional[int]  # trace event id that produced the object
+    producer_event: int  # trace event id that produced the object; -1 = none
 
 
 @dataclass
 class TraceEvent:
-    """One simulated task invocation (a node pair in the Fig. 6 graph)."""
+    """One simulated task invocation (a node pair in the Fig. 6 graph).
+
+    A read view of one index of a :class:`SimTrace`, built by
+    ``trace[i]`` and by iterating the trace; nothing stores these.
+    """
 
     event_id: int
     task: str
@@ -101,7 +107,7 @@ class TraceEvent:
     exit_id: int
     data_ready: int
     param_objects: List[int] = field(default_factory=list)
-    #: per parameter: (producer event id, transfer latency paid)
+    #: per parameter: (producer event id or None, transfer latency paid)
     inputs: List[Tuple[Optional[int], int]] = field(default_factory=list)
     produced: List[int] = field(default_factory=list)
 
@@ -109,21 +115,129 @@ class TraceEvent:
     def duration(self) -> int:
         return self.end - self.start
 
+
+#: The columns of a :class:`SimTrace`, in constructor and pickle order.
+_TRACE_COLUMNS = (
+    "task", "core", "start", "end", "exit_id", "data_ready",
+    "param_obj", "producer", "latency", "param_end",
+    "produced", "produced_end",
+)
+
+
+class SimTrace:
+    """The simulated invocations of one run, stored one list per field.
+
+    Event ``i`` is index ``i`` of the per-invocation columns ``task``,
+    ``core``, ``start``, ``end``, ``exit_id`` and ``data_ready``. Its
+    parameters are entries ``param_end[i - 1]`` (0 for the first event)
+    up to ``param_end[i]`` of the per-parameter columns ``param_obj``,
+    ``producer`` (the producing event, -1 for none) and ``latency``; the
+    objects it allocated are the same slice of ``produced``, bounded by
+    ``produced_end``. The engine appends in dispatch order, so ``start``
+    never decreases along the trace and each core's events appear in
+    start order.
+
+    ``len``, ``trace[i]``, iteration and ``==`` behave as on a list of
+    :class:`TraceEvent`, which ``trace[i]`` builds on demand. A trace
+    pickles as its twelve lists.
+    """
+
+    __slots__ = _TRACE_COLUMNS
+
+    def __init__(self, *columns: list):
+        """An empty trace, or one over the given columns (in
+        :data:`_TRACE_COLUMNS` order)."""
+        if not columns:
+            columns = tuple([] for _ in _TRACE_COLUMNS)
+        for name, column in zip(_TRACE_COLUMNS, columns):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_events(cls, events) -> "SimTrace":
+        """Builds a trace from :class:`TraceEvent`s numbered 0, 1, ...,
+        each with one ``inputs`` pair per parameter object."""
+        trace = cls()
+        for index, event in enumerate(events):
+            if event.event_id != index:
+                raise ValueError(f"event {index} has event_id {event.event_id}")
+            if len(event.inputs) != len(event.param_objects):
+                raise ValueError(
+                    f"event {index} has {len(event.param_objects)} "
+                    f"parameters but {len(event.inputs)} inputs"
+                )
+            trace.task.append(event.task)
+            trace.core.append(event.core)
+            trace.start.append(event.start)
+            trace.end.append(event.end)
+            trace.exit_id.append(event.exit_id)
+            trace.data_ready.append(event.data_ready)
+            trace.param_obj.extend(event.param_objects)
+            for producer, latency in event.inputs:
+                trace.producer.append(-1 if producer is None else producer)
+                trace.latency.append(latency)
+            trace.param_end.append(len(trace.param_obj))
+            trace.produced.extend(event.produced)
+            trace.produced_end.append(len(trace.produced))
+        return trace
+
+    def columns(self) -> Tuple[list, ...]:
+        return tuple(getattr(self, name) for name in _TRACE_COLUMNS)
+
     def __reduce__(self):
-        # SimResult traces dominate the pool's IPC payloads; positional
-        # pickling cuts the per-event cost vs. the default __dict__ form.
-        return (TraceEvent, (self.event_id, self.task, self.core, self.start,
-                             self.end, self.exit_id, self.data_ready,
-                             self.param_objects, self.inputs, self.produced))
+        return (SimTrace, self.columns())
+
+    def __len__(self) -> int:
+        return len(self.task)
+
+    def __getitem__(self, index: int) -> TraceEvent:
+        index = range(len(self.task))[index]
+        low = self.param_end[index - 1] if index else 0
+        high = self.param_end[index]
+        low_out = self.produced_end[index - 1] if index else 0
+        return TraceEvent(
+            index,
+            self.task[index],
+            self.core[index],
+            self.start[index],
+            self.end[index],
+            self.exit_id[index],
+            self.data_ready[index],
+            self.param_obj[low:high],
+            [
+                (None if producer < 0 else producer, latency)
+                for producer, latency in zip(
+                    self.producer[low:high], self.latency[low:high]
+                )
+            ],
+            self.produced[low_out:self.produced_end[index]],
+        )
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(self.__getitem__, range(len(self.task)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimTrace):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SimTrace({len(self.task)} events)"
 
 
 @dataclass
 class SimResult:
-    """Outcome of one scheduling simulation."""
+    """Outcome of one scheduling simulation.
+
+    ``trace`` lists every dispatched invocation as :class:`SimTrace`
+    columns; this is what the search pool pickles back, the
+    :class:`~repro.search.SimCache` holds and the critical path reads.
+    """
 
     total_cycles: int
     finished: bool
-    trace: List[TraceEvent]
+    trace: SimTrace
     core_busy: Dict[int, int]
     invocations: Dict[str, int]
     #: fraction of core-time spent busy — the paper's fallback metric for
@@ -131,8 +245,10 @@ class SimResult:
     utilization: float
 
     def events_on_core(self, core: int) -> List[TraceEvent]:
+        trace = self.trace
         return sorted(
-            (e for e in self.trace if e.core == core), key=lambda e: e.start
+            (trace[i] for i, c in enumerate(trace.core) if c == core),
+            key=lambda e: e.start,
         )
 
 
@@ -427,7 +543,6 @@ class _SimEngine:
         self._events: List[tuple] = []
         self._seq = 0
         self._next_obj_id = 0
-        self._next_event_id = 0
         self.busy_until: Dict[int, int] = {
             core: _INIT for core in core_list
         }
@@ -449,7 +564,7 @@ class _SimEngine:
         self._waiting: Set[int] = set()
         self._rr_state: Dict[Tuple[int, str], int] = {}
         self._alloc_carry: Dict[Tuple[str, int, int], float] = {}
-        self.trace: List[TraceEvent] = []
+        self.trace = SimTrace()
         self.invocations: Dict[str, int] = {}
 
     # -- main loop ---------------------------------------------------------------
@@ -462,7 +577,7 @@ class _SimEngine:
             None,
         )
         self._next_obj_id += 1
-        self._route(startup, None, _INIT, None)
+        self._route(startup, None, _INIT, -1)
 
         profiler = prof.active()
         if profiler is None:
@@ -644,29 +759,23 @@ class _SimEngine:
             duration = tables.duration(task, -1, core, False)
         end = start + duration
 
-        event_id = self._next_event_id
-        self._next_event_id = event_id + 1
-        event = TraceEvent(
-            event_id,
-            task,
-            core,
-            start,
-            end,
-            exit_id,
-            data_ready,
-            [entry.obj.obj_id for entry in combo],
-            [
-                (
-                    entry.producer_event,
-                    entry.arrived_at - start
-                    if entry.arrived_at > start
-                    else 0,
-                )
-                for entry in combo
-            ],
-            [],
-        )
-        self.trace.append(event)
+        trace = self.trace
+        event_id = len(trace.task)
+        trace.task.append(task)
+        trace.core.append(core)
+        trace.start.append(start)
+        trace.end.append(end)
+        trace.exit_id.append(exit_id)
+        trace.data_ready.append(data_ready)
+        param_obj = trace.param_obj
+        producer = trace.producer
+        latency = trace.latency
+        for entry in combo:
+            param_obj.append(entry.obj.obj_id)
+            producer.append(entry.producer_event)
+            arrived = entry.arrived_at
+            latency.append(arrived - start if arrived > start else 0)
+        trace.param_end.append(len(param_obj))
         invocations = self.invocations
         invocations[task] = invocations.get(task, 0) + 1
         self.core_busy[core] += duration
@@ -697,9 +806,9 @@ class _SimEngine:
 
         # Allocate new objects per the profile's expectations.
         alloc_plan = tables.alloc_plan(task, exit_id)
+        produced = trace.produced
         if alloc_plan:
             carry_map = self._alloc_carry
-            produced = event.produced
             for carry_key, avg, class_name, state, has_tags in alloc_plan:
                 carry = carry_map.get(carry_key, 0.0) + avg
                 emit = int(carry)
@@ -713,6 +822,7 @@ class _SimEngine:
                         next_id += 1
                         produced.append(obj.obj_id)
                         route(obj, core, end, event_id)
+        trace.produced_end.append(len(produced))
 
         # One wake-up at ``end``: this core, then every other core with
         # queued work that is free by then, in ascending order.
@@ -732,7 +842,7 @@ class _SimEngine:
         obj: SimObject,
         sender: Optional[int],
         time: int,
-        producer_event: Optional[int],
+        producer_event: int,
     ) -> None:
         consumers = self.router.consumers(obj.class_name, obj.state)
         if not consumers:

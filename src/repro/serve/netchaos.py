@@ -178,6 +178,7 @@ class DaemonProcess:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self.stderr_tail: List[str] = []
+        self._drainer: Optional[threading.Thread] = None
         deadline = time.monotonic() + startup_timeout
         assert self.proc.stderr is not None
         while time.monotonic() < deadline:
@@ -207,16 +208,31 @@ class DaemonProcess:
             self.stderr_tail.append(line.decode("utf-8", "replace").rstrip())
             del self.stderr_tail[:-50]
 
+    def _close_stderr(self) -> None:
+        """After the process exited: let the drainer read to EOF, then
+        close the pipe. A drainer still blocked (a child of the daemon
+        holds the pipe open) keeps it, since closing under its read
+        could block."""
+        if self._drainer is not None:
+            self._drainer.join(timeout=5.0)
+            if self._drainer.is_alive():
+                return
+        assert self.proc.stderr is not None
+        self.proc.stderr.close()
+
     def kill(self) -> None:
         """SIGKILL — no drain, no flush; the crash case."""
         self.proc.kill()
         self.proc.wait()
+        self._close_stderr()
 
     def wait(self, timeout: float = 30.0) -> Optional[int]:
         try:
-            return self.proc.wait(timeout=timeout)
+            code = self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             return None
+        self._close_stderr()
+        return code
 
     def client(
         self,

@@ -62,7 +62,7 @@ def trace_to_dot(
     are drawn dashed/bold."""
     critical: Set[int] = set()
     if path is not None:
-        critical = {step.event.event_id for step in path.steps}
+        critical = {step.index for step in path.steps}
     lines = [f"digraph {_quote(title)} {{", "  rankdir=TB;"]
     for event in result.trace:
         color = ", color=red, penwidth=2" if event.event_id in critical else ""

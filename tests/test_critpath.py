@@ -7,7 +7,7 @@ from repro.schedule.critpath import (
     suggest_moves,
 )
 from repro.schedule.layout import Layout
-from repro.schedule.simulator import SimResult, TraceEvent, simulate
+from repro.schedule.simulator import SimResult, SimTrace, TraceEvent, simulate
 
 
 def make_event(event_id, task, core, start, end, data_ready=None, inputs=()):
@@ -19,6 +19,7 @@ def make_event(event_id, task, core, start, end, data_ready=None, inputs=()):
         end=end,
         exit_id=1,
         data_ready=data_ready if data_ready is not None else start,
+        param_objects=list(range(len(inputs))),
         inputs=list(inputs),
     )
 
@@ -31,7 +32,7 @@ def make_result(trace, num_cores=4):
     return SimResult(
         total_cycles=total,
         finished=True,
-        trace=trace,
+        trace=SimTrace.from_events(trace),
         core_busy=busy,
         invocations={},
         utilization=0.5,
@@ -74,7 +75,7 @@ class TestSyntheticTraces:
         result = SimResult(
             total_cycles=0,
             finished=True,
-            trace=[],
+            trace=SimTrace(),
             core_busy={},
             invocations={},
             utilization=0.0,

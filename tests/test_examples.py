@@ -8,6 +8,7 @@ two quick ones run here as subprocesses to catch import or API rot.
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +52,7 @@ def test_tagged_save_pipeline_runs():
 def test_examples_importable(name):
     # Each example compiles as a module (no syntax/import errors).
     path = os.path.join(EXAMPLES_DIR, name)
-    source = open(path).read()
+    source = Path(path).read_text()
     compile(source, path, "exec")
 
 
@@ -61,7 +62,7 @@ def test_tutorial_code_blocks_work():
     import re
 
     doc = os.path.join(os.path.dirname(__file__), "..", "docs", "TUTORIAL.md")
-    text = open(doc).read()
+    text = Path(doc).read_text()
     blocks = re.findall(r"```java\n(.*?)```", text, re.S)
     assert len(blocks) >= 2
     source = "\n".join(blocks)

@@ -21,6 +21,7 @@ resilience suite (``test_resilience.py``/``test_chaos.py``) one level up:
 
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.core import SynthesisOptions, synthesize_layout
 from repro.obs import CheckpointWritten, PoolRebuild, WorkerRetry
 from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from repro.search import (
+    CHECKPOINT_FORMAT,
     CheckpointError,
     HostChaosPlan,
     HostFault,
@@ -327,21 +329,21 @@ class TestCheckpointFile:
     def test_corruption_is_detected(self, tmp_path):
         path = str(tmp_path / "search.ckpt")
         write_checkpoint(path, self._checkpoint())
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-1] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="digest mismatch"):
             read_checkpoint(path)
 
     def test_non_checkpoint_file_is_rejected(self, tmp_path):
         path = str(tmp_path / "junk")
-        open(path, "wb").write(b"\x80\x04not a checkpoint")
+        Path(path).write_bytes(b"\x80\x04not a checkpoint")
         with pytest.raises(CheckpointError, match="not a search checkpoint"):
             read_checkpoint(path)
 
     def test_unknown_format_is_rejected(self, tmp_path):
         path = str(tmp_path / "old.ckpt")
-        open(path, "wb").write(
+        Path(path).write_bytes(
             b'{"digest": "", "format": "repro.search/checkpoint-v0"}\n'
         )
         with pytest.raises(CheckpointError, match="checkpoint-v0"):
@@ -362,7 +364,7 @@ class TestCheckpointFile:
             read_checkpoint(path)
         message = str(excinfo.value)
         assert "repro.search/checkpoint-v999" in message
-        assert "repro.search/checkpoint-v4" in message
+        assert CHECKPOINT_FORMAT in message
         assert "digest" not in message
         assert "pickle" not in message
 
@@ -381,9 +383,24 @@ class TestCheckpointFile:
                 read_checkpoint(path)
             message = str(excinfo.value)
             assert f"repro.search/{old}" in message
-            assert "repro.search/checkpoint-v4" in message
+            assert CHECKPOINT_FORMAT in message
             assert "digest" not in message
             assert "pickle" not in message
+
+    def test_v4_checkpoint_refused_with_format_mismatch(self, tmp_path):
+        # v4 cached SimResults whose trace was a list of TraceEvent
+        # objects; the critical path reads v5's trace columns, so a v4
+        # cache resumed into this version would crash mid-search.
+        from repro.search.storage import write_pickle_record
+
+        path = str(tmp_path / "v4.ckpt")
+        write_pickle_record(
+            path, "repro.search/checkpoint-v4", self._checkpoint()
+        )
+        with pytest.raises(CheckpointError) as excinfo:
+            read_checkpoint(path)
+        assert excinfo.value.__cause__.code == "format_mismatch"
+        assert "repro.search/checkpoint-v4" in str(excinfo.value)
 
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

@@ -256,8 +256,12 @@ class TestSimCacheStore:
         refuse(b"first")
         refuse(b"second")
         # Newest refusal sits at .corrupt, the earlier one rotated back.
-        assert open(path + ".corrupt", "rb").read().endswith(b"second")
-        assert open(path + ".corrupt.1", "rb").read().endswith(b"first")
+        assert (tmp_path / "simcache.bin.corrupt").read_bytes().endswith(
+            b"second"
+        )
+        assert (tmp_path / "simcache.bin.corrupt.1").read_bytes().endswith(
+            b"first"
+        )
 
     def test_quarantine_bound_evicts_oldest(self, tmp_path):
         path = str(tmp_path / "simcache.bin")
@@ -288,6 +292,25 @@ class TestSimCacheStore:
         report = SimCacheStore(path=path).load()
         assert report.refused
         assert "digest mismatch" in report.error
+
+    def test_v1_cache_file_refused_with_format_mismatch(self, tmp_path):
+        # simcache-v1 held SimResults whose trace was a list of TraceEvent
+        # objects; v2 holds the trace columns the critical path reads.
+        path = str(tmp_path / "simcache.bin")
+        store = SimCacheStore()
+        _fill(store, "ctx", 2)
+        write_pickle_record(
+            path,
+            "repro.serve/simcache-v1",
+            {"contexts": {"ctx": store.cache_for("ctx").state()}},
+        )
+        with pytest.raises(StorageError) as excinfo:
+            read_pickle_record(path, SIMCACHE_FORMAT, expected_type=dict)
+        assert excinfo.value.code == "format_mismatch"
+        report = SimCacheStore(path=path).load()
+        assert report.refused and not report.loaded
+        assert "repro.serve/simcache-v1" in report.error
+        assert report.quarantined_to == path + ".corrupt"
 
     def test_foreign_record_refused(self, tmp_path):
         path = str(tmp_path / "simcache.bin")

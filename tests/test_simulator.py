@@ -1,6 +1,8 @@
 """Scheduling simulator tests (paper §4.4)."""
 
+import gc
 import hashlib
+import pickle
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core import profile_program, run_layout, single_core_layout
 from repro.obs import prof
 from repro.runtime.profiler import ProfileData
 from repro.schedule.coregroup import task_is_replicable
+from repro.schedule.critpath import compute_critical_path, suggest_moves
 from repro.schedule.layout import Layout
 from repro.schedule.simulator import ExitChooser, SimSession, simulate
 
@@ -265,6 +268,55 @@ GOLDEN = {
 }
 
 
+#: Per paper program, on the same layout: the sha256 of repr() of its
+#: critical path (event index, bound and delay per step, then the total)
+#: and of the suggest_moves output derived from that path.
+GOLDEN_CRITPATH = {
+    "Tracking": (
+        "2f39c79f49616b89a528bd47faec3d1d75098c98043ea493f90b27aa938abf14",
+        "a01076a7191e369920d55363b5b2c80de264d814cf3928f935ff5d3cbfe8adbd",
+    ),
+    "KMeans": (
+        "c7fd5ab570f01ca9228552cee78903aec2ef4cf7b7c92a720d6f0d2c35616a55",
+        "7576a8fe0878a0bd9c940cb2bb023fc77b65b65533efe6abb79c863d83b28a29",
+    ),
+    "MonteCarlo": (
+        "688e5c18f600ce36b1fdb3098709bc7be459a397e5da69ac7b6886e540e97908",
+        "d6c6e69bf7ce41f4cbd8de5bfb781a27229ac1ec20ec580915e75b0b1f628377",
+    ),
+    "FilterBank": (
+        "347fb98488b9819674a05b9e95dda2e653dd5f8a3cbe874c3c0deb9fbde1c602",
+        "32604b67b58a822e567bfee81c64163147ada7615c995036d0f8b55aeac8a47c",
+    ),
+    "Fractal": (
+        "fa8eb264d538434c219d76f66f9107f501e7b871142287f3e80b0bf04051431b",
+        "771202491d786289449e8c8bdb22af109bca00979bc814d370865f503384afc0",
+    ),
+    "Series": (
+        "38c7d689ef07c152ec61ed7483557d616c1caad99eabca603f270cfe9fdd6006",
+        "cf7933f0d113341f5d9ac45f93ef5efbba0266121bd1b7f68fd40796f58fe2d3",
+    ),
+}
+
+
+def sha256_repr(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def tracked_reachable(root):
+    """How many GC-tracked objects ``root`` reaches, not following into
+    classes (an instance refers to its class, and a class to its module)."""
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type) or not gc.is_tracked(obj):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
 def all_cores_layout(compiled, num_cores):
     """Every replicable task but startup on every core; the rest on core 0."""
     info = compiled.info
@@ -320,3 +372,37 @@ class TestGolden:
         assert (result.finished, result.total_cycles, len(result.trace)) == (
             False, 119588, 25,
         )
+
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_pickled_trace_keeps_digest(self, name, paper_context):
+        compiled, profile, hints = paper_context(name)
+        result = simulate(
+            compiled, all_cores_layout(compiled, 16), profile, hints=hints
+        )
+        copy = pickle.loads(pickle.dumps(result))
+        assert sha256_repr(trace_data(copy)) == GOLDEN[name][0]
+
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_critical_path_and_moves_digest(self, name, paper_context):
+        compiled, profile, hints = paper_context(name)
+        layout = all_cores_layout(compiled, 16)
+        result = simulate(compiled, layout, profile, hints=hints)
+        path = compute_critical_path(result)
+        steps = [(s.event.event_id, s.bound, s.delay) for s in path.steps]
+        moves = [
+            (m.kind, m.task, m.from_core, m.to_core, m.reason)
+            for m in suggest_moves(result, layout, path)
+        ]
+        assert (
+            sha256_repr((steps, path.total)), sha256_repr(moves)
+        ) == GOLDEN_CRITPATH[name]
+
+    def test_trace_objects_do_not_grow_with_invocations(self, paper_context):
+        # The trace is a fixed set of columns: 25 invocations and a full
+        # run reach the same number of GC-tracked objects.
+        compiled, profile, hints = paper_context("KMeans")
+        layout = all_cores_layout(compiled, 16)
+        short = simulate(compiled, layout, profile, hints=hints, max_events=164)
+        full = simulate(compiled, layout, profile, hints=hints)
+        assert len(short.trace) == 25 < len(full.trace)
+        assert tracked_reachable(short.trace) == tracked_reachable(full.trace)
