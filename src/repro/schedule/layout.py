@@ -219,13 +219,27 @@ def _default_mesh_width(num_cores: int) -> int:
     return width
 
 
-class Router:
-    """Maps an object's (class, abstract state) to consuming task instances.
+def match_consumers(
+    info: ProgramInfo, class_name: str, state: AState
+) -> List[Tuple[str, int]]:
+    """The (task, param_index) pairs, in task-name order, whose parameter
+    an object of ``class_name`` in ``state`` satisfies.
 
-    Shared by the real runtime (:mod:`repro.runtime.machine`) and the
-    high-level scheduling simulator (:mod:`repro.schedule.simulator`) so
-    both see identical routing decisions.
+    The one consumer match: the runtime's :class:`Router` and the
+    scheduling simulator's state table both call it, so the two
+    executions route every object state alike.
     """
+    matches: List[Tuple[str, int]] = []
+    for task_name in sorted(info.tasks):
+        for param_index, param in enumerate(info.tasks[task_name].decl.params):
+            if param.param_type.name == class_name and guard_matches(param, state):
+                matches.append((task_name, param_index))
+    return matches
+
+
+class Router:
+    """The runtime's routing: maps an object's (class, abstract state) to
+    consuming task instances (:mod:`repro.runtime.machine`)."""
 
     def __init__(self, info: ProgramInfo, layout: Layout):
         self.info = info
@@ -239,18 +253,10 @@ class Router:
         """Returns (task, param_index) pairs whose guards the state satisfies."""
         key = (class_name, state)
         cached = self._match_cache.get(key)
-        if cached is not None:
-            return cached
-        matches: List[Tuple[str, int]] = []
-        for task_name in sorted(self.info.tasks):
-            task_info = self.info.tasks[task_name]
-            for param_index, param in enumerate(task_info.decl.params):
-                if param.param_type.name != class_name:
-                    continue
-                if guard_matches(param, state):
-                    matches.append((task_name, param_index))
-        self._match_cache[key] = matches
-        return matches
+        if cached is None:
+            cached = match_consumers(self.info, class_name, state)
+            self._match_cache[key] = cached
+        return cached
 
     def pick_core(
         self,

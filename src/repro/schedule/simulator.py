@@ -22,9 +22,10 @@ pickle, the caches to hold or the garbage collector to walk.
 Entry points
 ------------
 
-* :func:`simulate` — simulate one layout once (the facade).
 * :class:`SimSession` — a reusable session that shares the per-program
   lookup tables across simulations; every call is one full simulation.
+* :func:`simulate` — simulate one layout once: a fresh session's first
+  simulation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter_ns as _perf_counter_ns
 from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -40,15 +42,15 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import CompiledProgram
 
-from ..analysis.astate import AState, guard_matches
+from ..analysis.astate import AState
 from ..ir import costs
 from ..obs import prof
 from ..runtime.profiler import ProfileData
 from ..schedule.layout import (
     Layout,
-    Router,
     common_tag_binding,
     core_speed,
+    match_consumers,
     scale_duration,
 )
 from ..sema import builtins
@@ -63,10 +65,6 @@ _C_SIM_EVENTS = prof.intern_phase("sim.events_processed")
 #: never observed (see _SimEngine._dispatch).
 UNPROFILED_TASK_CYCLES = 200
 
-#: Heap event kinds (ints compare faster than strings).
-_EV_ARRIVE = 0
-_EV_KICK = 1
-
 _INIT = costs.RUNTIME_INIT_COST
 _ENQUEUE = costs.ENQUEUE_COST
 _MSG_SEND = costs.MSG_SEND_COST
@@ -74,21 +72,18 @@ _HOP = costs.HOP_COST
 _MSG_WORD = costs.MSG_WORD_COST
 
 
-@dataclass
 class SimObject:
-    """An abstract object: identity, class, state, optional tag key."""
+    """An abstract object: identity, state id (its class and abstract
+    state, see :class:`_ProgramTables`), optional tag key. A queued object
+    is the entry ``(object, arrived_at, producer_event)``, where
+    ``producer_event`` is the trace event that produced it (-1 for none)."""
 
-    obj_id: int
-    class_name: str
-    state: AState
-    tag_key: Optional[int] = None
+    __slots__ = ("obj_id", "state", "tag_key")
 
-
-@dataclass
-class QueueEntry:
-    obj: SimObject
-    arrived_at: int
-    producer_event: int  # trace event id that produced the object; -1 = none
+    def __init__(self, obj_id: int, state: int, tag_key: Optional[int] = None):
+        self.obj_id = obj_id
+        self.state = state
+        self.tag_key = tag_key
 
 
 @dataclass
@@ -346,45 +341,65 @@ class ExitChooser:
 class _TaskRec:
     """Per-task lookups resolved once and shared across simulations."""
 
-    __slots__ = ("params", "nparams", "tag_match", "guards", "func",
-                 "has_exits", "fallback_exit")
+    __slots__ = ("name", "index", "nparams", "tag_match", "accepts", "func",
+                 "has_exits", "fixed_exit", "exits")
 
     def __init__(self, compiled: "CompiledProgram", profile: ProfileData,
-                 task: str):
+                 task: str, index: int):
         decl = compiled.info.task_info(task).decl
-        self.params = tuple(decl.params)
-        self.nparams = len(self.params)
+        self.name = task
+        #: position in task-name order; indexes a layout's destination table
+        self.index = index
+        self.nparams = len(decl.params)
         #: every parameter binds one shared tag, so an invocation's objects
         #: must all carry the same tag key
         self.tag_match = common_tag_binding(decl) is not None
-        #: per-parameter memo of guard_matches(param, state) by state
-        self.guards = tuple({} for _ in self.params)
+        #: per parameter: the state ids whose state satisfies its guard
+        self.accepts: Tuple[Set[int], ...] = tuple(set() for _ in decl.params)
         self.func = compiled.ir_program.tasks[task]
-        self.has_exits = bool(profile.exit_ids(task))
-        # The profiled run never invoked this task (e.g. it lost every
-        # race for its objects). Fall back to the static exit table — the
-        # lowest explicit exit — so the simulated object still transitions.
-        self.fallback_exit = min(
-            (e for e in self.func.exits if e != 0), default=0
-        )
+        exit_ids = profile.exit_ids(task)
+        self.has_exits = bool(exit_ids)
+        #: the exit every invocation takes, or None when the ExitChooser
+        #: picks among several profiled exits
+        self.fixed_exit: Optional[int] = None
+        if len(exit_ids) == 1:
+            self.fixed_exit = exit_ids[0]
+        elif not exit_ids:
+            # The profiled run never invoked this task (e.g. it lost every
+            # race for its objects). Fall back to the static exit table —
+            # the lowest explicit exit — so the simulated object still
+            # transitions.
+            self.fixed_exit = min(
+                (e for e in self.func.exits if e != 0), default=0
+            )
+        #: exit id -> _ExitRec, filled as exits are first taken
+        self.exits: Dict[int, "_ExitRec"] = {}
 
 
-class _ExitPlan:
-    """Memoized per-(task, exit) dispatch consequences."""
+class _ExitRec:
+    """Everything one (task, exit) dispatch needs, built when the exit is
+    first taken."""
 
-    __slots__ = ("spec", "steps")
+    __slots__ = ("base", "cycles", "spec", "steps", "allocs")
 
-    def __init__(self, spec, nparams: int):
+    def __init__(self, base: int, spec, nparams: int, allocs: tuple):
+        #: cycles at speed 1.0; ``cycles`` memoizes them per core
+        self.base = base
+        self.cycles: Dict[int, int] = {}
         self.spec = spec
-        #: per parameter: {state -> (new_state, tag_mode)} where tag_mode
-        #: 0 leaves tag_key alone, 1 sets it to the invocation's event id,
-        #: 2 clears it (the last tag removal zeroed the count)
-        self.steps = tuple({} for _ in range(nparams))
+        #: per parameter: {state id -> (new state id, tag_mode)} where
+        #: tag_mode 0 leaves tag_key alone, 1 sets it to the invocation's
+        #: event id, 2 clears it (the last tag removal zeroed the count);
+        #: None when the task's exit table has no such exit
+        self.steps = None if spec is None else tuple({} for _ in range(nparams))
+        #: per allocation site: (carry slot, expected count, state id,
+        #: tagged with the invocation's key)
+        self.allocs = allocs
 
 
 def _transition(spec, param_index: int, state: AState) -> Tuple[AState, int]:
-    """Replays one exit's flag/tag actions for one parameter; memoized by
-    :class:`_ExitPlan` since the outcome depends only on the input state."""
+    """Replays one exit's flag/tag actions for one parameter; memoized in
+    :attr:`_ExitRec.steps` since the outcome depends only on the input state."""
     updates = spec.flag_updates.get(param_index)
     if updates:
         state = state.with_flags(updates)
@@ -407,13 +422,17 @@ class _ProgramTables:
     (program, profile, core-speeds) context — the memo a
     :class:`SimSession` keeps warm across candidates.
 
-    Everything memoized here is a pure function of the program and
-    profile, so sharing the tables cannot change results; it only removes
-    repeated lookups from the event loop's hot path.
+    Every (class, abstract state) pair gets a dense int id the first time
+    it appears; simulated objects carry that id. Per id the tables hold
+    the consumers (from :func:`~repro.schedule.layout.match_consumers`)
+    and the message cost of the object's words, and each consumer's
+    :attr:`_TaskRec.accepts` records the id, which is the guard result
+    the dispatch re-checks. Everything here is a pure function of the
+    program and profile, so sharing the tables cannot change results.
     """
 
-    __slots__ = ("compiled", "info", "profile", "core_speeds", "_recs",
-                 "_class_size", "_durations", "_alloc_plans", "_exit_plans")
+    __slots__ = ("compiled", "info", "profile", "core_speeds", "recs",
+                 "_ids", "states", "consumers", "words", "_carry_slots")
 
     def __init__(self, compiled: "CompiledProgram", profile: ProfileData,
                  core_speeds: Optional[Dict[int, float]] = None):
@@ -421,72 +440,95 @@ class _ProgramTables:
         self.info = compiled.info
         self.profile = profile
         self.core_speeds = core_speeds
-        self._recs: Dict[str, _TaskRec] = {}
-        self._class_size: Dict[str, int] = {}
-        #: (task, exit_id, core) -> scaled duration; exit -1 = unprofiled
-        self._durations: Dict[Tuple[str, int, int], int] = {}
-        self._alloc_plans: Dict[Tuple[str, int], tuple] = {}
-        self._exit_plans: Dict[Tuple[str, int], Optional[_ExitPlan]] = {}
+        self.recs: Dict[str, _TaskRec] = {
+            task: _TaskRec(compiled, profile, task, index)
+            for index, task in enumerate(sorted(self.info.tasks))
+        }
+        self._ids: Dict[Tuple[str, AState], int] = {}
+        #: per state id: (class, abstract state)
+        self.states: List[Tuple[str, AState]] = []
+        #: per state id: the (task record, param_index) pairs it satisfies
+        self.consumers: List[Tuple[Tuple[_TaskRec, int], ...]] = []
+        #: per state id: the word cost of sending the object to another core
+        self.words: List[int] = []
+        self._carry_slots = 0
 
-    def rec(self, task: str) -> _TaskRec:
-        rec = self._recs.get(task)
-        if rec is None:
-            rec = _TaskRec(self.compiled, self.profile, task)
-            self._recs[task] = rec
-        return rec
-
-    def class_size(self, class_name: str) -> int:
-        size = self._class_size.get(class_name)
-        if size is None:
-            size = len(self.info.class_info(class_name).fields)
-            self._class_size[class_name] = size
-        return size
-
-    def duration(self, task: str, exit_id: int, core: int,
-                 profiled: bool) -> int:
-        key = (task, exit_id, core)
-        cycles = self._durations.get(key)
-        if cycles is None:
-            if profiled:
-                base = max(1, int(round(self.profile.avg_cycles(task, exit_id))))
-            else:
-                base = UNPROFILED_TASK_CYCLES
-            cycles = scale_duration(base, core_speed(self.core_speeds, core))
-            self._durations[key] = cycles
-        return cycles
-
-    def exit_plan(self, task: str, exit_id: int,
-                  rec: _TaskRec) -> Optional[_ExitPlan]:
-        key = (task, exit_id)
-        try:
-            return self._exit_plans[key]
-        except KeyError:
-            spec = rec.func.exits.get(exit_id)
-            plan = None if spec is None else _ExitPlan(spec, rec.nparams)
-            self._exit_plans[key] = plan
-            return plan
-
-    def alloc_plan(self, task: str, exit_id: int) -> tuple:
-        key = (task, exit_id)
-        plan = self._alloc_plans.get(key)
-        if plan is None:
-            entries = []
-            for site_id, avg in sorted(
-                self.profile.avg_allocs(task, exit_id).items()
-            ):
-                site = self.compiled.ir_program.alloc_sites.get(site_id)
-                if site is None:
-                    continue
-                flags = [f for f, v in site.flag_inits.items() if v]
-                tags = {t: 1 for t in site.tag_types}
-                state = AState.make(flags, tags)
-                entries.append(
-                    ((task, exit_id, site_id), avg, site.class_name, state,
-                     bool(site.tag_types))
+    def state_id(self, class_name: str, state: AState) -> int:
+        key = (class_name, state)
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._ids[key] = len(self.states)
+            self.states.append(key)
+            consumers = tuple(
+                (self.recs[task], param_index)
+                for task, param_index in match_consumers(
+                    self.info, class_name, state
                 )
-            plan = tuple(entries)
-            self._alloc_plans[key] = plan
-        return plan
+            )
+            for rec, param_index in consumers:
+                rec.accepts[param_index].add(sid)
+            self.consumers.append(consumers)
+            self.words.append(
+                _MSG_WORD * len(self.info.class_info(class_name).fields)
+            )
+        return sid
+
+    def exit_rec(self, rec: _TaskRec, exit_id: int) -> _ExitRec:
+        if rec.has_exits:
+            base = max(1, int(round(self.profile.avg_cycles(rec.name, exit_id))))
+        else:
+            base = UNPROFILED_TASK_CYCLES
+        allocs = []
+        for site_id, avg in sorted(
+            self.profile.avg_allocs(rec.name, exit_id).items()
+        ):
+            site = self.compiled.ir_program.alloc_sites.get(site_id)
+            if site is None:
+                continue
+            flags = [f for f, v in site.flag_inits.items() if v]
+            tags = {t: 1 for t in site.tag_types}
+            sid = self.state_id(site.class_name, AState.make(flags, tags))
+            allocs.append((self._carry_slots, avg, sid, bool(site.tag_types)))
+            self._carry_slots += 1
+        exit_rec = _ExitRec(
+            base, rec.func.exits.get(exit_id), rec.nparams, tuple(allocs)
+        )
+        rec.exits[exit_id] = exit_rec
+        return exit_rec
+
+    def step(self, exit_rec: _ExitRec, param_index: int, sid: int) -> Tuple[int, int]:
+        class_name, state = self.states[sid]
+        new_state, mode = _transition(exit_rec.spec, param_index, state)
+        step = (self.state_id(class_name, new_state), mode)
+        exit_rec.steps[param_index][sid] = step
+        return step
+
+
+@lru_cache(maxsize=8)
+def _link_costs(num_cores: int, mesh_width: int, topology: str) -> tuple:
+    """``[sender][dest]``: the cost of a message between two cores apart
+    from the object's words, built once per process for each network
+    shape (a per-session table would tax every fresh daemon session)."""
+    hops = Layout(num_cores, mesh_width, (), topology).hops
+    return tuple(
+        tuple(_MSG_SEND + hops(a, b) * _HOP + _ENQUEUE for b in range(num_cores))
+        for a in range(num_cores)
+    )
+
+
+#: Larger machines get a per-layout table over the cores in use, so no
+#: request can make the process build a table quadratic in its core count.
+_SHARED_LINK_CORES = 256
+
+
+def _layout_links(layout: Layout):
+    if layout.num_cores <= _SHARED_LINK_CORES:
+        return _link_costs(layout.num_cores, layout.mesh_width, layout.topology)
+    cores = layout.cores_used()
+    return {
+        a: {b: _MSG_SEND + layout.hops(a, b) * _HOP + _ENQUEUE for b in cores}
+        for a in cores
+    }
 
 
 # -- the engine ----------------------------------------------------------------
@@ -495,12 +537,14 @@ class _ProgramTables:
 class _SimEngine:
     """One discrete-event simulation of one layout.
 
-    Heap events are flat 7-slot tuples ``(time, seq, kind, target, task,
+    Heap events are flat 7-slot tuples ``(time, seq, target, rec, slot,
     param_index, entry)`` — ``(time, seq)`` is unique, so the trailing
-    payload slots never participate in heap comparisons. ``kind`` is
-    :data:`_EV_ARRIVE` (``target`` is the destination core) or
-    :data:`_EV_KICK`, a wake-up whose ``target`` lists the cores it
-    visits, in order, with ``(None, 0, None)`` after it.
+    payload slots never participate in heap comparisons. An arrival
+    carries the destination core, the consuming task's record, the
+    destination instance's parameter sets (None for a one-parameter
+    task, whose arrivals go straight to the ready queue) and the queue
+    entry ``(object, arrived_at, producer_event)``. A wake-up has ``rec``
+    None and ``target`` lists the cores it visits, in order.
 
     A dispatch pushes one wake-up at its end time carrying the dispatching
     core and then every other core that has queued work and is free by
@@ -513,31 +557,17 @@ class _SimEngine:
 
     def __init__(
         self,
-        compiled: "CompiledProgram",
         layout: Layout,
-        profile: ProfileData,
+        tables: _ProgramTables,
         hints: Optional[Dict[str, str]] = None,
         max_events: int = 2_000_000,
         exit_policy: str = "sequence",
-        core_speeds: Optional[Dict[int, float]] = None,
-        tables: Optional[_ProgramTables] = None,
     ):
-        layout.validate(compiled.info)
-        self.compiled = compiled
-        self.info = compiled.info
-        self.layout = layout
-        self.profile = profile
+        layout.validate(tables.info)
+        self.tables = tables
         self.max_events = max_events
-        self.exit_policy = exit_policy
-        self.core_speeds = core_speeds
-        self.tables = (
-            tables
-            if tables is not None
-            else _ProgramTables(compiled, profile, core_speeds)
-        )
-        self.router = Router(compiled.info, layout)
-        self._cores_of = self.router._cores
-        self.chooser = ExitChooser(profile, hints, exit_policy)
+        self.chooser = ExitChooser(tables.profile, hints, exit_policy)
+        self._links = _layout_links(layout)
         core_list = layout.cores_used()
 
         self._events: List[tuple] = []
@@ -547,23 +577,20 @@ class _SimEngine:
             core: _INIT for core in core_list
         }
         self.core_busy: Dict[int, int] = {core: 0 for core in core_list}
-        self.ready: Dict[int, Deque[List[QueueEntry]]] = {}
-        sets: Dict[Tuple[int, str], List[Deque[QueueEntry]]] = {}
-        tables_rec = self.tables.rec
-        for core in core_list:
-            self.ready[core] = deque()
-            for task in layout.tasks_on_core(core):
-                sets[(core, task)] = [
-                    deque() for _ in range(tables_rec(task).nparams)
-                ]
-        self._sets = sets
-        self._ready_task: Dict[int, Deque[str]] = {
-            core: deque() for core in core_list
-        }
+        #: per core: (task record, entries, parameter sets) invocations
+        self.ready: Dict[int, Deque[tuple]] = {core: deque() for core in core_list}
+        #: per task record index: (cores, per-core parameter sets)
+        self._dests: List[tuple] = [None] * len(tables.recs)
+        for task, cores in layout.instances:
+            rec = tables.recs[task]
+            self._dests[rec.index] = (cores, tuple(
+                [deque() for _ in range(rec.nparams)] if rec.nparams > 1 else None
+                for _ in cores
+            ))
         #: cores whose ready queue is nonempty
         self._waiting: Set[int] = set()
-        self._rr_state: Dict[Tuple[int, str], int] = {}
-        self._alloc_carry: Dict[Tuple[str, int, int], float] = {}
+        self._rr_state: Dict[Tuple[int, int], int] = {}
+        self._alloc_carry: Dict[int, float] = {}
         self.trace = SimTrace()
         self.invocations: Dict[str, int] = {}
 
@@ -572,9 +599,9 @@ class _SimEngine:
     def run(self) -> SimResult:
         startup = SimObject(
             self._next_obj_id,
-            builtins.STARTUP_CLASS,
-            AState.make([builtins.STARTUP_FLAG]),
-            None,
+            self.tables.state_id(
+                builtins.STARTUP_CLASS, AState.make([builtins.STARTUP_FLAG])
+            ),
         )
         self._next_obj_id += 1
         self._route(startup, None, _INIT, -1)
@@ -607,7 +634,7 @@ class _SimEngine:
         pop = heapq.heappop
         push = heapq.heappush
         max_events = self.max_events
-        sets = self._sets
+        ready = self.ready
         waiting = self._waiting
         busy_until = self.busy_until
         dispatch = self._dispatch
@@ -622,9 +649,9 @@ class _SimEngine:
             if processed > max_events:
                 finished = False
                 break
-            time, _, kind, target, task, param_index, entry = pop(events)
+            time, _, target, rec, slot, param_index, entry = pop(events)
             last_time = time
-            if kind:
+            if rec is None:
                 # Every core after the first is one more processed event,
                 # so the budget can run out partway through a wake-up.
                 last = processed + len(target) - 1
@@ -639,40 +666,32 @@ class _SimEngine:
                     break
                 processed = last
             else:
-                sets[(target, task)][param_index].append(entry)
-                try_form(target, task)
+                if slot is None:
+                    ready[target].append((rec, (entry,), None))
+                    waiting.add(target)
+                else:
+                    slot[param_index].append(entry)
+                    try_form(target, rec, slot)
                 if target in waiting and busy_until[target] <= time:
                     self._seq = s = self._seq + 1
-                    push(events, (time, s, _EV_KICK, (target,), None, 0, None))
+                    push(events, (time, s, (target,), None, None, 0, None))
         return finished, last_time, processed
 
     # -- invocation formation -----------------------------------------------------
 
-    def _try_form(self, core: int, task: str) -> None:
-        sets = self._sets[(core, task)]
-        if len(sets) == 1:
-            pending = sets[0]
-            if pending:
-                ready = self.ready[core]
-                ready_task = self._ready_task[core]
-                while pending:
-                    ready.append([pending.popleft()])
-                    ready_task.append(task)
-                self._waiting.add(core)
-            return
-        tag_match = self.tables.rec(task).tag_match
-        while all(sets):
-            combo = self._pop_compatible(sets, tag_match)
+    def _try_form(self, core: int, rec: _TaskRec, slot: List[deque]) -> None:
+        """Moves every invocation ``slot``'s parameter sets can form to
+        ``core``'s ready queue."""
+        tag_match = rec.tag_match
+        while all(slot):
+            combo = self._pop_compatible(slot, tag_match)
             if combo is None:
                 return
-            self.ready[core].append(combo)
-            self._ready_task[core].append(task)
+            self.ready[core].append((rec, combo, slot))
             self._waiting.add(core)
 
     @staticmethod
-    def _pop_compatible(
-        sets: List[Deque[QueueEntry]], tag_match: bool
-    ) -> Optional[List[QueueEntry]]:
+    def _pop_compatible(sets: List[deque], tag_match: bool) -> Optional[list]:
         """Pops one entry per parameter set, the earliest in FIFO order.
 
         With ``tag_match`` every entry must carry the same tag key: the
@@ -682,13 +701,13 @@ class _SimEngine:
         if not tag_match:
             return [bucket.popleft() for bucket in sets]
         for first in sets[0]:
-            key = first.obj.tag_key
+            key = first[0].tag_key
             if key is None:
                 continue
             combo = [first]
             for bucket in sets[1:]:
                 for entry in bucket:
-                    if entry.obj.tag_key == key:
+                    if entry[0].tag_key == key:
                         combo.append(entry)
                         break
                 else:
@@ -704,59 +723,34 @@ class _SimEngine:
     def _dispatch(self, core: int, time: int) -> None:
         """Starts the first still-valid ready invocation on ``core``, which
         the caller found free at ``time`` with a nonempty ready queue."""
-        busy_until = self.busy_until
         ready = self.ready[core]
-        ready_task = self._ready_task[core]
-        tables = self.tables
-        combo: Optional[List[QueueEntry]] = None
-        task = ""
-        rec = None
         while ready:
-            candidate = ready.popleft()
-            candidate_task = ready_task.popleft()
-            rec = tables.rec(candidate_task)
-            guards = rec.guards
-            params = rec.params
-            stale = None
-            for index in range(rec.nparams):
-                state = candidate[index].obj.state
-                memo = guards[index]
-                ok = memo.get(state)
-                if ok is None:
-                    ok = guard_matches(params[index], state)
-                    memo[state] = ok
-                if not ok:
-                    if stale is None:
-                        stale = {index}
-                    else:
-                        stale.add(index)
-            if stale is None:
-                combo = candidate
-                task = candidate_task
-                break
-            # Mirror the runtime: drop the invocation, put still-valid
-            # objects back in their sets, re-route stale objects by their
-            # current state.
-            sets = self._sets[(core, candidate_task)]
-            for index, entry in enumerate(candidate):
-                if index in stale:
-                    self._route(entry.obj, core, time, entry.producer_event)
-                else:
-                    sets[index].appendleft(entry)
-            self._try_form(core, candidate_task)
+            rec, combo, slot = ready.popleft()
+            for entry, accepts in zip(combo, rec.accepts):
+                if entry[0].state not in accepts:
+                    break
+            else:
+                break  # every object still satisfies its parameter's guard
+            self._requeue_stale(core, time, rec, combo, slot)
+        else:
+            # Every ready invocation was stale.
+            self._waiting.discard(core)
+            return
         if not ready:
             self._waiting.discard(core)
-        if combo is None:
-            return
 
-        data_ready = max(entry.arrived_at for entry in combo)
+        tables = self.tables
+        task = rec.name
+        exit_id = rec.fixed_exit
+        if exit_id is None:
+            exit_id = self.chooser.choose(task, combo[0][0].obj_id)
+        exit_rec = rec.exits.get(exit_id) or tables.exit_rec(rec, exit_id)
+        duration = exit_rec.cycles.get(core)
+        if duration is None:
+            duration = exit_rec.cycles[core] = scale_duration(
+                exit_rec.base, core_speed(tables.core_speeds, core)
+            )
         start = time
-        if rec.has_exits:
-            exit_id = self.chooser.choose(task, combo[0].obj.obj_id)
-            duration = tables.duration(task, exit_id, core, True)
-        else:
-            exit_id = rec.fallback_exit
-            duration = tables.duration(task, -1, core, False)
         end = start + duration
 
         trace = self.trace
@@ -766,62 +760,57 @@ class _SimEngine:
         trace.start.append(start)
         trace.end.append(end)
         trace.exit_id.append(exit_id)
-        trace.data_ready.append(data_ready)
         param_obj = trace.param_obj
         producer = trace.producer
         latency = trace.latency
-        for entry in combo:
-            param_obj.append(entry.obj.obj_id)
-            producer.append(entry.producer_event)
-            arrived = entry.arrived_at
+        data_ready = 0
+        for obj, arrived, producer_event in combo:
+            param_obj.append(obj.obj_id)
+            producer.append(producer_event)
             latency.append(arrived - start if arrived > start else 0)
+            if arrived > data_ready:
+                data_ready = arrived
+        trace.data_ready.append(data_ready)
         trace.param_end.append(len(param_obj))
         invocations = self.invocations
         invocations[task] = invocations.get(task, 0) + 1
         self.core_busy[core] += duration
+        busy_until = self.busy_until
         busy_until[core] = end
 
         # Transition parameter objects per the exit's flag/tag actions.
         route = self._route
-        plan = tables.exit_plan(task, exit_id, rec)
-        if plan is None:
+        steps = exit_rec.steps
+        if steps is None:
             for entry in combo:
-                route(entry.obj, core, end, event_id)
+                route(entry[0], core, end, event_id)
         else:
-            steps = plan.steps
-            spec = plan.spec
             for param_index, entry in enumerate(combo):
-                obj = entry.obj
-                memo = steps[param_index]
-                state = obj.state
-                hit = memo.get(state)
-                if hit is None:
-                    hit = _transition(spec, param_index, state)
-                    memo[state] = hit
-                new_state, tag_mode = hit
+                obj = entry[0]
+                step = steps[param_index].get(obj.state)
+                if step is None:
+                    step = tables.step(exit_rec, param_index, obj.state)
+                obj.state, tag_mode = step
                 if tag_mode:
                     obj.tag_key = event_id if tag_mode == 1 else None
-                obj.state = new_state
                 route(obj, core, end, event_id)
 
         # Allocate new objects per the profile's expectations.
-        alloc_plan = tables.alloc_plan(task, exit_id)
         produced = trace.produced
-        if alloc_plan:
+        if exit_rec.allocs:
             carry_map = self._alloc_carry
-            for carry_key, avg, class_name, state, has_tags in alloc_plan:
-                carry = carry_map.get(carry_key, 0.0) + avg
+            for carry_slot, avg, state, has_tags in exit_rec.allocs:
+                carry = carry_map.get(carry_slot, 0.0) + avg
                 emit = int(carry)
-                carry_map[carry_key] = carry - emit
+                carry_map[carry_slot] = carry - emit
                 if emit:
                     tag_key = event_id if has_tags else None
                     next_id = self._next_obj_id
                     self._next_obj_id = next_id + emit
-                    for _ in range(emit):
-                        obj = SimObject(next_id, class_name, state, tag_key)
-                        next_id += 1
-                        produced.append(obj.obj_id)
-                        route(obj, core, end, event_id)
+                    for obj_id in range(next_id, next_id + emit):
+                        produced.append(obj_id)
+                        route(SimObject(obj_id, state, tag_key), core, end,
+                              event_id)
         trace.produced_end.append(len(produced))
 
         # One wake-up at ``end``: this core, then every other core with
@@ -833,7 +822,20 @@ class _SimEngine:
         visits.sort()
         visits.insert(0, core)
         self._seq = s = self._seq + 1
-        heapq.heappush(self._events, (end, s, _EV_KICK, visits, None, 0, None))
+        heapq.heappush(self._events, (end, s, visits, None, None, 0, None))
+
+    def _requeue_stale(self, core: int, time: int, rec: _TaskRec,
+                       combo, slot) -> None:
+        """Mirrors the runtime for an invocation whose objects changed state
+        while it was queued: drops it, puts the still-valid objects back in
+        their sets and re-routes the stale ones by their current state."""
+        for index, entry in enumerate(combo):
+            if entry[0].state in rec.accepts[index]:
+                slot[index].appendleft(entry)
+            else:
+                self._route(entry[0], core, time, entry[2])
+        if slot is not None:
+            self._try_form(core, rec, slot)
 
     # -- routing --------------------------------------------------------------------
 
@@ -844,63 +846,48 @@ class _SimEngine:
         time: int,
         producer_event: int,
     ) -> None:
-        consumers = self.router.consumers(obj.class_name, obj.state)
+        tables = self.tables
+        consumers = tables.consumers[obj.state]
         if not consumers:
             return
-        cores_of = self._cores_of
-        tables = self.tables
-        layout = self.layout
+        dests = self._dests
         rr_state = self._rr_state
         events = self._events
-        for task, param_index in consumers:
-            cores = cores_of[task]
-            if len(cores) == 1:
-                dest = cores[0]
-            elif (
-                obj.tag_key is not None
-                and tables.rec(task).nparams > 1
-            ):
-                dest = cores[obj.tag_key % len(cores)]
+        links = None if sender is None else self._links[sender]
+        for rec, param_index in consumers:
+            cores, slots = dests[rec.index]
+            count = len(cores)
+            if count == 1:
+                index = 0
+            elif obj.tag_key is not None and rec.nparams > 1:
+                index = obj.tag_key % count
             else:
                 # Round-robin, staggered by sender so co-located producers
                 # don't all hammer the same replica first (Router.pick_core
                 # semantics, inlined).
                 origin = sender if sender is not None else 0
-                key = (origin, task)
-                index = rr_state.get(key)
-                if index is None:
-                    index = (
+                key = (origin, rec.index)
+                turn = rr_state.get(key)
+                if turn is None:
+                    turn = (
                         cores.index(origin)
                         if origin in cores
-                        else origin % len(cores)
+                        else origin % count
                     )
-                rr_state[key] = index + 1
-                dest = cores[index % len(cores)]
-            if sender is None:
-                latency = 0
+                rr_state[key] = turn + 1
+                index = turn % count
+            dest = cores[index]
+            if links is None:
+                arrived = time
             elif dest == sender:
-                latency = _ENQUEUE
+                arrived = time + _ENQUEUE
             else:
-                latency = (
-                    _MSG_SEND
-                    + layout.hops(sender, dest) * _HOP
-                    + _MSG_WORD * tables.class_size(obj.class_name)
-                    + _ENQUEUE
-                )
-            arrived = time + latency
+                arrived = time + links[dest] + tables.words[obj.state]
             self._seq = s = self._seq + 1
-            heapq.heappush(
-                events,
-                (
-                    arrived,
-                    s,
-                    _EV_ARRIVE,
-                    dest,
-                    task,
-                    param_index,
-                    QueueEntry(obj, arrived, producer_event),
-                ),
-            )
+            heapq.heappush(events, (
+                arrived, s, dest, rec, slots[index], param_index,
+                (obj, arrived, producer_event),
+            ))
 
 
 # -- sessions & facade ----------------------------------------------------------
@@ -939,14 +926,11 @@ class SimSession:
     def simulate(self, layout: Layout) -> SimResult:
         """Simulates ``layout`` once, sharing the session's tables."""
         return _SimEngine(
-            self.compiled,
             layout,
-            self.profile,
+            self.tables,
             hints=self.hints,
             max_events=self.max_events,
             exit_policy=self.exit_policy,
-            core_speeds=self.core_speeds,
-            tables=self.tables,
         ).run()
 
 
@@ -965,13 +949,11 @@ def simulate(
     To simulate many layouts of one program, share the per-program
     tables through :meth:`SimSession.simulate` instead.
     """
-    engine = _SimEngine(
+    return SimSession(
         compiled,
-        layout,
         profile,
         hints=hints,
-        max_events=max_events,
-        exit_policy=exit_policy,
         core_speeds=core_speeds,
-    )
-    return engine.run()
+        exit_policy=exit_policy,
+        max_events=max_events,
+    ).simulate(layout)

@@ -120,6 +120,51 @@ task finishsave(Drawing d in saving with saveop t,
 """
 
 
+# One object satisfies two tasks' guards: every Item starts `fresh`, which
+# both peek and take accept. Whichever runs first clears the flag, so the
+# other's queued invocation is stale when dispatched and its object is
+# re-routed by its current state (`done`, a second delivery to tally).
+CONTESTED_SOURCE = """
+class Item {
+    flag fresh;
+    flag done;
+    int v;
+    Item(int v) { this.v = v; }
+}
+
+class Tally {
+    flag open;
+    int n;
+    Tally() { this.n = 0; }
+}
+
+task startup(StartupObject s in initialstate) {
+    int count = Integer.parseInt(s.args[0]);
+    for (int i = 0; i < count; i++) {
+        Item it = new Item(i){fresh := true};
+    }
+    Tally t = new Tally(){open := true};
+    taskexit(s: initialstate := false);
+}
+
+task peek(Item it in fresh) {
+    it.v = it.v * 2;
+    taskexit(it: fresh := false, done := true);
+}
+
+task take(Item it in fresh) {
+    it.v = it.v + 1;
+    taskexit(it: fresh := false, done := true);
+}
+
+task tally(Tally t in open, Item it in done) {
+    t.n = t.n + 1;
+    System.printString("tally " + t.n);
+    taskexit(it: done := false);
+}
+"""
+
+
 @pytest.fixture(scope="session")
 def keyword_compiled():
     return compile_program(KEYWORD_SOURCE, "keyword-test")
@@ -133,6 +178,12 @@ def keyword_profile(keyword_compiled):
 @pytest.fixture(scope="session")
 def tagged_compiled():
     return compile_program(TAGGED_SOURCE, "tagged-test")
+
+
+@pytest.fixture(scope="session")
+def contested_context():
+    compiled = compile_program(CONTESTED_SOURCE, "contested-test")
+    return compiled, profile_program(compiled, ["4"])
 
 
 @pytest.fixture

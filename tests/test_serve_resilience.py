@@ -58,11 +58,12 @@ REQUEST = dict(
 
 #: A variant that takes seconds of wall clock (big input, so each
 #: candidate simulation is expensive) — long enough to outlive short
-#: deadlines and drain timeouts deterministically.
+#: deadlines and drain timeouts deterministically. About 4 s uncancelled
+#: on a 2-vCPU VM; its search polls for cancellation every iteration.
 SLOW_REQUEST = dict(
     REQUEST,
-    args=["300"],
-    cores=8,
+    args=["3000"],
+    cores=16,
     max_iterations=100000,
     max_evaluations=1000000,
 )

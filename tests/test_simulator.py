@@ -13,7 +13,13 @@ from repro.runtime.profiler import ProfileData
 from repro.schedule.coregroup import task_is_replicable
 from repro.schedule.critpath import compute_critical_path, suggest_moves
 from repro.schedule.layout import Layout
-from repro.schedule.simulator import ExitChooser, SimSession, simulate
+from repro.schedule import simulator
+from repro.schedule.simulator import (
+    ExitChooser,
+    SimSession,
+    _layout_links,
+    simulate,
+)
 
 from test_search import SMALL_ARGS
 
@@ -215,6 +221,31 @@ def tracking_context():
     return compiled, profile
 
 
+class TestLinkCosts:
+    def test_one_table_per_network_shape(self):
+        # Fresh sessions and engines reuse the process's table for a shape.
+        mesh = Layout.make(16, {"t": [0]})
+        assert _layout_links(mesh) is _layout_links(Layout.make(16, {"t": [9]}))
+        ring = Layout.make(16, {"t": [0]}, topology="ring")
+        assert _layout_links(ring) is not _layout_links(mesh)
+
+    def test_large_machine_prices_messages_like_the_shared_table(
+        self, tracking_context, monkeypatch
+    ):
+        # Past _SHARED_LINK_CORES an engine prices only the cores in use.
+        compiled, profile = tracking_context
+        info = compiled.info
+        spread = [0, 19, 150, 299]
+        layout = Layout.make(300, {
+            task: (spread if task != "startup" and task_is_replicable(info, task)
+                   else [0])
+            for task in info.tasks
+        })
+        sparse = simulate(compiled, layout, profile)
+        monkeypatch.setattr(simulator, "_SHARED_LINK_CORES", 300)
+        assert trace_data(simulate(compiled, layout, profile)) == trace_data(sparse)
+
+
 class TestSessionApi:
     def test_facade_with_session_matches_sessionless(self, tracking_context):
         compiled, profile = tracking_context
@@ -299,8 +330,106 @@ GOLDEN_CRITPATH = {
 }
 
 
+#: The inputs the six GOLDEN digests leave at their defaults, on the same
+#: layouts: the torus and ring interconnects (all three topologies give
+#: different traces on every program), uneven core speeds, and the
+#: "counts" exit policy (only KMeans differs from "sequence" there).
+GOLDEN_TOPOLOGY = {
+    ("Tracking", "torus"): (
+        "80847c94f29fa5211f8e6346fa124d574aad640e4729c9b9b01b8b7c0c20cf15", 3317
+    ),
+    ("Tracking", "ring"): (
+        "941f9e491ff5d172c084526d39bd1ff4c36932d4eedbb2ed6ac7d61108accfee", 3283
+    ),
+    ("KMeans", "torus"): (
+        "79f3dcf29a7f0dad3c0f1ba73364d5ebed0575fc30445255c4f9694b3cc8a773", 4920
+    ),
+    ("KMeans", "ring"): (
+        "44b20dbb6c660fef2482aead8fa9b756ea161a9e5cd957bc7b1c6dcb22dada96", 4882
+    ),
+    ("MonteCarlo", "torus"): (
+        "8587e8204a4465dc13e98c1b406a865891271d525e72792fa8db4a706cc9bf5d", 2512
+    ),
+    ("MonteCarlo", "ring"): (
+        "2c43cf9cb790e3b42e86193a112411f2754df4d5837a93b2e2b51c48c73b1f28", 2475
+    ),
+    ("FilterBank", "torus"): (
+        "d3556974cc7f4f2a268d4fb6605d27bb452519d57643cd03297abf297004ce42", 1162
+    ),
+    ("FilterBank", "ring"): (
+        "f21569d5618160babb995ed067b658ec6bb1c4deccda8b04ded19b2cf213038f", 1124
+    ),
+    ("Fractal", "torus"): (
+        "4b2e489c15b455273329851fc02013e5b2d187aa04c408fc5004e745e3ec78ed", 3881
+    ),
+    ("Fractal", "ring"): (
+        "c1e9824bcd608047181724decf89f6e68654666f3af5523ba9af6dcc883425f6", 3838
+    ),
+    ("Series", "torus"): (
+        "bca38f6d4f491c3ed068a570f5a241a921b013cd7f2a47f292d0349b0fe720d4", 3881
+    ),
+    ("Series", "ring"): (
+        "05dadce8192132083497dd9e4d62d8a1435e193a5bd229a0e1bad4af42086bd8", 3838
+    ),
+}
+
+#: Core c runs at SPEEDS[c % 4] times the baseline.
+SPEEDS = (0.5, 1.0, 1.5, 2.0)
+GOLDEN_SPEEDS = {
+    "Tracking": (
+        "7d4c368197afef071425b304a7088d5fa6865ffd0d79bcb970f008ce2322c990", 1894
+    ),
+    "KMeans": (
+        "58f0db8443ddf325691314b2be1c5ca0db5a30d26ed4e41b6fce80fba63a6df9", 3952
+    ),
+    "MonteCarlo": (
+        "df72d2f6212789877910cfe533d3e0a82ec353e3dc1fbfc330fa65ea6370c58a", 1859
+    ),
+    "FilterBank": (
+        "7d7dddf676e93389e66d181d61a57aff105558ff9b34b6956b16526c1870bd20", 867
+    ),
+    "Fractal": (
+        "cd6b792bf47cb5d2cba0bfda7033a499a6eacf13810de1e50ffac7ac47943619", 2840
+    ),
+    "Series": (
+        "996598e87366bd72ab52cf26a59d7b2d5e3eeb1f50880f3befdc13dc63b85ff5", 2853
+    ),
+}
+
+GOLDEN_COUNTS_POLICY = {
+    "KMeans": (
+        "2f3a268019af7ff2e1b94a87c3c31921b0a336769bce81590860810a9130d2e5", 1217
+    ),
+}
+
+#: Contested-object layouts (tests/conftest.py CONTESTED_SOURCE): peek
+#: and take on different cores, so each Item's second invocation is stale.
+CONTESTED_LAYOUTS = {
+    "two": (2, {"startup": [0], "peek": [0], "take": [1], "tally": [1]}),
+    "split": (4, {"startup": [0], "peek": [1], "take": [2], "tally": [3]}),
+}
+GOLDEN_CONTESTED = {
+    "split": (
+        "69efd8aef0618e105b95668577e8cd38e91a2eccdb0570069095a626732eb370", 52
+    ),
+    "two": (
+        "5582ab554f5830d5f483044aae1f89d91f1a6ebe38620aef6ca2adfdfaed7cb2", 48
+    ),
+}
+
+
 def sha256_repr(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def golden_run(compiled, layout, profile, **options):
+    """The sha256 of a simulation's trace_data and its exact
+    sim.events_processed; the simulation must finish."""
+    with prof.profiled() as profiler:
+        result = simulate(compiled, layout, profile, **options)
+    assert result.finished
+    events = profiler.snapshot()["counters"]["sim.events_processed"]
+    return sha256_repr(trace_data(result)), events
 
 
 def tracked_reachable(root):
@@ -317,7 +446,7 @@ def tracked_reachable(root):
     return len(seen)
 
 
-def all_cores_layout(compiled, num_cores):
+def all_cores_layout(compiled, num_cores, topology="mesh"):
     """Every replicable task but startup on every core; the rest on core 0."""
     info = compiled.info
     return Layout.make(
@@ -330,6 +459,7 @@ def all_cores_layout(compiled, num_cores):
             )
             for task in info.tasks
         },
+        topology=topology,
     )
 
 
@@ -352,14 +482,43 @@ class TestGolden:
     @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
     def test_trace_digest_and_event_count(self, name, paper_context):
         compiled, profile, hints = paper_context(name)
-        with prof.profiled() as profiler:
-            result = simulate(
-                compiled, all_cores_layout(compiled, 16), profile, hints=hints
-            )
-        digest = hashlib.sha256(repr(trace_data(result)).encode()).hexdigest()
-        events = profiler.snapshot()["counters"]["sim.events_processed"]
-        assert result.finished
-        assert (digest, events) == GOLDEN[name]
+        layout = all_cores_layout(compiled, 16)
+        assert golden_run(compiled, layout, profile, hints=hints) == GOLDEN[name]
+
+    @pytest.mark.parametrize("topology", ["torus", "ring"])
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_topology_digest(self, name, topology, paper_context):
+        compiled, profile, hints = paper_context(name)
+        layout = all_cores_layout(compiled, 16, topology)
+        assert golden_run(compiled, layout, profile, hints=hints) == (
+            GOLDEN_TOPOLOGY[name, topology]
+        )
+
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_core_speeds_digest(self, name, paper_context):
+        compiled, profile, hints = paper_context(name)
+        speeds = {core: SPEEDS[core % 4] for core in range(16)}
+        assert golden_run(
+            compiled, all_cores_layout(compiled, 16), profile, hints=hints,
+            core_speeds=speeds,
+        ) == GOLDEN_SPEEDS[name]
+
+    def test_counts_exit_policy_digest(self, paper_context):
+        compiled, profile, hints = paper_context("KMeans")
+        assert golden_run(
+            compiled, all_cores_layout(compiled, 16), profile, hints=hints,
+            exit_policy="counts",
+        ) == GOLDEN_COUNTS_POLICY["KMeans"]
+
+    @pytest.mark.parametrize("name", sorted(CONTESTED_LAYOUTS))
+    def test_stale_object_is_rerouted(self, name, contested_context):
+        # Each Item reaches peek and take; the loser's invocation is stale
+        # at dispatch, so its Item is routed again (a second tally
+        # delivery) and the Tally paired with a stale Item goes back to its
+        # set. Skipping either step moves the digest.
+        compiled, profile = contested_context
+        layout = Layout.make(*CONTESTED_LAYOUTS[name])
+        assert golden_run(compiled, layout, profile) == GOLDEN_CONTESTED[name]
 
     def test_budget_ends_inside_a_multicore_wakeup(self, paper_context):
         # Event 164 is the 8th of the 10 cores one KMeans wake-up visits;
