@@ -27,7 +27,10 @@ def int_div(a: int, b: int) -> int:
 
 def int_rem(a: int, b: int) -> int:
     """Java ``int %``: the sign follows the dividend."""
-    return a - b * int_div(a, b)
+    if b == 0:
+        raise RuntimeBambooError("integer division by zero")
+    remainder = abs(a) % abs(b)
+    return -remainder if a < 0 else remainder
 
 
 def float_div(a: float, b: float) -> float:

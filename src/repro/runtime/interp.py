@@ -11,25 +11,30 @@ spends the returned cycles on a core's clock, while the sequential baseline
 harness calls ``run_method`` directly (no runtime overhead), mirroring the
 paper's single-core C versions.
 
-Execution is decode-once. The first time a function runs on an
-interpreter, its blocks are split into straight-line *segments*, each
-ending at a terminator or right after a :class:`~repro.ir.instructions.Call`.
-A segment's static cycle cost and step count are summed at decode time
-(from :mod:`repro.ir.costs` only), its constants move into a per-function
-frame template so every operand is a register index, and its non-terminator
-instructions compile into one generated Python function. The run loop then
-charges cycles and steps once per segment, makes one call per segment and
-handles the terminator itself; only array allocation adds a dynamic cost.
-Generated source holds nothing but integers, fixed helper names and
+Execution is compile-once. The first time a function runs on an
+interpreter, it becomes one generated Python function
+``f(interp, depth, r0, ..., r<p-1>)`` whose locals are the registers and
+constant slots (``r<n>``) and the step and cycle counters (``st``,
+``cy``). Blocks are still cut into straight-line *segments*, each ending
+at a terminator or right after a :class:`~repro.ir.instructions.Call`; a
+segment's cycle cost and step count are summed at compile time (from
+:mod:`repro.ir.costs` only), and the segment charges them and checks the
+step budget once, on entry. Control flow between segments is code: a
+block with one predecessor is inlined into it, and the entry and every
+merge point are arms of one ``while True`` dispatch on a block id,
+innermost loop first. The counters go back to the interpreter only around
+calls, array allocation (the one dynamic cost), returns, task exits and
+the budget fault, and a call invokes the callee's generated function
+directly. Generated source holds nothing but integers, fixed names and
 operator expressions from :mod:`repro.ir.ops`: constants, messages and IR
-objects reach it through the frame template or a side table (``K<n>``).
+objects reach it through a side table (``K<n>``).
 """
 
 from __future__ import annotations
 
 import io as _io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..lang.errors import RuntimeBambooError
 from ..sema import builtins
@@ -46,8 +51,9 @@ DEFAULT_MAX_STEPS = 500_000_000
 
 _MAX_CALL_DEPTH = 400
 
-# Segment terminators, as the run loop sees them.
-_BRANCH, _GOTO, _RET, _EXIT, _TRAP = range(5)
+#: Inlined branches nest at most this deep in generated code (Python
+#: allows 100 indentation levels); a deeper target becomes a dispatch arm.
+_MAX_NESTING = 50
 
 
 @dataclass
@@ -67,26 +73,6 @@ class TaskEffects:
     new_objects: List[NewObjectRecord] = field(default_factory=list)
     #: Resolved tag actions per parameter index: (op, tag instance).
     tag_actions: Dict[int, List[Tuple[str, TagInstance]]] = field(default_factory=dict)
-
-
-class _Code:
-    """One IR function as decoded for one interpreter.
-
-    ``entry`` is the entry segment (None until the first run decodes the
-    function). A segment is the list ``[steps, cycles, body, term, x, y,
-    z]``: ``body(interp, regs, depth)`` runs its non-terminator
-    instructions (None when there are none), and ``term`` picks the
-    operands — ``_BRANCH``: condition slot ``x``, successors ``y``/``z``;
-    ``_GOTO``: successor ``y``; ``_RET``: result slot ``x`` (or None);
-    ``_EXIT``: exit id ``x``; ``_TRAP``: message ``x``.
-    """
-
-    __slots__ = ("func", "template", "entry")
-
-    def __init__(self, func: ir.IRFunction):
-        self.func = func
-        self.template: List[object] = []
-        self.entry: Optional[list] = None
 
 
 class Interpreter:
@@ -117,9 +103,9 @@ class Interpreter:
         self._builtin_cache: Dict[str, builtins.BuiltinFunction] = {
             fn.key: fn for fn in builtins.all_builtins()
         }
-        #: Decoded functions, by ``id`` of their IRFunction. Generated code
+        #: Compiled functions, by ``id`` of their IRFunction. Generated code
         #: cannot be pickled, so it lives here and never on the IR.
-        self._codes: Dict[int, _Code] = {}
+        self._functions: Dict[int, Callable] = {}
         # Per-run state:
         self._cycles = 0
         self._new_objects: List[NewObjectRecord] = []
@@ -128,9 +114,9 @@ class Interpreter:
 
     def run_method(self, qualified_name: str, args: List[object]) -> Tuple[object, int]:
         """Runs a method/constructor; returns ``(return value, cycles)``."""
-        code = self._code(self.ir_program.methods[qualified_name])
+        function = self._function(self.ir_program.methods[qualified_name])
         start = self._cycles
-        value = self._run(code, list(args), depth=0)
+        value = function(self, 0, *args)
         return value, self._cycles - start
 
     def run_task(self, task_name: str, params: List[BObject]) -> TaskEffects:
@@ -143,11 +129,11 @@ class Interpreter:
         them (and pays :data:`repro.ir.costs.FLAG_UPDATE_COST`) so that
         dispatch policy stays out of the interpreter.
         """
-        code = self._code(self.ir_program.tasks[task_name])
+        function = self._function(self.ir_program.tasks[task_name])
         start_cycles = self._cycles
         saved_new = self._new_objects
         self._new_objects = []
-        exit_state = self._run(code, list(params), depth=0)
+        exit_state = function(self, 0, *params)
         assert isinstance(exit_state, _TaskExitSignal)
         effects = TaskEffects(
             exit_id=exit_state.exit_id,
@@ -163,71 +149,29 @@ class Interpreter:
 
     # -- execution core ---------------------------------------------------------
 
-    def _code(self, func: ir.IRFunction) -> _Code:
-        code = self._codes.get(id(func))
-        if code is None:
-            code = self._codes[id(func)] = _Code(func)
-        return code
-
-    def _run(self, code: _Code, args: List[object], depth: int):
-        if depth > _MAX_CALL_DEPTH:
-            raise RuntimeBambooError(f"call depth exceeded in {code.func.name}")
-        seg = code.entry or self._decode(code)
-        regs = code.template[:]
-        regs[: len(args)] = args
-        max_steps = self.max_steps
-        while True:
-            steps, cycles, body, term, x, y, z = seg
-            steps += self.steps
-            if steps > max_steps:
-                raise RuntimeBambooError(
-                    f"instruction budget exhausted in {code.func.name}"
-                )
-            self.steps = steps
-            self._cycles += cycles
-            if body is not None:
-                body(self, regs, depth)
-            if term == _BRANCH:
-                seg = y if regs[x] else z
-            elif term == _GOTO:
-                seg = y
-            elif term == _RET:
-                return None if x is None else regs[x]
-            elif term == _EXIT:
-                return self._task_exit(code.func, x, regs)
-            else:
-                raise RuntimeBambooError(x)
-
-    def _task_exit(self, func: ir.IRFunction, exit_id: int, regs: List[object]):
-        tag_actions: Dict[int, List[Tuple[str, TagInstance]]] = {}
-        for param_index, actions in func.exits[exit_id].tag_updates.items():
-            resolved = []
-            for action in actions:
-                tag = regs[action.tag_reg.index]
-                if not isinstance(tag, TagInstance):
-                    raise RuntimeBambooError(
-                        "taskexit tag action on an unbound tag variable"
-                    )
-                resolved.append((action.op, tag))
-            tag_actions[param_index] = resolved
-        return _TaskExitSignal(exit_id=exit_id, tag_actions=tag_actions)
-
-    def _decode(self, code: _Code) -> list:
-        decoder = _Decoder(self, code.func)
-        # Only per-function constants go here: the interpreter reaches the
-        # bodies as an argument, so a run's heap is freed with it.
-        namespace = dict(
-            ops.HELPERS, Fault=RuntimeBambooError, array_fault=_array_fault
-        )
-        namespace.update(
-            (f"K{index}", value) for index, value in enumerate(decoder.side)
-        )
-        exec(compile(decoder.source(), "<decoded IR>", "exec"), namespace)
-        for index in decoder.bodies:
-            decoder.segments[index][2] = namespace[f"s{index}"]
-        code.template = decoder.template
-        code.entry = decoder.entry
-        return code.entry
+    def _function(self, func: ir.IRFunction) -> Callable:
+        function = self._functions.get(id(func))
+        if function is None:
+            compiler = _Compiler(self, func)
+            # Only per-function constants go here: the interpreter reaches
+            # the code as an argument, so a run's heap is freed with it.
+            namespace = dict(
+                ops.HELPERS,
+                Fault=RuntimeBambooError,
+                array_fault=_array_fault,
+                task_exit=_task_exit,
+            )
+            namespace.update(
+                (f"K{index}", value) for index, value in enumerate(compiler.side)
+            )
+            # A file name per function keeps profiles and tracebacks apart.
+            code = compile(compiler.source(), f"<IR {func.name}>", "exec")
+            exec(code, namespace)
+            function = self._functions[id(func)] = namespace["f"]
+            # Callees link once ``f`` is registered, so recursion ends.
+            for target, name in compiler.callees.items():
+                namespace[name] = self._function(self.ir_program.methods[target])
+        return function
 
     def _new_object(self, site: tuple) -> BObject:
         class_name, defaults, flag_inits, site_id = site
@@ -271,99 +215,188 @@ def _array_fault(array, index, func_name: str) -> None:
     )
 
 
-class _Decoder:
-    """Decodes one IR function: segments, frame template and source.
+def _task_exit(func: ir.IRFunction, exit_id: int, tags: tuple):
+    """The signal of taskexit ``exit_id``; ``tags`` holds the values of its
+    tag registers in exit-spec order."""
+    values = iter(tags)
+    tag_actions: Dict[int, List[Tuple[str, TagInstance]]] = {}
+    for param_index, actions in func.exits[exit_id].tag_updates.items():
+        resolved = []
+        for action in actions:
+            tag = next(values)
+            if not isinstance(tag, TagInstance):
+                raise RuntimeBambooError(
+                    "taskexit tag action on an unbound tag variable"
+                )
+            resolved.append((action.op, tag))
+        tag_actions[param_index] = resolved
+    return _TaskExitSignal(exit_id=exit_id, tag_actions=tag_actions)
 
-    ``segments`` are the run-loop lists; each index in ``bodies`` has a
-    generated body ``s<index>`` in :meth:`source`, and ``side`` holds the
-    objects generated code names ``K<n>``.
+
+class _Compiler:
+    """Compiles one IR function to the source of one Python function ``f``.
+
+    ``side`` holds the objects generated code names ``K<n>``; ``callees``
+    maps each called method to the side-table name its function is bound
+    to once ``f`` exists.
     """
 
     def __init__(self, interp: Interpreter, func: ir.IRFunction):
         self.interp = interp
         self.func = func
-        self.template: List[object] = [None] * func.num_regs
         self.side: List[object] = []
-        self.bodies: List[int] = []
-        self._const_slots: Dict[tuple, int] = {}
-        self._lines: List[str] = []
+        self.callees: Dict[str, str] = {}
+        self._params = len(func.param_names)
+        self._defaults: Dict[int, str] = {}  # register -> default value
+        self._consts: Dict[tuple, int] = {}
         self._name = self._k(func.name)
+        self._budget = self._k(f"instruction budget exhausted in {func.name}")
+        self._too_deep = self._k(f"call depth exceeded in {func.name}")
 
-        spans = []  # (body instructions, terminator or None for fall-through)
-        first: List[int] = []  # block position -> its first segment
+        # Each block as its segments' (body, terminator) pairs; a segment
+        # cut right after a Call has terminator None.
+        self._segments: List[List[tuple]] = []
         for block in func.blocks:
-            first.append(len(spans))
+            segments: List[tuple] = []
             body: List[ir.Instr] = []
             for instr in block.instructions:
                 if isinstance(instr, ir.TERMINATORS):
-                    spans.append((body, instr))
+                    segments.append((body, instr))
                     break
                 body.append(instr)
                 if type(instr) is ir.Call:
-                    spans.append((body, None))
+                    segments.append((body, None))
                     body = []
             else:
                 raise RuntimeBambooError(
                     f"{func.name}: block B{block.block_id} lacks a terminator"
                 )
+            self._segments.append(segments)
 
-        self.segments: List[list] = []
-        for index, (body, term) in enumerate(spans):
-            counted = body if term is None else body + [term]
-            if body:
-                self._lines.append(f"def s{index}(interp, regs, depth):")
-                for instr in body:
-                    _EMITTERS[type(instr)](self, instr)
-                self.bodies.append(index)
-            self.segments.append(
-                [len(counted), sum(map(self._cost, counted)), None]
-                + self._terminator(term)
-            )
-        for index, (_, term) in enumerate(spans):
-            seg = self.segments[index]
-            if term is None:
-                seg[5] = self.segments[index + 1]
-            elif type(term) is ir.Jump:
-                seg[5] = self.segments[first[term.target]]
-            elif type(term) is ir.Branch:
-                seg[5] = self.segments[first[term.true_target]]
-                seg[6] = self.segments[first[term.false_target]]
-        self.entry = self.segments[first[func.entry]]
+        # Reachable blocks' edges; the entry and every merge point are arms.
+        self._succs: Dict[int, List[int]] = {}
+        self._preds: Dict[int, List[int]] = {func.entry: []}
+        stack = [func.entry]
+        while stack:
+            block_id = stack.pop()
+            if block_id not in self._succs:
+                self._succs[block_id] = func.block(block_id).successors()
+                for target in self._succs[block_id]:
+                    self._preds.setdefault(target, []).append(block_id)
+                    stack.append(target)
+        self._arms = {func.entry}
+        self._arms.update(b for b, preds in self._preds.items() if len(preds) > 1)
+        self._pending = sorted(self._arms)
+        self._code: Dict[int, List[Tuple[int, str]]] = {}  # arm -> lines
+        self._dispatch = False  # whether any code jumps to an arm
+        while self._pending:
+            block_id = self._pending.pop()
+            self._out = self._code[block_id] = []
+            self._indent = 0
+            self._emit(block_id)
 
     def source(self) -> str:
-        return "\n".join(self._lines) + "\n"
+        params = [f"r{index}" for index in range(self._params)]
+        defaults = [f"r{reg}={value}" for reg, value in sorted(self._defaults.items())]
+        lines = [
+            f"def f({', '.join(['interp', 'depth', *params, *defaults])}):",
+            f"    if depth > {_MAX_CALL_DEPTH}: raise Fault({self._too_deep})",
+            "    st = interp.steps; cy = interp._cycles; mx = interp.max_steps",
+        ]
+        entry = self.func.entry
+        if not self._dispatch:
+            lines += ("    " * (indent + 1) + text for indent, text in self._code[entry])
+        else:
+            lines += [f"    b = {entry}", "    while True:"]
+            depth = _loop_depths(entry, self._succs, self._preds)
+            for arm in sorted(self._code, key=lambda b: (-depth[b], b == entry, b)):
+                lines.append(f"        if b == {arm}:")
+                lines += ("    " * (indent + 3) + text for indent, text in self._code[arm])
+        return "\n".join(lines) + "\n"
 
-    def _slot(self, operand: ir.Operand) -> int:
-        """The register index of an operand; constants get template slots."""
-        if type(operand) is ir.Reg:
-            return int(operand.index)
-        value = operand.value
-        key = (type(value), repr(value))
-        slot = self._const_slots.get(key)
-        if slot is None:
-            slot = self._const_slots[key] = len(self.template)
-            self.template.append(value)
-        return slot
+    def _emit(self, block_id: Optional[int]) -> None:
+        """Emits a block, then each block inlined after it at this depth."""
+        while block_id is not None:
+            for body, term in self._segments[block_id]:
+                self._charge(body if term is None else body + [term])
+                for instr in body:
+                    _EMITTERS[type(instr)](self, instr)
+            block_id = self._terminator(term)
+
+    def _charge(self, counted: List[ir.Instr]) -> None:
+        steps = len(counted)
+        self._line(f"st += {steps}")
+        self._line(
+            f"if st > mx: interp.steps = st - {steps}; interp._cycles = cy; "
+            f"raise Fault({self._budget})"
+        )
+        self._line(f"cy += {sum(map(self._cost, counted))}")
+
+    def _terminator(self, term: ir.Instr) -> Optional[int]:
+        """Emits ``term``; returns the successor to inline after it."""
+        kind = type(term)
+        if kind is ir.Jump:
+            return self._next(term.target)
+        if kind is ir.Branch:
+            cond, taken, other = self._r(term.cond), term.true_target, term.false_target
+            if other in self._arms and taken not in self._arms:
+                cond, taken, other = f"not {cond}", other, taken
+            if taken not in self._arms and self._indent >= _MAX_NESTING:
+                self._arms.add(taken)
+                self._pending.append(taken)
+            if taken in self._arms:
+                self._line(f"if {cond}: b = {taken}; continue")
+                self._dispatch = True
+            else:
+                self._line(f"if {cond}:")
+                self._indent += 1
+                self._emit(taken)
+                self._indent -= 1
+            return self._next(other)
+        if kind is ir.Trap:
+            self._line(f"raise Fault({self._k(term.message)})")
+            return None
+        self._line("interp.steps = st; interp._cycles = cy")
+        if kind is ir.Ret:
+            self._line("return" if term.src is None else f"return {self._r(term.src)}")
+        else:
+            tags = "".join(
+                self._r(action.tag_reg) + ", "
+                for actions in self.func.exits[term.exit_id].tag_updates.values()
+                for action in actions
+            )
+            exit_call = f"task_exit({self._k(self.func)}, {term.exit_id}, ({tags}))"
+            self._line(f"return {exit_call}")
+        return None
+
+    def _next(self, target: int) -> Optional[int]:
+        """``target`` if it inlines here; else emits a jump to its arm."""
+        if target not in self._arms:
+            return target
+        self._line(f"b = {target}; continue")
+        self._dispatch = True
+        return None
 
     def _r(self, operand: ir.Operand) -> str:
-        return f"regs[{self._slot(operand)}]"
+        """The local holding an operand; constants get slots past the
+        registers, bound from the side table."""
+        if type(operand) is ir.Reg:
+            reg = int(operand.index)
+            if reg >= self._params:
+                self._defaults.setdefault(reg, "None")
+            return f"r{reg}"
+        value = operand.value
+        key = (type(value), repr(value))
+        reg = self._consts.get(key)
+        if reg is None:
+            reg = self._consts[key] = self.func.num_regs + len(self._consts)
+            self._defaults[reg] = self._k(value)
+        return f"r{reg}"
 
     def _k(self, value: object) -> str:
         """Names a side-table entry for generated code."""
         self.side.append(value)
         return f"K{len(self.side) - 1}"
-
-    def _terminator(self, term: Optional[ir.Instr]) -> list:
-        if term is None or type(term) is ir.Jump:
-            return [_GOTO, None, None, None]
-        if type(term) is ir.Branch:
-            return [_BRANCH, self._slot(term.cond), None, None]
-        if type(term) is ir.Ret:
-            slot = None if term.src is None else self._slot(term.src)
-            return [_RET, slot, None, None]
-        if type(term) is ir.Exit:
-            return [_EXIT, term.exit_id, None, None]
-        return [_TRAP, term.message, None, None]
 
     def _cost(self, instr: ir.Instr) -> int:
         cost = costs.instruction_cost(instr)
@@ -373,10 +406,10 @@ class _Decoder:
             cost += self.interp._array_access_cost_extra
         return cost
 
-    # -- segment bodies ------------------------------------------------------------
+    # -- instructions ----------------------------------------------------------------
 
     def _line(self, text: str) -> None:
-        self._lines.append("    " + text)
+        self._out.append((self._indent, text))
 
     def _null_check(self, value: str, message: str) -> None:
         self._line(f"if {value} is None: raise Fault({self._k(message)})")
@@ -449,15 +482,21 @@ class _Decoder:
 
     def _newarr(self, instr: ir.NewArr) -> None:
         dims = ", ".join(map(self._r, instr.dims))
+        self._line("interp._cycles = cy")
         self._line(
             f"{self._r(instr.dst)} = interp._new_array({self._k(instr)}, [{dims}])"
         )
+        self._line("cy = interp._cycles")
 
     def _call(self, instr: ir.Call) -> None:
-        callee = self.interp._code(self.interp.ir_program.methods[instr.target])
-        args = ", ".join(map(self._r, instr.args))
-        call = f"interp._run({self._k(callee)}, [{args}], depth + 1)"
+        name = self.callees.get(instr.target)
+        if name is None:
+            name = self.callees[instr.target] = self._k(None)
+        args = "".join(", " + self._r(a) for a in instr.args)
+        call = f"{name}(interp, depth + 1{args})"
+        self._line("interp.steps = st; interp._cycles = cy")
         self._line(call if instr.dst is None else f"{self._r(instr.dst)} = {call}")
+        self._line("st = interp.steps; cy = interp._cycles")
 
     def _callbuiltin(self, instr: ir.CallBuiltin) -> None:
         fn = self.interp._builtin_cache[instr.key]
@@ -477,21 +516,55 @@ class _Decoder:
 
 
 _EMITTERS = {
-    ir.Move: _Decoder._move,
-    ir.BinOp: _Decoder._binop,
-    ir.UnOp: _Decoder._unop,
-    ir.Load: _Decoder._load,
-    ir.Store: _Decoder._store,
-    ir.ALoad: _Decoder._aload,
-    ir.AStore: _Decoder._astore,
-    ir.ArrLen: _Decoder._arrlen,
-    ir.NewObj: _Decoder._newobj,
-    ir.NewArr: _Decoder._newarr,
-    ir.Call: _Decoder._call,
-    ir.CallBuiltin: _Decoder._callbuiltin,
-    ir.NewTag: _Decoder._newtag,
-    ir.BindTag: _Decoder._bindtag,
+    ir.Move: _Compiler._move,
+    ir.BinOp: _Compiler._binop,
+    ir.UnOp: _Compiler._unop,
+    ir.Load: _Compiler._load,
+    ir.Store: _Compiler._store,
+    ir.ALoad: _Compiler._aload,
+    ir.AStore: _Compiler._astore,
+    ir.ArrLen: _Compiler._arrlen,
+    ir.NewObj: _Compiler._newobj,
+    ir.NewArr: _Compiler._newarr,
+    ir.Call: _Compiler._call,
+    ir.CallBuiltin: _Compiler._callbuiltin,
+    ir.NewTag: _Compiler._newtag,
+    ir.BindTag: _Compiler._bindtag,
 }
+
+
+def _loop_depths(
+    entry: int, succs: Dict[int, List[int]], preds: Dict[int, List[int]]
+) -> Dict[int, int]:
+    """How many natural loops hold each block; loops that share a header
+    count once."""
+    loops: Dict[int, set] = {}
+    on_path = {entry}
+    stack = [(entry, iter(succs[entry]))]
+    seen = {entry}
+    while stack:
+        block_id, targets = stack[-1]
+        target = next(targets, None)
+        if target is None:
+            stack.pop()
+            on_path.discard(block_id)
+        elif target in on_path:  # a back edge: grow the loop it closes
+            body = loops.setdefault(target, {target})
+            work = [block_id]
+            while work:
+                node = work.pop()
+                if node not in body:
+                    body.add(node)
+                    work.extend(preds[node])
+        elif target not in seen:
+            seen.add(target)
+            on_path.add(target)
+            stack.append((target, iter(succs[target])))
+    depth = dict.fromkeys(succs, 0)
+    for body in loops.values():
+        for block_id in body:
+            depth[block_id] += 1
+    return depth
 
 
 def _array_result(impl):

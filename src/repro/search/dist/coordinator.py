@@ -716,10 +716,16 @@ class DistCoordinator:
         return merged
 
     def stop(self) -> None:
-        """Closes the listener and every connection; abandons stragglers."""
+        """Closes the listener and every connection; abandons stragglers.
+
+        Once every shard is complete, each connection hears ``bye`` before
+        it closes, whether its serve thread or this call gets there first:
+        a worker that reads EOF instead takes the coordinator for lost and
+        retries."""
         self._stopping = True
         self._done.set()
         with self._lock:
+            finished = len(self._completed) == len(self.shards)
             self._cond.notify_all()
             for dispatch in self._outstanding.values():
                 if not dispatch.done:
@@ -732,6 +738,11 @@ class DistCoordinator:
             except OSError:
                 pass
         for conn in self._conns:
+            if finished:
+                try:
+                    send_message(conn, {"op": "bye"})
+                except OSError:
+                    pass
             try:
                 conn.close()
             except OSError:

@@ -18,6 +18,7 @@ wherever the fault does not require killing a real process.
 import dataclasses
 import hashlib
 import threading
+import time
 
 import pytest
 
@@ -92,14 +93,16 @@ def baseline_key(restarts=4):
     return _JOB[key]
 
 
-def worker_thread(port, name="t0"):
-    """A real protocol worker, in-process (no crash faults here)."""
-    thread = threading.Thread(
-        target=run_dist_worker,
-        args=("127.0.0.1", port, name),
-        kwargs=dict(idle_timeout=30.0),
-        daemon=True,
-    )
+def worker_thread(port, name="t0", stats=None):
+    """A real protocol worker, in-process (no crash faults here); its
+    ``WorkerStats`` land in ``stats[name]`` when it returns."""
+
+    def serve():
+        result = run_dist_worker("127.0.0.1", port, name, idle_timeout=30.0)
+        if stats is not None:
+            stats[name] = result
+
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     return thread
 
@@ -221,6 +224,45 @@ class TestBitIdentity:
         assert result.key() == baseline_key()
         assert result.stats["workers_joined"] == 2
         assert result.stats["shards_completed"] == len(shards)
+
+    def test_finished_job_says_bye_to_every_worker(self, monkeypatch):
+        """Hold each serve thread's own ``bye`` until stop() has closed its
+        connection: stop() must have said it, or the worker reads EOF,
+        takes the coordinator for lost and reconnects."""
+        from repro.search.dist import coordinator as coordinator_module
+
+        send = coordinator_module.send_message
+
+        def held_send(conn, message):
+            if (
+                message.get("op") == "bye"
+                and threading.current_thread() is not threading.main_thread()
+            ):
+                deadline = time.monotonic() + 10.0
+                while conn.fileno() != -1 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            send(conn, message)
+
+        monkeypatch.setattr(coordinator_module, "send_message", held_send)
+        context, shards = small_job()
+        coordinator = DistCoordinator(
+            context, shards, expect_workers=2, degrade_after=30.0
+        )
+        host, port = coordinator.start()
+        stats = {}
+        threads = [worker_thread(port, f"t{i}", stats) for i in range(2)]
+        try:
+            result = coordinator.run()
+        finally:
+            coordinator.stop()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert result.key() == baseline_key()
+        assert result.stats["workers_joined"] == 2
+        assert {name: s.reconnects for name, s in stats.items()} == {
+            "t0": 0,
+            "t1": 0,
+        }
 
     def test_subprocess_workers_under_chaos_match_serial(self):
         # Real worker processes, a crash and a forced lease expiry: the

@@ -13,7 +13,7 @@ from repro.bench.suite import get_spec, load_benchmark, load_source
 from repro.core import compile_program, run_sequential, single_core_layout
 from repro.lang.errors import RuntimeBambooError
 from repro.ir.ops import HELPERS, int_div, int_rem
-from repro.runtime.interp import Interpreter, _Decoder, make_startup_object
+from repro.runtime.interp import Interpreter, _Compiler, make_startup_object
 from repro.runtime.machine import MachineConfig, ManyCoreMachine
 from repro.runtime.objects import BArray, Heap
 
@@ -60,6 +60,18 @@ class TestIntegerSemantics:
         assert int_div(7, -2) == -3
         assert int_div(-7, -2) == 3
         assert int_rem(-7, 2) == -1
+        assert int_rem(7, -2) == 1
+        assert int_rem(-7, -2) == -1
+        assert int_rem(-6, 3) == 0
+        assert int_rem(-2**63, -1) == 0
+        for a in range(-30, 31):
+            for b in (-7, -3, -1, 1, 4):
+                assert int_rem(a, b) == a - b * int_div(a, b)
+        for helper in (int_div, int_rem):
+            for a in (7, 0, -7):
+                with pytest.raises(RuntimeBambooError) as info:
+                    helper(a, 0)
+                assert str(info.value) == "integer division by zero"
 
     def test_comparison_chain(self):
         assert run_and_print("if (3 <= 3 && 3 != 4) System.printInt(1);") == "1"
@@ -286,6 +298,44 @@ def _stdout_digests():
     return digests
 
 
+#: variant -> (optimize, bounds_checks)
+VARIANTS = {"optimized": (True, False), "bounds": (False, True), "both": (True, True)}
+
+#: name -> {variant: (sequential cycles, 1-core Bamboo cycles, 1-core steps)}
+SUITE_VARIANTS = {
+    "Tracking": {
+        "optimized": (2_106_471, 2_142_049, 775_623),
+        "bounds": (2_345_431, 2_381_010, 803_380),
+        "both": (2_317_675, 2_353_253, 775_623),
+    },
+    "KMeans": {
+        "optimized": (11_679_391, 11_767_657, 4_921_776),
+        "bounds": (12_631_332, 12_718_666, 5_112_587),
+        "both": (12_440_581, 12_527_855, 4_921_776),
+    },
+    "MonteCarlo": {
+        "optimized": (4_582_019, 4_615_514, 995_326),
+        "bounds": (4_685_723, 4_719_343, 1_096_543),
+        "both": (4_584_631, 4_618_126, 995_326),
+    },
+    "FilterBank": {
+        "optimized": (9_528_856, 9_544_247, 3_264_691),
+        "bounds": (10_106_472, 10_121_864, 3_429_984),
+        "both": (9_941_180, 9_956_571, 3_264_691),
+    },
+    "Fractal": {
+        "optimized": (10_487_379, 10_538_337, 3_521_664),
+        "bounds": (10_632_353, 10_683_498, 3_666_823),
+        "both": (10_487_381, 10_538_339, 3_521_664),
+    },
+    "Series": {
+        "optimized": (5_137_989, 5_188_950, 602_848),
+        "bounds": (5_209_045, 5_260_193, 674_087),
+        "both": (5_137_993, 5_188_954, 602_848),
+    },
+}
+
+
 def _one_core_run(compiled, args, config=None):
     machine = ManyCoreMachine(compiled, single_core_layout(compiled), config=config)
     result = machine.run(list(args))
@@ -309,22 +359,137 @@ class TestSuiteExactness:
         assert steps == one_steps
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
-    def test_kmeans_with_bounds_checks(self):
-        spec = get_spec("KMeans")
-        result, steps = _one_core_run(
-            load_benchmark("KMeans"),
-            spec.args,
-            config=MachineConfig(bounds_checks=True),
-        )
-        assert (result.total_cycles, steps) == (12_718_666, 5_112_587)
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("name", sorted(SUITE_VARIANTS))
+    def test_optimized_and_bounds_checked(self, name, variant):
+        """The optimizer rewrites the CFG, and bounds checks change every
+        array access's cost; each program is pinned under both."""
+        optimize, bounds_checks = VARIANTS[variant]
+        seq_cycles, one_cycles, one_steps = SUITE_VARIANTS[name][variant]
+        spec = get_spec(name)
+        if optimize:
+            compiled = compile_program(
+                load_source(name), spec.filename, optimize=True
+            )
+        else:
+            compiled = load_benchmark(name)
+        digest = _stdout_digests()[name]
 
-    def test_kmeans_optimized(self):
-        spec = get_spec("KMeans")
-        compiled = compile_program(
-            load_source("KMeans"), spec.filename, optimize=True
+        seq = run_sequential(compiled, list(spec.args), bounds_checks=bounds_checks)
+        assert seq.cycles == seq_cycles
+        assert hashlib.sha256(seq.stdout.encode()).hexdigest() == digest
+
+        result, steps = _one_core_run(
+            compiled, spec.args, config=MachineConfig(bounds_checks=bounds_checks)
         )
-        result, steps = _one_core_run(compiled, spec.args)
-        assert (result.total_cycles, steps) == (11_767_657, 4_921_776)
+        assert (result.total_cycles, steps) == (one_cycles, one_steps)
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+# -- control flow ----------------------------------------------------------------
+#
+# Shapes past Python's static limits (20 nested blocks, 100 indentation
+# levels), which code generated per function has to stay under. Each
+# number was taken from the segment-loop interpreter that preceded the
+# compiled functions.
+
+
+def _nested_ifs(depth=150):
+    body = ""
+    for i in reversed(range(depth)):
+        body = (
+            "if ((acc + %d) %% 97 != 0) { acc = (acc * 3 + %d) %% 10007; %s} "
+            "else { acc = acc - %d; } " % (i, i, body, i)
+        )
+    return (
+        "void run(String[] args) { "
+        "for (int k = 0; k < Integer.parseInt(args[0]); k++) { "
+        "int acc = k * 37 + 5; %s "
+        'System.printInt(acc); System.printString(" "); } }' % body
+    )
+
+
+def _nested_loops(depth=30):
+    body = "hits = hits + 1;"
+    for i in reversed(range(depth)):
+        body = (
+            "for (int i%d = 0; i%d < 3; i%d++) { if (i%d != 1) continue; %s } "
+            % (i, i, i, i, body)
+        )
+    return (
+        "void run(String[] args) { int hits = 0; %s System.printInt(hits); }"
+        % body
+    )
+
+
+_LOOP_EXITS = (
+    "int find(int n, int target) { int steps = 0; "
+    "for (int i = 0; i < n && steps < 1000; i++) { int j = i; "
+    "while (j > 0 || i == 0) { steps = steps + 1; "
+    "if (j % 3 == 1) { j = j - 1; continue; } "
+    "if (i * j == target) return i * 100 + j; "
+    "if (j == 7 && i > 9) break; "
+    "j = j - 2; if (i == 0) break; } "
+    "if (steps > 500 || i == n - 1) break; } "
+    "return 0 - steps; } "
+    "void run(String[] args) { "
+    "System.printInt(this.find(Integer.parseInt(args[0]), 121)); "
+    "System.printInt(this.find(12, 9999)); }"
+)
+
+
+def _else_if_chain(arms=120):
+    chain = " else ".join(
+        "if (x == %d) { acc = acc + %d; }" % (3 * k, k) for k in range(arms)
+    )
+    return (
+        "void run(String[] args) { int acc = 0; "
+        "int x = Integer.parseInt(args[0]); %s else { acc = 0 - 1; } "
+        "System.printInt(acc); }" % chain
+    )
+
+
+#: name -> (SeqMain members, args, stdout, {optimize: (cycles, steps)})
+CONTROL_FLOW = {
+    "nested_ifs": (
+        _nested_ifs(), "6", "325 8912 6273 7751 3143 906 ",
+        {False: (32_207, 4_872), True: (31_680, 4_345)},
+    ),
+    "nested_loops": (
+        _nested_loops(), "0", "1",
+        {False: (1_065, 845), True: (976, 756)},
+    ),
+    "loop_exits": (
+        _LOOP_EXITS, "40", "1111-45",
+        {False: (4_768, 2_046), True: (4_703, 1_981)},
+    ),
+    "else_if_chain": (
+        _else_if_chain(), "300", "100",
+        {False: (444, 311), True: (344, 211)},
+    ),
+}
+
+
+class TestControlFlow:
+    @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("name", sorted(CONTROL_FLOW))
+    def test_stdout_cycles_and_steps(self, name, optimize):
+        members, arg, stdout, counts = CONTROL_FLOW[name]
+        compiled = compile_program(
+            "class SeqMain { SeqMain() { } %s } "
+            "task startup(StartupObject s in initialstate) "
+            "{ taskexit(s: initialstate := false); }" % members,
+            optimize=optimize,
+        )
+        seq = run_sequential(compiled, [arg])
+        heap = Heap()
+        interp = Interpreter(compiled.ir_program, compiled.info, heap)
+        receiver = heap.new_object("SeqMain", 0)
+        argv = BArray(elem_type="String", values=[arg])
+        _, cycles = interp.run_method("SeqMain.run", [receiver, argv])
+        assert seq.stdout == interp.output() == stdout
+        assert seq.cycles == cycles
+        assert (cycles, interp.steps) == counts[optimize]
 
 
 # -- error paths --------------------------------------------------------------
@@ -452,12 +617,14 @@ class TestProgramTextStaysData:
         assert out == 'q"uote\\ back\\slash {brace} }{ %s {0} \n line" + x'
 
     def test_generated_source_holds_no_program_text(self):
-        """Decoded bodies contain only integers, fixed names and the
+        """Compiled functions contain only integers, fixed names and the
         operator table's tokens, whatever text the program carries."""
         fixed = set(HELPERS) | {
-            "interp", "regs", "depth", "Fault", "array_fault", "_run",
+            "interp", "depth", "Fault", "array_fault",
             "stdout", "_new_object", "_new_array", "heap", "new_tag",
             "fields", "values", "bind_tag", "len", "float", "str", "repr",
+            "f", "st", "cy", "mx", "b", "steps", "_cycles", "max_steps",
+            "task_exit",
         }
         layout = {
             tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
@@ -468,14 +635,14 @@ class TestProgramTextStaysData:
             interp = Interpreter(compiled.ir_program, compiled.info)
             program = compiled.ir_program
             for func in [*program.methods.values(), *program.tasks.values()]:
-                source = _Decoder(interp, func).source()
+                source = _Compiler(interp, func).source()
                 lines = iter(source.splitlines(keepends=True))
                 for token in tokenize.generate_tokens(lambda: next(lines, "")):
                     if token.type == tokenize.NAME:
                         assert (
                             token.string in fixed
                             or keyword.iskeyword(token.string)
-                            or re.fullmatch(r"[sK]\d+", token.string)
+                            or re.fullmatch(r"[rK]\d+", token.string)
                         ), token
                     elif token.type == tokenize.NUMBER:
                         assert token.string.isdigit(), token
