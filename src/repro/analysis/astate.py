@@ -51,14 +51,6 @@ class AState:
                 return count
         return 0
 
-    def with_flag(self, flag: str, value: bool) -> "AState":
-        flags = set(self.flags)
-        if value:
-            flags.add(flag)
-        else:
-            flags.discard(flag)
-        return AState(flags=frozenset(flags), tags=self.tags)
-
     def with_flags(self, updates: Dict[str, bool]) -> "AState":
         flags = set(self.flags)
         for flag, value in updates.items():

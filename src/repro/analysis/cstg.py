@@ -195,25 +195,6 @@ class CSTG:
     def task_names(self) -> List[str]:
         return sorted({e.task for e in self.transitions})
 
-    def guard_nodes_of_task(self, task: str) -> Dict[int, List[NodeKey]]:
-        """Maps each parameter index of ``task`` to the CSTG nodes whose
-        states satisfy that parameter's guard."""
-        from .astate import guard_matches
-
-        task_info = self.info.task_info(task)
-        result: Dict[int, List[NodeKey]] = {}
-        for param_index, param in enumerate(task_info.decl.params):
-            matches = [
-                key
-                for key, node in sorted(
-                    self.nodes.items(), key=lambda kv: (kv[0][0], kv[0][1])
-                )
-                if node.class_name == param.param_type.name
-                and guard_matches(param, node.state)
-            ]
-            result[param_index] = matches
-        return result
-
     def format(self) -> str:
         lines = ["CSTG:"]
         for key in sorted(self.nodes, key=lambda k: (k[0], k[1])):

@@ -2,22 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Set
 
 from . import instructions as ir
-
-
-def successors(func: ir.IRFunction) -> Dict[int, List[int]]:
-    """Maps each block id to its successor block ids."""
-    return {block.block_id: block.successors() for block in func.blocks}
-
-
-def predecessors(func: ir.IRFunction) -> Dict[int, List[int]]:
-    preds: Dict[int, List[int]] = {block.block_id: [] for block in func.blocks}
-    for block in func.blocks:
-        for succ in block.successors():
-            preds[succ].append(block.block_id)
-    return preds
 
 
 def reachable_blocks(func: ir.IRFunction) -> Set[int]:
@@ -41,21 +28,3 @@ def reachable_exits(func: ir.IRFunction) -> Set[int]:
         if isinstance(term, ir.Exit):
             out.add(term.exit_id)
     return out
-
-
-def topological_order(func: ir.IRFunction) -> List[int]:
-    """Reverse-postorder over reachable blocks (loops broken arbitrarily)."""
-    seen: Set[int] = set()
-    order: List[int] = []
-
-    def visit(block_id: int) -> None:
-        if block_id in seen:
-            return
-        seen.add(block_id)
-        for succ in func.block(block_id).successors():
-            visit(succ)
-        order.append(block_id)
-
-    visit(func.entry)
-    order.reverse()
-    return order

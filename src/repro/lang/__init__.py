@@ -1,7 +1,6 @@
 """Bamboo surface language: lexer, parser, AST, and pretty-printer."""
 
 from .errors import (
-    AnalysisError,
     BambooError,
     LexError,
     LoweringError,
@@ -16,7 +15,6 @@ from .parser import Parser, parse_program
 from .pretty import format_program
 
 __all__ = [
-    "AnalysisError",
     "BambooError",
     "LexError",
     "Lexer",

@@ -50,10 +50,6 @@ class LoweringError(BambooError):
     """Raised when AST-to-IR lowering encounters an unsupported construct."""
 
 
-class AnalysisError(BambooError):
-    """Raised by the static analyses (dependence, disjointness)."""
-
-
 class RuntimeBambooError(Exception):
     """Raised when interpreted Bamboo code performs an illegal operation.
 

@@ -74,10 +74,6 @@ def intern_phase(name: str) -> int:
         return key
 
 
-def phase_name(key: int) -> str:
-    return _names[key]
-
-
 # -- per-thread accumulation -------------------------------------------------
 
 

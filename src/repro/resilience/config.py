@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..fault.plan import FaultError
-from ..ir import costs
 from ..runtime.profiler import ProfileData
 
 
@@ -31,8 +30,6 @@ class ResilienceConfig:
     #: consecutive missed beats before the monitor suspects a core; the
     #: suspicion window is ``heartbeat_interval * suspicion_beats`` cycles
     suspicion_beats: int = 3
-    #: cycles a core spends emitting one heartbeat
-    heartbeat_cost: int = costs.HEARTBEAT_COST
     #: watchdog deadline = profile cost estimate x this multiplier (scaled
     #: by the core's speed); None disables the watchdog entirely
     deadline_multiplier: Optional[float] = None
@@ -57,8 +54,6 @@ class ResilienceConfig:
             raise FaultError(
                 f"suspicion_beats must be >= 1: {self.suspicion_beats}"
             )
-        if self.heartbeat_cost < 0:
-            raise FaultError(f"heartbeat_cost must be >= 0: {self.heartbeat_cost}")
         if self.deadline_multiplier is not None and self.deadline_multiplier <= 0:
             raise FaultError(
                 f"deadline_multiplier must be positive: {self.deadline_multiplier}"

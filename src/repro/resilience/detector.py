@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from ..fault.plan import CoreCrash, FaultEvent
+from ..ir import costs
 from ..obs.events import Heartbeat
 from .config import ResilienceConfig
 
@@ -111,19 +112,18 @@ class FailureDetector:
                     time=time,
                     core=core,
                     begin=max(machine.busy_until[core], time),
-                    cost=self.config.heartbeat_cost,
+                    cost=costs.HEARTBEAT_COST,
                 )
             )
-        if self.config.heartbeat_cost:
-            machine.busy_until[core] = (
-                max(machine.busy_until[core], time) + self.config.heartbeat_cost
-            )
-            if machine.schedulers[core].has_work():
-                # The charge may push busy_until past an already-scheduled
-                # kick (which would then find the core "busy" with no
-                # completion left to re-kick it); re-kick at the new horizon
-                # so queued work can never be stranded by a heartbeat.
-                machine._kick(core, time)
+        machine.busy_until[core] = (
+            max(machine.busy_until[core], time) + costs.HEARTBEAT_COST
+        )
+        if machine.schedulers[core].has_work():
+            # The charge may push busy_until past an already-scheduled
+            # kick (which would then find the core "busy" with no
+            # completion left to re-kick it); re-kick at the new horizon
+            # so queued work can never be stranded by a heartbeat.
+            machine._kick(core, time)
         if core in machine.suspected_cores:
             self.engine.rejoin_core(core, time)
         if self._keep_alive():

@@ -1,7 +1,7 @@
 """Runtime substrate: heap, interpreter, per-core schedulers, machine."""
 
 from .interp import Interpreter, TaskEffects, make_startup_object
-from .machine import MachineConfig, MachineResult, ManyCoreMachine, run_on_machine
+from .machine import MachineConfig, MachineResult, ManyCoreMachine
 from .objects import BArray, BObject, Heap, TagInstance
 from .profiler import ProfileData
 from .scheduler import CoreScheduler, Invocation, LockManager
@@ -21,5 +21,4 @@ __all__ = [
     "TagInstance",
     "TaskEffects",
     "make_startup_object",
-    "run_on_machine",
 ]

@@ -45,7 +45,6 @@ from ..schedule.layout import (
     Router,
     common_tag_binding,
     core_speed,
-    mesh_hops,
     scale_duration,
 )
 from .interp import Interpreter, TaskEffects, make_startup_object
@@ -796,17 +795,3 @@ class ManyCoreMachine:
         for other, scheduler in self.schedulers.items():
             if other != core and scheduler.has_work() and self.busy_until[other] <= time:
                 self._kick(other, time)
-
-
-def run_on_machine(
-    compiled,
-    layout: Layout,
-    args: Sequence[str],
-    config: Optional[MachineConfig] = None,
-    collect_profile: bool = False,
-) -> MachineResult:
-    """Convenience wrapper: builds a machine and runs it once."""
-    machine = ManyCoreMachine(
-        compiled, layout, config=config, collect_profile=collect_profile
-    )
-    return machine.run(args)

@@ -9,7 +9,7 @@ invocations with tag constraints (§4.7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, List, Set
 
 
 @dataclass
@@ -40,9 +40,6 @@ class BObject:
     flags: Set[str] = field(default_factory=set)
     tags: Dict[str, List[TagInstance]] = field(default_factory=dict)
 
-    def flag_state(self) -> FrozenSet[str]:
-        return frozenset(self.flags)
-
     def set_flag(self, flag: str, value: bool) -> None:
         if value:
             self.flags.add(flag)
@@ -63,11 +60,6 @@ class BObject:
 
     def tags_of_type(self, tag_type: str) -> List[TagInstance]:
         return list(self.tags.get(tag_type, []))
-
-    def tag_count_class(self, tag_type: str) -> int:
-        """1-limited count (0, 1, 2 meaning 'at least 2') of bound tags."""
-        count = len(self.tags.get(tag_type, []))
-        return min(count, 2)
 
     def __repr__(self) -> str:
         flags = ",".join(sorted(self.flags)) or "-"
@@ -113,9 +105,6 @@ class Heap:
         tag = TagInstance(tag_id=self._next_tag_id, tag_type=tag_type)
         self._next_tag_id += 1
         return tag
-
-    def object_count(self) -> int:
-        return len(self.objects)
 
 
 def default_field_value(type_name: str) -> object:

@@ -13,9 +13,7 @@ from .mapping import (
     random_layouts,
     with_instance_added,
     with_instance_moved,
-    with_instance_removed,
 )
-from .preprocess import GroupTree, build_group_tree, duplication_factors
 from .rules import ReplicaSuggestion, replica_choice_sets, suggest_replicas
 from .simulator import (
     ExitChooser,
@@ -34,7 +32,6 @@ __all__ = [
     "CriticalPath",
     "ExitChooser",
     "GroupGraph",
-    "GroupTree",
     "Layout",
     "Move",
     "ReplicaSuggestion",
@@ -44,12 +41,10 @@ __all__ = [
     "SimTrace",
     "TraceEvent",
     "build_group_graph",
-    "build_group_tree",
     "build_task_edges",
     "candidate_to_layout",
     "common_tag_binding",
     "compute_critical_path",
-    "duplication_factors",
     "enumerate_candidates",
     "enumerate_layouts",
     "mesh_hops",
@@ -60,5 +55,4 @@ __all__ = [
     "suggest_replicas",
     "with_instance_added",
     "with_instance_moved",
-    "with_instance_removed",
 ]

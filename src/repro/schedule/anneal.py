@@ -65,6 +65,15 @@ _P_EVALUATE = prof.intern_phase("anneal.evaluate")
 _P_CANDIDATES = prof.intern_phase("anneal.candidates")
 _P_CHECKPOINT = prof.intern_phase("anneal.checkpoint")
 
+#: Pruning keeps this many of the best candidates with certainty ...
+KEEP_BEST = 4
+#: ... and each poorer one with this probability.
+KEEP_POOR_PROBABILITY = 0.15
+#: Moves taken from one candidate's critical path.
+MOVES_PER_CANDIDATE = 4
+#: Random moves tried from each candidate.
+RANDOM_MOVES_PER_CANDIDATE = 2
+
 
 class SearchCancelled(ScheduleError):
     """A cooperative cancellation fired between search iterations.
@@ -81,10 +90,6 @@ class SearchCancelled(ScheduleError):
 class AnnealConfig:
     seed: int = 0
     initial_candidates: int = 8
-    keep_best: int = 4
-    keep_poor_probability: float = 0.15
-    moves_per_candidate: int = 4
-    random_moves_per_candidate: int = 2
     patience: int = 2
     continue_probability: float = 0.75
     max_iterations: int = 40
@@ -219,7 +224,7 @@ class DirectedSimulatedAnnealing:
         neighbors: List[Layout] = []
         path = compute_critical_path(result)
         for move in suggest_moves(
-            result, layout, path, max_moves=self.config.moves_per_candidate
+            result, layout, path, max_moves=MOVES_PER_CANDIDATE
         ):
             neighbors += self._apply_move(
                 layout, move.task, move.from_core, move.to_core
@@ -249,7 +254,7 @@ class DirectedSimulatedAnnealing:
     def _random_neighbors(self, layout: Layout) -> List[Layout]:
         neighbors: List[Layout] = []
         tasks = layout.tasks()
-        for _ in range(self.config.random_moves_per_candidate):
+        for _ in range(RANDOM_MOVES_PER_CANDIDATE):
             task = self.rng.choice(tasks)
             cores = layout.cores_of(task)
             from_core = self.rng.choice(cores)
@@ -443,9 +448,9 @@ class DirectedSimulatedAnnealing:
 
                 # Probabilistic pruning: keep the best layouts with
                 # certainty, poor layouts with a small probability.
-                kept = scored[: config.keep_best]
-                for item in scored[config.keep_best :]:
-                    if self.rng.random() < config.keep_poor_probability:
+                kept = scored[:KEEP_BEST]
+                for item in scored[KEEP_BEST:]:
+                    if self.rng.random() < KEEP_POOR_PROBABILITY:
                         kept.append(item)
 
                 next_candidates: List[Layout] = []

@@ -174,14 +174,6 @@ def _spare_cores(
     )
 
 
-def spare_cores_during(
-    result: SimResult, layout: Layout, start: int, end: int
-) -> List[int]:
-    """Cores with no simulated activity overlapping [start, end)."""
-    intervals, _ = _core_activity(result)
-    return list(_spare_cores(intervals, layout.num_cores, start, end))
-
-
 def suggest_moves(
     result: SimResult,
     layout: Layout,

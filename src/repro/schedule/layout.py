@@ -158,9 +158,6 @@ class Layout:
     def as_dict(self) -> Dict[str, Tuple[int, ...]]:
         return {name: cores for name, cores in self.instances}
 
-    def total_instances(self) -> int:
-        return sum(len(cores) for _, cores in self.instances)
-
     # -- isomorphism ------------------------------------------------------------
 
     def canonical_key(self) -> Tuple:

@@ -380,12 +380,3 @@ def with_instance_added(layout: Layout, task: str, core: int) -> Layout:
     return Layout.make(
         layout.num_cores, mapping, layout.mesh_width, layout.topology
     )
-
-
-def with_instance_removed(layout: Layout, task: str, core: int) -> Layout:
-    mapping = {t: list(cores) for t, cores in layout.as_dict().items()}
-    if core in mapping[task] and len(mapping[task]) > 1:
-        mapping[task].remove(core)
-    return Layout.make(
-        layout.num_cores, mapping, layout.mesh_width, layout.topology
-    )

@@ -101,10 +101,8 @@ class TraceEvent:
     end: int
     exit_id: int
     data_ready: int
-    param_objects: List[int] = field(default_factory=list)
-    #: per parameter: (producer event id or None, transfer latency paid)
-    inputs: List[Tuple[Optional[int], int]] = field(default_factory=list)
-    produced: List[int] = field(default_factory=list)
+    #: per parameter: the event that produced the object, None for none
+    producers: List[Optional[int]] = field(default_factory=list)
 
     @property
     def duration(self) -> int:
@@ -114,8 +112,7 @@ class TraceEvent:
 #: The columns of a :class:`SimTrace`, in constructor and pickle order.
 _TRACE_COLUMNS = (
     "task", "core", "start", "end", "exit_id", "data_ready",
-    "param_obj", "producer", "latency", "param_end",
-    "produced", "produced_end",
+    "producer", "param_end",
 )
 
 
@@ -125,16 +122,14 @@ class SimTrace:
     Event ``i`` is index ``i`` of the per-invocation columns ``task``,
     ``core``, ``start``, ``end``, ``exit_id`` and ``data_ready``. Its
     parameters are entries ``param_end[i - 1]`` (0 for the first event)
-    up to ``param_end[i]`` of the per-parameter columns ``param_obj``,
-    ``producer`` (the producing event, -1 for none) and ``latency``; the
-    objects it allocated are the same slice of ``produced``, bounded by
-    ``produced_end``. The engine appends in dispatch order, so ``start``
-    never decreases along the trace and each core's events appear in
-    start order.
+    up to ``param_end[i]`` of ``producer``, the event that produced each
+    parameter object (-1 for none). The engine appends in dispatch order,
+    so ``start`` never decreases along the trace and each core's events
+    appear in start order.
 
     ``len``, ``trace[i]``, iteration and ``==`` behave as on a list of
     :class:`TraceEvent`, which ``trace[i]`` builds on demand. A trace
-    pickles as its twelve lists.
+    pickles as its eight lists.
     """
 
     __slots__ = _TRACE_COLUMNS
@@ -149,30 +144,22 @@ class SimTrace:
 
     @classmethod
     def from_events(cls, events) -> "SimTrace":
-        """Builds a trace from :class:`TraceEvent`s numbered 0, 1, ...,
-        each with one ``inputs`` pair per parameter object."""
+        """Builds a trace from :class:`TraceEvent`s numbered from 0."""
         trace = cls()
         for index, event in enumerate(events):
             if event.event_id != index:
                 raise ValueError(f"event {index} has event_id {event.event_id}")
-            if len(event.inputs) != len(event.param_objects):
-                raise ValueError(
-                    f"event {index} has {len(event.param_objects)} "
-                    f"parameters but {len(event.inputs)} inputs"
-                )
             trace.task.append(event.task)
             trace.core.append(event.core)
             trace.start.append(event.start)
             trace.end.append(event.end)
             trace.exit_id.append(event.exit_id)
             trace.data_ready.append(event.data_ready)
-            trace.param_obj.extend(event.param_objects)
-            for producer, latency in event.inputs:
-                trace.producer.append(-1 if producer is None else producer)
-                trace.latency.append(latency)
-            trace.param_end.append(len(trace.param_obj))
-            trace.produced.extend(event.produced)
-            trace.produced_end.append(len(trace.produced))
+            trace.producer.extend(
+                -1 if producer is None else producer
+                for producer in event.producers
+            )
+            trace.param_end.append(len(trace.producer))
         return trace
 
     def columns(self) -> Tuple[list, ...]:
@@ -187,8 +174,6 @@ class SimTrace:
     def __getitem__(self, index: int) -> TraceEvent:
         index = range(len(self.task))[index]
         low = self.param_end[index - 1] if index else 0
-        high = self.param_end[index]
-        low_out = self.produced_end[index - 1] if index else 0
         return TraceEvent(
             index,
             self.task[index],
@@ -197,14 +182,10 @@ class SimTrace:
             self.end[index],
             self.exit_id[index],
             self.data_ready[index],
-            self.param_obj[low:high],
             [
-                (None if producer < 0 else producer, latency)
-                for producer, latency in zip(
-                    self.producer[low:high], self.latency[low:high]
-                )
+                None if producer < 0 else producer
+                for producer in self.producer[low:self.param_end[index]]
             ],
-            self.produced[low_out:self.produced_end[index]],
         )
 
     def __iter__(self) -> Iterator[TraceEvent]:
@@ -760,18 +741,14 @@ class _SimEngine:
         trace.start.append(start)
         trace.end.append(end)
         trace.exit_id.append(exit_id)
-        param_obj = trace.param_obj
         producer = trace.producer
-        latency = trace.latency
         data_ready = 0
-        for obj, arrived, producer_event in combo:
-            param_obj.append(obj.obj_id)
+        for _, arrived, producer_event in combo:
             producer.append(producer_event)
-            latency.append(arrived - start if arrived > start else 0)
             if arrived > data_ready:
                 data_ready = arrived
         trace.data_ready.append(data_ready)
-        trace.param_end.append(len(param_obj))
+        trace.param_end.append(len(producer))
         invocations = self.invocations
         invocations[task] = invocations.get(task, 0) + 1
         self.core_busy[core] += duration
@@ -796,7 +773,6 @@ class _SimEngine:
                 route(obj, core, end, event_id)
 
         # Allocate new objects per the profile's expectations.
-        produced = trace.produced
         if exit_rec.allocs:
             carry_map = self._alloc_carry
             for carry_slot, avg, state, has_tags in exit_rec.allocs:
@@ -808,10 +784,8 @@ class _SimEngine:
                     next_id = self._next_obj_id
                     self._next_obj_id = next_id + emit
                     for obj_id in range(next_id, next_id + emit):
-                        produced.append(obj_id)
                         route(SimObject(obj_id, state, tag_key), core, end,
                               event_id)
-        trace.produced_end.append(len(produced))
 
         # One wake-up at ``end``: this core, then every other core with
         # queued work that is free by then, in ascending order.

@@ -86,8 +86,6 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CacheEntry",
     "CheckpointError",
-    "DistChaosPlan",
-    "DistFault",
     "EvaluationError",
     "HostChaosPlan",
     "HostChaosReport",
@@ -110,13 +108,3 @@ __all__ = [
     "write_pickle_record",
     "write_record",
 ]
-
-
-def __getattr__(name: str):
-    # The dist chaos plan lives with its harness in repro.search.dist;
-    # resolving it on first use keeps ``import repro.search`` light.
-    if name in ("DistChaosPlan", "DistFault"):
-        from .dist import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

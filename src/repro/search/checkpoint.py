@@ -9,12 +9,12 @@ and the simulation cache — so
 and produce a run bit-identical to an uninterrupted one (test-enforced
 per benchmark).
 
-File format (``repro.search/checkpoint-v5``)
+File format (``repro.search/checkpoint-v6``)
 --------------------------------------------
 
 One ASCII JSON header line, then the pickled payload::
 
-    {"format": "repro.search/checkpoint-v5", "digest": "<sha256>", ...}\n
+    {"format": "repro.search/checkpoint-v6", "digest": "<sha256>", ...}\n
     <pickle bytes>
 
 The atomic-write + digest mechanics (tmp + fsync + rename + directory
@@ -28,7 +28,9 @@ change and old versions are *not* migrated — a checkpoint is a crash
 artifact, not an archive (v3 dropped the delta re-simulation state v2
 carried; v4 dropped the early-cutoff prune counter; v5 stores each
 cached ``SimResult``'s trace as a :class:`~repro.schedule.simulator.SimTrace`
-of columns, where v4 held a list of ``TraceEvent`` objects). Resuming also
+of columns, where v4 held a list of ``TraceEvent`` objects; v6 traces have
+eight columns, not twelve, and the anneal config four fields fewer, so
+its digest differs). Resuming also
 re-checks that the anneal schedule matches the one the checkpoint was
 written under, because resuming under different search parameters would
 silently diverge from both runs.
@@ -45,7 +47,7 @@ from ..lang.errors import BambooError
 from ..schedule.layout import Layout
 from .storage import StorageError, read_pickle_record, write_pickle_record
 
-CHECKPOINT_FORMAT = "repro.search/checkpoint-v5"
+CHECKPOINT_FORMAT = "repro.search/checkpoint-v6"
 
 
 class CheckpointError(BambooError):

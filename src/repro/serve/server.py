@@ -135,9 +135,6 @@ class ServeConfig:
     workers: int = 1
     #: LRU bound per context cache (None = unbounded)
     cache_entries: Optional[int] = None
-    #: refused (corrupt/foreign) cache files kept for inspection; older
-    #: ones are evicted by the quarantine rotation
-    quarantine_keep: int = 3
     #: seconds between write-behind flush checks
     flush_interval: float = 0.25
     #: per-request wall-clock deadline in seconds for heavy operations
@@ -165,7 +162,6 @@ class SynthesisServer:
         self.store = SimCacheStore(
             path=self.config.cache_path,
             max_entries=self.config.cache_entries,
-            max_quarantine=self.config.quarantine_keep,
         )
         self.load_report = self.store.load()
         self.memo = ProgramMemo()

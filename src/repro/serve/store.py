@@ -8,7 +8,7 @@ a simulation outcome within one context. Request handlers share cache
 instances, so all mutation safety comes from the SimCache's own lock;
 the store's lock only guards the context map.
 
-Persistence (``repro.serve/simcache-v2``)
+Persistence (``repro.serve/simcache-v3``)
 -----------------------------------------
 
 The store is **write-behind**: every insert lands in memory first, and a
@@ -48,7 +48,7 @@ from ..search.storage import (
     write_pickle_record,
 )
 
-SIMCACHE_FORMAT = "repro.serve/simcache-v2"
+SIMCACHE_FORMAT = "repro.serve/simcache-v3"
 
 #: the :class:`SimCache` counters :meth:`SimCacheStore.sim_cache_totals` sums
 _COUNTERS = ("hits", "misses", "evictions")

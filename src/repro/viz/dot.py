@@ -71,7 +71,7 @@ def trace_to_dot(
         )
         lines.append(f"  e{event.event_id} [shape=box, label={_quote(label)}{color}];")
     for event in result.trace:
-        for producer, latency in event.inputs:
+        for producer in event.producers:
             if producer is None:
                 continue
             style = (
@@ -79,10 +79,7 @@ def trace_to_dot(
                 if producer in critical and event.event_id in critical
                 else "style=solid"
             )
-            lines.append(
-                f"  e{producer} -> e{event.event_id} "
-                f"[{style}, label={_quote(str(latency))}];"
-            )
+            lines.append(f"  e{producer} -> e{event.event_id} [{style}];")
     lines.append("}")
     return "\n".join(lines)
 

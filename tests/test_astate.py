@@ -33,11 +33,6 @@ class TestAState:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_with_flag(self):
-        state = AState.make(["a"])
-        assert state.with_flag("b", True).flags == frozenset({"a", "b"})
-        assert state.with_flag("a", False).flags == frozenset()
-
     def test_with_flags_batch(self):
         state = AState.make(["a", "b"])
         updated = state.with_flags({"a": False, "c": True})

@@ -1,4 +1,4 @@
-"""Core-group graph and preprocessing tests (paper §4.3.2-4.3.3)."""
+"""Core-group graph tests (paper §4.3.3)."""
 
 from repro.core import annotated_cstg
 from repro.schedule.coregroup import (
@@ -6,7 +6,6 @@ from repro.schedule.coregroup import (
     build_task_edges,
     task_is_replicable,
 )
-from repro.schedule.preprocess import build_group_tree, duplication_factors
 
 
 def group_tasks(graph):
@@ -98,43 +97,3 @@ class TestGrouping:
         graph = build_group_graph(keyword_compiled.info, cstg, keyword_profile)
         roots = graph.roots()
         assert graph.group_of_task["startup"] in roots
-
-
-class TestGroupTree:
-    def test_tree_structure(self, keyword_compiled, keyword_profile):
-        cstg = annotated_cstg(keyword_compiled, keyword_profile)
-        graph = build_group_graph(keyword_compiled.info, cstg, keyword_profile)
-        tree = build_group_tree(graph)
-        assert tree.roots
-        text = tree.format()
-        assert "startup" in text
-
-    def test_duplication_factors_default_one(
-        self, keyword_compiled, keyword_profile
-    ):
-        cstg = annotated_cstg(keyword_compiled, keyword_profile)
-        graph = build_group_graph(keyword_compiled.info, cstg, keyword_profile)
-        factors = duplication_factors(graph)
-        assert all(v >= 1 for v in factors.values())
-
-    def test_multi_source_group_duplicated(self):
-        from repro.core import compile_program, profile_program
-
-        source = """
-        class W { flag todo; int v; W(int v) { this.v = v; } }
-        task startup(StartupObject s in initialstate) {
-            W a = new W(1){todo := true};
-            W b = new W(2){todo := true};
-            taskexit(s: initialstate := false);
-        }
-        task left(W w in todo) {
-            W next = new W(w.v){todo := false};
-            taskexit(w: todo := false);
-        }
-        """
-        compiled = compile_program(source)
-        profile = profile_program(compiled, ["0"])
-        cstg = annotated_cstg(compiled, profile)
-        graph = build_group_graph(compiled.info, cstg, profile)
-        tree = build_group_tree(graph)
-        assert len(tree.nodes) >= len(graph.groups)

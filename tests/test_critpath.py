@@ -2,15 +2,16 @@
 
 from repro.core import annotated_cstg
 from repro.schedule.critpath import (
+    _core_activity,
+    _spare_cores,
     compute_critical_path,
-    spare_cores_during,
     suggest_moves,
 )
 from repro.schedule.layout import Layout
 from repro.schedule.simulator import SimResult, SimTrace, TraceEvent, simulate
 
 
-def make_event(event_id, task, core, start, end, data_ready=None, inputs=()):
+def make_event(event_id, task, core, start, end, data_ready=None, producers=()):
     return TraceEvent(
         event_id=event_id,
         task=task,
@@ -19,8 +20,7 @@ def make_event(event_id, task, core, start, end, data_ready=None, inputs=()):
         end=end,
         exit_id=1,
         data_ready=data_ready if data_ready is not None else start,
-        param_objects=list(range(len(inputs))),
-        inputs=list(inputs),
+        producers=list(producers),
     )
 
 
@@ -44,8 +44,8 @@ class TestSyntheticTraces:
         # a -> b -> c linked by data edges across cores.
         trace = [
             make_event(0, "a", 0, 0, 10),
-            make_event(1, "b", 1, 12, 20, data_ready=12, inputs=[(0, 2)]),
-            make_event(2, "c", 2, 22, 30, data_ready=22, inputs=[(1, 2)]),
+            make_event(1, "b", 1, 12, 20, data_ready=12, producers=[0]),
+            make_event(2, "c", 2, 22, 30, data_ready=22, producers=[1]),
         ]
         path = compute_critical_path(make_result(trace))
         assert [s.event.task for s in path.steps] == ["a", "b", "c"]
@@ -66,7 +66,7 @@ class TestSyntheticTraces:
     def test_key_events(self):
         trace = [
             make_event(0, "a", 0, 0, 10),
-            make_event(1, "b", 1, 12, 30, data_ready=12, inputs=[(0, 2)]),
+            make_event(1, "b", 1, 12, 30, data_ready=12, producers=[0]),
         ]
         path = compute_critical_path(make_result(trace))
         assert path.key_event_ids() == {0}
@@ -89,21 +89,24 @@ class TestSyntheticTraces:
         assert "critical path" in text and "a" in text
 
 
+def spare_cores(trace, num_cores, start, end):
+    """Cores with no simulated activity overlapping [start, end)."""
+    intervals, _ = _core_activity(make_result(trace))
+    return list(_spare_cores(intervals, num_cores, start, end))
+
+
 class TestSpareCores:
     def test_idle_core_detected(self):
         trace = [
             make_event(0, "a", 0, 0, 10),
             make_event(1, "b", 1, 0, 5),
         ]
-        layout = Layout.make(4, {"a": [0], "b": [1]})
-        spare = spare_cores_during(make_result(trace), layout, 0, 10)
-        assert spare == [2, 3]
+        assert spare_cores(trace, 4, 0, 10) == [2, 3]
 
     def test_partial_overlap_excludes(self):
         trace = [make_event(0, "a", 2, 5, 15)]
-        layout = Layout.make(4, {"a": [2]})
-        assert 2 not in spare_cores_during(make_result(trace), layout, 0, 10)
-        assert 2 in spare_cores_during(make_result(trace), layout, 16, 20)
+        assert 2 not in spare_cores(trace, 4, 0, 10)
+        assert 2 in spare_cores(trace, 4, 16, 20)
 
 
 class TestMoveSuggestions:
@@ -123,7 +126,7 @@ class TestMoveSuggestions:
     def test_no_moves_on_tight_schedule(self):
         trace = [
             make_event(0, "a", 0, 0, 10),
-            make_event(1, "b", 1, 12, 20, data_ready=12, inputs=[(0, 2)]),
+            make_event(1, "b", 1, 12, 20, data_ready=12, producers=[0]),
         ]
         layout = Layout.make(2, {"a": [0], "b": [1]})
         moves = suggest_moves(make_result(trace), layout)

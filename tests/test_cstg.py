@@ -41,11 +41,6 @@ class TestStructure:
             "startup",
         ]
 
-    def test_guard_nodes_of_task(self, keyword_compiled):
-        nodes = keyword_compiled.cstg.guard_nodes_of_task("mergeIntermediateResult")
-        assert nodes[0] == [("Results", AState.make([]))]
-        assert nodes[1] == [("Text", AState.make(["submit"]))]
-
 
 class TestAnnotation:
     def test_probabilities_sum_to_one_per_task(self, keyword_compiled, keyword_profile):

@@ -25,8 +25,8 @@ import pytest
 from repro.bench import get_spec, load_source
 from repro.core import compile_program, profile_program
 from repro.schedule.anneal import AnnealConfig
-from repro.search import DistChaosPlan, DistFault
 from repro.search.dist import (
+    DistChaosPlan,
     DistCoordinator,
     DistError,
     DistProtocolError,
@@ -131,6 +131,14 @@ class TestMessages:
         assert excinfo.value.code == "format_mismatch"
         assert JOB_FORMAT in str(excinfo.value)
         assert SHARD_FORMAT in str(excinfo.value)
+
+    def test_v1_shard_payload_refused(self):
+        # dist-shard-v1 pickled an AnnealConfig with four more fields.
+        packed = pack_payload("repro.search/dist-shard-v1", {"answer": 42})
+        with pytest.raises(DistProtocolError) as excinfo:
+            unpack_payload(packed, SHARD_FORMAT)
+        assert excinfo.value.code == "format_mismatch"
+        assert "repro.search/dist-shard-v1" in str(excinfo.value)
 
     def test_non_base64_payload_refused(self):
         with pytest.raises(DistProtocolError) as excinfo:

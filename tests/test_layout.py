@@ -46,10 +46,6 @@ class TestLayout:
         layout = Layout.make(8, {"a": [0, 3], "b": [3, 5]})
         assert layout.cores_used() == (0, 3, 5)
 
-    def test_total_instances(self):
-        layout = Layout.make(8, {"a": [0, 3], "b": [3]})
-        assert layout.total_instances() == 3
-
     def test_default_mesh_width(self):
         assert Layout.make(62, {"a": [0]}).mesh_width == 8
         assert Layout.make(16, {"a": [0]}).mesh_width == 4

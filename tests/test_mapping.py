@@ -16,7 +16,6 @@ from repro.schedule.mapping import (
     seed_layouts,
     with_instance_added,
     with_instance_moved,
-    with_instance_removed,
 )
 from repro.schedule.rules import replica_choice_sets, suggest_replicas
 from repro.lang.errors import ScheduleError
@@ -232,9 +231,3 @@ class TestLayoutEdits:
         layout = Layout.make(4, mapping)
         grown = with_instance_added(layout, "processText", 2)
         assert grown.cores_of("processText") == (0, 2)
-
-    def test_remove_instance_keeps_at_least_one(self, keyword_compiled):
-        mapping = {t: [0] for t in keyword_compiled.info.tasks}
-        layout = Layout.make(4, mapping)
-        shrunk = with_instance_removed(layout, "processText", 0)
-        assert shrunk.cores_of("processText") == (0,)

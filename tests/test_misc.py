@@ -127,25 +127,3 @@ class TestVizEdgeCases:
         )
         text = render_trace(result, max_events=2)
         assert "more" in text
-
-
-class TestCFGShapes:
-    def test_diamond_topological_order(self):
-        from repro.core import compile_program
-        from repro.ir import cfg
-
-        compiled = compile_program(
-            "class A { int m(int x) { int r = 0; "
-            "if (x > 0) { r = 1; } else { r = 2; } return r; } }"
-            " task startup(StartupObject s in initialstate) "
-            "{ taskexit(s: initialstate := false); }"
-        )
-        func = compiled.ir_program.methods["A.m"]
-        order = cfg.topological_order(func)
-        position = {b: i for i, b in enumerate(order)}
-        for block in func.blocks:
-            if block.block_id not in position:
-                continue
-            for succ in block.successors():
-                # In an acyclic function, successors come later.
-                assert position[succ] > position[block.block_id]

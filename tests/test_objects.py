@@ -9,7 +9,6 @@ class TestHeap:
         a = heap.new_object("X", 2)
         b = heap.new_object("Y", 0)
         assert (a.obj_id, b.obj_id) == (0, 1)
-        assert heap.object_count() == 2
 
     def test_fields_initialized_to_none(self):
         heap = Heap()
@@ -32,9 +31,9 @@ class TestFlags:
     def test_set_and_clear(self):
         obj = BObject(obj_id=0, class_name="X", fields=[])
         obj.set_flag("a", True)
-        assert obj.flag_state() == frozenset({"a"})
+        assert obj.flags == {"a"}
         obj.set_flag("a", False)
-        assert obj.flag_state() == frozenset()
+        assert obj.flags == set()
 
     def test_clear_absent_flag_noop(self):
         obj = BObject(obj_id=0, class_name="X", fields=[])
@@ -64,15 +63,6 @@ class TestTags:
         obj.unbind_tag(tag)
         assert obj.tags_of_type("grp") == []
         assert 7 not in tag.bound_objects
-
-    def test_tag_count_class_one_limited(self):
-        obj = BObject(obj_id=1, class_name="X", fields=[])
-        assert obj.tag_count_class("grp") == 0
-        obj.bind_tag(TagInstance(tag_id=0, tag_type="grp"))
-        assert obj.tag_count_class("grp") == 1
-        obj.bind_tag(TagInstance(tag_id=1, tag_type="grp"))
-        obj.bind_tag(TagInstance(tag_id=2, tag_type="grp"))
-        assert obj.tag_count_class("grp") == 2  # "at least 2"
 
     def test_tag_identity_by_id(self):
         a = TagInstance(tag_id=3, tag_type="grp")

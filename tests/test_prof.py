@@ -171,7 +171,6 @@ class TestAccounting:
     def test_interning_is_stable(self):
         key = prof.intern_phase("test.interned")
         assert prof.intern_phase("test.interned") == key
-        assert prof.phase_name(key) == "test.interned"
 
 
 # -- the off mode --------------------------------------------------------------

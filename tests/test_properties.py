@@ -2,10 +2,13 @@
 
 import random
 import string
+from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.astate import AState, eval_flag_expr
+from repro.bench import PAPER_BENCHMARKS, get_spec, load_benchmark
+from repro.core import profile_program
 from repro.lang import ast
 from repro.lang.errors import LexError
 from repro.lang.lexer import tokenize
@@ -14,7 +17,9 @@ from repro.lang.pretty import format_expr, format_program
 from repro.lang.tokens import TokenKind
 from repro.ir.ops import int_div, int_rem
 from repro.runtime.profiler import ProfileData
+from repro.schedule.coregroup import task_is_replicable
 from repro.schedule.layout import Layout, mesh_hops
+from repro.schedule.simulator import simulate
 
 # ---------------------------------------------------------------------------
 # Lexer robustness
@@ -146,7 +151,7 @@ def test_astate_with_flags_idempotent(base, updates):
 @given(flag_sets, st.sampled_from("abcdef"))
 def test_astate_set_then_clear_is_removal(flags, flag):
     state = AState.make(flags)
-    result = state.with_flag(flag, True).with_flag(flag, False)
+    result = state.with_flags({flag: True}).with_flags({flag: False})
     assert flag not in result.flags
     assert result.flags == state.flags - {flag}
 
@@ -197,6 +202,49 @@ def test_canonical_key_invariant_under_core_permutation(mapping, rng):
         8, {t: [permutation[c] for c in cores] for t, cores in mapping.items()}
     )
     assert layout.canonical_key() == renamed.canonical_key()
+
+
+# ---------------------------------------------------------------------------
+# Simulated traces
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _paper_context(name):
+    spec = get_spec(name)
+    compiled = load_benchmark(name)
+    return compiled, profile_program(compiled, list(spec.args)), spec.hints
+
+
+@given(
+    st.sampled_from(PAPER_BENCHMARKS),
+    st.integers(2, 8),
+    st.sampled_from(["mesh", "torus", "ring"]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=30, deadline=None)
+def test_data_edges_end_before_the_consumer_data_is_ready(
+    name, num_cores, topology, rng
+):
+    # An object leaves its producer at the producer's end and arrives no
+    # earlier, so every input's producer ended by the consumer's
+    # data_ready, on any layout and network.
+    compiled, profile, hints = _paper_context(name)
+    info = compiled.info
+    mapping = {}
+    for task in sorted(info.tasks):
+        if task != "startup" and task_is_replicable(info, task):
+            mapping[task] = rng.sample(range(num_cores), rng.randint(1, num_cores))
+        else:
+            mapping[task] = [rng.randrange(num_cores)]
+    layout = Layout.make(num_cores, mapping, topology=topology)
+    trace = simulate(compiled, layout, profile, hints=hints).trace
+    low = 0
+    for consumer, high in enumerate(trace.param_end):
+        for producer in trace.producer[low:high]:
+            if producer >= 0:
+                assert trace.end[producer] <= trace.data_ready[consumer]
+        low = high
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ class TestConfig:
         [
             {"heartbeat_interval": 0},
             {"suspicion_beats": 0},
-            {"heartbeat_cost": -1},
             {"deadline_multiplier": 0.0},
             {"fallback_deadline": 0},
             {"max_retries": -1},

@@ -369,18 +369,20 @@ class TestCheckpointFile:
         assert "pickle" not in message
 
     def test_v2_checkpoint_refused_naming_both_versions(self, tmp_path):
-        # v2 carried move hints and session snapshots that v3 dropped, and
-        # v3 the early-cutoff prune counter that v4 dropped; the policy is
-        # to refuse old versions, never migrate them.
+        # v2 carried move hints and session snapshots that v3 dropped, v3
+        # the early-cutoff prune counter that v4 dropped, and v5 the four
+        # trace columns and four AnnealConfig fields that v6 dropped; the
+        # policy is to refuse old versions, never migrate them.
         from repro.search.storage import write_pickle_record
 
-        for old in ("checkpoint-v2", "checkpoint-v3"):
+        for old in ("checkpoint-v2", "checkpoint-v3", "checkpoint-v5"):
             path = str(tmp_path / f"{old}.ckpt")
             write_pickle_record(
                 path, f"repro.search/{old}", self._checkpoint()
             )
             with pytest.raises(CheckpointError) as excinfo:
                 read_checkpoint(path)
+            assert excinfo.value.__cause__.code == "format_mismatch"
             message = str(excinfo.value)
             assert f"repro.search/{old}" in message
             assert CHECKPOINT_FORMAT in message

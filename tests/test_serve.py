@@ -312,6 +312,26 @@ class TestSimCacheStore:
         assert "repro.serve/simcache-v1" in report.error
         assert report.quarantined_to == path + ".corrupt"
 
+    def test_v2_cache_file_refused_with_format_mismatch(self, tmp_path):
+        # simcache-v2 held twelve-column traces; v3 holds eight.
+        path = str(tmp_path / "simcache.bin")
+        store = SimCacheStore()
+        _fill(store, "ctx", 2)
+        write_pickle_record(
+            path,
+            "repro.serve/simcache-v2",
+            {"contexts": {"ctx": store.cache_for("ctx").state()}},
+        )
+        report = SimCacheStore(path=path).load()
+        assert report.refused and not report.loaded
+        assert "repro.serve/simcache-v2" in report.error
+        assert report.quarantined_to == path + ".corrupt"
+        with pytest.raises(StorageError) as excinfo:
+            read_pickle_record(
+                report.quarantined_to, SIMCACHE_FORMAT, expected_type=dict
+            )
+        assert excinfo.value.code == "format_mismatch"
+
     def test_foreign_record_refused(self, tmp_path):
         path = str(tmp_path / "simcache.bin")
         write_pickle_record(path, "repro.search/checkpoint-v1", {"x": 1})

@@ -152,7 +152,7 @@ class TestTrace:
         )
         by_id = {e.event_id: e for e in result.trace}
         for event in result.trace:
-            for producer_id, _ in event.inputs:
+            for producer_id in event.producers:
                 if producer_id is not None:
                     assert by_id[producer_id].end <= event.start
 
@@ -185,16 +185,16 @@ class TestTagPairing:
              "finishsave": [0]},
         )
         result = simulate(tagged_compiled, layout, profile)
-        allocated = {
-            e.param_objects[0]: e.produced
-            for e in result.trace
-            if e.task == "startsave"
-        }
-        saves = [e for e in result.trace if e.task == "finishsave"]
+        trace = result.trace
+        saves = [e for e in trace if e.task == "finishsave"]
         assert result.finished and len(saves) == 12
         for event in saves:
-            drawing, image = event.param_objects
-            assert image in allocated[drawing]
+            # The startsave that moved the Drawing allocated the Image
+            # that the compress feeding this invocation compressed.
+            saved, compressed = event.producers
+            assert trace.task[saved] == "startsave"
+            assert trace.task[compressed] == "compress"
+            assert trace[compressed].producers == [saved]
 
 
 def trace_data(result):
@@ -207,8 +207,7 @@ def trace_data(result):
         sorted(result.invocations.items()),
         [
             (e.event_id, e.task, e.core, e.start, e.end, e.exit_id,
-             e.data_ready, tuple(e.param_objects), tuple(e.inputs),
-             tuple(e.produced))
+             e.data_ready, tuple(e.producers))
             for e in result.trace
         ],
     )
@@ -279,22 +278,22 @@ class TestSessionApi:
 #: event counting moves these.
 GOLDEN = {
     "Tracking": (
-        "a3925ac3f3785eedf6748b699d89976a419b1ff3d12cda3a332be7b42a4d8b21", 3283
+        "ee5170f1c2bd0a456c07819a544d948100b183005288de09467344648f6c3792", 3283
     ),
     "KMeans": (
-        "588ad1d427a29c541d13d28c486607f6d9409d19c391bb4393d8b6b4312f1c16", 4912
+        "166d7efd6097c99b22b4624f0622abfb7eb5768887e7c67c611aa17194e34c36", 4912
     ),
     "MonteCarlo": (
-        "2f1b722496583aa7c6795a453def50735833fc8e3051294010c5be2275a358e2", 2512
+        "9dc3d396e05f0731e3bab4aa117854206235410e65b9afed3559b39c8aa7d901", 2512
     ),
     "FilterBank": (
-        "9965ca6566b7a869740e9ce44425420bdfc75953b76445a68f767cadca0f68b4", 1154
+        "d49a0323526877fe2096097f429ff0eca56d4deb4337ac2a9da0969dde217c41", 1154
     ),
     "Fractal": (
-        "44b1c1f4a04cf17b6cd0f0b511d2f15b133a299c99fe258f26701886e0342f01", 3877
+        "ad25f9cb2aa3847cf783dae1ffca774374981d07932f92ea9e849e3b4e42a805", 3877
     ),
     "Series": (
-        "e15971e850e0235e5298477996f34da52bcd3cc809d50f003034beb80f013b9d", 3877
+        "180d54569991eb7a895734b9e2be7a4665848b158fee43d69ef029b09953dbbb", 3877
     ),
 }
 
@@ -336,40 +335,40 @@ GOLDEN_CRITPATH = {
 #: "counts" exit policy (only KMeans differs from "sequence" there).
 GOLDEN_TOPOLOGY = {
     ("Tracking", "torus"): (
-        "80847c94f29fa5211f8e6346fa124d574aad640e4729c9b9b01b8b7c0c20cf15", 3317
+        "c7bf5d26ae7fbc048ddbcd923b30d29b819d8d7b102392129eb87e7043991af6", 3317
     ),
     ("Tracking", "ring"): (
-        "941f9e491ff5d172c084526d39bd1ff4c36932d4eedbb2ed6ac7d61108accfee", 3283
+        "ef1787d060875b9af97dd514ddbcd4132315bbf48e0861848a4c44b3f9d02a77", 3283
     ),
     ("KMeans", "torus"): (
-        "79f3dcf29a7f0dad3c0f1ba73364d5ebed0575fc30445255c4f9694b3cc8a773", 4920
+        "55b38d2b347fc721b80a9833d24aa50384cc7b76902d913951a5ca32057b8a1b", 4920
     ),
     ("KMeans", "ring"): (
-        "44b20dbb6c660fef2482aead8fa9b756ea161a9e5cd957bc7b1c6dcb22dada96", 4882
+        "7c3fede196cf161698e3cac367f22d3788fae3ff683912ec69456e0fd9626528", 4882
     ),
     ("MonteCarlo", "torus"): (
-        "8587e8204a4465dc13e98c1b406a865891271d525e72792fa8db4a706cc9bf5d", 2512
+        "1e92ef46e000be3797d9185ff6ed42458c1ac999c4641c500b10e22c12107ea9", 2512
     ),
     ("MonteCarlo", "ring"): (
-        "2c43cf9cb790e3b42e86193a112411f2754df4d5837a93b2e2b51c48c73b1f28", 2475
+        "c387d498b61c50c12e6040a3b458db06e5361e01d2a03c906f0ba85e548bd65b", 2475
     ),
     ("FilterBank", "torus"): (
-        "d3556974cc7f4f2a268d4fb6605d27bb452519d57643cd03297abf297004ce42", 1162
+        "ce9a78be5291464cbba4dd6ad1b6667165c7c378a2824499f54e6657fb89e9fb", 1162
     ),
     ("FilterBank", "ring"): (
-        "f21569d5618160babb995ed067b658ec6bb1c4deccda8b04ded19b2cf213038f", 1124
+        "64872cd65bb5adf5fc214f6de9f4299d422eb40bd3f53eddf31a4eb095aec663", 1124
     ),
     ("Fractal", "torus"): (
-        "4b2e489c15b455273329851fc02013e5b2d187aa04c408fc5004e745e3ec78ed", 3881
+        "9bd6e730192c79d3113ce889ec6ed5dc7854a64eeb3412a6885cf4f82b8dfa9f", 3881
     ),
     ("Fractal", "ring"): (
-        "c1e9824bcd608047181724decf89f6e68654666f3af5523ba9af6dcc883425f6", 3838
+        "a7a8bcd5826e7ab7ea9fe1760e3a9543d092083535a24390ea67195565209075", 3838
     ),
     ("Series", "torus"): (
-        "bca38f6d4f491c3ed068a570f5a241a921b013cd7f2a47f292d0349b0fe720d4", 3881
+        "7f0a4fc1e5a287159ee2c5fc5aadc0b11a4a93ff81d6433ab9e288159c244489", 3881
     ),
     ("Series", "ring"): (
-        "05dadce8192132083497dd9e4d62d8a1435e193a5bd229a0e1bad4af42086bd8", 3838
+        "b1df2699cbbe362ec747b0a12f73634f07076117c1d16d4c6f750f572ded3f48", 3838
     ),
 }
 
@@ -377,28 +376,28 @@ GOLDEN_TOPOLOGY = {
 SPEEDS = (0.5, 1.0, 1.5, 2.0)
 GOLDEN_SPEEDS = {
     "Tracking": (
-        "7d4c368197afef071425b304a7088d5fa6865ffd0d79bcb970f008ce2322c990", 1894
+        "643351283082c025a880014c6d745169548c3a30440052189186af09962dd808", 1894
     ),
     "KMeans": (
-        "58f0db8443ddf325691314b2be1c5ca0db5a30d26ed4e41b6fce80fba63a6df9", 3952
+        "8788ad5ce983947613a818881503cad4191d2fe491a1e9c0e5506c1eff74e2d5", 3952
     ),
     "MonteCarlo": (
-        "df72d2f6212789877910cfe533d3e0a82ec353e3dc1fbfc330fa65ea6370c58a", 1859
+        "53f9e1436ed305b6c348ad9243436b13d2b823ae6dd8f42c16eafd84cca46593", 1859
     ),
     "FilterBank": (
-        "7d7dddf676e93389e66d181d61a57aff105558ff9b34b6956b16526c1870bd20", 867
+        "b454b11af0440ecc56d2efe57abf041bd3cbf87af9553337ca639d10edd73971", 867
     ),
     "Fractal": (
-        "cd6b792bf47cb5d2cba0bfda7033a499a6eacf13810de1e50ffac7ac47943619", 2840
+        "22e31df3e913f52f59c4282a7365ec39bac93afca41bbacee7e6aad23e46d9b2", 2840
     ),
     "Series": (
-        "996598e87366bd72ab52cf26a59d7b2d5e3eeb1f50880f3befdc13dc63b85ff5", 2853
+        "39c1fea8c43d453deb7ca2e51ff2ee18dbb84aef6ac63f3661ad3fd488820fd6", 2853
     ),
 }
 
 GOLDEN_COUNTS_POLICY = {
     "KMeans": (
-        "2f3a268019af7ff2e1b94a87c3c31921b0a336769bce81590860810a9130d2e5", 1217
+        "4b12c66adf1d4908ec2c7ba1d8ee21a02f6e43c65ad46af5ba4edb20320b6322", 1217
     ),
 }
 
@@ -410,10 +409,10 @@ CONTESTED_LAYOUTS = {
 }
 GOLDEN_CONTESTED = {
     "split": (
-        "69efd8aef0618e105b95668577e8cd38e91a2eccdb0570069095a626732eb370", 52
+        "b37b377b50eb8409f2725b902d280eb2a78af35d616506ba80a849ca509b71ab", 52
     ),
     "two": (
-        "5582ab554f5830d5f483044aae1f89d91f1a6ebe38620aef6ca2adfdfaed7cb2", 48
+        "cd4f2780d9fccef2c27d55d297e782e18ed95977fd94a1326407c8c19236a2dd", 48
     ),
 }
 
