@@ -479,19 +479,26 @@ class ParallelEvaluator(_EvaluatorBase):
 
     def _chaos_token(self, deadline: float) -> Optional[Tuple[str, float]]:
         """The fault (if any) the chaos plan designates for the dispatch
-        about to be numbered ``self._dispatch_seq``."""
+        about to be numbered ``self._dispatch_seq``. The caller counts it
+        with :meth:`_count_fault` once the dispatch is submitted."""
         if self.chaos is None:
             return None
         kind = self.chaos.kind_for(self._dispatch_seq)
         if kind is None:
             return None
         if kind == "crash":
-            self.stats.injected_crashes += 1
             return ("crash", 0.0)
-        self.stats.injected_hangs += 1
         # Sleep comfortably past the batch's most generous allowance so
         # the breach is detected, not raced.
         return ("hang", deadline * (1.0 + len(self._pending)))
+
+    def _count_fault(self, token: Optional[Tuple[str, float]]) -> None:
+        if token is None:
+            return
+        if token[0] == "crash":
+            self.stats.injected_crashes += 1
+        else:
+            self.stats.injected_hangs += 1
 
     # -- the supervised batch ------------------------------------------------
 
@@ -561,6 +568,11 @@ class ParallelEvaluator(_EvaluatorBase):
                             [layouts[i] for i in member_indices],
                             token,
                         )
+                        # Counted only once submitted: a submit that finds
+                        # the pool already broken (an earlier chunk's
+                        # crash) leaves this dispatch id unused, and the
+                        # next round hands the same token out again.
+                        self._count_fault(token)
                         for index in member_indices:
                             attempts[index] += 1
                         self._dispatch_seq += 1

@@ -64,6 +64,7 @@ class TestConfig:
         [
             {"heartbeat_interval": 0},
             {"suspicion_beats": 0},
+            {"heartbeat_interval": -1},
             {"deadline_multiplier": 0.0},
             {"fallback_deadline": 0},
             {"max_retries": -1},

@@ -179,6 +179,37 @@ class TestSupervisedEvaluator:
         assert supervised.stats.degraded is True
         assert supervised.stats.pool_rebuilds >= 1
 
+    def test_fault_at_a_failed_submit_fires_once(self):
+        # An earlier chunk's crash can break the pool while later chunks
+        # are still being submitted. The failed submit hands no token to
+        # a worker, so the retry round reuses its dispatch id and the
+        # planned fault must be counted there, not twice.
+        from concurrent.futures.process import BrokenProcessPool
+
+        layouts = _keyword_layout_pool(count=4)
+        serial, supervised = _keyword_evaluators(chaos=crash_plan(1))
+        real_pool = supervised._pool
+        submits = []
+
+        class BreaksAtSecondSubmit:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def submit(self, *args):
+                submits.append(args)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died mid-batch")
+                return self.pool.submit(*args)
+
+        supervised._pool = lambda: BreaksAtSecondSubmit(real_pool())
+        with serial, supervised:
+            expected = _cycles(serial.evaluate(layouts))
+            got = _cycles(supervised.evaluate(layouts))
+        assert got == expected
+        assert submits[1][-1] == ("crash", 0.0)
+        assert supervised.stats.injected_crashes == 1
+        assert supervised.stats.pool_rebuilds >= 1
+
     def test_cache_survives_pool_rebuild(self):
         from repro.search import SimCache
 
