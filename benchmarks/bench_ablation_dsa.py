@@ -9,8 +9,8 @@
 
 from conftest import emit
 from repro.bench import get_spec
-from repro.core import annotated_cstg
-from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
+from repro.core import SynthesisOptions, annotated_cstg, synthesize_layout
+from repro.schedule.anneal import AnnealConfig
 from repro.schedule.coregroup import build_group_graph
 from repro.schedule.mapping import seed_layouts
 from repro.schedule.rules import suggest_replicas
@@ -34,10 +34,10 @@ def run_search(ctx, name, use_critical_path, seed=7):
         continue_probability=0.5,
         use_critical_path=use_critical_path,
     )
-    dsa = DirectedSimulatedAnnealing(
-        compiled, profile, NUM_CORES, config=config, hints=get_spec(name).hints
+    return synthesize_layout(
+        compiled, profile, NUM_CORES,
+        options=SynthesisOptions(anneal=config, hints=get_spec(name).hints),
     )
-    return dsa.run()
 
 
 def locality_only_estimate(ctx, name):
@@ -66,8 +66,8 @@ def run_all(ctx):
         rows.append(
             {
                 "name": name,
-                "directed": directed.best_cycles,
-                "undirected": undirected.best_cycles,
+                "directed": directed.estimated_cycles,
+                "undirected": undirected.estimated_cycles,
                 "locality": locality,
             }
         )

@@ -35,7 +35,7 @@ def run_all(ctx):
             compiled,
             profile,
             cores,
-            options=SynthesisOptions(seed=0, anneal=bench_config()),
+            options=SynthesisOptions(anneal=bench_config()),
         ).layout
         distributed = run_layout(compiled, layout, ARGS)
         centralized = run_layout(

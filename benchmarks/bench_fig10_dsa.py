@@ -14,7 +14,7 @@ import random
 
 from conftest import emit
 from repro.bench import get_spec
-from repro.core import annotated_cstg
+from repro.core import SynthesisOptions, annotated_cstg
 from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from repro.schedule.coregroup import build_group_graph
 from repro.schedule.mapping import enumerate_layouts
@@ -68,12 +68,13 @@ def run_benchmark(ctx, name):
             patience=2,
             continue_probability=0.5,
         )
+        options = SynthesisOptions(
+            anneal=config, hints=hints, cache=shared_cache
+        )
         with DirectedSimulatedAnnealing(
-            compiled, profile, NUM_CORES, config=config, hints=hints,
-            group_graph=graph, cache=shared_cache,
+            compiled, profile, NUM_CORES, options, group_graph=graph
         ) as dsa:
-            result = dsa.run()
-        dsa_results.append(result.best_cycles)
+            dsa_results.append(dsa.run().estimated_cycles)
 
     # "Best bucket": within 5% of the global best estimate.
     threshold = best * 1.05

@@ -13,7 +13,9 @@ for reference:
     Fractal        162.5      172.6          2.8     61.6      58.0   6.2%
     Series        1774.7     1885.7         30.8     61.2      57.6   6.3%
 
-The DSA optimization times of §5.1 are reported alongside.
+The table reports each search's simulation count alongside; the DSA
+optimization wall times of §5.1 go only to ``fig7_speedup.json``
+(``dsa_seconds``), so the text artifact is deterministic.
 """
 
 from conftest import emit
@@ -71,7 +73,7 @@ def test_fig7_speedups(benchmark, ctx):
             "Speedup/C",
             "Overhead",
             "Paper spd",
-            "DSA (s)",
+            "DSA sims",
         ],
         [
             [
@@ -83,7 +85,7 @@ def test_fig7_speedups(benchmark, ctx):
                 f"{r['speedup_seq']:.1f}x",
                 f"{r['overhead']:.1%}",
                 f"{PAPER_SPEEDUPS[r['name']]:.1f}x",
-                f"{r['dsa_seconds']:.1f}",
+                r["dsa_evals"],
             ]
             for r in rows
         ],

@@ -29,7 +29,7 @@ def run_all(ctx):
         aware = synthesize_layout(
             compiled, profile, NUM_CORES,
             options=SynthesisOptions(
-                seed=0, anneal=bench_config(), core_speeds=SPEEDS
+                anneal=bench_config(), core_speeds=SPEEDS
             ),
         ).layout
         blind = ctx.synthesis_report(name, num_cores=NUM_CORES).layout

@@ -79,7 +79,6 @@ class ExperimentContext:
                 self.profile(name, double),
                 num_cores,
                 options=SynthesisOptions(
-                    seed=0,
                     anneal=bench_config(),
                     hints=get_spec(name).hints,
                     mesh_width=(

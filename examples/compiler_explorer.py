@@ -14,7 +14,6 @@ import sys
 
 from repro.bench import benchmark_names, get_spec, load_benchmark
 from repro.core import (
-    SynthesisOptions,
     annotated_cstg,
     profile_program,
     synthesize_layout,
@@ -92,9 +91,7 @@ def main() -> None:
         )
 
     header(f"synthesized {NUM_CORES}-core layout (§4.5)")
-    report = synthesize_layout(
-        compiled, profile, NUM_CORES, options=SynthesisOptions(seed=0)
-    )
+    report = synthesize_layout(compiled, profile, NUM_CORES)
     print(report.layout.describe())
     print(f"  estimated: {report.estimated_cycles:,} cycles "
           f"({report.evaluations} layouts evaluated in "

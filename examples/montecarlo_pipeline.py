@@ -14,7 +14,6 @@ Run:  python examples/montecarlo_pipeline.py
 
 from repro.bench import get_spec, load_benchmark
 from repro.core import (
-    SynthesisOptions,
     profile_program,
     run_layout,
     synthesize_layout,
@@ -52,9 +51,7 @@ def main() -> None:
     profile = profile_program(compiled, args)
 
     print(f"synthesizing a {NUM_CORES}-core implementation ...")
-    report = synthesize_layout(
-        compiled, profile, NUM_CORES, options=SynthesisOptions(seed=0)
-    )
+    report = synthesize_layout(compiled, profile, NUM_CORES)
     layout = report.layout
     print(layout.describe())
 

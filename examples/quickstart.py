@@ -11,7 +11,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import (
-    SynthesisOptions,
     compile_program,
     profile_program,
     run_layout,
@@ -128,9 +127,7 @@ def main() -> None:
 
     print()
     print("4. synthesizing an 8-core implementation (rules + DSA, §4.3-4.5)")
-    report = synthesize_layout(
-        compiled, profile, num_cores=8, options=SynthesisOptions(seed=0)
-    )
+    report = synthesize_layout(compiled, profile, num_cores=8)
     print(f"   evaluated {report.requested_evaluations} candidate layouts "
           f"({report.evaluations} simulated, {report.cache_hits} from the "
           f"simulation cache) in {report.wall_seconds:.2f}s")

@@ -9,7 +9,6 @@ from .runner import (
     estimate_vs_real,
     generality_run,
     run_three_versions,
-    synthesize_for,
 )
 from .workloads import double_args, scale_args
 from .suite import (
@@ -40,5 +39,4 @@ __all__ = [
     "run_three_versions",
     "scale_args",
     "double_args",
-    "synthesize_for",
 ]

@@ -14,10 +14,9 @@ These functions implement the measurement protocols of paper §5:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.api import (
-    CompiledProgram,
     profile_program,
     run_layout,
     run_sequential,
@@ -25,7 +24,6 @@ from ..core.api import (
 )
 from ..core.options import SynthesisOptions
 from ..core.pipeline import SynthesisReport, synthesize_layout
-from ..runtime.profiler import ProfileData
 from ..schedule.anneal import AnnealConfig
 from ..schedule.layout import Layout
 from ..schedule.simulator import simulate
@@ -54,32 +52,6 @@ class ThreeVersionResult:
     outputs_match: bool = True
 
 
-def synthesize_for(
-    compiled: CompiledProgram,
-    profile: ProfileData,
-    num_cores: int,
-    seed: int = 0,
-    hints: Optional[Dict[str, str]] = None,
-    mesh_width: Optional[int] = None,
-    config: Optional[AnnealConfig] = None,
-    workers: int = 1,
-    sim_cache: bool = True,
-) -> SynthesisReport:
-    return synthesize_layout(
-        compiled,
-        profile,
-        num_cores,
-        options=SynthesisOptions(
-            seed=seed,
-            anneal=config,
-            hints=hints,
-            mesh_width=mesh_width,
-            workers=workers,
-            sim_cache=sim_cache,
-        ),
-    )
-
-
 def run_three_versions(
     name: str,
     num_cores: int = PAPER_CORES,
@@ -95,13 +67,15 @@ def run_three_versions(
     seq = run_sequential(compiled, workload)
     one = run_layout(compiled, single_core_layout(compiled), workload)
     profile = profile_program(compiled, workload)
-    report = synthesize_for(
+    report = synthesize_layout(
         compiled,
         profile,
         num_cores,
-        seed=seed,
-        hints=spec.hints,
-        mesh_width=mesh_width,
+        options=SynthesisOptions(
+            anneal=AnnealConfig(seed=seed),
+            hints=spec.hints,
+            mesh_width=mesh_width,
+        ),
     )
     many = run_layout(compiled, report.layout, workload)
 
@@ -183,13 +157,14 @@ def generality_run(
     profile_original = profile_program(compiled, original_args)
     profile_double = profile_program(compiled, double_args)
 
-    layout_original = synthesize_for(
-        compiled, profile_original, num_cores, seed=seed, hints=spec.hints,
-        mesh_width=mesh_width,
+    options = SynthesisOptions(
+        anneal=AnnealConfig(seed=seed), hints=spec.hints, mesh_width=mesh_width
+    )
+    layout_original = synthesize_layout(
+        compiled, profile_original, num_cores, options=options
     ).layout
-    layout_double = synthesize_for(
-        compiled, profile_double, num_cores, seed=seed, hints=spec.hints,
-        mesh_width=mesh_width,
+    layout_double = synthesize_layout(
+        compiled, profile_double, num_cores, options=options
     ).layout
 
     one = run_layout(compiled, single_core_layout(compiled), double_args)

@@ -24,8 +24,8 @@ Commands
     observation (``MachineConfig.observe``).
 
     The search itself is fault tolerant at the host level:
-    ``--checkpoint FILE`` writes a resumable checkpoint every
-    ``checkpoint_every`` iterations (and on Ctrl-C, which exits 130);
+    ``--checkpoint FILE`` writes a resumable checkpoint at every
+    iteration boundary (Ctrl-C exits 130 with the last one on disk);
     ``--resume FILE`` continues an interrupted search bit-identically;
     ``--worker-timeout-mult X`` scales the supervision deadline for slow
     hosts; ``--host-chaos N`` sweeps N seeded host-fault plans (worker
@@ -128,6 +128,7 @@ from .core import (
 from .fault.plan import FaultPlan
 from .lang.errors import BambooError, RuntimeBambooError, ScheduleError
 from .runtime.machine import MachineConfig
+from .schedule.anneal import AnnealConfig
 
 
 def _load(path: str, optimize: bool = False):
@@ -215,7 +216,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             profile,
             max(2, args.cores),
             options=SynthesisOptions(
-                seed=args.seed, sim_cache=not args.no_sim_cache
+                anneal=AnnealConfig(seed=args.seed),
+                sim_cache=not args.no_sim_cache,
             ),
             runs=args.host_chaos,
             base_seed=args.seed,
@@ -234,7 +236,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 profile,
                 args.cores,
                 options=SynthesisOptions(
-                    seed=args.seed,
+                    anneal=AnnealConfig(seed=args.seed),
                     workers=args.workers,
                     sim_cache=not args.no_sim_cache,
                     retry_policy=retry_policy,
@@ -243,7 +245,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 ),
             )
         except KeyboardInterrupt:
-            # The annealer already flushed its last iteration boundary.
+            # The annealer wrote every completed iteration boundary.
             if args.checkpoint:
                 print(
                     f"interrupted: checkpoint written to {args.checkpoint}; "
@@ -416,7 +418,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     import json
 
     from .obs.metrics import MetricsRegistry, build_search_metrics
-    from .schedule.anneal import AnnealConfig
     from .search.dist import (
         DistCoordinator,
         JobContext,
@@ -673,7 +674,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from .obs import prof
     from .obs.runmeta import run_metadata
-    from .schedule.anneal import AnnealConfig
 
     source, label, prog_args = _resolve_program(args.target, args.args)
     anneal = AnnealConfig(
@@ -862,8 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--checkpoint", metavar="FILE", default=None,
-        help="checkpoint the layout search here every checkpoint_every "
-             "iterations (and on Ctrl-C); resume with --resume",
+        help="checkpoint the layout search here at every iteration "
+             "boundary; resume with --resume",
     )
     p_run.add_argument(
         "--resume", metavar="FILE", default=None,

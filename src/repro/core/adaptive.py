@@ -186,8 +186,10 @@ class AdaptiveExecutable:
             # Each re-optimization starts a fresh simulation cache: the
             # field profile changed, so memoized scores would be stale.
             options=SynthesisOptions(
-                seed=self.seed + len(self.history),
-                anneal=self.config,
+                anneal=replace(
+                    self.config or AnnealConfig(),
+                    seed=self.seed + len(self.history),
+                ),
                 hints=self.hints,
                 workers=self.workers,
             ),

@@ -38,10 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SynthesisOptions:
     """Options for :func:`repro.core.pipeline.synthesize_layout`."""
 
-    #: overrides the anneal schedule's seed when set (kept separate so
-    #: callers can reuse one ``anneal`` schedule across seeds)
-    seed: Optional[int] = None
-    #: the DSA schedule; defaults to ``AnnealConfig()``
+    #: the DSA schedule, seed included; defaults to ``AnnealConfig()``
     anneal: Optional[AnnealConfig] = None
     #: developer scheduling hints, e.g. ``{"task": "per_object"}`` (§4.4)
     hints: Optional[Dict[str, str]] = None
@@ -62,8 +59,7 @@ class SynthesisOptions:
     #: :class:`repro.search.RetryPolicy` defaults. Only meaningful with
     #: ``workers > 1``
     retry_policy: Optional["RetryPolicy"] = None
-    #: write a resumable checkpoint here every
-    #: ``AnnealConfig.checkpoint_every`` iterations
+    #: write a resumable checkpoint here at every iteration boundary
     checkpoint_path: Optional[str] = None
     #: resume from a checkpoint written by an earlier interrupted run
     resume: Optional[str] = None
@@ -75,13 +71,6 @@ class SynthesisOptions:
     #: deadlines and graceful drain; it can only stop a run early, never
     #: change the result of one it lets finish.
     cancel_check: Optional[Callable[[], bool]] = None
-
-    def effective_anneal(self) -> AnnealConfig:
-        """The anneal schedule with the seed override applied."""
-        config = self.anneal if self.anneal is not None else AnnealConfig()
-        if self.seed is not None and config.seed != self.seed:
-            config = replace(config, seed=self.seed)
-        return config
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Implementation synthesis: layouts, transformations, mapping search,
 scheduling simulation, critical paths, and directed simulated annealing."""
 
-from .anneal import AnnealConfig, AnnealResult
+from .anneal import AnnealConfig
 from .coregroup import CoreGroup, GroupGraph, build_group_graph, build_task_edges
 from .critpath import CriticalPath, Move, compute_critical_path, suggest_moves
 from .layout import Layout, Router, common_tag_binding, mesh_hops
@@ -26,7 +26,6 @@ from .simulator import (
 
 __all__ = [
     "AnnealConfig",
-    "AnnealResult",
     "Candidate",
     "CoreGroup",
     "CriticalPath",

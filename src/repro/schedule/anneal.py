@@ -8,13 +8,15 @@ at diminishing returns, with a probabilistic chance to keep searching past a
 local maximum. Setting ``use_critical_path=False`` degenerates to plain
 undirected annealing (random moves only) — the ablation baseline.
 
-Candidate evaluation is delegated to :mod:`repro.search`: each iteration's
-candidate set is scored as one batch (serial in process, or fanned out
-across the supervised worker pool — bit-identical either way) and
-memoized in a :class:`~repro.search.SimCache` keyed by exact layout
-fingerprint. Cache hits do **not** consume the ``max_evaluations``
-budget — only real simulations do; both tallies are reported on
-:class:`AnnealResult`.
+Every setting comes from one :class:`repro.SynthesisOptions`, and
+:meth:`DirectedSimulatedAnnealing.run` returns the
+:class:`SynthesisReport`. Candidate evaluation is delegated to
+:mod:`repro.search`: each iteration's candidate set is scored as one batch
+(serial in process, or fanned out across the supervised worker pool —
+bit-identical either way) and memoized in a :class:`~repro.search.SimCache`
+keyed by exact layout fingerprint. Cache hits do **not** consume the
+``max_evaluations`` budget — only real simulations do; the report carries
+both tallies.
 
 Host-level fault tolerance (this layer's :mod:`repro.resilience`
 counterpart) comes in two halves:
@@ -24,30 +26,41 @@ counterpart) comes in two halves:
   deadlines, bounded retries, pool rebuilds, and serial degradation,
   all result-transparent (policy and counters in
   :mod:`repro.search.supervise`).
-* **Checkpoint/resume** — ``checkpoint_path`` +
-  ``AnnealConfig.checkpoint_every`` periodically serialize the *full*
-  annealing state (RNG, incumbent, candidates, budget counters, cache) at
-  iteration boundaries (:mod:`repro.search.checkpoint`);
-  ``resume=`` restores one, and the resumed run is bit-identical to an
-  uninterrupted one. ``KeyboardInterrupt`` mid-iteration writes a final
-  checkpoint of the last completed boundary before propagating.
+* **Checkpoint/resume** — the search's whole progress is one
+  :class:`~repro.search.SearchCheckpoint`, ``self.state``, which the loop
+  updates in place. With ``checkpoint_path`` set, every iteration
+  boundary writes a copy of it plus the RNG and cache snapshots
+  (:mod:`repro.search.checkpoint`), so an interrupt loses at most the
+  iteration in flight; ``resume=`` reads one back, and the resumed run is
+  bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import time
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import CompiledProgram
-    from ..search import SimCache
+    from ..core.options import SynthesisOptions
 
 from ..lang.errors import ScheduleError
 from ..obs import prof
+from ..obs.events import CheckpointWritten
+from ..obs.metrics import build_search_metrics
 from ..runtime.profiler import ProfileData
+from ..search import SimCache, make_evaluator
+from ..search.checkpoint import (
+    CheckpointError,
+    SearchCheckpoint,
+    config_digest,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .coregroup import GroupGraph, build_group_graph, task_is_replicable
 from .critpath import compute_critical_path, suggest_moves
 from .layout import Layout
@@ -60,6 +73,8 @@ from .mapping import (
 from .rules import replica_choice_sets, suggest_replicas
 from .simulator import SimResult
 
+_P_CSTG = prof.intern_phase("synthesize.cstg")
+_P_GROUP_GRAPH = prof.intern_phase("synthesize.group_graph")
 _P_ITERATION = prof.intern_phase("anneal.iteration")
 _P_EVALUATE = prof.intern_phase("anneal.evaluate")
 _P_CANDIDATES = prof.intern_phase("anneal.candidates")
@@ -93,7 +108,7 @@ class AnnealConfig:
     patience: int = 2
     continue_probability: float = 0.75
     max_iterations: int = 40
-    #: real simulations only — cache hits are free (see AnnealResult)
+    #: real simulations only — cache hits are free (see SynthesisReport)
     max_evaluations: int = 600
     use_critical_path: bool = True
     #: charge the ``max_evaluations`` budget per evaluation *request*
@@ -105,34 +120,26 @@ class AnnealConfig:
     #: unspent and let the search run longer, breaking the served
     #: warm/cold bit-identity contract.
     budget_charges_hits: bool = False
-    #: iterations between periodic checkpoint writes, when the search was
-    #: given a checkpoint path; 0 keeps only the interrupt-time write
-    checkpoint_every: int = 1
 
 
 @dataclass
-class AnnealResult:
-    best_layout: Layout
-    best_cycles: int
+class SynthesisReport:
+    """Everything the synthesis run learned, for logs and experiments."""
+
+    layout: Layout
+    estimated_cycles: int
     #: real simulations performed (what ``max_evaluations`` budgets)
     evaluations: int
     iterations: int
-    history: List[int] = field(default_factory=list)  # best estimate per iter
-    initial_layouts: List[Layout] = field(default_factory=list)
-    #: evaluation requests answered from the simulation cache
+    wall_seconds: float
+    #: best estimate after each iteration
+    history: List[int] = field(default_factory=list)
+    #: evaluation requests answered by the simulation cache
     cache_hits: int = 0
     #: all evaluation requests: ``evaluations + cache_hits``
     requested_evaluations: int = 0
-    #: snapshot of the simulation cache counters (None with the cache off)
-    cache_stats: Optional[Dict[str, object]] = None
-    #: host-level supervision counters (None for serial searches, which
-    #: have no worker pool to supervise)
-    supervision: Optional[Dict[str, object]] = None
-    #: periodic checkpoints written (including any restored-from history)
-    checkpoints_written: int = 0
-    #: typed host-level events (WorkerRetry / PoolRebuild /
-    #: CheckpointWritten) in emission order
-    host_events: List[object] = field(default_factory=list)
+    #: search telemetry snapshot (``repro.obs/search-metrics-v1``)
+    search_metrics: Dict[str, object] = field(default_factory=dict)
 
 
 class DirectedSimulatedAnnealing:
@@ -143,57 +150,44 @@ class DirectedSimulatedAnnealing:
         compiled: "CompiledProgram",
         profile: ProfileData,
         num_cores: int,
-        config: Optional[AnnealConfig] = None,
-        hints: Optional[Dict[str, str]] = None,
+        options: Optional["SynthesisOptions"] = None,
         group_graph: Optional[GroupGraph] = None,
-        mesh_width: Optional[int] = None,
-        core_speeds: Optional[Dict[int, float]] = None,
-        cache: Optional["SimCache"] = None,
-        workers: int = 1,
-        use_cache: bool = True,
-        retry_policy=None,
-        host_chaos=None,
-        checkpoint_path: Optional[str] = None,
-        resume: Optional[str] = None,
-        cancel_check=None,
     ):
+        from ..core.options import SynthesisOptions
+
+        #: the report's wall clock covers the group graph build too
+        self._started = time.perf_counter()
+        options = options or SynthesisOptions()
+        if options.cache is not None and not options.sim_cache:
+            raise ValueError(
+                "SynthesisOptions.cache is set but SynthesisOptions.sim_cache "
+                "is False: a shared cache needs sim_cache=True"
+            )
         self.compiled = compiled
         self.profile = profile
         self.num_cores = num_cores
-        self.config = config or AnnealConfig()
-        self.hints = hints
-        self.mesh_width = mesh_width
-        self.core_speeds = core_speeds
-        self.checkpoint_path = checkpoint_path
-        self.resume = resume
-        #: zero-argument callable polled at iteration boundaries; a true
-        #: return raises :class:`SearchCancelled`. Purely an early-exit
-        #: hook — it cannot alter the result of a run it does not stop.
-        self.cancel_check = cancel_check
+        self.options = options
+        self.config = options.anneal or AnnealConfig()
         self.rng = random.Random(self.config.seed)
         if group_graph is None:
             from ..core.api import annotated_cstg
 
-            cstg = annotated_cstg(compiled, profile)
-            group_graph = build_group_graph(compiled.info, cstg, profile)
+            with prof.phase(_P_CSTG):
+                cstg = annotated_cstg(compiled, profile)
+            with prof.phase(_P_GROUP_GRAPH):
+                group_graph = build_group_graph(compiled.info, cstg, profile)
         self.graph = group_graph
-        from ..search import SimCache, make_evaluator
-
-        if cache is None and use_cache:
-            cache = SimCache()
-        self.cache = cache if use_cache else None
+        self.cache = None
+        if options.sim_cache:
+            self.cache = options.cache if options.cache is not None else SimCache()
         self.evaluator = make_evaluator(
-            compiled, profile, hints=hints, core_speeds=core_speeds,
-            cache=self.cache, workers=workers, policy=retry_policy,
-            chaos=host_chaos,
+            compiled, profile, hints=options.hints,
+            core_speeds=options.core_speeds, cache=self.cache,
+            workers=options.workers, policy=options.retry_policy,
+            chaos=options.host_chaos,
         )
-        self.evaluations = 0
-        self.cache_hits = 0
-        self.checkpoints_written = 0
-        #: CheckpointWritten events, restored across resumes
-        self._checkpoint_events: List[object] = []
-        #: last completed-iteration boundary state (interrupt target)
-        self._boundary = None
+        #: the search's whole progress, updated in place by the loop
+        self.state: Optional[SearchCheckpoint] = None
 
     def close(self) -> None:
         """Releases the evaluator's worker processes."""
@@ -204,17 +198,6 @@ class DirectedSimulatedAnnealing:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- evaluation ---------------------------------------------------------------
-
-    def evaluate(self, layout: Layout) -> Tuple[int, SimResult]:
-        """Scores one layout (budget-free convenience used by tests and the
-        Figure 10 driver; the main loop scores whole batches)."""
-        outcome = self.evaluator.evaluate([layout])
-        self.evaluations += outcome.simulations
-        self.cache_hits += outcome.cache_hits
-        scored = outcome.scored[0]
-        return scored.cycles, scored.result
 
     # -- neighbor generation ----------------------------------------------------------
 
@@ -265,6 +248,7 @@ class DirectedSimulatedAnnealing:
     # -- initial candidates ---------------------------------------------------------
 
     def initial_layouts(self, extra: Optional[List[Layout]] = None) -> List[Layout]:
+        mesh_width = self.options.mesh_width
         suggestions = suggest_replicas(
             self.compiled.info, self.graph, self.profile, self.num_cores
         )
@@ -274,7 +258,7 @@ class DirectedSimulatedAnnealing:
             self.graph,
             suggestions,
             self.num_cores,
-            mesh_width=self.mesh_width,
+            mesh_width=mesh_width,
         )
         layouts += random_layouts(
             self.compiled.info,
@@ -283,7 +267,7 @@ class DirectedSimulatedAnnealing:
             self.num_cores,
             count=self.config.initial_candidates,
             rng=self.rng,
-            mesh_width=self.mesh_width,
+            mesh_width=mesh_width,
         )
         if extra:
             layouts = list(extra) + layouts
@@ -291,157 +275,121 @@ class DirectedSimulatedAnnealing:
             layouts = [Layout.make(
                 self.num_cores,
                 {task: [0] for task in self.compiled.info.tasks},
-                self.mesh_width,
+                mesh_width,
             )]
         return layouts
 
     # -- checkpointing ------------------------------------------------------------------
 
-    def _capture_boundary(
-        self, iterations, best_layout, best_cycles, candidates, history,
-        patience, initial_snapshot,
-    ) -> None:
-        """Snapshots the completed-iteration state. Cheap (references plus
-        RNG/counter copies), so it runs every iteration while
-        checkpointing is active — an interrupt mid-iteration then saves
-        the last *boundary*, never a half-mutated state."""
-        from ..search.checkpoint import SearchCheckpoint, config_digest
-
-        self._boundary = SearchCheckpoint(
-            iteration=iterations,
-            rng_state=self.rng.getstate(),
-            best_layout=best_layout,
-            best_cycles=best_cycles,
-            candidates=list(candidates),
-            history=list(history),
-            patience=patience,
-            evaluations=self.evaluations,
-            cache_hits=self.cache_hits,
-            initial_layouts=list(initial_snapshot),
-            cache_state=(
-                self.cache.state() if self.cache is not None else None
-            ),
-            checkpoints_written=self.checkpoints_written,
-            checkpoint_events=list(self._checkpoint_events),
-            config_digest=config_digest(self.config),
-        )
-
-    def write_final_checkpoint(self) -> Optional[str]:
-        """Writes the last completed iteration boundary (the interrupt
-        path); returns the path, or None when checkpointing is off or no
-        iteration has completed yet."""
-        if self.checkpoint_path is None or self._boundary is None:
-            return None
-        from ..search.checkpoint import write_checkpoint
-
-        write_checkpoint(self.checkpoint_path, self._boundary)
-        return self.checkpoint_path
-
-    def _restore(self, config: AnnealConfig):
-        """Restores the state a ``resume=`` checkpoint captured."""
-        from ..search.checkpoint import (
-            CheckpointError,
-            config_digest,
-            read_checkpoint,
-        )
-
-        state = read_checkpoint(self.resume)
-        digest = config_digest(config)
-        if state.config_digest and state.config_digest != digest:
-            raise CheckpointError(
-                f"checkpoint {self.resume!r} was written under a different "
-                "anneal schedule; resuming would diverge from both runs "
-                "(only max_iterations and the checkpoint cadence may change)"
+    def _checkpoint_boundary(self) -> None:
+        """Counts and writes the checkpoint of a completed iteration
+        boundary. The write is counted *before* the copy, so the
+        checkpoint's own counters include it — that is what makes a
+        resumed run's accounting bit-identical."""
+        state = self.state
+        state.checkpoints_written += 1
+        state.checkpoint_events.append(
+            CheckpointWritten(
+                time=state.iteration,
+                iteration=state.iteration,
+                evaluations=state.evaluations,
             )
-        self.rng.setstate(state.rng_state)
-        self.evaluations = state.evaluations
-        self.cache_hits = state.cache_hits
-        self.checkpoints_written = state.checkpoints_written
-        self._checkpoint_events = list(state.checkpoint_events)
-        if self.cache is not None and state.cache_state is not None:
-            self.cache.restore(state.cache_state)
-        return state
+        )
+        self._write_checkpoint()
+
+    def _write_checkpoint(self) -> None:
+        """Writes a copy of ``self.state`` plus the RNG and cache
+        snapshots."""
+        write_checkpoint(
+            self.options.checkpoint_path,
+            replace(
+                self.state,
+                rng_state=self.rng.getstate(),
+                cache_state=(
+                    self.cache.state() if self.cache is not None else None
+                ),
+            ),
+        )
+
+    def _restore(self) -> None:
+        """Resumes the state a ``resume=`` checkpoint captured."""
+        path = self.options.resume
+        saved = read_checkpoint(path)
+        if saved.config_digest != config_digest(self.config):
+            raise CheckpointError(
+                f"checkpoint {path!r} was written under a different anneal "
+                "schedule (or carries no schedule fingerprint); resuming "
+                "would diverge from both runs (only max_iterations may "
+                "change)"
+            )
+        self.rng.setstate(saved.rng_state)
+        if self.cache is not None and saved.cache_state is not None:
+            self.cache.restore(saved.cache_state)
+        self.state = saved
 
     # -- main loop ----------------------------------------------------------------------
 
-    def run(self, initial: Optional[List[Layout]] = None) -> AnnealResult:
-        config = self.config
-        if self.resume is not None:
-            state = self._restore(config)
-            candidates = list(state.candidates)
-            initial_snapshot = list(state.initial_layouts)
-            best_layout = state.best_layout
-            best_cycles = state.best_cycles
-            history = list(state.history)
-            patience = state.patience
-            iterations = state.iteration
+    def run(self, initial: Optional[List[Layout]] = None) -> SynthesisReport:
+        if self.options.resume is not None:
+            self._restore()
+            if self.options.checkpoint_path is not None:
+                # The boundary resumed from is the latest one: an interrupt
+                # before the next must still find it at checkpoint_path.
+                self._write_checkpoint()
         else:
             candidates = self.initial_layouts(initial)
-            initial_snapshot = list(candidates)
-            best_layout = candidates[0]
-            best_cycles = 1 << 62
-            history = []
-            patience = config.patience
-            iterations = 0
-
-        checkpointing = self.checkpoint_path is not None
-        if checkpointing and self.resume is not None:
-            # An interrupt before the first post-resume boundary must
-            # still have something to save.
-            self._capture_boundary(
-                iterations, best_layout, best_cycles, candidates, history,
-                patience, initial_snapshot,
+            self.state = SearchCheckpoint(
+                iteration=0,
+                rng_state=None,
+                best_layout=candidates[0],
+                best_cycles=1 << 62,
+                candidates=candidates,
+                history=[],
+                patience=self.config.patience,
+                evaluations=0,
+                cache_hits=0,
+                config_digest=config_digest(self.config),
             )
-        try:
-            return self._search(
-                config, candidates, initial_snapshot, best_layout,
-                best_cycles, history, patience, iterations, checkpointing,
-            )
-        except KeyboardInterrupt:
-            if checkpointing:
-                self.write_final_checkpoint()
-            raise
+        self._search()
+        return self._report()
 
-    def _search(
-        self, config, candidates, initial_snapshot, best_layout, best_cycles,
-        history, patience, iterations, checkpointing,
-    ) -> AnnealResult:
+    def _search(self) -> None:
+        config, state = self.config, self.state
+        cancel_check = self.options.cancel_check
+        checkpointing = self.options.checkpoint_path is not None
         charge_hits = config.budget_charges_hits
-        while iterations < config.max_iterations:
-            if self.cancel_check is not None and self.cancel_check():
+        while state.iteration < config.max_iterations:
+            if cancel_check is not None and cancel_check():
                 raise SearchCancelled(
-                    f"layout search cancelled after {iterations} "
-                    f"iteration(s) / {self.evaluations} simulation(s)"
+                    f"layout search cancelled after {state.iteration} "
+                    f"iteration(s) / {state.evaluations} simulation(s)"
                 )
-            iterations += 1
+            state.iteration += 1
             with prof.phase(_P_ITERATION):
                 # Score the whole candidate set as one batch. Budget counts
                 # real simulations only, unless ``budget_charges_hits``
                 # charges every request (the serve mode's
                 # cache-state-independent budget).
-                spent = self.evaluations + (
-                    self.cache_hits if charge_hits else 0
+                spent = state.evaluations + (
+                    state.cache_hits if charge_hits else 0
                 )
                 with prof.phase(_P_EVALUATE):
                     outcome = self.evaluator.evaluate(
-                        candidates,
+                        state.candidates,
                         budget=config.max_evaluations - spent,
                         charge_hits=charge_hits,
                     )
-                self.evaluations += outcome.simulations
-                self.cache_hits += outcome.cache_hits
-                scored: List[Tuple[int, Layout, SimResult]] = [
-                    (item.cycles, item.layout, item.result)
-                    for item in outcome.scored
-                ]
-                scored.sort(key=lambda item: item[0])
-                improved = scored and scored[0][0] < best_cycles
+                state.evaluations += outcome.simulations
+                state.cache_hits += outcome.cache_hits
+                scored = sorted(outcome.scored, key=lambda item: item.cycles)
+                improved = scored and scored[0].cycles < state.best_cycles
                 if improved:
-                    best_cycles, best_layout = scored[0][0], scored[0][1]
-                history.append(best_cycles)
+                    state.best_cycles = scored[0].cycles
+                    state.best_layout = scored[0].layout
+                state.history.append(state.best_cycles)
 
-                spent = self.evaluations + (
-                    self.cache_hits if charge_hits else 0
+                spent = state.evaluations + (
+                    state.cache_hits if charge_hits else 0
                 )
                 if spent >= config.max_evaluations:
                     break
@@ -463,85 +411,60 @@ class DirectedSimulatedAnnealing:
                         next_candidates.append(layout)
 
                 with prof.phase(_P_CANDIDATES):
-                    for cycles, layout, result in kept:
-                        push(layout)
+                    for item in kept:
+                        push(item.layout)
                         if config.use_critical_path:
                             for neighbor in self._critical_path_neighbors(
-                                layout, result
+                                item.layout, item.result
                             ):
                                 push(neighbor)
-                        for neighbor in self._random_neighbors(layout):
+                        for neighbor in self._random_neighbors(item.layout):
                             push(neighbor)
 
                 if not improved:
-                    patience -= 1
-                    if patience <= 0:
+                    state.patience -= 1
+                    if state.patience <= 0:
                         # Possibly a local maximum: continue with high
                         # probability (paper §4.5), otherwise stop.
                         if self.rng.random() < config.continue_probability:
-                            patience = config.patience
+                            state.patience = config.patience
                         else:
                             break
                 else:
-                    patience = config.patience
-                candidates = next_candidates
-                if not candidates:
+                    state.patience = config.patience
+                state.candidates = next_candidates
+                if not next_candidates:
                     break
                 if checkpointing:
                     with prof.phase(_P_CHECKPOINT):
-                        self._checkpoint_boundary(
-                            config, iterations, best_layout, best_cycles,
-                            candidates, history, patience, initial_snapshot,
-                        )
+                        self._checkpoint_boundary()
 
+    def _report(self) -> SynthesisReport:
+        state = self.state
         stats = getattr(self.evaluator, "stats", None)
-        return AnnealResult(
-            best_layout=best_layout,
-            best_cycles=best_cycles,
-            evaluations=self.evaluations,
-            iterations=iterations,
-            history=history,
-            initial_layouts=initial_snapshot,
-            cache_hits=self.cache_hits,
-            requested_evaluations=self.evaluations + self.cache_hits,
-            cache_stats=(
-                self.cache.cache_stats() if self.cache is not None else None
+        wall = time.perf_counter() - self._started
+        return SynthesisReport(
+            layout=state.best_layout,
+            estimated_cycles=state.best_cycles,
+            evaluations=state.evaluations,
+            iterations=state.iteration,
+            wall_seconds=wall,
+            history=state.history,
+            cache_hits=state.cache_hits,
+            requested_evaluations=state.evaluations + state.cache_hits,
+            search_metrics=build_search_metrics(
+                workers=self.options.workers,
+                wall_seconds=wall,
+                evaluations=state.evaluations,
+                cache_hits=state.cache_hits,
+                cache_stats=(
+                    self.cache.cache_stats() if self.cache is not None else None
+                ),
+                supervision=stats.snapshot() if stats is not None else None,
+                checkpoints_written=state.checkpoints_written,
+                events=(
+                    (list(stats.events) if stats is not None else [])
+                    + state.checkpoint_events
+                ),
             ),
-            supervision=stats.snapshot() if stats is not None else None,
-            checkpoints_written=self.checkpoints_written,
-            host_events=(
-                (list(stats.events) if stats is not None else [])
-                + list(self._checkpoint_events)
-            ),
         )
-
-    def _checkpoint_boundary(
-        self, config, iterations, best_layout, best_cycles, candidates,
-        history, patience, initial_snapshot,
-    ) -> None:
-        """End-of-iteration bookkeeping: count a due periodic write
-        *before* capturing, so the checkpoint's own counters include it —
-        that is what makes a resumed run's accounting bit-identical."""
-        from ..obs.events import CheckpointWritten
-
-        due = (
-            config.checkpoint_every > 0
-            and iterations % config.checkpoint_every == 0
-        )
-        if due:
-            self.checkpoints_written += 1
-            self._checkpoint_events.append(
-                CheckpointWritten(
-                    time=iterations,
-                    iteration=iterations,
-                    evaluations=self.evaluations,
-                )
-            )
-        self._capture_boundary(
-            iterations, best_layout, best_cycles, candidates, history,
-            patience, initial_snapshot,
-        )
-        if due:
-            from ..search.checkpoint import write_checkpoint
-
-            write_checkpoint(self.checkpoint_path, self._boundary)

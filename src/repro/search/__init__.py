@@ -13,7 +13,7 @@ This package factors the evaluation out of the annealer into:
 * a :class:`SimCache` memoizing simulation results by exact layout
   fingerprint across iterations, restarts, and (when shared) whole
   synthesis runs, with hit/miss/eviction counters surfaced through
-  :mod:`repro.obs` metrics and :class:`repro.schedule.anneal.AnnealResult`.
+  :mod:`repro.obs` metrics and :class:`repro.SynthesisReport`.
 
 Because the search may run for hours on a real host, the package is also
 fault-tolerant at the *host* level (distinct from the simulated-machine
@@ -27,9 +27,8 @@ resilience of :mod:`repro.resilience`):
   serial evaluation — all result-transparent (bit-identical to a
   fault-free run) because simulation is deterministic,
 * :mod:`repro.search.checkpoint` — atomic, digest-verified
-  checkpoint/resume of the full annealing state
-  (``AnnealConfig.checkpoint_every``; resumed runs are bit-identical to
-  uninterrupted ones), and
+  checkpoint/resume of the full annealing state at every iteration
+  boundary (resumed runs are bit-identical to uninterrupted ones), and
 * :mod:`repro.search.hostchaos` — a seeded host-chaos harness injecting
   worker crashes and hangs and machine-checking the supervision
   invariants.

@@ -9,12 +9,12 @@ and the simulation cache — so
 and produce a run bit-identical to an uninterrupted one (test-enforced
 per benchmark).
 
-File format (``repro.search/checkpoint-v6``)
+File format (``repro.search/checkpoint-v7``)
 --------------------------------------------
 
 One ASCII JSON header line, then the pickled payload::
 
-    {"format": "repro.search/checkpoint-v6", "digest": "<sha256>", ...}\n
+    {"format": "repro.search/checkpoint-v7", "digest": "<sha256>", ...}\n
     <pickle bytes>
 
 The atomic-write + digest mechanics (tmp + fsync + rename + directory
@@ -30,10 +30,12 @@ carried; v4 dropped the early-cutoff prune counter; v5 stores each
 cached ``SimResult``'s trace as a :class:`~repro.schedule.simulator.SimTrace`
 of columns, where v4 held a list of ``TraceEvent`` objects; v6 traces have
 eight columns, not twelve, and the anneal config four fields fewer, so
-its digest differs). Resuming also
+its digest differs; v7 drops the initial candidate set, which nothing
+read, and requires the schedule fingerprint). Resuming also
 re-checks that the anneal schedule matches the one the checkpoint was
 written under, because resuming under different search parameters would
-silently diverge from both runs.
+silently diverge from both runs; a checkpoint with an empty schedule
+fingerprint is refused the same way.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from ..lang.errors import BambooError
 from ..schedule.layout import Layout
 from .storage import StorageError, read_pickle_record, write_pickle_record
 
-CHECKPOINT_FORMAT = "repro.search/checkpoint-v6"
+CHECKPOINT_FORMAT = "repro.search/checkpoint-v7"
 
 
 class CheckpointError(BambooError):
@@ -56,12 +58,15 @@ class CheckpointError(BambooError):
 
 @dataclass
 class SearchCheckpoint:
-    """Full annealing state at one iteration boundary."""
+    """The annealer's whole progress. A search updates one in place
+    (``DirectedSimulatedAnnealing.state``); a copy carrying the RNG and
+    cache snapshots is the checkpoint of one iteration boundary."""
 
     #: completed iterations at this boundary
     iteration: int
-    #: ``random.Random.getstate()`` of the annealer's RNG
-    rng_state: Tuple
+    #: ``random.Random.getstate()`` of the annealer's RNG (None in the
+    #: live state, which the RNG itself holds)
+    rng_state: Optional[Tuple]
     best_layout: Layout
     best_cycles: int
     #: the candidate set entering the next iteration
@@ -71,28 +76,26 @@ class SearchCheckpoint:
     #: budget counters (real simulations / cache hits)
     evaluations: int
     cache_hits: int
-    initial_layouts: List[Layout]
+    #: fingerprint of the anneal schedule this state was produced under;
+    #: a resume refuses any other, an empty one included
+    config_digest: str
     #: ``SimCache.state()`` snapshot, or None when the cache is off
     cache_state: Optional[Dict[str, object]] = None
-    #: periodic checkpoints written up to (and including) this boundary
+    #: checkpoints written up to (and including) this boundary
     checkpoints_written: int = 0
-    #: serialized CheckpointWritten events up to this boundary
-    checkpoint_events: List[Dict[str, object]] = field(default_factory=list)
-    #: fingerprint of the anneal schedule this state was produced under
-    config_digest: str = ""
+    #: the CheckpointWritten events up to this boundary
+    checkpoint_events: List[object] = field(default_factory=list)
 
 
 def config_digest(config) -> str:
     """A stable fingerprint of an :class:`AnnealConfig`, used to refuse
-    resuming under different search parameters. Checkpoint cadence fields
-    are excluded — re-checkpointing differently is legal — and so is
-    ``max_iterations``: it is a pure stop condition that never affects
-    the per-iteration trajectory, so extending an interrupted short run
-    into a longer one is a supported (and test-exercised) resume."""
+    resuming under different search parameters. ``max_iterations`` is
+    excluded: it is a pure stop condition that never affects the
+    per-iteration trajectory, so extending an interrupted short run into
+    a longer one is a supported (and test-exercised) resume."""
     from dataclasses import asdict
 
     fields = asdict(config)
-    fields.pop("checkpoint_every", None)
     fields.pop("max_iterations", None)
     payload = json.dumps(fields, sort_keys=True, default=repr)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

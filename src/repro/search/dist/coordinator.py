@@ -209,7 +209,6 @@ class DistCoordinator:
         port: int = 0,
         checkpoint_path: Optional[str] = None,
         resume: bool = False,
-        checkpoint_every: int = 1,
         #: seconds a ready shard may sit undispatched (or the worker set
         #: may sit empty) before the coordinator runs it locally
         degrade_after: float = 10.0,
@@ -230,7 +229,6 @@ class DistCoordinator:
         self.host = host
         self.port = port
         self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = max(1, checkpoint_every)
         self.degrade_after = degrade_after
         self.expect_workers = expect_workers
         self.chaos_plan = chaos_plan
@@ -304,16 +302,11 @@ class DistCoordinator:
                 self.stats.resumed_shards += 1
 
     def _write_frontier(self) -> None:
-        """Called with the lock held, after folding in a new winner."""
+        """Called with the lock held, after folding in a new winner: the
+        frontier is written after every completed shard."""
         if self.checkpoint_path is None:
             return
         completed = len(self._completed)
-        due = (
-            completed == len(self.shards)
-            or (completed % self.checkpoint_every) == 0
-        )
-        if not due:
-            return
         write_pickle_record(
             self.checkpoint_path,
             FRONTIER_FORMAT,

@@ -44,7 +44,7 @@ from ..storage import StorageError, pack_pickle_record, unpack_pickle_record
 DIST_PROTOCOL = "repro.search/dist-v1"
 
 JOB_FORMAT = "repro.search/dist-job-v1"
-SHARD_FORMAT = "repro.search/dist-shard-v2"
+SHARD_FORMAT = "repro.search/dist-shard-v3"
 RESULT_FORMAT = "repro.search/dist-result-v1"
 FRONTIER_FORMAT = "repro.search/dist-frontier-v1"
 

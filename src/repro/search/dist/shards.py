@@ -31,10 +31,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from ...core.options import SynthesisOptions
 from ...obs import prof
 from ...schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from ...schedule.layout import Layout
-from ..cache import SimCache
 from ..storage import payload_digest, pack_pickle_record
 
 _P_SHARD = prof.intern_phase("dist.shard")
@@ -166,28 +166,26 @@ def execute_shard(context: JobContext, spec: ShardSpec) -> ShardResult:
     across the three is by construction, not by reconciliation.
     """
     started = time.perf_counter()
-    with prof.phase(_P_SHARD):
-        with DirectedSimulatedAnnealing(
-            context.compiled,
-            context.profile,
-            context.num_cores,
-            config=spec.config,
-            hints=context.hints,
-            group_graph=context.group_graph(),
-            mesh_width=context.mesh_width,
-            core_speeds=context.core_speeds,
-            cache=SimCache(),
-        ) as dsa:
-            outcome = dsa.run()
+    options = SynthesisOptions(
+        anneal=spec.config,
+        hints=context.hints,
+        mesh_width=context.mesh_width,
+        core_speeds=context.core_speeds,
+    )
+    with prof.phase(_P_SHARD), DirectedSimulatedAnnealing(
+        context.compiled, context.profile, context.num_cores, options,
+        group_graph=context.group_graph(),
+    ) as dsa:
+        report = dsa.run()
     return ShardResult(
         shard_id=spec.shard_id,
-        best_cycles=outcome.best_cycles,
-        best_layout=outcome.best_layout,
-        evaluations=outcome.evaluations,
-        cache_hits=outcome.cache_hits,
-        requested_evaluations=outcome.requested_evaluations,
-        iterations=outcome.iterations,
-        history=list(outcome.history),
+        best_cycles=report.estimated_cycles,
+        best_layout=report.layout,
+        evaluations=report.evaluations,
+        cache_hits=report.cache_hits,
+        requested_evaluations=report.requested_evaluations,
+        iterations=report.iterations,
+        history=list(report.history),
         wall_seconds=time.perf_counter() - started,
     )
 

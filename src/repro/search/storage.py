@@ -1,13 +1,13 @@
 """Hardened record storage shared by every persistence and payload format.
 
 Three formats live on disk — search checkpoints
-(``repro.search/checkpoint-v6``, :mod:`repro.search.checkpoint`), the
+(``repro.search/checkpoint-v7``, :mod:`repro.search.checkpoint`), the
 distributed coordinator's frontier checkpoint
 (``repro.search/dist-frontier-v1``, :mod:`repro.search.dist.coordinator`)
 and the serving layer's persistent simulation cache
 (``repro.serve/simcache-v3``, :mod:`repro.serve.store`). The
 distributed search's wire payloads (``repro.search/dist-job-v1``,
-``dist-shard-v2`` and ``dist-result-v1``, :mod:`repro.search.dist.messages`)
+``dist-shard-v3`` and ``dist-result-v1``, :mod:`repro.search.dist.messages`)
 are the same records built in memory (:func:`pack_pickle_record`) and
 base64-encoded into one message field. All of them need the versioned
 header and the digest check below, and the files the atomic write too,

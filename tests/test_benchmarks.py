@@ -58,7 +58,7 @@ def test_multi_core_matches_sequential(name):
         initial_candidates=3, max_iterations=4, max_evaluations=40, patience=1,
         continue_probability=0.1,
     )
-    report = synthesize_layout(compiled, profile, num_cores=8, options=SynthesisOptions(seed=0, anneal=config))
+    report = synthesize_layout(compiled, profile, num_cores=8, options=SynthesisOptions(anneal=config))
     many = run_layout(compiled, report.layout, args)
     assert many.stdout == seq.stdout
 

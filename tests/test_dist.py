@@ -133,12 +133,14 @@ class TestMessages:
         assert SHARD_FORMAT in str(excinfo.value)
 
     def test_v1_shard_payload_refused(self):
-        # dist-shard-v1 pickled an AnnealConfig with four more fields.
-        packed = pack_payload("repro.search/dist-shard-v1", {"answer": 42})
-        with pytest.raises(DistProtocolError) as excinfo:
-            unpack_payload(packed, SHARD_FORMAT)
-        assert excinfo.value.code == "format_mismatch"
-        assert "repro.search/dist-shard-v1" in str(excinfo.value)
+        # dist-shard-v1 pickled an AnnealConfig with five more fields,
+        # dist-shard-v2 one with checkpoint_every.
+        for old in ("dist-shard-v1", "dist-shard-v2"):
+            packed = pack_payload(f"repro.search/{old}", {"answer": 42})
+            with pytest.raises(DistProtocolError) as excinfo:
+                unpack_payload(packed, SHARD_FORMAT)
+            assert excinfo.value.code == "format_mismatch"
+            assert f"repro.search/{old}" in str(excinfo.value)
 
     def test_non_base64_payload_refused(self):
         with pytest.raises(DistProtocolError) as excinfo:

@@ -73,6 +73,7 @@ class TestSynthesisSteersWork:
         # the replicated worker predominantly on the fast half.
         speeds = {2: 0.25, 3: 0.25}
         config = AnnealConfig(
+            seed=3,
             initial_candidates=6,
             max_iterations=10,
             max_evaluations=150,
@@ -82,7 +83,7 @@ class TestSynthesisSteersWork:
         report = synthesize_layout(
             keyword_compiled,
             keyword_profile,
-            num_cores=4, options=SynthesisOptions(seed=3, anneal=config, core_speeds=speeds))
+            num_cores=4, options=SynthesisOptions(anneal=config, core_speeds=speeds))
         worker_cores = set(report.layout.cores_of("processText"))
         fast = worker_cores & {0, 1}
         slow = worker_cores & {2, 3}

@@ -435,29 +435,35 @@ class TestDSAEngineWiring:
         profile = profile_program(compiled, SMALL_ARGS["Keyword"])
         dsa = DirectedSimulatedAnnealing(
             compiled, profile, 4,
-            config=AnnealConfig(seed=7, **SMALL_ANNEAL), workers=2,
+            SynthesisOptions(
+                anneal=AnnealConfig(seed=7, **SMALL_ANNEAL), workers=2
+            ),
         )
         try:
             result = dsa.run()
         finally:
             dsa.close()
-        assert result.best_cycles > 0
+        assert result.estimated_cycles > 0
         assert result.requested_evaluations == (
             result.evaluations + result.cache_hits
         )
-        assert result.cache_stats is not None
-        assert result.cache_stats["hits"] == result.cache_hits
+        cache_stats = result.search_metrics["sim_cache"]
+        assert cache_stats is not None
+        assert cache_stats["hits"] == result.cache_hits
 
     def test_use_cache_false_disables_memoization(self):
         compiled = load_benchmark("Keyword")
         profile = profile_program(compiled, SMALL_ARGS["Keyword"])
         dsa = DirectedSimulatedAnnealing(
             compiled, profile, 4,
-            config=AnnealConfig(seed=7, **SMALL_ANNEAL), use_cache=False,
+            SynthesisOptions(
+                anneal=AnnealConfig(seed=7, **SMALL_ANNEAL), sim_cache=False
+            ),
         )
         try:
             result = dsa.run()
         finally:
             dsa.close()
+        assert dsa.cache is None
         assert result.cache_hits == 0
-        assert result.cache_stats is None
+        assert result.search_metrics["sim_cache"] is None

@@ -13,10 +13,11 @@ resilience suite (``test_resilience.py``/``test_chaos.py``) one level up:
   mode; both paths still produce the serial backend's exact results.
 * **Checkpoint integrity** — checkpoints round-trip, corruption and
   format mismatches are detected before unpickling, and a resume under a
-  different anneal schedule is refused.
-* **Resume bit-identity** — a search resumed from a checkpoint (periodic
-  or interrupt-time) finishes bit-identical to an uninterrupted run, on
-  every benchmark.
+  different anneal schedule, or from a checkpoint with no schedule
+  fingerprint, is refused.
+* **Resume bit-identity** — a search resumed from a checkpoint (written
+  at an iteration boundary, or the last one before an interrupt)
+  finishes bit-identical to an uninterrupted run, on every benchmark.
 """
 
 import os
@@ -338,7 +339,6 @@ class TestCheckpointFile:
             patience=1,
             evaluations=17,
             cache_hits=4,
-            initial_layouts=[layout],
             config_digest="abc123",
         )
 
@@ -401,12 +401,16 @@ class TestCheckpointFile:
 
     def test_v2_checkpoint_refused_naming_both_versions(self, tmp_path):
         # v2 carried move hints and session snapshots that v3 dropped, v3
-        # the early-cutoff prune counter that v4 dropped, and v5 the four
-        # trace columns and four AnnealConfig fields that v6 dropped; the
-        # policy is to refuse old versions, never migrate them.
+        # the early-cutoff prune counter that v4 dropped, v5 the four
+        # trace columns and four AnnealConfig fields that v6 dropped, and
+        # v6 the initial candidate set and an optional schedule
+        # fingerprint that v7 dropped; the policy is to refuse old
+        # versions, never migrate them.
         from repro.search.storage import write_pickle_record
 
-        for old in ("checkpoint-v2", "checkpoint-v3", "checkpoint-v5"):
+        for old in (
+            "checkpoint-v2", "checkpoint-v3", "checkpoint-v5", "checkpoint-v6"
+        ):
             path = str(tmp_path / f"{old}.ckpt")
             write_pickle_record(
                 path, f"repro.search/{old}", self._checkpoint()
@@ -438,6 +442,24 @@ class TestCheckpointFile:
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             read_checkpoint(str(tmp_path / "absent.ckpt"))
+
+
+class InterruptOnCall:
+    """An evaluator wrapper that raises KeyboardInterrupt on the call
+    after ``after`` successful ones."""
+
+    def __init__(self, inner, after):
+        self.inner = inner
+        self.remaining = after
+
+    def evaluate(self, *args, **kwargs):
+        if self.remaining == 0:
+            raise KeyboardInterrupt
+        self.remaining -= 1
+        return self.inner.evaluate(*args, **kwargs)
+
+    def close(self):
+        self.inner.close()
 
 
 def _small_options(name, **kw):
@@ -530,36 +552,44 @@ class TestResume:
                 ),
             )
 
-    def test_interrupt_mid_iteration_saves_the_last_boundary(self, tmp_path):
-        """A KeyboardInterrupt inside iteration N checkpoints the boundary
-        after iteration N-1, and resuming replays N bit-identically."""
-
-        class InterruptOnCall:
-            def __init__(self, inner, after):
-                self.inner = inner
-                self.remaining = after
-
-            def evaluate(self, *args, **kwargs):
-                if self.remaining == 0:
-                    raise KeyboardInterrupt
-                self.remaining -= 1
-                return self.inner.evaluate(*args, **kwargs)
-
-            def close(self):
-                self.inner.close()
+    def test_checkpoint_without_schedule_fingerprint_is_refused(
+        self, tmp_path
+    ):
+        # A checkpoint written through the public API with an empty
+        # config_digest must not resume under an arbitrary schedule.
+        from dataclasses import replace
 
         compiled = load_benchmark("Keyword")
         profile = small_profile("Keyword")
         config = AnnealConfig(seed=7, **SMALL_ANNEAL)
-        hints = get_spec("Keyword").hints
-        with DirectedSimulatedAnnealing(
-            compiled, profile, 4, config=config, hints=hints
-        ) as dsa:
-            uninterrupted = dsa.run()
+        path = str(tmp_path / "search.ckpt")
+        synthesize_layout(
+            compiled, profile, 4,
+            options=_small_options(
+                "Keyword", anneal=replace(config, max_iterations=1),
+                checkpoint_path=path,
+            ),
+        )
+        write_checkpoint(path, replace(read_checkpoint(path), config_digest=""))
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            synthesize_layout(
+                compiled, profile, 4,
+                options=_small_options("Keyword", anneal=config, resume=path),
+            )
+
+    def test_interrupt_mid_iteration_saves_the_last_boundary(self, tmp_path):
+        """A KeyboardInterrupt inside iteration N leaves the boundary
+        after iteration N-1 on disk, and resuming replays N
+        bit-identically."""
+        compiled = load_benchmark("Keyword")
+        profile = small_profile("Keyword")
+        uninterrupted = synthesize_layout(
+            compiled, profile, 4, options=_small_options("Keyword")
+        )
         path = str(tmp_path / "search.ckpt")
         dsa = DirectedSimulatedAnnealing(
-            compiled, profile, 4, config=config, hints=hints,
-            checkpoint_path=path,
+            compiled, profile, 4,
+            _small_options("Keyword", checkpoint_path=path),
         )
         dsa.evaluator = InterruptOnCall(dsa.evaluator, after=2)
         with pytest.raises(KeyboardInterrupt):
@@ -567,17 +597,48 @@ class TestResume:
                 dsa.run()
         saved = read_checkpoint(path)
         assert saved.iteration == 2
-        with DirectedSimulatedAnnealing(
-            compiled, profile, 4, config=config, hints=hints, resume=path
-        ) as dsa:
-            resumed = dsa.run()
-        assert resumed.best_cycles == uninterrupted.best_cycles
-        assert resumed.best_layout.as_dict() == (
-            uninterrupted.best_layout.as_dict()
+        resumed = synthesize_layout(
+            compiled, profile, 4,
+            options=_small_options("Keyword", resume=path),
         )
+        assert resumed.estimated_cycles == uninterrupted.estimated_cycles
+        assert resumed.layout.as_dict() == uninterrupted.layout.as_dict()
         assert resumed.history == uninterrupted.history
         assert resumed.evaluations == uninterrupted.evaluations
         assert resumed.cache_hits == uninterrupted.cache_hits
+
+    def test_interrupted_resume_leaves_its_boundary_at_the_new_path(
+        self, tmp_path
+    ):
+        """Resumed into a different checkpoint path and interrupted before
+        its first boundary, the search still leaves the boundary it
+        resumed from there."""
+        from dataclasses import replace
+
+        compiled = load_benchmark("Keyword")
+        profile = small_profile("Keyword")
+        config = AnnealConfig(seed=7, **SMALL_ANNEAL)
+        first = str(tmp_path / "first.ckpt")
+        synthesize_layout(
+            compiled, profile, 4,
+            options=_small_options(
+                "Keyword", anneal=replace(config, max_iterations=1),
+                checkpoint_path=first,
+            ),
+        )
+        second = str(tmp_path / "second.ckpt")
+        dsa = DirectedSimulatedAnnealing(
+            compiled, profile, 4,
+            _small_options("Keyword", checkpoint_path=second, resume=first),
+        )
+        dsa.evaluator = InterruptOnCall(dsa.evaluator, after=0)
+        with pytest.raises(KeyboardInterrupt):
+            with dsa:
+                dsa.run()
+        saved, resumed_from = read_checkpoint(second), read_checkpoint(first)
+        assert saved.iteration == resumed_from.iteration == 1
+        assert saved.rng_state == resumed_from.rng_state
+        assert saved.history == resumed_from.history
 
     def test_periodic_checkpoint_accounting_is_resume_invariant(
         self, tmp_path
@@ -589,34 +650,37 @@ class TestResume:
         compiled = load_benchmark("Keyword")
         profile = small_profile("Keyword")
         config = AnnealConfig(seed=7, **SMALL_ANNEAL)
-        hints = get_spec("Keyword").hints
-        base_path = str(tmp_path / "base.ckpt")
-        with DirectedSimulatedAnnealing(
-            compiled, profile, 4, config=config, hints=hints,
-            checkpoint_path=base_path,
-        ) as dsa:
-            baseline = dsa.run()
-        part_path = str(tmp_path / "part.ckpt")
-        with DirectedSimulatedAnnealing(
+        baseline = synthesize_layout(
             compiled, profile, 4,
-            config=replace(config, max_iterations=1), hints=hints,
-            checkpoint_path=part_path,
-        ) as dsa:
-            dsa.run()
-        with DirectedSimulatedAnnealing(
-            compiled, profile, 4, config=config, hints=hints,
-            checkpoint_path=part_path, resume=part_path,
-        ) as dsa:
-            resumed = dsa.run()
-        assert resumed.checkpoints_written == baseline.checkpoints_written
+            options=_small_options(
+                "Keyword", checkpoint_path=str(tmp_path / "base.ckpt")
+            ),
+        ).search_metrics
+        part_path = str(tmp_path / "part.ckpt")
+        synthesize_layout(
+            compiled, profile, 4,
+            options=_small_options(
+                "Keyword", anneal=replace(config, max_iterations=1),
+                checkpoint_path=part_path,
+            ),
+        )
+        resumed = synthesize_layout(
+            compiled, profile, 4,
+            options=_small_options(
+                "Keyword", checkpoint_path=part_path, resume=part_path
+            ),
+        ).search_metrics
+        assert resumed["checkpoints_written"] == (
+            baseline["checkpoints_written"]
+        )
         base_events = [
-            event.to_json()
-            for event in baseline.host_events
-            if isinstance(event, CheckpointWritten)
+            event
+            for event in baseline["events"]
+            if event["kind"] == CheckpointWritten.KIND
         ]
         resumed_events = [
-            event.to_json()
-            for event in resumed.host_events
-            if isinstance(event, CheckpointWritten)
+            event
+            for event in resumed["events"]
+            if event["kind"] == CheckpointWritten.KIND
         ]
-        assert resumed_events == base_events
+        assert base_events and resumed_events == base_events

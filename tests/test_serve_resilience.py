@@ -467,7 +467,7 @@ class TestCancellationSeam:
     def test_cancel_check_stops_search_between_iterations(self):
         from repro.core import compile_program, profile_program, synthesize_layout
         from repro.core.options import SynthesisOptions
-        from repro.schedule.anneal import SearchCancelled
+        from repro.schedule.anneal import AnnealConfig, SearchCancelled
 
         compiled = compile_program(KEYWORD_SOURCE, "<test>", optimize=True)
         profile = profile_program(compiled, ARGS)
@@ -483,7 +483,7 @@ class TestCancellationSeam:
                 profile,
                 CORES,
                 options=SynthesisOptions(
-                    seed=7, cancel_check=cancel_after_two
+                    anneal=AnnealConfig(seed=7), cancel_check=cancel_after_two
                 ),
             )
 
