@@ -67,6 +67,9 @@ class AdaptiveExecutable:
     min_gain:
         Adopt a new layout only if the scheduling simulator predicts at
         least this relative improvement on the observed workload.
+    config:
+        The search schedule of each re-optimization; the ``n``-th one
+        searches with seed ``config.seed + n``.
     resilience:
         Run production executions with detection-driven resilience
         (:mod:`repro.resilience`). Watchdog deadlines that need cost
@@ -81,7 +84,6 @@ class AdaptiveExecutable:
         num_cores: int,
         profile_every: int = 3,
         min_gain: float = 0.02,
-        seed: int = 0,
         config: Optional[AnnealConfig] = None,
         hints: Optional[Dict[str, str]] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -91,8 +93,7 @@ class AdaptiveExecutable:
         self.num_cores = num_cores
         self.profile_every = max(1, profile_every)
         self.min_gain = min_gain
-        self.seed = seed
-        self.config = config
+        self.config = config or AnnealConfig()
         self.hints = hints
         self.resilience = resilience
         #: worker processes for each in-field re-optimization's search
@@ -187,8 +188,7 @@ class AdaptiveExecutable:
             # field profile changed, so memoized scores would be stale.
             options=SynthesisOptions(
                 anneal=replace(
-                    self.config or AnnealConfig(),
-                    seed=self.seed + len(self.history),
+                    self.config, seed=self.config.seed + len(self.history)
                 ),
                 hints=self.hints,
                 workers=self.workers,

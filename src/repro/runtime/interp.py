@@ -317,10 +317,16 @@ class _Compiler:
     def _emit(self, block_id: Optional[int]) -> None:
         """Emits a block, then each block inlined after it at this depth."""
         while block_id is not None:
+            # Registers null-checked since the block began: a later
+            # access in the block needs no check until one is reassigned.
+            self._checked = set()
             for body, term in self._segments[block_id]:
                 self._charge(body if term is None else body + [term])
                 for instr in body:
                     _EMITTERS[type(instr)](self, instr)
+                    dst = instr.dest()
+                    if dst is not None:
+                        self._checked.discard(f"r{int(dst.index)}")
             block_id = self._terminator(term)
 
     def _charge(self, counted: List[ir.Instr]) -> None:
@@ -412,7 +418,9 @@ class _Compiler:
         self._out.append((self._indent, text))
 
     def _null_check(self, value: str, message: str) -> None:
-        self._line(f"if {value} is None: raise Fault({self._k(message)})")
+        if value not in self._checked:
+            self._checked.add(value)
+            self._line(f"if {value} is None: raise Fault({self._k(message)})")
 
     def _array_check(self, array: str, index: str) -> None:
         self._line(

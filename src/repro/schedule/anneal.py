@@ -16,7 +16,9 @@ Every setting comes from one :class:`repro.SynthesisOptions`, and
 bit-identical either way) and memoized in a :class:`~repro.search.SimCache`
 keyed by exact layout fingerprint. Cache hits do **not** consume the
 ``max_evaluations`` budget — only real simulations do; the report carries
-both tallies.
+both tallies. The cache also keeps each entry's critical-path neighbours,
+so a layout kept again — every layout of a search replayed against a warm
+cache — is expanded without recomputing its critical path.
 
 Host-level fault tolerance (this layer's :mod:`repro.resilience`
 counterpart) comes in two halves:
@@ -40,7 +42,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -53,7 +55,7 @@ from ..obs import prof
 from ..obs.events import CheckpointWritten
 from ..obs.metrics import build_search_metrics
 from ..runtime.profiler import ProfileData
-from ..search import SimCache, make_evaluator
+from ..search import ScoredLayout, SimCache, make_evaluator
 from ..search.checkpoint import (
     CheckpointError,
     SearchCheckpoint,
@@ -71,7 +73,6 @@ from .mapping import (
     with_instance_moved,
 )
 from .rules import replica_choice_sets, suggest_replicas
-from .simulator import SimResult
 
 _P_CSTG = prof.intern_phase("synthesize.cstg")
 _P_GROUP_GRAPH = prof.intern_phase("synthesize.group_graph")
@@ -201,17 +202,28 @@ class DirectedSimulatedAnnealing:
 
     # -- neighbor generation ----------------------------------------------------------
 
-    def _critical_path_neighbors(
-        self, layout: Layout, result: SimResult
-    ) -> List[Layout]:
-        neighbors: List[Layout] = []
-        path = compute_critical_path(result)
-        for move in suggest_moves(
-            result, layout, path, max_moves=MOVES_PER_CANDIDATE
-        ):
-            neighbors += self._apply_move(
-                layout, move.task, move.from_core, move.to_core
-            )
+    def _critical_path_neighbors(self, item: ScoredLayout) -> Tuple[Layout, ...]:
+        """The layouts that make the moves the critical path of ``item``'s
+        simulation suggests. They depend on that simulation alone, so the
+        cache keeps them beside its entry: keeping the layout again, in
+        this search or a later one, reuses them."""
+        cache = self.cache
+        neighbors = None
+        if cache is not None:
+            neighbors = cache.derived(item.fingerprint)
+        if neighbors is None:
+            layout, result = item.layout, item.result
+            found: List[Layout] = []
+            path = compute_critical_path(result)
+            for move in suggest_moves(
+                result, layout, path, max_moves=MOVES_PER_CANDIDATE
+            ):
+                found += self._apply_move(
+                    layout, move.task, move.from_core, move.to_core
+                )
+            neighbors = tuple(found)
+            if cache is not None:
+                cache.set_derived(item.fingerprint, neighbors)
         return neighbors
 
     def _apply_move(
@@ -405,7 +417,7 @@ class DirectedSimulatedAnnealing:
                 seen = set()
 
                 def push(layout: Layout):
-                    key = (layout.canonical_key(), tuple(layout.cores_used()))
+                    key = (layout.canonical_key(), layout.cores_used())
                     if key not in seen:
                         seen.add(key)
                         next_candidates.append(layout)
@@ -414,9 +426,7 @@ class DirectedSimulatedAnnealing:
                     for item in kept:
                         push(item.layout)
                         if config.use_critical_path:
-                            for neighbor in self._critical_path_neighbors(
-                                item.layout, item.result
-                            ):
+                            for neighbor in self._critical_path_neighbors(item):
                                 push(neighbor)
                         for neighbor in self._random_neighbors(item.layout):
                             push(neighbor)

@@ -16,6 +16,7 @@ a core that delays a key event is the second kind of move.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -149,29 +150,42 @@ class Move:
 
 def _core_activity(
     result: SimResult,
-) -> Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, int]]:
-    """Per-core busy intervals and busy totals, from one pass over the
-    trace; the totals equal ``result.core_busy`` on the cores used."""
-    intervals: Dict[int, List[Tuple[int, int]]] = {}
+) -> Tuple[Dict[int, Tuple[List[int], List[int]]], Dict[int, int]]:
+    """Per core, the start times and the end times of its busy intervals,
+    and its busy total, from one pass over the trace; the totals equal
+    ``result.core_busy`` on the cores used. A core dispatches only when
+    it is free and the trace is in start order, so each core's intervals
+    are disjoint and in start order."""
+    activity: Dict[int, Tuple[List[int], List[int]]] = {}
     busy: Dict[int, int] = {}
     trace = result.trace
     for core, start, end in zip(trace.core, trace.start, trace.end):
-        intervals.setdefault(core, []).append((start, end))
+        spans = activity.get(core)
+        if spans is None:
+            spans = activity[core] = ([], [])
+        spans[0].append(start)
+        spans[1].append(end)
         busy[core] = busy.get(core, 0) + end - start
-    return intervals, busy
+    return activity, busy
 
 
 def _spare_cores(
-    intervals: Dict[int, List[Tuple[int, int]]],
+    activity: Dict[int, Tuple[List[int], List[int]]],
     num_cores: int,
     start: int,
     end: int,
 ) -> Iterator[int]:
-    return (
-        core
-        for core in range(num_cores)
-        if not any(s < end and start < e for s, e in intervals.get(core, ()))
-    )
+    """The cores, in ascending order, with no busy interval overlapping
+    ``[start, end)``. Of a core's disjoint, start-ordered intervals that
+    start before ``end``, the last one ends latest, so it alone decides."""
+    for core in range(num_cores):
+        spans = activity.get(core)
+        if spans is not None:
+            starts, ends = spans
+            last = bisect_left(starts, end) - 1
+            if last >= 0 and ends[last] > start:
+                continue
+        yield core
 
 
 def suggest_moves(
@@ -188,7 +202,7 @@ def suggest_moves(
     """
     if path is None:
         path = compute_critical_path(result)
-    intervals, busy = _core_activity(result)
+    activity, busy = _core_activity(result)
     moves: List[Move] = []
     seen: Set[Tuple[str, int, int]] = set()
     keys = path.key_event_ids()
@@ -212,7 +226,7 @@ def suggest_moves(
         index = step.index
         event_core = trace.core[index]
         spare = _spare_cores(
-            intervals,
+            activity,
             layout.num_cores,
             max(0, trace.data_ready[index]),
             trace.start[index],

@@ -12,6 +12,7 @@ parameter tasks get exactly one instantiation.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -87,9 +88,20 @@ def common_tag_binding(task_decl: ast.TaskDecl) -> Optional[str]:
     return sorted(shared)[0]
 
 
+#: What a layout computes once and keeps in its instance ``__dict__``, as
+#: :class:`functools.cached_property` does (a frozen dataclass refuses
+#: ``setattr``, not a ``__dict__`` write); :meth:`Layout.__getstate__`
+#: leaves them out of a pickle.
+_CACHED = ("_canonical_key", "_cores_used", "_fingerprint")
+
+
 @dataclass(frozen=True)
 class Layout:
-    """An immutable mapping of task names to the cores hosting them."""
+    """An immutable mapping of task names to the cores hosting them.
+
+    ``canonical_key()``, ``cores_used()`` and the speed-free
+    :func:`layout_fingerprint` are computed once per instance.
+    """
 
     num_cores: int
     mesh_width: int
@@ -150,10 +162,13 @@ class Layout:
         return [name for name, cores in self.instances if core in cores]
 
     def cores_used(self) -> Tuple[int, ...]:
-        used = set()
-        for _, cores in self.instances:
-            used.update(cores)
-        return tuple(sorted(used))
+        used = self.__dict__.get("_cores_used")
+        if used is None:
+            cores = set()
+            for _, task_cores in self.instances:
+                cores.update(task_cores)
+            used = self.__dict__["_cores_used"] = tuple(sorted(cores))
+        return used
 
     def as_dict(self) -> Dict[str, Tuple[int, ...]]:
         return {name: cores for name, cores in self.instances}
@@ -165,11 +180,25 @@ class Layout:
         renaming of cores (used to generate *non-isomorphic* mappings,
         §4.3.4). Cores are interchangeable, so a layout is characterized —
         up to renaming — by the multiset of per-core task sets."""
-        per_core: Dict[int, List[str]] = {}
-        for task, cores in self.instances:
-            for core in cores:
-                per_core.setdefault(core, []).append(task)
-        return tuple(sorted(tuple(sorted(tasks)) for tasks in per_core.values()))
+        key = self.__dict__.get("_canonical_key")
+        if key is None:
+            per_core: Dict[int, List[str]] = {}
+            for task, cores in self.instances:
+                for core in cores:
+                    per_core.setdefault(core, []).append(task)
+            key = self.__dict__["_canonical_key"] = tuple(
+                sorted(tuple(sorted(tasks)) for tasks in per_core.values())
+            )
+        return key
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The fields alone, so a layout pickles to the same bytes whether
+        or not its cached values were computed."""
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in _CACHED
+        }
 
     # -- validation ----------------------------------------------------------------
 
@@ -207,6 +236,48 @@ class Layout:
             tasks = ", ".join(self.tasks_on_core(core))
             lines.append(f"  core {core:3d}: {tasks}")
         return "\n".join(lines)
+
+
+def layout_fingerprint(
+    layout: Layout, core_speeds: Optional[Mapping[int, float]] = None
+) -> str:
+    """A canonical fingerprint of everything the scheduling simulator can
+    observe about a layout.
+
+    Two layouts share a fingerprint **iff** they simulate identically under
+    a fixed profile: the normalized task → core mapping (``Layout.make``
+    sorts both tasks and per-task core lists), the machine shape
+    (``num_cores``/``mesh_width``) and interconnect topology (these decide
+    hop latencies), and — because heterogeneous cores break core-renaming
+    symmetry — the speed of every core the layout uses. It is the key of
+    the :class:`repro.search.SimCache`, so it is intentionally *exact*: no
+    renaming normalization that could alias two layouts with different
+    physical distances onto one entry. The value for baseline-speed cores
+    is computed once per layout.
+    """
+    speeds = [
+        f"{core}@{core_speed(core_speeds, core):.6g}"
+        for core in (layout.cores_used() if core_speeds else ())
+        if core_speed(core_speeds, core) != 1.0
+    ]
+    if speeds:
+        return _fingerprint_digest(layout, "speeds=" + ";".join(speeds))
+    cached = layout.__dict__
+    if "_fingerprint" not in cached:
+        cached["_fingerprint"] = _fingerprint_digest(layout)
+    return cached["_fingerprint"]
+
+
+def _fingerprint_digest(layout: Layout, *extra: str) -> str:
+    parts: List[str] = [
+        f"n={layout.num_cores}",
+        f"w={layout.mesh_width}",
+        f"t={layout.topology}",
+    ]
+    for task, cores in layout.instances:
+        parts.append(f"{task}:{','.join(map(str, cores))}")
+    parts += extra
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:32]
 
 
 def _default_mesh_width(num_cores: int) -> int:

@@ -14,52 +14,14 @@ de-replicate a task instance) that directed simulated annealing applies.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..lang.errors import ScheduleError
 from ..sema.symbols import ProgramInfo
 from .coregroup import GroupGraph
 from .layout import Layout
-
-
-def layout_fingerprint(
-    layout: Layout, core_speeds: Optional[Mapping[int, float]] = None
-) -> str:
-    """A canonical fingerprint of everything the scheduling simulator can
-    observe about a layout.
-
-    Two layouts share a fingerprint **iff** they simulate identically under
-    a fixed profile: the normalized task → core mapping (``Layout.make``
-    sorts both tasks and per-task core lists), the machine shape
-    (``num_cores``/``mesh_width``) and interconnect topology (these decide
-    hop latencies), and — because heterogeneous cores break core-renaming
-    symmetry — the speed of every core the layout uses. It is the key of
-    the :class:`repro.search.SimCache`, so it is intentionally *exact*: no
-    renaming normalization that could alias two layouts with different
-    physical distances onto one entry.
-    """
-    parts: List[str] = [
-        f"n={layout.num_cores}",
-        f"w={layout.mesh_width}",
-        f"t={layout.topology}",
-    ]
-    for task, cores in layout.instances:
-        parts.append(f"{task}:{','.join(map(str, cores))}")
-    if core_speeds:
-        from .layout import core_speed
-
-        speeds = [
-            f"{core}@{core_speed(core_speeds, core):.6g}"
-            for core in layout.cores_used()
-            if core_speed(core_speeds, core) != 1.0
-        ]
-        if speeds:
-            parts.append("speeds=" + ";".join(speeds))
-    digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
-    return digest[:32]
 
 
 @dataclass(frozen=True)

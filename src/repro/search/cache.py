@@ -5,10 +5,19 @@ every iteration, random restarts regenerate earlier layouts, and field
 re-optimization re-synthesizes against similar profiles. Each visit costs
 a full scheduling simulation. :class:`SimCache` memoizes ``SimResult``s
 keyed by the exact layout fingerprint
-(:func:`repro.schedule.mapping.layout_fingerprint`), so a layout is
+(:func:`repro.schedule.layout.layout_fingerprint`), so a layout is
 simulated at most once per (profile, hints, speeds) context — across
 iterations, across restarts, and (when one cache instance is shared)
 across whole synthesis runs.
+
+Each entry has one *derived* slot beside it, for a value computed from
+the entry alone: the annealer keeps there the critical-path neighbours it
+built from that result (paper §4.5.1-§4.5.2), so a search that keeps a
+cached layout again replays them instead of recomputing them. A slot
+lives exactly as long as its entry — eviction, a ``put`` that replaces
+the entry, :meth:`SimCache.clear` and :meth:`SimCache.restore` drop it —
+and :meth:`SimCache.state` never includes it, so a snapshot, a checkpoint
+or the serve store's file holds only simulations.
 
 Hit / miss / eviction counts live here and nowhere else: exporters read
 them through :meth:`cache_stats` (the ``sim_cache`` block of the search
@@ -28,7 +37,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..schedule.simulator import SimResult
@@ -50,6 +59,9 @@ class SimCache:
             raise ValueError("max_entries must be positive or None")
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        #: fingerprint -> the value derived from its entry (see the module
+        #: docstring); a key here always has an entry
+        self._derived: Dict[str, Any] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -73,14 +85,30 @@ class SimCache:
         with self._lock:
             self._entries[fingerprint] = entry
             self._entries.move_to_end(fingerprint)
+            self._derived.pop(fingerprint, None)
             self._trim()
 
     def _trim(self) -> None:
         """Lock held. Evicts least-recently-used entries down to the bound."""
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+                fingerprint, _ = self._entries.popitem(last=False)
+                self._derived.pop(fingerprint, None)
                 self.evictions += 1
+
+    def derived(self, fingerprint: str) -> Optional[Any]:
+        """The value derived from ``fingerprint``'s entry, else ``None``.
+        Neither a hit nor a miss: the lookup counters describe
+        simulations only."""
+        with self._lock:
+            return self._derived.get(fingerprint)
+
+    def set_derived(self, fingerprint: str, value: Any) -> None:
+        """Keeps ``value`` beside ``fingerprint``'s entry; a no-op once
+        that entry is gone, so no slot outlives its entry."""
+        with self._lock:
+            if fingerprint in self._entries:
+                self._derived[fingerprint] = value
 
     def __len__(self) -> int:
         with self._lock:
@@ -93,12 +121,13 @@ class SimCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._derived.clear()
 
     # -- checkpoint support --------------------------------------------------
 
     def state(self) -> Dict[str, object]:
         """A restorable snapshot of the cache: entries (in LRU order) plus
-        every counter.
+        every counter. Derived slots are left out.
 
         Entries are shared by reference — ``put`` replaces entry objects
         and never mutates them, so a snapshot taken at an iteration
@@ -120,10 +149,11 @@ class SimCache:
 
         A snapshot taken under a larger bound (or none) is trimmed to
         this cache's ``max_entries``, least recently used first, and the
-        trimmed entries count as evictions.
+        trimmed entries count as evictions. Every derived slot is dropped.
         """
         with self._lock:
             self._entries = OrderedDict(state["entries"])
+            self._derived = {}
             self.hits = state["hits"]
             self.misses = state["misses"]
             self.evictions = state["evictions"]

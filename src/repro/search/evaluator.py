@@ -45,8 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from ..chaos import worker_fault
 from ..obs import prof
 from ..obs.events import PoolRebuild, WorkerRetry
-from ..schedule.layout import Layout
-from ..schedule.mapping import layout_fingerprint
+from ..schedule.layout import Layout, layout_fingerprint
 from ..schedule.simulator import SimResult, SimSession
 from . import retry
 from .cache import CacheEntry, SimCache
@@ -108,6 +107,8 @@ class ScoredLayout:
     """One scored candidate of a batch."""
 
     layout: Layout
+    #: ``layout``'s :class:`SimCache` key
+    fingerprint: str
     cycles: int
     result: SimResult
     from_cache: bool = False
@@ -224,11 +225,12 @@ class _EvaluatorBase:
                     fingerprint,
                 )
             simulated = set(miss_indices)
-            for index, (_, layout, entry, _) in enumerate(plan):
+            for index, (_, layout, entry, fingerprint) in enumerate(plan):
                 assert entry is not None
                 outcome.scored.append(
                     ScoredLayout(
                         layout=layout,
+                        fingerprint=fingerprint,
                         cycles=entry.cycles,
                         result=entry.result,
                         from_cache=index not in simulated,

@@ -1,7 +1,10 @@
 """Tests for the §7 field re-optimization extension."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import adaptive
 from repro.core.adaptive import AdaptiveExecutable
 from repro.schedule.anneal import AnnealConfig
 
@@ -82,3 +85,26 @@ class TestAdaptation:
         assert record.workload == ["8"]
         assert record.old_estimate > record.new_estimate
         assert 0 < record.predicted_gain < 1
+
+    def test_config_seed_reaches_each_reoptimization(
+        self, keyword_compiled, monkeypatch
+    ):
+        # The n-th re-optimization searches with config.seed + n; no
+        # second seed parameter overrides the config's.
+        seeds = []
+        synthesize = adaptive.synthesize_layout
+
+        def spy(compiled, profile, num_cores, options=None):
+            seeds.append(options.anneal.seed)
+            return synthesize(compiled, profile, num_cores, options=options)
+
+        monkeypatch.setattr(adaptive, "synthesize_layout", spy)
+        exe = AdaptiveExecutable(
+            keyword_compiled,
+            num_cores=4,
+            profile_every=1,
+            config=replace(small_config(), seed=12345),
+        )
+        exe.run(["8"])
+        exe.run(["8"])
+        assert seeds == [12345, 12346]

@@ -1,5 +1,7 @@
 """Layout, mesh topology, and router tests."""
 
+import pickle
+
 import pytest
 
 from repro.analysis.astate import AState
@@ -9,6 +11,7 @@ from repro.schedule.layout import (
     Layout,
     Router,
     common_tag_binding,
+    layout_fingerprint,
     mesh_coords,
     mesh_hops,
 )
@@ -64,6 +67,20 @@ class TestLayout:
     def test_describe_mentions_cores(self):
         text = Layout.make(4, {"a": [0, 1]}).describe()
         assert "core   0" in text
+
+
+    def test_keys_are_computed_once_and_left_out_of_pickles(self):
+        layout = Layout.make(8, {"a": [0, 3], "b": [3, 5], "c": [1]})
+        fresh = pickle.dumps(layout)
+        key, used = layout.canonical_key(), layout.cores_used()
+        fingerprint = layout_fingerprint(layout)
+        assert layout.canonical_key() is key and layout.cores_used() is used
+        assert layout_fingerprint(layout) is fingerprint
+        assert pickle.dumps(layout) == fresh
+        clone = pickle.loads(fresh)
+        assert clone == layout
+        assert (clone.canonical_key(), clone.cores_used()) == (key, used)
+        assert layout_fingerprint(clone) == fingerprint
 
 
 class TestValidation:

@@ -405,9 +405,10 @@ class TestArtifacts:
 
     def test_run_metadata_has_provenance_keys(self):
         meta = run_metadata(schema="x/y-v1")
-        for key in ("git_sha", "timestamp_utc", "python", "platform",
-                    "cpu_count"):
+        for key in ("git_sha", "git_dirty", "timestamp_utc", "python",
+                    "platform", "cpu_count"):
             assert key in meta
+        assert meta["git_dirty"] in (True, False, None)
         assert meta["schema"] == "x/y-v1"
 
 

@@ -18,8 +18,9 @@ from repro.lang.tokens import TokenKind
 from repro.ir.ops import int_div, int_rem
 from repro.runtime.profiler import ProfileData
 from repro.schedule.coregroup import task_is_replicable
+from repro.schedule.critpath import _core_activity, _spare_cores
 from repro.schedule.layout import Layout, mesh_hops
-from repro.schedule.simulator import simulate
+from repro.schedule.simulator import SimResult, SimTrace, TraceEvent, simulate
 
 # ---------------------------------------------------------------------------
 # Lexer robustness
@@ -245,6 +246,51 @@ def test_data_edges_end_before_the_consumer_data_is_ready(
             if producer >= 0:
                 assert trace.end[producer] <= trace.data_ready[consumer]
         low = high
+
+
+@given(
+    # per core, each busy interval as (idle gap before it, duration)
+    st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=8
+        ),
+        max_size=6,
+    ),
+    st.integers(-3, 120),
+    st.integers(-3, 120),
+)
+@settings(max_examples=300, deadline=None)
+def test_spare_cores_by_bisection_match_the_full_scan(per_core, start, end):
+    # A core's intervals are disjoint and in start order, as a core
+    # dispatches only when it is free; the window may be empty.
+    intervals = {}
+    for core, spans in enumerate(per_core):
+        clock = 0
+        for gap, duration in spans:
+            clock += gap
+            intervals.setdefault(core, []).append((clock, clock + duration))
+            clock += duration
+    events = sorted(
+        (s, e, core) for core, spans in intervals.items() for s, e in spans
+    )
+    trace = SimTrace.from_events(
+        TraceEvent(event_id=i, task="t", core=core, start=s, end=e,
+                   exit_id=1, data_ready=s, producers=[])
+        for i, (s, e, core) in enumerate(events)
+    )
+    result = SimResult(
+        total_cycles=max((e for _, e, _ in events), default=0),
+        finished=True, trace=trace, core_busy={}, invocations={},
+        utilization=0.0,
+    )
+    num_cores = len(per_core) + 2  # two cores never busy
+    reference = [
+        core
+        for core in range(num_cores)
+        if not any(s < end and start < e for s, e in intervals.get(core, ()))
+    ]
+    activity, _ = _core_activity(result)
+    assert list(_spare_cores(activity, num_cores, start, end)) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ Three contracts are enforced here:
 * **Fingerprint soundness** — distinct layout contents get distinct
   fingerprints; identical contents get identical fingerprints.
 
-Plus the :class:`SimCache` unit behaviour (LRU, counters)
-and the deprecated keyword shims of the options API redesign.
+Plus the :class:`SimCache` unit behaviour (LRU, counters, the derived
+slot that keeps each entry's critical-path neighbours) and the deprecated
+keyword shims of the options API redesign.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -30,7 +33,9 @@ from repro.core import (
 )
 from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from repro.schedule.coregroup import build_group_graph
-from repro.schedule.mapping import layout_fingerprint, random_layouts
+from repro.schedule.critpath import compute_critical_path
+from repro.schedule.layout import layout_fingerprint
+from repro.schedule.mapping import random_layouts
 from repro.schedule.simulator import SimResult, SimSession
 from repro.search import (
     CacheEntry,
@@ -286,6 +291,145 @@ class TestSimCache:
         assert stats["max_entries"] == 8
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["lookups"] == 2
+
+
+class TestDerivedSlot:
+    def test_eviction_drops_the_slot(self):
+        cache = SimCache(max_entries=1)
+        cache.put("a", _entry(1))
+        cache.set_derived("a", ("n",))
+        assert cache.derived("a") == ("n",)
+        cache.put("b", _entry(2))  # evicts a, and its slot with it
+        assert cache.derived("a") is None
+        cache.put("a", _entry(1))
+        assert cache.derived("a") is None
+
+    def test_no_slot_outlives_or_precedes_its_entry(self):
+        cache = SimCache()
+        cache.set_derived("a", ("n",))
+        assert cache.derived("a") is None
+        cache.put("a", _entry(1))
+        cache.set_derived("a", ("n",))
+        cache.put("a", _entry(1))  # a new entry starts without a slot
+        assert cache.derived("a") is None
+
+    def test_clear_and_restore_drop_slots_and_state_leaves_them_out(self):
+        cache = SimCache()
+        entry = _entry(1)
+        cache.put("a", entry)
+        cache.set_derived("a", ("n",))
+        state = cache.state()
+        assert state == {
+            "entries": [("a", entry)], "hits": 0, "misses": 0, "evictions": 0,
+        }
+        cache.restore(state)
+        assert "a" in cache and cache.derived("a") is None
+        cache.set_derived("a", ("n",))
+        cache.clear()
+        assert cache.derived("a") is None
+        assert cache.lookups == 0  # slot reads are not cache lookups
+
+
+    def test_no_slot_outlives_its_entry_under_threads(self):
+        # The serve daemon shares one cache across handler threads. A slot
+        # stored after another thread evicted its entry would stay: with
+        # this many keys its entry is rarely put back to drop it.
+        cache = SimCache(max_entries=1)  # any other thread's put evicts
+        keys = [str(index) for index in range(1000)]
+        start = threading.Barrier(6, timeout=60)
+
+        def worker(seed):
+            rng = random.Random(seed)
+            start.wait()
+            for _ in range(20000):
+                key = rng.choice(keys)
+                if cache.get(key) is None:
+                    cache.put(key, _entry(1))
+                cache.set_derived(key, (key,))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [
+            threading.Thread(target=worker, args=(seed,)) for seed in range(6)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [
+            key for key in keys
+            if key not in cache and cache.derived(key) is not None
+        ] == []
+
+
+class TestCriticalPathNeighbours:
+    """A search keeps each expanded layout's critical-path neighbours in
+    the cache's derived slot, so a search replayed against a warm cache
+    expands every layout without one critical path."""
+
+    CONFIG = AnnealConfig(
+        seed=7, max_evaluations=40, budget_charges_hits=True,
+        **dict(SMALL_ANNEAL, max_iterations=6),
+    )
+
+    @staticmethod
+    def search(**options_kw):
+        options = SynthesisOptions(
+            anneal=TestCriticalPathNeighbours.CONFIG,
+            hints=get_spec("Series").hints,
+            **options_kw,
+        )
+        return synthesize_layout(
+            load_benchmark("Series"), small_profile("Series"), 16,
+            options=options,
+        )
+
+    @staticmethod
+    def trajectory(report):
+        return (
+            report.estimated_cycles, report.layout, report.history,
+            report.iterations, report.requested_evaluations,
+        )
+
+    def test_warm_repeat_computes_no_critical_path(self, monkeypatch):
+        calls = []
+
+        def counted(result):
+            calls.append(result)
+            return compute_critical_path(result)
+
+        monkeypatch.setattr(
+            "repro.schedule.anneal.compute_critical_path", counted
+        )
+        cache = SimCache()
+        cold = self.search(cache=cache)
+        expanded = len(calls)
+        assert expanded > 0
+        warm = self.search(cache=cache)
+        assert len(calls) == expanded
+        assert self.trajectory(warm) == self.trajectory(cold)
+        assert warm.evaluations == 0
+        assert warm.cache_hits == warm.requested_evaluations
+        # Without a cache every expansion computes its path afresh, also
+        # that of a layout the cold search kept in two iterations.
+        uncached = self.search(sim_cache=False)
+        assert self.trajectory(uncached) == self.trajectory(cold)
+        assert len(calls) - expanded > expanded
+
+    def test_a_bounded_cache_keeps_the_trajectory(self):
+        unbounded = self.search(cache=SimCache())
+        bounded = SimCache(max_entries=3)
+        assert self.trajectory(self.search(cache=bounded)) == (
+            self.trajectory(unbounded)
+        )
+        assert bounded.evictions > 0
+        assert self.trajectory(self.search(cache=bounded)) == (
+            self.trajectory(unbounded)
+        )
 
 
 class TestEvaluatorContract:
