@@ -182,12 +182,14 @@ class Layout:
         up to renaming — by the multiset of per-core task sets."""
         key = self.__dict__.get("_canonical_key")
         if key is None:
+            # ``make`` orders ``instances`` by task name, so each core's
+            # list is built already sorted.
             per_core: Dict[int, List[str]] = {}
             for task, cores in self.instances:
                 for core in cores:
                     per_core.setdefault(core, []).append(task)
             key = self.__dict__["_canonical_key"] = tuple(
-                sorted(tuple(sorted(tasks)) for tasks in per_core.values())
+                sorted(map(tuple, per_core.values()))
             )
         return key
 

@@ -5,7 +5,8 @@ every iteration, random restarts regenerate earlier layouts, and field
 re-optimization re-synthesizes against similar profiles. Each visit costs
 a full scheduling simulation. :class:`SimCache` memoizes ``SimResult``s
 keyed by the exact layout fingerprint
-(:func:`repro.schedule.layout.layout_fingerprint`), so a layout is
+(:func:`repro.schedule.layout.layout_fingerprint`, with the evaluator's
+hints appended when there are any), so a layout is
 simulated at most once per (profile, hints, speeds) context — across
 iterations, across restarts, and (when one cache instance is shared)
 across whole synthesis runs.

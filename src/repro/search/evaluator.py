@@ -149,9 +149,16 @@ class _EvaluatorBase:
         self.session = SimSession(
             compiled, profile, hints=hints, core_speeds=core_speeds
         )
+        # A simulation depends on the hints, so a shared cache must not
+        # answer a hinted lookup with an unhinted result; hint-free keys
+        # stay the bare layout fingerprint.
+        self._hint_key = "".join(
+            f"|{task}={policy}"
+            for task, policy in sorted((hints or {}).items())
+        )
 
     def fingerprint(self, layout: Layout) -> str:
-        return layout_fingerprint(layout, self.core_speeds)
+        return layout_fingerprint(layout, self.core_speeds) + self._hint_key
 
     def _plan(
         self,

@@ -22,9 +22,10 @@ Retrying (:class:`ClientRetryPolicy`)
 
 Served results are deterministic — the same request always produces the
 same bytes, whether it is answered by a fresh execution, a coalesced
-in-flight one, or the persistent cache. That makes blind retry *safe*:
-re-sending a request after a dropped connection cannot change the answer,
-only recover it (the duplicated work is usually absorbed by the daemon's
+in-flight one, the daemon's memory of earlier answers, or the persistent
+cache. That makes blind retry *safe*: re-sending a request after a
+dropped connection cannot change the answer, only recover it (the
+duplicated work is usually absorbed by the daemon's answer memo,
 SimCache or coalescing). A :class:`ServeClient` constructed with a
 ``retry_policy`` therefore:
 

@@ -582,7 +582,7 @@ def _flush_fail_phase(
     until the next successful flush clears it."""
     with daemon.client(timeout=30.0) as client:
         client.call("inject", fault="flush_fail", count=1)
-        client.call("synthesize", **synth_params)  # dirty the store
+        client.call("synthesize", **synth_params)  # served while armed
         try:
             client.flush()
             run.violations.append(

@@ -170,8 +170,11 @@ def context_key(source: str, args: Sequence[str], optimize: bool) -> str:
 
     A layout fingerprint keys a simulation outcome only *within* a fixed
     compiled program and profile; the profile is a deterministic function
-    of (source, args), so this digest is exactly the validity domain of a
-    cache entry.
+    of (source, args), so this digest fixes both. Within the namespace
+    the evaluator's cache key adds what else a simulation depends on: the
+    core speeds and the request's hints. The answers a daemon keeps in
+    memory are keyed by :func:`request_key` instead, which covers the
+    whole canonical request.
     """
     return _digest(
         {

@@ -13,7 +13,8 @@ Architecture (one process, three layers):
   (``ServeConfig.workers``), so the thread count bounds *searches in
   flight* while the process pool bounds *simulations in flight*.
 * **State** (shared) — the persistent :class:`repro.serve.store.SimCacheStore`,
-  the compiled/profile :class:`repro.serve.service.ProgramMemo`, and one
+  the :class:`repro.serve.service.ProgramMemo` of compiled programs,
+  profiles and ``synthesize`` answers, and one
   :class:`repro.obs.MetricsRegistry` for every serve metric. All three
   are internally locked; handlers never touch unguarded shared state.
 
@@ -749,10 +750,13 @@ class SynthesisServer:
             )
         result, telemetry = outcome
         if op in ("synthesize", "simulate"):
-            self.store.mark_dirty()
-            self.registry.counter("serve_evaluations").inc(
-                int(telemetry.get("evaluations", 0))
-            )
+            evaluations = int(telemetry.get("evaluations", 0))
+            # Only a simulation inserts into the cache; a memo answer, a
+            # warm replay or a cache hit leaves nothing new to persist
+            # (the shutdown flush still writes the latest counters).
+            if evaluations > 0:
+                self.store.mark_dirty()
+            self.registry.counter("serve_evaluations").inc(evaluations)
             self.registry.counter("serve_cache_hits").inc(
                 int(telemetry.get("cache_hits", 0))
             )

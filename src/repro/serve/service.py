@@ -18,19 +18,23 @@ budget charges per *request* rather than per real simulation, so a warm
 cache cannot stretch the search past the trajectory of the cold run —
 it only makes the same trajectory cheaper.
 
-The compiled-program and profile memos (:class:`ProgramMemo`) are
-deterministic pure-function caches, so sharing them across requests is
-free of semantic risk; they exist because the ROADMAP's motivating
-complaint is that every invocation recompiles and re-profiles from
-scratch.
+The daemon's :class:`ProgramMemo` keeps three deterministic
+pure-function caches: compiled programs, bootstrap profiles and whole
+``synthesize`` answers. Sharing them across requests is free of semantic
+risk. The first two spare every request the recompile and re-profile an
+offline invocation pays; the third answers a repeated ``synthesize``
+without replaying its search, because under the request-charged budget
+the answer is a function of the canonical request alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import threading
 import time as _time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -50,6 +54,7 @@ from .protocol import (
     SYNTHESIS_FORMAT,
     ProtocolError,
     context_key,
+    request_key,
 )
 
 _P_SERVE = {
@@ -273,24 +278,42 @@ class SimulateSpec:
 # -- pure-function memos -------------------------------------------------------
 
 
-class ProgramMemo:
-    """Cross-request memo of compiled programs and bootstrap profiles.
+#: ``synthesize`` answers one :class:`ProgramMemo` keeps; past this the
+#: least recently used is dropped
+MEMO_ANSWERS = 1024
 
-    Both are deterministic functions of their keys, so the memo is
-    semantically invisible; it removes the recompile/re-profile tax every
-    offline invocation pays. Thread-safe: compilation runs outside the
-    lock (two racing threads may both compile, one result wins — cheaper
-    than serializing every compile behind one lock).
+
+class ProgramMemo:
+    """Cross-request memo of compiled programs, bootstrap profiles and
+    ``synthesize`` answers.
+
+    All three are deterministic functions of their keys, so the memo is
+    semantically invisible. Compiled programs and profiles remove the
+    recompile/re-profile tax every offline invocation pays. An answer is
+    kept under its request's coalescing key
+    (:func:`repro.serve.protocol.request_key` over
+    :meth:`SynthesizeSpec.canonical`), so a repeat differing only in
+    ``trace_id``, ``deadline_ms`` or ``id`` is answered without compiling,
+    profiling or searching. Answers live in memory only, at most
+    :data:`MEMO_ANSWERS` of them in least-recently-used order, and are
+    held as JSON text, so no caller can mutate a kept one.
+
+    Thread-safe: compilation runs outside the lock (two racing threads
+    may both compile, one result wins — cheaper than serializing every
+    compile behind one lock).
     """
 
     def __init__(self):
         self._compiled: Dict[Tuple[str, bool], object] = {}
         self._profiles: Dict[Tuple[str, Tuple[str, ...], bool], object] = {}
+        self._answers: "OrderedDict[str, str]" = OrderedDict()
         self._lock = threading.Lock()
         self.compile_hits = 0
         self.compile_misses = 0
         self.profile_hits = 0
         self.profile_misses = 0
+        self.answer_hits = 0
+        self.answer_misses = 0
 
     def _source_key(self, spec: ProgramSpec) -> str:
         return hashlib.sha256(spec.source.encode("utf-8")).hexdigest()
@@ -321,15 +344,38 @@ class ProgramMemo:
         with self._lock:
             return self._profiles.setdefault(key, profile)
 
+    def answer(self, key: str) -> Optional[Dict[str, object]]:
+        """A fresh copy of the answer kept under ``key``, or None."""
+        with self._lock:
+            text = self._answers.get(key)
+            if text is None:
+                self.answer_misses += 1
+                return None
+            self._answers.move_to_end(key)
+            self.answer_hits += 1
+        return json.loads(text)
+
+    def keep(self, key: str, result: Dict[str, object]) -> None:
+        """Keeps ``result`` (JSON-ready) as the answer to ``key``."""
+        text = json.dumps(result)
+        with self._lock:
+            self._answers[key] = text
+            self._answers.move_to_end(key)
+            while len(self._answers) > MEMO_ANSWERS:
+                self._answers.popitem(last=False)
+
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "compiled": len(self._compiled),
                 "profiles": len(self._profiles),
+                "answers": len(self._answers),
                 "compile_hits": self.compile_hits,
                 "compile_misses": self.compile_misses,
                 "profile_hits": self.profile_hits,
                 "profile_misses": self.profile_misses,
+                "answer_hits": self.answer_hits,
+                "answer_misses": self.answer_misses,
             }
 
 
@@ -404,49 +450,72 @@ def execute_synthesize(
     ``is_set()``) is polled between pipeline stages and at every search
     iteration boundary; setting it raises :class:`SearchCancelled` and
     reclaims the thread.
+
+    A caller's ``memo`` (the daemon's) also answers a repeated request
+    from memory: its telemetry says ``memo: true`` and reports no
+    evaluations. Only a search that ran to the end uncancelled is kept.
+    Without a ``memo`` (the offline path) every request searches.
     """
     spec = SynthesizeSpec.parse(params)
+    key = (
+        request_key("synthesize", spec.canonical())
+        if memo is not None
+        else None
+    )
     memo = memo or ProgramMemo()
     started = _time.perf_counter()
     with _request_trace(params, "synthesize") as trace:
         _check_cancel(cancel, "compile")
-        compiled = memo.compiled(spec.program)
-        _check_cancel(cancel, "profile")
-        profile = memo.profile(spec.program)
-        report = synthesize_layout(
-            compiled,
-            profile,
-            spec.cores,
-            options=SynthesisOptions(
-                anneal=spec.anneal_config(),
-                hints=dict(spec.hints) if spec.hints else None,
-                mesh_width=spec.mesh_width,
-                workers=workers,
-                cache=cache,
-                cancel_check=cancel.is_set if cancel is not None else None,
-            ),
-        )
-    layout = report.layout
-    result = {
-        "format": SYNTHESIS_FORMAT,
-        "request": spec.canonical(),
-        "layout": {task: list(cores) for task, cores in layout.instances},
-        "num_cores": layout.num_cores,
-        "mesh_width": layout.mesh_width,
-        "topology": layout.topology,
-        "estimated_cycles": report.estimated_cycles,
-        "iterations": report.iterations,
-        "history": report.history,
-        # Requests (simulations + hits) are cache-state independent under
-        # the request-charged budget, so this is a deterministic field;
-        # the hit/miss split is not, and lives in telemetry.
-        "requested_evaluations": report.requested_evaluations,
-    }
-    telemetry = {
-        "wall_seconds": _time.perf_counter() - started,
-        "evaluations": report.evaluations,
-        "cache_hits": report.cache_hits,
-    }
+        result = memo.answer(key) if key is not None else None
+        if result is None:
+            compiled = memo.compiled(spec.program)
+            _check_cancel(cancel, "profile")
+            profile = memo.profile(spec.program)
+            report = synthesize_layout(
+                compiled,
+                profile,
+                spec.cores,
+                options=SynthesisOptions(
+                    anneal=spec.anneal_config(),
+                    hints=dict(spec.hints) if spec.hints else None,
+                    mesh_width=spec.mesh_width,
+                    workers=workers,
+                    cache=cache,
+                    cancel_check=cancel.is_set if cancel is not None else None,
+                ),
+            )
+    if result is not None:
+        telemetry: Dict[str, object] = {
+            "evaluations": 0,
+            "cache_hits": 0,
+            "memo": True,
+        }
+    else:
+        layout = report.layout
+        result = {
+            "format": SYNTHESIS_FORMAT,
+            "request": spec.canonical(),
+            "layout": {task: list(cores) for task, cores in layout.instances},
+            "num_cores": layout.num_cores,
+            "mesh_width": layout.mesh_width,
+            "topology": layout.topology,
+            "estimated_cycles": report.estimated_cycles,
+            "iterations": report.iterations,
+            "history": report.history,
+            # Requests (simulations + hits) are cache-state independent
+            # under the request-charged budget, so this is a deterministic
+            # field; the hit/miss split is not, and lives in telemetry.
+            "requested_evaluations": report.requested_evaluations,
+        }
+        telemetry = {
+            "evaluations": report.evaluations,
+            "cache_hits": report.cache_hits,
+        }
+        # A search whose deadline fired may still have finished; its
+        # caller was already answered with an error, so it is not kept.
+        if key is not None and (cancel is None or not cancel.is_set()):
+            memo.keep(key, result)
+    telemetry["wall_seconds"] = _time.perf_counter() - started
     if trace:
         telemetry["trace"] = trace
     return result, telemetry

@@ -205,6 +205,37 @@ def test_canonical_key_invariant_under_core_permutation(mapping, rng):
     assert layout.canonical_key() == renamed.canonical_key()
 
 
+def _reference_canonical_key(layout):
+    """``Layout.canonical_key`` without relying on ``make`` ordering
+    ``instances`` by task name: it sorts each core's tasks itself."""
+    per_core = {}
+    for task, cores in layout.instances:
+        for core in cores:
+            per_core.setdefault(core, []).append(task)
+    return tuple(sorted(tuple(sorted(tasks)) for tasks in per_core.values()))
+
+
+@given(
+    st.integers(1, 16),
+    st.dictionaries(
+        st.text(alphabet="abAB_0", min_size=1, max_size=4),
+        st.sets(st.integers(0, 15), min_size=1, max_size=6),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=200)
+def test_canonical_key_matches_the_sorting_reference(num_cores, mapping):
+    layout = Layout.make(
+        num_cores,
+        {
+            task: [core % num_cores for core in cores]
+            for task, cores in mapping.items()
+        },
+    )
+    assert layout.canonical_key() == _reference_canonical_key(layout)
+
+
 # ---------------------------------------------------------------------------
 # Simulated traces
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ class TestConfig:
             {"max_retries": -1},
             {"backoff_base": -1},
         ],
+        # `knob=value`: two cases share a knob, so the name alone collides
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
     )
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(FaultError):

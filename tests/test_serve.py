@@ -29,6 +29,7 @@ from repro.search.storage import (
 )
 from repro.serve import (
     SIMCACHE_FORMAT,
+    ProgramMemo,
     ProtocolError,
     ServeClient,
     ServeConfig,
@@ -55,6 +56,13 @@ REQUEST = dict(
     max_iterations=3,
     max_evaluations=20,
 )
+
+
+#: Simulator hints that change REQUEST's answer (its three tasks).
+HINTS = {
+    task: "per_object"
+    for task in ("mergeIntermediateResult", "processText", "startup")
+}
 
 
 def offline_result(**overrides):
@@ -628,16 +636,209 @@ class TestServing:
             ServeConfig(cache_path=path, flush_interval=3600.0)
         ) as handle:
             with handle.client() as client:
-                served_synthesize(client)
+                synth, _telemetry = served_synthesize(client)
                 flushed = client.flush()
                 assert flushed["flushed"] is True
                 assert os.path.exists(path)
+                # A memo answer and a cache-hit simulate insert nothing,
+                # so they leave nothing for the write-behind loop.
+                store = handle.server.store
+                flushes = store.flushes
+                _result, repeat = served_synthesize(client)
+                hit = client.simulate(
+                    KEYWORD_SOURCE,
+                    cores=CORES,
+                    args=ARGS,
+                    mapping=synth["layout"],
+                    mesh_width=synth["mesh_width"],
+                )
+                assert repeat["memo"] is True
+                assert hit["telemetry"]["evaluations"] == 0
+                assert not store.dirty
+                assert store.flushes == flushes
 
     def test_workers_serve_identically(self):
         with ServerThread(ServeConfig(workers=2)) as handle:
             with handle.client() as client:
                 result, _telemetry = served_synthesize(client)
         assert canonical(result) == canonical(offline_result())
+
+
+class TestAnswerMemo:
+    """A daemon answers a repeated synthesize request from memory: the
+    answer is a function of the canonical request, so the repeat gets
+    the first answer's bytes without compiling, profiling or searching."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Counts the searches the daemon starts."""
+        from repro.serve import service
+
+        calls = []
+        search = service.synthesize_layout
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(service, "synthesize_layout", counted)
+        return calls
+
+    def test_repeat_runs_the_search_once(self, searches):
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                first, cold = served_synthesize(client)
+                second, warm = served_synthesize(client)
+                metrics = client.metrics()
+        assert len(searches) == 1
+        assert canonical(second) == canonical(first)
+        assert canonical(second) == canonical(offline_result())
+        assert cold["evaluations"] > 0 and "memo" not in cold
+        assert warm["memo"] is True
+        assert warm["evaluations"] == 0 and warm["cache_hits"] == 0
+        assert metrics["memo"]["answers"] == 1
+        assert metrics["memo"]["answer_hits"] == 1
+
+    def test_callers_cannot_mutate_a_kept_answer(self):
+        memo = ProgramMemo()
+        first, _telemetry = execute_synthesize(dict(REQUEST), memo=memo)
+        expected = canonical(first)
+        first["history"].append(0)
+        second, telemetry = execute_synthesize(dict(REQUEST), memo=memo)
+        assert telemetry["memo"] is True
+        assert canonical(second) == expected
+        second["layout"].clear()
+        third, _telemetry = execute_synthesize(dict(REQUEST), memo=memo)
+        assert canonical(third) == expected
+
+    def test_every_canonical_field_splits_the_memo(self, searches):
+        variants = [
+            dict(seed=8),
+            dict(cores=CORES + 1),
+            dict(hints=HINTS),
+            dict(max_evaluations=19),
+            dict(args=["7"]),
+        ]
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                served_synthesize(client)
+                for overrides in variants:
+                    _result, telemetry = served_synthesize(
+                        client, **overrides
+                    )
+                    assert "memo" not in telemetry, overrides
+                _result, telemetry = served_synthesize(
+                    client, trace_id="another-trace"
+                )
+                assert telemetry["memo"] is True
+        assert len(searches) == 1 + len(variants)
+
+    def test_program_errors_are_not_kept(self):
+        broken = dict(source="task nope(")
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                for _ in range(2):
+                    with pytest.raises(ServeError) as excinfo:
+                        served_synthesize(client, **broken)
+                    assert excinfo.value.code == "program_error"
+                memo = client.metrics()["memo"]
+        assert memo["answers"] == 0 and memo["answer_hits"] == 0
+        assert memo["answer_misses"] == 2
+
+    def test_deadline_cancelled_run_is_not_kept(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.serve import service
+
+        gate = threading.Event()
+        search = service.synthesize_layout
+        calls = []
+
+        def held(*args, options, **kwargs):
+            # Held past its deadline, then run to the end without polling
+            # the cancellation: a finished answer nobody waited for.
+            calls.append(args)
+            gate.wait(timeout=60)
+            options = replace(options, cancel_check=None)
+            return search(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(service, "synthesize_layout", held)
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                try:
+                    with pytest.raises(ServeError) as excinfo:
+                        served_synthesize(client, deadline_ms=100)
+                    assert excinfo.value.code == "deadline_exceeded"
+                finally:
+                    gate.set()
+                # The held run finishes after its caller got the error.
+                deadline = time.monotonic() + 20.0
+                while client.metrics()["admitted"] > 0:
+                    assert time.monotonic() < deadline, "run never ended"
+                    time.sleep(0.005)
+                result, telemetry = served_synthesize(client)
+        assert len(calls) == 2
+        assert "memo" not in telemetry
+        assert canonical(result) == canonical(offline_result())
+
+    def test_bound_evicts_the_least_recently_used(self, monkeypatch, searches):
+        from repro.serve import service
+
+        monkeypatch.setattr(service, "MEMO_ANSWERS", 2)
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+
+                def from_memo(seed):
+                    _result, telemetry = served_synthesize(client, seed=seed)
+                    return telemetry.get("memo", False)
+
+                assert [from_memo(seed) for seed in (1, 2, 1, 3)] == [
+                    False, False, True, False
+                ]
+                # Seed 2 was the least recently used when seed 3 arrived.
+                assert from_memo(1) is True
+                assert from_memo(2) is False
+                assert client.metrics()["memo"]["answers"] == 2
+        assert len(searches) == 4
+
+
+class TestHintedRequests:
+    """A simulation depends on the request's hints, so the shared cache
+    keys them too: a hinted request is never answered with a result
+    simulated without its hints."""
+
+    def test_tracking_simulate_with_and_without_hints(self):
+        from repro.bench.suite import get_spec, load_source
+
+        spec = get_spec("Tracking")
+        base = dict(
+            source=load_source("Tracking"),
+            args=list(spec.args),
+            optimize=False,
+            cores=8,
+        )
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                tasks = client.compile(base["source"], optimize=False)["tasks"]
+                base["layout"] = {
+                    task: [core] for core, task in enumerate(sorted(tasks))
+                }
+                plain = client.call("simulate", **base)["result"]
+                hinted = client.call(
+                    "simulate",
+                    hints={task: "per_object" for task in tasks},
+                    **base,
+                )["result"]
+        assert plain["cycles"] == 1206148
+        assert hinted["cycles"] == 1009806
+
+    def test_hinted_synthesize_after_unhinted_equals_offline(self):
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                plain, _telemetry = served_synthesize(client)
+                hinted, _telemetry = served_synthesize(client, hints=HINTS)
+        assert canonical(hinted) == canonical(offline_result(hints=HINTS))
+        assert hinted["estimated_cycles"] != plain["estimated_cycles"]
 
 
 # -- the CLI -------------------------------------------------------------------
@@ -780,7 +981,9 @@ class TestObservabilityEndpoints:
                 _result, first = served_synthesize(client)
                 _result, second = served_synthesize(client)
         assert first["evaluations"] > 0
-        # Same request, different trace_id: still a pure cache hit.
+        # Same request, different trace_id: still answered from memory.
         assert second["evaluations"] == 0
-        assert second["cache_hits"] > 0
+        assert second["memo"] is True
         assert second["trace"]["trace_id"] != first["trace"]["trace_id"]
+        names = {span["name"] for span in second["trace"]["spans"]}
+        assert "serve.synthesize" in names
