@@ -23,7 +23,7 @@ import time
 from conftest import emit
 from repro.bench import get_spec
 from repro.serve import ServeConfig, ServerThread
-from repro.serve.service import execute_synthesize
+from repro.serve.service import Request, execute
 from repro.viz import render_table
 from telemetry import write_telemetry
 
@@ -71,7 +71,7 @@ def run_all(cache_path):
             assert "warm cache" in client.ping()["cache"]
             measurements["warm_restart"] = _timed_synthesize(client, params)
 
-    offline_result, _telemetry = execute_synthesize(params)
+    offline_result, _telemetry = execute(Request.parse("synthesize", params))
     return measurements, hit_rate, offline_result
 
 

@@ -22,7 +22,7 @@ from ..core.api import (
     run_sequential,
     single_core_layout,
 )
-from ..core.options import SynthesisOptions
+from ..core.options import RunOptions, SynthesisOptions
 from ..core.pipeline import SynthesisReport, synthesize_layout
 from ..schedule.anneal import AnnealConfig
 from ..schedule.layout import Layout
@@ -52,6 +52,18 @@ class ThreeVersionResult:
     outputs_match: bool = True
 
 
+def _profiled_one_core_run(compiled, args: Sequence[str]):
+    """The 1-core machine run, profiled: collecting the profile changes
+    nothing else in the run, so one run serves as both the 1-core Bamboo
+    measurement and the profile that bootstraps synthesis."""
+    return run_layout(
+        compiled,
+        single_core_layout(compiled),
+        args,
+        options=RunOptions(collect_profile=True),
+    )
+
+
 def run_three_versions(
     name: str,
     num_cores: int = PAPER_CORES,
@@ -65,11 +77,10 @@ def run_three_versions(
     workload = list(args if args is not None else spec.args)
 
     seq = run_sequential(compiled, workload)
-    one = run_layout(compiled, single_core_layout(compiled), workload)
-    profile = profile_program(compiled, workload)
+    one = _profiled_one_core_run(compiled, workload)
     report = synthesize_layout(
         compiled,
-        profile,
+        one.profile,
         num_cores,
         options=SynthesisOptions(
             anneal=AnnealConfig(seed=seed),
@@ -155,7 +166,7 @@ def generality_run(
     double_args = list(spec.double_args)
 
     profile_original = profile_program(compiled, original_args)
-    profile_double = profile_program(compiled, double_args)
+    one = _profiled_one_core_run(compiled, double_args)
 
     options = SynthesisOptions(
         anneal=AnnealConfig(seed=seed), hints=spec.hints, mesh_width=mesh_width
@@ -164,10 +175,9 @@ def generality_run(
         compiled, profile_original, num_cores, options=options
     ).layout
     layout_double = synthesize_layout(
-        compiled, profile_double, num_cores, options=options
+        compiled, one.profile, num_cores, options=options
     ).layout
 
-    one = run_layout(compiled, single_core_layout(compiled), double_args)
     with_original = run_layout(compiled, layout_original, double_args)
     with_double = run_layout(compiled, layout_double, double_args)
     return GeneralityRow(

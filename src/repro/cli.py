@@ -516,9 +516,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     return 0
 
 
-_HEAVY_REQUEST_OPS = ("compile", "profile", "synthesize", "simulate")
-
-
 def _request_params(args: argparse.Namespace) -> dict:
     """The request parameters shared by the online and offline paths."""
     if not args.file:
@@ -555,29 +552,21 @@ def _request_params(args: argparse.Namespace) -> dict:
 def _cmd_request(args: argparse.Namespace) -> int:
     import json
 
-    heavy = args.op in _HEAVY_REQUEST_OPS
+    from .serve.protocol import HEAVY_OPS
+
+    heavy = args.op in HEAVY_OPS
     if args.offline:
         if not heavy:
             print(
-                f"error: --offline only applies to "
-                f"{', '.join(_HEAVY_REQUEST_OPS)}",
+                f"error: --offline only applies to {', '.join(HEAVY_OPS)}",
                 file=sys.stderr,
             )
             return 2
-        from .serve import (
-            execute_compile,
-            execute_profile,
-            execute_simulate,
-            execute_synthesize,
-        )
+        from .serve import Request, execute
 
-        executors = {
-            "compile": execute_compile,
-            "profile": execute_profile,
-            "synthesize": execute_synthesize,
-            "simulate": execute_simulate,
-        }
-        result, telemetry = executors[args.op](_request_params(args))
+        result, telemetry = execute(
+            Request.parse(args.op, _request_params(args))
+        )
     else:
         if args.port is None:
             print(
@@ -598,8 +587,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
         trace_wanted = args.trace_out is not None
         if trace_wanted and not heavy:
             print(
-                f"error: --trace-out only applies to "
-                f"{', '.join(_HEAVY_REQUEST_OPS)}",
+                f"error: --trace-out only applies to {', '.join(HEAVY_OPS)}",
                 file=sys.stderr,
             )
             return 2

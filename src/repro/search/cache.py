@@ -66,6 +66,9 @@ class SimCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: ``put`` calls on this instance, outside :meth:`state`: the
+        #: serve store compares it at each flush check to notice inserts
+        self.inserts = 0
         #: guards the LRU order and the counters
         self._lock = threading.Lock()
 
@@ -84,6 +87,7 @@ class SimCache:
 
     def put(self, fingerprint: str, entry: CacheEntry) -> None:
         with self._lock:
+            self.inserts += 1
             self._entries[fingerprint] = entry
             self._entries.move_to_end(fingerprint)
             self._derived.pop(fingerprint, None)

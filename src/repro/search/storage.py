@@ -71,17 +71,13 @@ def write_record(
     payload: bytes,
     extra_header: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Atomically writes ``payload`` under a digest-bearing ``fmt`` header;
+    """Atomically writes :func:`pack_record`'s bytes for ``payload``;
     returns the header that was written."""
-    header: Dict[str, object] = dict(extra_header or {})
-    header["format"] = fmt
-    header["digest"] = payload_digest(payload)
+    header, data = _pack(fmt, payload, extra_header)
     directory = os.path.dirname(os.path.abspath(path))
     temp = path + ".tmp"
     with open(temp, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode("ascii"))
-        handle.write(b"\n")
-        handle.write(payload)
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)
@@ -99,50 +95,43 @@ def write_record(
     return header
 
 
+def _read(path: str, kind: str) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise StorageError(
+            f"cannot read {kind} {path!r}: {exc}", code="unreadable"
+        )
+
+
 def read_record(
     path: str,
     fmt: str,
     kind: str = "record",
     long_kind: Optional[str] = None,
 ) -> Tuple[Dict[str, object], bytes]:
-    """Loads and verifies one record; returns ``(header, payload)``.
+    """Loads and verifies one record file; returns ``(header, payload)``.
 
     ``kind`` and ``long_kind`` only flavor the error messages (e.g.
     ``"checkpoint"`` / ``"search checkpoint"``) so each consumer keeps its
-    established diagnostics while sharing the verification logic.
+    established diagnostics while sharing the verification logic of
+    :func:`unpack_record`, which names the file by its path.
     """
-    long_kind = long_kind or kind
-    try:
-        with open(path, "rb") as handle:
-            header_line = handle.readline()
-            payload = handle.read()
-    except OSError as exc:
-        raise StorageError(
-            f"cannot read {kind} {path!r}: {exc}", code="unreadable"
-        )
-    try:
-        header = json.loads(header_line.decode("ascii"))
-        if not isinstance(header, dict):
-            raise ValueError("header is not an object")
-    except (UnicodeDecodeError, ValueError):
-        raise StorageError(
-            f"{path!r} is not a {long_kind}", code="not_record"
-        )
-    found = header.get("format")
-    if found != fmt:
-        raise StorageError(
-            f"{path!r} has {kind} format {found!r}, expected {fmt!r} "
-            f"(old formats are not migrated)",
-            code="format_mismatch",
-        )
-    digest = payload_digest(payload)
-    if digest != header.get("digest"):
-        raise StorageError(
-            f"{path!r} is corrupt: payload digest mismatch "
-            f"(expected {header.get('digest')}, got {digest})",
-            code="digest_mismatch",
-        )
-    return header, payload
+    return unpack_record(
+        _read(path, kind), fmt, kind=kind, long_kind=long_kind, name=path
+    )
+
+
+def _pack(
+    fmt: str, payload: bytes, extra_header: Optional[Dict[str, object]]
+) -> Tuple[Dict[str, object], bytes]:
+    header: Dict[str, object] = dict(extra_header or {})
+    header["format"] = fmt
+    header["digest"] = payload_digest(payload)
+    return header, (
+        json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
+    )
 
 
 def pack_record(
@@ -150,16 +139,11 @@ def pack_record(
     payload: bytes,
     extra_header: Optional[Dict[str, object]] = None,
 ) -> bytes:
-    """The in-memory twin of :func:`write_record`: one header line plus
-    the payload, as bytes. Used by the dist wire protocol, so a shard
-    payload crossing a socket carries the same format name and sha256
-    digest it would carry on disk."""
-    header: Dict[str, object] = dict(extra_header or {})
-    header["format"] = fmt
-    header["digest"] = payload_digest(payload)
-    return (
-        json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
-    )
+    """One record in memory: one header line plus the payload, as bytes.
+    Used by the dist wire protocol, so a shard payload crossing a socket
+    carries the same format name and sha256 digest it would carry on
+    disk."""
+    return _pack(fmt, payload, extra_header)[1]
 
 
 def unpack_record(
@@ -171,9 +155,8 @@ def unpack_record(
 ) -> Tuple[Dict[str, object], bytes]:
     """Verifies one in-memory record; returns ``(header, payload)``.
 
-    Raises the same coded :class:`StorageError` family as
-    :func:`read_record`, with ``name`` standing in for the file path in
-    diagnostics (e.g. the sending peer).
+    Raises the coded :class:`StorageError` family, with ``name`` standing
+    in for the file path in diagnostics (e.g. the sending peer).
     """
     long_kind = long_kind or kind
     header_line, sep, payload = data.partition(b"\n")
@@ -260,18 +243,13 @@ def read_pickle_record(
     kind: str = "record",
     long_kind: Optional[str] = None,
 ) -> Tuple[Dict[str, object], object]:
-    """Reads one record and unpickles its verified payload, optionally
-    type-checking the result; returns ``(header, object)``."""
-    header, payload = read_record(path, fmt, kind=kind, long_kind=long_kind)
-    try:
-        obj = pickle.loads(payload)
-    except Exception as exc:
-        raise StorageError(
-            f"cannot unpickle {kind} {path!r}: {exc}", code="unpicklable"
-        )
-    if expected_type is not None and not isinstance(obj, expected_type):
-        raise StorageError(
-            f"{path!r} does not contain a {expected_type.__name__}",
-            code="wrong_type",
-        )
-    return header, obj
+    """Reads one record file and unpickles its verified payload,
+    optionally type-checking the result; returns ``(header, object)``."""
+    return unpack_pickle_record(
+        _read(path, kind),
+        fmt,
+        expected_type=expected_type,
+        kind=kind,
+        long_kind=long_kind,
+        name=path,
+    )

@@ -53,12 +53,10 @@ from .server import ServeConfig, SynthesisServer, run_server
 from .service import (
     ProgramMemo,
     ProgramSpec,
+    Request,
     SimulateSpec,
     SynthesizeSpec,
-    execute_compile,
-    execute_profile,
-    execute_simulate,
-    execute_synthesize,
+    execute,
 )
 from .store import SIMCACHE_FORMAT, SimCacheStore, StoreLoadReport
 from .testing import ServerThread
@@ -76,6 +74,7 @@ __all__ = [
     "ProgramSpec",
     "ProtocolError",
     "RETRYABLE_CODES",
+    "Request",
     "SIMCACHE_FORMAT",
     "ServeClient",
     "ServeConfig",
@@ -89,10 +88,7 @@ __all__ = [
     "SynthesizeSpec",
     "TRACE_FIELD",
     "context_key",
-    "execute_compile",
-    "execute_profile",
-    "execute_simulate",
-    "execute_synthesize",
+    "execute",
     "request_key",
     "run_net_chaos",
     "run_server",

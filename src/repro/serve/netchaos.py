@@ -308,6 +308,14 @@ def _canonical(result) -> str:
     return json.dumps(result, sort_keys=True)
 
 
+def _offline(op: str, params: Dict[str, object]) -> str:
+    """The offline pipeline's answer to one request, in byte-comparison
+    form: what every served call of it must reproduce."""
+    from .service import Request, execute
+
+    return _canonical(execute(Request.parse(op, params))[0])
+
+
 def _default_params(
     bench: str, cores: int, seed: int, max_evaluations: int
 ) -> Dict[str, object]:
@@ -353,8 +361,6 @@ def run_net_chaos(
     """
     import tempfile
 
-    from .service import execute_simulate, execute_synthesize
-
     cleanup: Optional[tempfile.TemporaryDirectory] = None
     if workdir is None:
         cleanup = tempfile.TemporaryDirectory(prefix="repro-netchaos-")
@@ -368,16 +374,13 @@ def run_net_chaos(
 
     try:
         # Offline baselines: the bytes every served call must reproduce.
-        synth_result, _ = execute_synthesize(dict(synth_params))
-        synth_baseline = _canonical(synth_result)
+        synth_baseline = _offline("synthesize", synth_params)
         simulate_params = {
             key: synth_params[key]
             for key in ("source", "filename", "args", "optimize", "cores")
         }
-        simulate_params["layout"] = synth_result["layout"]
-        simulate_baseline = _canonical(
-            execute_simulate(dict(simulate_params))[0]
-        )
+        simulate_params["layout"] = json.loads(synth_baseline)["layout"]
+        simulate_baseline = _offline("simulate", simulate_params)
         workload = [
             ("synthesize", synth_params, synth_baseline),
             ("simulate", simulate_params, simulate_baseline),
@@ -404,7 +407,6 @@ def run_net_chaos(
                     workload,
                     cache_path,
                     client_timeout,
-                    execute_synthesize,
                     synth_params,
                 )
 
@@ -437,7 +439,6 @@ def _run_plan(
     workload,
     cache_path: str,
     client_timeout: float,
-    execute_synthesize,
     synth_params: Dict[str, object],
 ) -> DaemonProcess:
     """One plan: proxy-faulted workload, then the server-side fault
@@ -463,9 +464,7 @@ def _run_plan(
     proxy.arm(None)
 
     if plan.kill:
-        daemon = _kill_phase(
-            run, daemon, proxy, cache_path, execute_synthesize, synth_params
-        )
+        daemon = _kill_phase(run, daemon, proxy, cache_path, synth_params)
     if plan.flush_fail:
         _flush_fail_phase(run, daemon, synth_params)
 
@@ -492,7 +491,6 @@ def _kill_phase(
     daemon: DaemonProcess,
     proxy: ChaosProxy,
     cache_path: str,
-    execute_synthesize,
     synth_params: Dict[str, object],
 ) -> DaemonProcess:
     """SIGKILL the daemon while a cold request is in flight, verify the
@@ -502,7 +500,7 @@ def _kill_phase(
 
     cold_params = dict(synth_params)
     cold_params["seed"] = 1000 + run.index
-    cold_baseline = _canonical(execute_synthesize(dict(cold_params))[0])
+    cold_baseline = _offline("synthesize", cold_params)
 
     outcome: Dict[str, object] = {}
 

@@ -154,7 +154,8 @@ def error_response(
 # -- derived keys --------------------------------------------------------------
 
 
-def _digest(payload: Dict[str, object]) -> str:
+def canonical_digest(payload: Dict[str, object]) -> str:
+    """sha256 over ``payload`` as sorted-key ASCII JSON: both keys below."""
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, ensure_ascii=True).encode("ascii")
     ).hexdigest()
@@ -162,7 +163,7 @@ def _digest(payload: Dict[str, object]) -> str:
 
 def request_key(op: str, canonical_params: Dict[str, object]) -> str:
     """The coalescing key: identical in-flight requests share one run."""
-    return _digest({"op": op, "params": canonical_params})
+    return canonical_digest({"op": op, "params": canonical_params})
 
 
 def context_key(source: str, args: Sequence[str], optimize: bool) -> str:
@@ -176,7 +177,7 @@ def context_key(source: str, args: Sequence[str], optimize: bool) -> str:
     memory are keyed by :func:`request_key` instead, which covers the
     whole canonical request.
     """
-    return _digest(
+    return canonical_digest(
         {
             "source_sha256": hashlib.sha256(source.encode("utf-8")).hexdigest(),
             "args": list(args),

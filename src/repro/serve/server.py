@@ -4,11 +4,14 @@ Architecture (one process, three layers):
 
 * **Intake** (event loop) — newline-delimited-JSON connections
   (:mod:`repro.serve.protocol`). Cheap operations (``ping``,
-  ``metrics``, ``flush``, ``shutdown``) are answered inline; heavy
-  operations (``compile``/``profile``/``synthesize``/``simulate``) pass
-  through admission control and coalescing before execution.
-* **Execution** (worker threads) — a bounded thread pool runs
-  :mod:`repro.serve.service` operations. Each synthesize may itself fan
+  ``metrics``, ``flush``, ``shutdown``) are answered inline; a heavy
+  operation (``compile``/``profile``/``synthesize``/``simulate``) is
+  parsed once, by :meth:`repro.serve.service.Request.parse`, and then
+  passes through admission control and coalescing under the parsed
+  request's key.
+* **Execution** (worker threads) — a bounded thread pool runs the parsed
+  request through :func:`repro.serve.service.execute`, the function the
+  offline path calls too. Each synthesize may itself fan
   candidate simulations across the :mod:`repro.search` process pool
   (``ServeConfig.workers``), so the thread count bounds *searches in
   flight* while the process pool bounds *simulations in flight*.
@@ -21,11 +24,11 @@ Architecture (one process, three layers):
 Admission control: at most ``max_concurrency`` heavy operations execute
 while ``queue_limit`` more wait; a request beyond that is load-shed
 immediately with an ``overloaded`` error (plus a ``retry_after_ms``
-hint) rather than queued into unbounded latency. Coalescing: identical
-in-flight requests (by :func:`repro.serve.protocol.request_key`) attach
-to the running execution and do not consume admission slots — under a
-thundering herd of identical synthesize requests the daemon does the
-work once.
+hint) rather than queued into unbounded latency; a malformed request is
+refused before it takes a slot. Coalescing: identical in-flight requests
+(by :attr:`repro.serve.service.Request.key`) attach to the running
+execution and do not consume admission slots — under a thundering herd
+of identical synthesize requests the daemon does the work once.
 
 Failure story (the serve counterpart of ``repro.resilience`` /
 ``repro.search.supervise``):
@@ -97,18 +100,8 @@ from .protocol import (
     encode,
     error_response,
     ok_response,
-    request_key,
 )
-from .service import (
-    ProgramMemo,
-    ProgramSpec,
-    SimulateSpec,
-    SynthesizeSpec,
-    execute_compile,
-    execute_profile,
-    execute_simulate,
-    execute_synthesize,
-)
+from .service import ProgramMemo, Request, execute
 from ..search.storage import StorageError
 from .store import SimCacheStore
 
@@ -631,44 +624,6 @@ class SynthesisServer:
             return requested / 1000.0
         return min(configured, requested / 1000.0)
 
-    def _heavy_plan(self, op, message) -> Tuple[str, object]:
-        """Validates the request eagerly (so malformed requests are
-        rejected without consuming an admission slot) and returns its
-        coalescing key plus the executor thunk. The thunk takes the
-        request's cancellation token."""
-        if op == "synthesize":
-            key = SynthesizeSpec.parse(message).canonical()
-            thunk = lambda cancel: execute_synthesize(
-                message,
-                memo=self.memo,
-                cache=self.store.cache_for(
-                    ProgramSpec.parse(message).context()
-                ),
-                workers=self.config.workers,
-                cancel=cancel,
-            )
-        elif op == "simulate":
-            key = SimulateSpec.parse(message).canonical()
-            thunk = lambda cancel: execute_simulate(
-                message,
-                memo=self.memo,
-                cache=self.store.cache_for(
-                    ProgramSpec.parse(message).context()
-                ),
-                cancel=cancel,
-            )
-        elif op == "compile":
-            key = ProgramSpec.parse(message).canonical()
-            thunk = lambda cancel: execute_compile(
-                message, memo=self.memo, cancel=cancel
-            )
-        else:  # profile
-            key = ProgramSpec.parse(message).canonical()
-            thunk = lambda cancel: execute_profile(
-                message, memo=self.memo, cancel=cancel
-            )
-        return request_key(op, key), thunk
-
     async def _heavy(self, op, message) -> Dict[str, object]:
         if self._draining:
             self._count("serve_draining_rejected")
@@ -679,7 +634,10 @@ class SynthesisServer:
                 "no longer admitted",
                 retry_after_ms=RETRY_AFTER_DRAINING_MS,
             )
-        key, thunk = self._heavy_plan(op, message)
+        # Parsed before admission, so a malformed request (``trace_id``
+        # included) is refused without consuming a slot.
+        request = Request.parse(op, message)
+        key = request.key
         deadline = self._deadline_for(message)
 
         existing = self._inflight.get(key)
@@ -728,7 +686,7 @@ class SynthesisServer:
         self._admitted += 1
         self._cancels.add(cancel)
         self._set_pressure_gauges()
-        asyncio.ensure_future(self._run_admitted(key, thunk, cancel, future))
+        asyncio.ensure_future(self._run_admitted(request, cancel, future))
         try:
             outcome = await asyncio.wait_for(
                 asyncio.shield(future), timeout=deadline
@@ -749,29 +707,37 @@ class SynthesisServer:
                 f"(execution cancelled at the next search boundary)",
             )
         result, telemetry = outcome
-        if op in ("synthesize", "simulate"):
-            evaluations = int(telemetry.get("evaluations", 0))
-            # Only a simulation inserts into the cache; a memo answer, a
-            # warm replay or a cache hit leaves nothing new to persist
-            # (the shutdown flush still writes the latest counters).
-            if evaluations > 0:
-                self.store.mark_dirty()
-            self.registry.counter("serve_evaluations").inc(evaluations)
+        if "evaluations" in telemetry:
+            self.registry.counter("serve_evaluations").inc(
+                int(telemetry["evaluations"])
+            )
             self.registry.counter("serve_cache_hits").inc(
                 int(telemetry.get("cache_hits", 0))
             )
         return ok_response(message, result, dict(telemetry))
 
-    async def _run_admitted(self, key, thunk, cancel, future) -> None:
-        """Owns one admitted execution: runs the thunk on the pool,
-        publishes its outcome to the coalescing future, and releases the
-        admission slot when the thread *actually* finishes — a cancelled
-        request frees capacity only once its thread is reclaimed, so
+    async def _run_admitted(self, request, cancel, future) -> None:
+        """Owns one admitted execution: runs it on the pool, publishes
+        its outcome to the coalescing future, and releases the admission
+        slot when the thread *actually* finishes — a cancelled request
+        frees capacity only once its thread is reclaimed, so
         `max_concurrency` stays an honest bound on live threads."""
         loop = asyncio.get_event_loop()
         try:
+            cache = (
+                self.store.cache_for(request.spec.program.context())
+                if request.simulates
+                else None
+            )
             outcome = await loop.run_in_executor(
-                self._executor, lambda: thunk(cancel)
+                self._executor,
+                lambda: execute(
+                    request,
+                    memo=self.memo,
+                    cache=cache,
+                    workers=self.config.workers,
+                    cancel=cancel,
+                ),
             )
         except BaseException as exc:
             if cancel.is_set():
@@ -784,8 +750,8 @@ class SynthesisServer:
             if not future.done():
                 future.set_result(outcome)
         finally:
-            if self._inflight.get(key) is future:
-                self._inflight.pop(key)
+            if self._inflight.get(request.key) is future:
+                self._inflight.pop(request.key)
             self._admitted -= 1
             self._cancels.discard(cancel)
             self._set_pressure_gauges()

@@ -1,9 +1,12 @@
 """Operation execution — the one code path served and offline requests share.
 
-Each ``execute_*`` function runs one protocol operation through the
-exact public offline pipeline (:func:`repro.compile_program` →
-:func:`repro.profile_program` → :func:`repro.synthesize_layout`) and
-splits the outcome into:
+:meth:`Request.parse` validates a heavy request once, into its op, its
+spec, its ``trace_id`` and its key; the daemon does so before admission
+and the offline path (``repro request --offline``) the same way.
+:func:`execute` runs the parsed request through the exact public offline
+pipeline (:func:`repro.compile_program` → :func:`repro.profile_program`
+→ :func:`repro.synthesize_layout`), one row of the op table inside one
+envelope, and splits the outcome into:
 
 * ``result`` — the deterministic payload. Bit-identical for the same
   request whether it runs offline, against a cold daemon, a warm daemon,
@@ -35,9 +38,8 @@ import os
 import threading
 import time as _time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..core import (
     SynthesisOptions,
@@ -52,42 +54,11 @@ from ..search.cache import SimCache
 from ..search.evaluator import SerialEvaluator
 from .protocol import (
     SYNTHESIS_FORMAT,
+    TRACE_FIELD,
     ProtocolError,
-    context_key,
+    canonical_digest,
     request_key,
 )
-
-_P_SERVE = {
-    op: prof.intern_phase(f"serve.{op}")
-    for op in ("compile", "profile", "synthesize", "simulate")
-}
-
-
-@contextmanager
-def _request_trace(params: Dict[str, object], op: str):
-    """Profiler scope of one served request.
-
-    Wraps the request body in a ``serve.<op>`` phase and captures the
-    span slice the worker thread closes inside it (``reset=True`` so a
-    pooled thread's buffer never leaks across requests). Yields a dict
-    that, when the client sent a ``trace_id``, is filled *after* the body
-    with the trace echo — ``trace_id``, a fresh ``span_id``, and the
-    captured spans — for the caller to attach to telemetry. Results are
-    untouched: the echo rides in telemetry only, which is explicitly
-    outside the determinism contract.
-    """
-    trace_id = params.get("trace_id")
-    if trace_id is not None and not isinstance(trace_id, str):
-        raise ProtocolError("'trace_id' must be a string")
-    trace: Dict[str, object] = {}
-    with prof.collect_spans(reset=True) as spans:
-        with prof.phase(_P_SERVE[op]):
-            yield trace
-    if trace_id is not None:
-        trace["trace_id"] = trace_id
-        trace["span_id"] = os.urandom(8).hex()
-        trace["spans"] = spans
-
 
 def _check_cancel(cancel, where: str) -> None:
     """Cooperative cancellation point between pipeline stages.
@@ -100,6 +71,9 @@ def _check_cancel(cancel, where: str) -> None:
     """
     if cancel is not None and cancel.is_set():
         raise SearchCancelled(f"request cancelled before {where}")
+
+
+# -- specs ---------------------------------------------------------------------
 
 
 def _require(params: Dict[str, object], name: str, kind, what: str):
@@ -118,6 +92,33 @@ def _string_list(params: Dict[str, object], name: str) -> Tuple[str, ...]:
     return tuple(value)
 
 
+def _cores(params: Dict[str, object]) -> int:
+    cores = _require(params, "cores", int, "a positive core count")
+    if isinstance(cores, bool) or cores < 1:
+        raise ProtocolError("'cores' must be a positive core count")
+    return cores
+
+
+def _hints(params: Dict[str, object]) -> Optional[Tuple[Tuple[str, str], ...]]:
+    hints = params.get("hints")
+    if hints is None:
+        return None
+    if not isinstance(hints, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in hints.items()
+    ):
+        raise ProtocolError("'hints' must map task names to policies")
+    return tuple(sorted(hints.items()))
+
+
+def _optional_int(params: Dict[str, object], name: str) -> Optional[int]:
+    value = params.get(name)
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int)
+    ):
+        raise ProtocolError(f"'{name}' must be an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class ProgramSpec:
     """The simulation context every operation names: one program + one
@@ -127,26 +128,32 @@ class ProgramSpec:
     filename: str
     args: Tuple[str, ...]
     optimize: bool
+    #: sha256 of ``source``, hashed once by :meth:`parse`; the canonical
+    #: form, the context and the memo keys all reuse it
+    source_sha256: str
 
     @staticmethod
     def parse(params: Dict[str, object]) -> "ProgramSpec":
+        source = _require(params, "source", str, "the program source text")
         return ProgramSpec(
-            source=_require(params, "source", str, "the program source text"),
+            source=source,
             filename=str(params.get("filename", "<request>")),
             args=_string_list(params, "args"),
             optimize=bool(params.get("optimize", False)),
+            source_sha256=hashlib.sha256(source.encode("utf-8")).hexdigest(),
         )
 
     def context(self) -> str:
-        return context_key(self.source, self.args, self.optimize)
+        """The SimCache namespace: equal to
+        ``context_key(source, args, optimize)``, whose payload is this
+        spec's canonical form."""
+        return canonical_digest(self.canonical())
 
     def canonical(self) -> Dict[str, object]:
         """The deterministic identity of the context (``filename`` only
         flavors error messages, so it is deliberately excluded)."""
         return {
-            "source_sha256": hashlib.sha256(
-                self.source.encode("utf-8")
-            ).hexdigest(),
+            "source_sha256": self.source_sha256,
             "args": list(self.args),
             "optimize": self.optimize,
         }
@@ -166,32 +173,14 @@ class SynthesizeSpec:
 
     @staticmethod
     def parse(params: Dict[str, object]) -> "SynthesizeSpec":
-        program = ProgramSpec.parse(params)
-        cores = _require(params, "cores", int, "a positive core count")
-        if isinstance(cores, bool) or cores < 1:
-            raise ProtocolError("'cores' must be a positive core count")
-        hints = params.get("hints")
-        if hints is not None:
-            if not isinstance(hints, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in hints.items()
-            ):
-                raise ProtocolError("'hints' must map task names to policies")
-            hints = tuple(sorted(hints.items()))
-        for name in ("seed", "mesh_width", "max_iterations", "max_evaluations"):
-            value = params.get(name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ProtocolError(f"'{name}' must be an integer")
         return SynthesizeSpec(
-            program=program,
-            cores=cores,
-            seed=int(params.get("seed", 0) or 0),
-            mesh_width=params.get("mesh_width"),
-            hints=hints,
-            max_iterations=params.get("max_iterations"),
-            max_evaluations=params.get("max_evaluations"),
+            program=ProgramSpec.parse(params),
+            cores=_cores(params),
+            hints=_hints(params),
+            seed=_optional_int(params, "seed") or 0,
+            mesh_width=_optional_int(params, "mesh_width"),
+            max_iterations=_optional_int(params, "max_iterations"),
+            max_evaluations=_optional_int(params, "max_evaluations"),
         )
 
     def canonical(self) -> Dict[str, object]:
@@ -227,9 +216,7 @@ class SimulateSpec:
     @staticmethod
     def parse(params: Dict[str, object]) -> "SimulateSpec":
         program = ProgramSpec.parse(params)
-        cores = _require(params, "cores", int, "a positive core count")
-        if isinstance(cores, bool) or cores < 1:
-            raise ProtocolError("'cores' must be a positive core count")
+        cores = _cores(params)
         layout = params.get("layout")
         if not isinstance(layout, dict) or not layout:
             raise ProtocolError(
@@ -247,22 +234,12 @@ class SimulateSpec:
                     "'layout' must map task names to lists of core ids"
                 )
             mapping.append((task, tuple(task_cores)))
-        hints = params.get("hints")
-        if hints is not None:
-            if not isinstance(hints, dict):
-                raise ProtocolError("'hints' must map task names to policies")
-            hints = tuple(sorted(hints.items()))
-        mesh_width = params.get("mesh_width")
-        if mesh_width is not None and (
-            isinstance(mesh_width, bool) or not isinstance(mesh_width, int)
-        ):
-            raise ProtocolError("'mesh_width' must be an integer")
         return SimulateSpec(
             program=program,
             cores=cores,
-            mesh_width=mesh_width,
             mapping=tuple(mapping),
-            hints=hints,
+            hints=_hints(params),
+            mesh_width=_optional_int(params, "mesh_width"),
         )
 
     def canonical(self) -> Dict[str, object]:
@@ -273,6 +250,41 @@ class SimulateSpec:
             "layout": {task: list(cores) for task, cores in self.mapping},
             "hints": [list(item) for item in self.hints or []],
         }
+
+
+# -- the parsed request --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Request:
+    """One heavy request, parsed once.
+
+    ``key`` is :func:`request_key` over the spec's canonical form, the
+    key coalescing and the answer memo share. ``trace_id`` is the one
+    field kept outside that form, so two requests that differ only in it
+    share a key (``deadline_ms`` and ``id`` belong to the daemon and the
+    response envelope, and are not kept at all).
+    """
+
+    op: str
+    spec: Union[ProgramSpec, SynthesizeSpec, SimulateSpec]
+    trace_id: Optional[str]
+    key: str
+
+    @staticmethod
+    def parse(op: str, params: Dict[str, object]) -> "Request":
+        """Validates ``params`` as one request of the heavy ``op``;
+        raises :class:`ProtocolError` on any malformed field."""
+        spec = _OPS[op].spec.parse(params)
+        trace_id = params.get(TRACE_FIELD)
+        if trace_id is not None and not isinstance(trace_id, str):
+            raise ProtocolError(f"'{TRACE_FIELD}' must be a string")
+        return Request(op, spec, trace_id, request_key(op, spec.canonical()))
+
+    @property
+    def simulates(self) -> bool:
+        """True when the op reads its context's shared SimCache."""
+        return _OPS[self.op].simulates
 
 
 # -- pure-function memos -------------------------------------------------------
@@ -289,10 +301,9 @@ class ProgramMemo:
 
     All three are deterministic functions of their keys, so the memo is
     semantically invisible. Compiled programs and profiles remove the
-    recompile/re-profile tax every offline invocation pays. An answer is
-    kept under its request's coalescing key
-    (:func:`repro.serve.protocol.request_key` over
-    :meth:`SynthesizeSpec.canonical`), so a repeat differing only in
+    recompile/re-profile tax every offline invocation pays; both are
+    keyed by the spec's source digest. An answer is kept under its
+    request's key (:attr:`Request.key`), so a repeat differing only in
     ``trace_id``, ``deadline_ms`` or ``id`` is answered without compiling,
     profiling or searching. Answers live in memory only, at most
     :data:`MEMO_ANSWERS` of them in least-recently-used order, and are
@@ -315,11 +326,8 @@ class ProgramMemo:
         self.answer_hits = 0
         self.answer_misses = 0
 
-    def _source_key(self, spec: ProgramSpec) -> str:
-        return hashlib.sha256(spec.source.encode("utf-8")).hexdigest()
-
     def compiled(self, spec: ProgramSpec):
-        key = (self._source_key(spec), spec.optimize)
+        key = (spec.source_sha256, spec.optimize)
         with self._lock:
             cached = self._compiled.get(key)
             if cached is not None:
@@ -333,7 +341,7 @@ class ProgramMemo:
             return self._compiled.setdefault(key, compiled)
 
     def profile(self, spec: ProgramSpec):
-        key = (self._source_key(spec), spec.args, spec.optimize)
+        key = (spec.source_sha256, spec.args, spec.optimize)
         with self._lock:
             cached = self._profiles.get(key)
             if cached is not None:
@@ -382,188 +390,168 @@ class ProgramMemo:
 # -- operations ----------------------------------------------------------------
 
 
-def execute_compile(
-    params: Dict[str, object],
-    memo: Optional[ProgramMemo] = None,
-    cancel=None,
-) -> Tuple[Dict[str, object], Dict[str, object]]:
-    spec = ProgramSpec.parse(params)
-    memo = memo or ProgramMemo()
-    started = _time.perf_counter()
-    with _request_trace(params, "compile") as trace:
-        _check_cancel(cancel, "compile")
-        compiled = memo.compiled(spec)
-    result = {
+def _compile(request: Request, memo: ProgramMemo, cache, workers, cancel):
+    spec = request.spec
+    compiled = memo.compiled(spec)
+    return {
         "tasks": compiled.task_names(),
         "classes": sorted(compiled.info.classes),
         "context": spec.context(),
-    }
-    telemetry: Dict[str, object] = {
-        "wall_seconds": _time.perf_counter() - started
-    }
-    if trace:
-        telemetry["trace"] = trace
-    return result, telemetry
+    }, {}
 
 
-def execute_profile(
-    params: Dict[str, object],
-    memo: Optional[ProgramMemo] = None,
-    cancel=None,
-) -> Tuple[Dict[str, object], Dict[str, object]]:
-    spec = ProgramSpec.parse(params)
-    memo = memo or ProgramMemo()
-    started = _time.perf_counter()
-    with _request_trace(params, "profile") as trace:
-        _check_cancel(cancel, "profile")
-        profile = memo.profile(spec)
-    result = {
+def _profile(request: Request, memo: ProgramMemo, cache, workers, cancel):
+    spec = request.spec
+    profile = memo.profile(spec)
+    return {
         "context": spec.context(),
         "run_cycles": profile.run_cycles,
         "tasks": {
             task: {"invocations": stats.invocations}
             for task, stats in sorted(profile.tasks.items())
         },
-    }
-    telemetry: Dict[str, object] = {
-        "wall_seconds": _time.perf_counter() - started
-    }
-    if trace:
-        telemetry["trace"] = trace
-    return result, telemetry
+    }, {}
 
 
-def execute_synthesize(
-    params: Dict[str, object],
-    memo: Optional[ProgramMemo] = None,
-    cache: Optional[SimCache] = None,
-    workers: int = 1,
-    cancel=None,
-) -> Tuple[Dict[str, object], Dict[str, object]]:
-    """Runs one synthesize request through the offline pipeline.
-
-    ``cache``/``workers`` never change the result — the former by the
-    SimCache transparency + request-charged budget, the latter by the
-    :mod:`repro.search` batch contract — so the daemon passes its shared
-    persistent cache and its configured worker pool here while the
-    offline comparator passes neither. ``cancel`` (anything with
-    ``is_set()``) is polled between pipeline stages and at every search
-    iteration boundary; setting it raises :class:`SearchCancelled` and
-    reclaims the thread.
-
-    A caller's ``memo`` (the daemon's) also answers a repeated request
-    from memory: its telemetry says ``memo: true`` and reports no
-    evaluations. Only a search that ran to the end uncancelled is kept.
-    Without a ``memo`` (the offline path) every request searches.
-    """
-    spec = SynthesizeSpec.parse(params)
-    key = (
-        request_key("synthesize", spec.canonical())
-        if memo is not None
-        else None
-    )
-    memo = memo or ProgramMemo()
-    started = _time.perf_counter()
-    with _request_trace(params, "synthesize") as trace:
-        _check_cancel(cancel, "compile")
-        result = memo.answer(key) if key is not None else None
-        if result is None:
-            compiled = memo.compiled(spec.program)
-            _check_cancel(cancel, "profile")
-            profile = memo.profile(spec.program)
-            report = synthesize_layout(
-                compiled,
-                profile,
-                spec.cores,
-                options=SynthesisOptions(
-                    anneal=spec.anneal_config(),
-                    hints=dict(spec.hints) if spec.hints else None,
-                    mesh_width=spec.mesh_width,
-                    workers=workers,
-                    cache=cache,
-                    cancel_check=cancel.is_set if cancel is not None else None,
-                ),
-            )
+def _synthesize(request: Request, memo: ProgramMemo, cache, workers, cancel):
+    """Answers a repeat from the memo (telemetry ``memo: true``, no
+    evaluations); otherwise searches, and keeps the answer only if the
+    search ran to the end uncancelled. ``cache`` and ``workers`` never
+    change the result — the former by the SimCache transparency +
+    request-charged budget, the latter by the :mod:`repro.search` batch
+    contract; ``cancel`` is polled at every search iteration boundary."""
+    result = memo.answer(request.key)
     if result is not None:
-        telemetry: Dict[str, object] = {
-            "evaluations": 0,
-            "cache_hits": 0,
-            "memo": True,
-        }
-    else:
-        layout = report.layout
-        result = {
-            "format": SYNTHESIS_FORMAT,
-            "request": spec.canonical(),
-            "layout": {task: list(cores) for task, cores in layout.instances},
-            "num_cores": layout.num_cores,
-            "mesh_width": layout.mesh_width,
-            "topology": layout.topology,
-            "estimated_cycles": report.estimated_cycles,
-            "iterations": report.iterations,
-            "history": report.history,
-            # Requests (simulations + hits) are cache-state independent
-            # under the request-charged budget, so this is a deterministic
-            # field; the hit/miss split is not, and lives in telemetry.
-            "requested_evaluations": report.requested_evaluations,
-        }
-        telemetry = {
-            "evaluations": report.evaluations,
-            "cache_hits": report.cache_hits,
-        }
-        # A search whose deadline fired may still have finished; its
-        # caller was already answered with an error, so it is not kept.
-        if key is not None and (cancel is None or not cancel.is_set()):
-            memo.keep(key, result)
-    telemetry["wall_seconds"] = _time.perf_counter() - started
-    if trace:
-        telemetry["trace"] = trace
-    return result, telemetry
+        return result, {"evaluations": 0, "cache_hits": 0, "memo": True}
+    spec = request.spec
+    compiled = memo.compiled(spec.program)
+    _check_cancel(cancel, "profile")
+    profile = memo.profile(spec.program)
+    report = synthesize_layout(
+        compiled,
+        profile,
+        spec.cores,
+        options=SynthesisOptions(
+            anneal=spec.anneal_config(),
+            hints=dict(spec.hints) if spec.hints else None,
+            mesh_width=spec.mesh_width,
+            workers=workers,
+            cache=cache,
+            cancel_check=cancel.is_set if cancel is not None else None,
+        ),
+    )
+    layout = report.layout
+    result = {
+        "format": SYNTHESIS_FORMAT,
+        "request": spec.canonical(),
+        "layout": {task: list(cores) for task, cores in layout.instances},
+        "num_cores": layout.num_cores,
+        "mesh_width": layout.mesh_width,
+        "topology": layout.topology,
+        "estimated_cycles": report.estimated_cycles,
+        "iterations": report.iterations,
+        "history": report.history,
+        # Requests (simulations + hits) are cache-state independent
+        # under the request-charged budget, so this is a deterministic
+        # field; the hit/miss split is not, and lives in telemetry.
+        "requested_evaluations": report.requested_evaluations,
+    }
+    # A search whose deadline fired may still have finished; its caller
+    # was already answered with an error, so it is not kept.
+    if cancel is None or not cancel.is_set():
+        memo.keep(request.key, result)
+    return result, {
+        "evaluations": report.evaluations,
+        "cache_hits": report.cache_hits,
+    }
 
 
-def execute_simulate(
-    params: Dict[str, object],
-    memo: Optional[ProgramMemo] = None,
-    cache: Optional[SimCache] = None,
-    cancel=None,
-) -> Tuple[Dict[str, object], Dict[str, object]]:
+def _simulate(request: Request, memo: ProgramMemo, cache, workers, cancel):
     """Scores one explicit layout (sharing the context's SimCache, so a
     layout the search already visited is answered without simulating)."""
-    spec = SimulateSpec.parse(params)
-    memo = memo or ProgramMemo()
-    started = _time.perf_counter()
-    with _request_trace(params, "simulate") as trace:
-        _check_cancel(cancel, "compile")
-        compiled = memo.compiled(spec.program)
-        _check_cancel(cancel, "profile")
-        profile = memo.profile(spec.program)
-        layout = Layout.make(
-            spec.cores,
-            {task: list(cores) for task, cores in spec.mapping},
-            mesh_width=spec.mesh_width,
-        )
-        layout.validate(compiled.info)
-        evaluator = SerialEvaluator(
-            compiled,
-            profile,
-            hints=dict(spec.hints) if spec.hints else None,
-            cache=cache,
-        )
-        _check_cancel(cancel, "simulate")
-        outcome = evaluator.evaluate([layout])
+    spec = request.spec
+    compiled = memo.compiled(spec.program)
+    _check_cancel(cancel, "profile")
+    profile = memo.profile(spec.program)
+    layout = Layout.make(
+        spec.cores,
+        {task: list(cores) for task, cores in spec.mapping},
+        mesh_width=spec.mesh_width,
+    )
+    layout.validate(compiled.info)
+    evaluator = SerialEvaluator(
+        compiled,
+        profile,
+        hints=dict(spec.hints) if spec.hints else None,
+        cache=cache,
+    )
+    _check_cancel(cancel, "simulate")
+    outcome = evaluator.evaluate([layout])
     scored = outcome.scored[0]
-    result = {
+    return {
         "request": spec.canonical(),
         "cycles": scored.cycles,
         "finished": scored.result.finished,
         "utilization": scored.result.utilization,
         "invocations": dict(sorted(scored.result.invocations.items())),
-    }
-    telemetry = {
-        "wall_seconds": _time.perf_counter() - started,
+    }, {
         "cache_hits": outcome.cache_hits,
         "evaluations": outcome.simulations,
     }
-    if trace:
-        telemetry["trace"] = trace
+
+
+class _Op(NamedTuple):
+    """One row of the op table: the spec that parses the op's parameters,
+    the body ``(request, memo, cache, workers, cancel) -> (result,
+    telemetry)`` that :func:`execute` runs after its first cancellation
+    check, and whether the body reads its context's shared SimCache."""
+
+    spec: type
+    body: Callable
+    simulates: bool
+
+
+#: every heavy operation; a new one is one spec plus one row here
+_OPS: Dict[str, _Op] = {
+    "compile": _Op(ProgramSpec, _compile, False),
+    "profile": _Op(ProgramSpec, _profile, False),
+    "synthesize": _Op(SynthesizeSpec, _synthesize, True),
+    "simulate": _Op(SimulateSpec, _simulate, True),
+}
+
+_P_SERVE = {op: prof.intern_phase(f"serve.{op}") for op in _OPS}
+
+
+def execute(
+    request: Request,
+    memo: Optional[ProgramMemo] = None,
+    cache: Optional[SimCache] = None,
+    workers: int = 1,
+    cancel=None,
+) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """Runs one parsed request; returns ``(result, telemetry)``.
+
+    The daemon passes its shared memo, the context's persistent cache
+    and its worker count; the offline path passes none and runs on a
+    fresh memo. ``cancel`` (anything with ``is_set()``) is polled before
+    the first stage and between stages; once set it raises
+    :class:`SearchCancelled`, which reclaims the thread. The body runs
+    in a ``serve.<op>`` phase whose span slice (``reset=True``: a pooled
+    thread's buffer never leaks across requests) is echoed in telemetry
+    with the ``trace_id`` and a fresh ``span_id`` when one was sent.
+    """
+    started = _time.perf_counter()
+    with prof.collect_spans(reset=True) as spans:
+        with prof.phase(_P_SERVE[request.op]):
+            _check_cancel(cancel, "compile")
+            result, telemetry = _OPS[request.op].body(
+                request, memo or ProgramMemo(), cache, workers, cancel
+            )
+    telemetry["wall_seconds"] = _time.perf_counter() - started
+    if request.trace_id is not None:
+        telemetry["trace"] = {
+            "trace_id": request.trace_id,
+            "span_id": os.urandom(8).hex(),
+            "spans": spans,
+        }
     return result, telemetry

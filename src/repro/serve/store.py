@@ -18,6 +18,9 @@ rename + dir-fsync) + sha256-digest machinery search checkpoints use, so
 a crash mid-flush leaves the previous cache file intact and truncation
 is detected on load. On startup the whole file is restored, so a
 restarted daemon answers repeated synthesize requests from a warm cache.
+The store notices its own inserts: it is dirty while some context's
+:attr:`SimCache.inserts` differs from the count its last written flush
+covered, whichever request (finished, timed out or cancelled) inserted.
 
 A corrupted, truncated, or foreign cache file is **refused with a clear
 error** (never half-loaded): the load report carries the diagnostic, the
@@ -106,8 +109,9 @@ class SimCacheStore:
         #: quarantined files deleted by the rotation bound, lifetime
         self.quarantine_evictions = 0
         self._caches: Dict[str, SimCache] = {}
+        #: per context, the insert count the last written flush covered
+        self._flushed: Dict[str, int] = {}
         self._lock = threading.RLock()
-        self._dirty = False
         self.flushes = 0
         #: fault point: the next N flushes raise StorageError instead of
         #: writing (armed by the net-chaos harness and the ``inject`` op;
@@ -127,14 +131,17 @@ class SimCacheStore:
 
     # -- write-behind dirtiness ----------------------------------------------
 
-    def mark_dirty(self) -> None:
-        with self._lock:
-            self._dirty = True
-
     @property
     def dirty(self) -> bool:
+        """True when some context holds inserts no written flush covers;
+        always False without a path, since nothing would be written."""
+        if self.path is None:
+            return False
         with self._lock:
-            return self._dirty
+            return any(
+                cache.inserts != self._flushed.get(context, 0)
+                for context, cache in self._caches.items()
+            )
 
     # -- persistence ---------------------------------------------------------
 
@@ -199,24 +206,23 @@ class SimCacheStore:
 
     def flush(self) -> Optional[Dict[str, object]]:
         """Atomically writes every context's snapshot; returns the record
-        header (None when persistence is off). Clears the dirty flag
-        before snapshotting, so an insert racing the flush re-dirties the
-        store and is picked up by the next write-behind cycle."""
+        header (None when persistence is off). Each context's insert
+        count is read before its snapshot and counts as covered only once
+        the write succeeds, so an insert racing the flush, or a failed
+        write, leaves the store dirty for the next write-behind cycle."""
         if self.path is None:
             return None
         with self._lock:
             if self.fail_flushes > 0:
                 self.fail_flushes -= 1
-                # Leave the store dirty: the failed write persisted
-                # nothing, so the next cycle must try again.
                 raise StorageError(
                     "injected flush failure (store fault point)"
                 )
-            self._dirty = False
             caches = dict(self._caches)
-        contexts = {
-            context: cache.state() for context, cache in caches.items()
-        }
+        covered, contexts = {}, {}
+        for context, cache in caches.items():
+            covered[context] = cache.inserts
+            contexts[context] = cache.state()
         header = write_pickle_record(
             self.path,
             SIMCACHE_FORMAT,
@@ -227,6 +233,7 @@ class SimCacheStore:
             },
         )
         with self._lock:
+            self._flushed.update(covered)
             self.flushes += 1
         return header
 
@@ -252,7 +259,7 @@ class SimCacheStore:
                 "contexts": len(self._caches),
                 "entries": sum(len(c) for c in self._caches.values()),
                 "max_entries_per_context": self.max_entries,
-                "dirty": self._dirty,
+                "dirty": self.dirty,
                 "flushes": self.flushes,
                 "max_quarantine": self.max_quarantine,
                 "quarantine_evictions": self.quarantine_evictions,

@@ -190,18 +190,19 @@ def contested_context():
 def synthesize_gate(monkeypatch):
     """Holds every served synthesize execution until the returned event is
     set, so a request is deterministically still in flight while a test
-    probes the daemon. The daemon runs in process and looks
-    ``execute_synthesize`` up at call time."""
+    probes the daemon; other ops run unheld. The daemon runs in process
+    and looks ``execute`` up at call time."""
     from repro.serve import server
 
     gate = threading.Event()
-    execute = server.execute_synthesize
+    execute = server.execute
 
-    def held(*args, **kwargs):
-        gate.wait(timeout=60)
-        return execute(*args, **kwargs)
+    def held(request, *args, **kwargs):
+        if request.op == "synthesize":
+            gate.wait(timeout=60)
+        return execute(request, *args, **kwargs)
 
-    monkeypatch.setattr(server, "execute_synthesize", held)
+    monkeypatch.setattr(server, "execute", held)
     yield gate
     gate.set()
 

@@ -30,14 +30,16 @@ from repro.search.storage import (
 from repro.serve import (
     SIMCACHE_FORMAT,
     ProgramMemo,
+    ProgramSpec,
     ProtocolError,
+    Request,
     ServeClient,
     ServeConfig,
     ServeError,
     ServerThread,
     SimCacheStore,
     context_key,
-    execute_synthesize,
+    execute,
     request_key,
 )
 from repro.serve.protocol import decode, encode
@@ -67,7 +69,7 @@ HINTS = {
 
 def offline_result(**overrides):
     params = dict(REQUEST, **overrides)
-    result, _telemetry = execute_synthesize(params)
+    result, _telemetry = execute(Request.parse("synthesize", params))
     return result
 
 
@@ -122,6 +124,17 @@ class TestStorage:
             handle.truncate(size - 4)
         with pytest.raises(StorageError, match="digest mismatch"):
             read_record(path, self.FMT)
+
+    def test_header_without_newline_is_truncated(self, tmp_path):
+        path = str(tmp_path / "record.bin")
+        write_record(path, self.FMT, b"payload")
+        with open(path, "rb") as handle:
+            header_line = handle.readline().rstrip(b"\n")
+        with open(path, "wb") as handle:
+            handle.write(header_line)
+        with pytest.raises(StorageError, match="is truncated") as excinfo:
+            read_record(path, self.FMT)
+        assert excinfo.value.code == "not_record"
 
     def test_foreign_format_refused(self, tmp_path):
         path = str(tmp_path / "record.bin")
@@ -202,7 +215,6 @@ def _fill(store, context, n):
     cache = store.cache_for(context)
     for i in range(n):
         cache.put(f"fp-{i}", _sim_result(i))
-    store.mark_dirty()
 
 
 class TestSimCacheStore:
@@ -223,6 +235,24 @@ class TestSimCacheStore:
         assert report.loaded and not report.refused
         assert report.contexts == 2 and report.entries == 8
         assert fresh.cache_for("ctx-a").get("fp-2") is not None
+
+    def test_insert_racing_a_flush_leaves_store_dirty(self, tmp_path):
+        store = SimCacheStore(path=str(tmp_path / "simcache.bin"))
+        _fill(store, "ctx", 2)
+        cache = store.cache_for("ctx")
+        state = cache.state
+
+        def racing_state():
+            snapshot = state()
+            cache.put("fp-late", _sim_result(99))
+            return snapshot
+
+        cache.state = racing_state
+        store.flush()
+        assert store.dirty  # the late insert is not in the file
+        del cache.state
+        store.flush()
+        assert not store.dirty
 
     def test_missing_file_is_cold(self, tmp_path):
         store = SimCacheStore(path=str(tmp_path / "absent.bin"))
@@ -535,6 +565,35 @@ class TestServing:
             background.join()
         # The shed client was told to retry; the slow request finished.
 
+    def test_malformed_trace_id_refused_before_admission(
+        self, synthesize_gate
+    ):
+        # The daemon is full, so only a refusal that comes before
+        # admission answers bad_request rather than overloaded.
+        config = ServeConfig(max_concurrency=1, queue_limit=0)
+
+        def occupant(handle):
+            with handle.client() as client:
+                served_synthesize(client)
+
+        with ServerThread(config) as handle:
+            background = threading.Thread(target=occupant, args=(handle,))
+            background.start()
+            try:
+                with handle.client() as client:
+                    self._wait_for_admitted(client)
+                    with pytest.raises(ServeError) as excinfo:
+                        client.call(
+                            "compile", source=KEYWORD_SOURCE, trace_id=5
+                        )
+                    assert excinfo.value.code == "bad_request"
+                    assert "trace_id" in str(excinfo.value)
+                    counters = client.metrics()["counters"]
+                    assert counters.get("serve_shed", 0) == 0
+            finally:
+                synthesize_gate.set()
+            background.join()
+
     def test_identical_inflight_requests_coalesce(self, synthesize_gate):
         config = ServeConfig(max_concurrency=1, queue_limit=0)
         slow = dict(seed=0, max_iterations=50, max_evaluations=2000)
@@ -701,14 +760,15 @@ class TestAnswerMemo:
 
     def test_callers_cannot_mutate_a_kept_answer(self):
         memo = ProgramMemo()
-        first, _telemetry = execute_synthesize(dict(REQUEST), memo=memo)
+        request = Request.parse("synthesize", dict(REQUEST))
+        first, _telemetry = execute(request, memo=memo)
         expected = canonical(first)
         first["history"].append(0)
-        second, telemetry = execute_synthesize(dict(REQUEST), memo=memo)
+        second, telemetry = execute(request, memo=memo)
         assert telemetry["memo"] is True
         assert canonical(second) == expected
         second["layout"].clear()
-        third, _telemetry = execute_synthesize(dict(REQUEST), memo=memo)
+        third, _telemetry = execute(request, memo=memo)
         assert canonical(third) == expected
 
     def test_every_canonical_field_splits_the_memo(self, searches):
@@ -839,6 +899,161 @@ class TestHintedRequests:
                 hinted, _telemetry = served_synthesize(client, hints=HINTS)
         assert canonical(hinted) == canonical(offline_result(hints=HINTS))
         assert hinted["estimated_cycles"] != plain["estimated_cycles"]
+
+
+class TestStoreNoticesInserts:
+    """The store goes dirty on its caches' inserts, whichever request
+    made them, and never without a file to write."""
+
+    def test_deadline_cancelled_inserts_are_flushed(
+        self, monkeypatch, tmp_path
+    ):
+        from dataclasses import replace
+
+        from repro.serve import service
+
+        gate = threading.Event()
+        search = service.synthesize_layout
+
+        def held(*args, options, **kwargs):
+            # Held past its deadline, then run to the end: its inserts
+            # land after its caller was answered with an error.
+            gate.wait(timeout=60)
+            options = replace(options, cancel_check=None)
+            return search(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(service, "synthesize_layout", held)
+        path = str(tmp_path / "simcache.bin")
+        config = ServeConfig(cache_path=path, flush_interval=0.05)
+        with ServerThread(config) as handle:
+            store = handle.server.store
+            with handle.client() as client:
+                try:
+                    with pytest.raises(ServeError) as excinfo:
+                        served_synthesize(client, deadline_ms=100)
+                    assert excinfo.value.code == "deadline_exceeded"
+                finally:
+                    gate.set()
+                deadline = time.monotonic() + 20.0
+                while client.metrics()["admitted"] > 0:
+                    assert time.monotonic() < deadline, "run never ended"
+                    time.sleep(0.005)
+                deadline = time.monotonic() + 10.0
+                while store.dirty or store.flushes == 0:
+                    assert time.monotonic() < deadline, "never flushed"
+                    time.sleep(0.01)
+                entries = store.stats()["entries"]
+        assert entries > 0
+        report = SimCacheStore(path=path).load()
+        assert report.loaded and report.entries == entries
+
+    def test_daemon_without_cache_counts_no_flushes(self):
+        with ServerThread(ServeConfig(flush_interval=0.05)) as handle:
+            store = handle.server.store
+            with handle.client() as client:
+                _result, telemetry = served_synthesize(client)
+                assert telemetry["evaluations"] > 0
+                time.sleep(0.6)
+                counters = client.metrics()["counters"]
+            assert not store.dirty
+        assert counters.get("serve_flushes", 0) == 0
+        assert store.flushes == 0
+
+
+class TestSinglePath:
+    """A heavy request is parsed once, into one value whose key and
+    source digest every later stage reuses."""
+
+    LAYOUT = {task: [0] for task in HINTS}
+
+    @pytest.fixture
+    def source_work(self, monkeypatch):
+        """Counts program-spec parses and sha256 calls over the source."""
+        import hashlib
+
+        from repro.serve import service
+
+        counts = {"parses": 0, "hashes": 0}
+        source = KEYWORD_SOURCE.encode("utf-8")
+        sha256 = hashlib.sha256
+        parse = service.ProgramSpec.parse
+
+        def hashed(data=b"", **kwargs):
+            if data == source:
+                counts["hashes"] += 1
+            return sha256(data, **kwargs)
+
+        def parsed(params):
+            counts["parses"] += 1
+            return parse(params)
+
+        monkeypatch.setattr(hashlib, "sha256", hashed)
+        monkeypatch.setattr(service.ProgramSpec, "parse", staticmethod(parsed))
+        return counts
+
+    def test_each_op_parses_and_hashes_its_source_once(self, source_work):
+        program = dict(source=KEYWORD_SOURCE, args=ARGS, optimize=True)
+        calls = [
+            ("compile", program),
+            ("profile", program),
+            ("synthesize", REQUEST),
+            ("synthesize", REQUEST),  # the repeat, answered from memory
+            ("simulate", dict(program, cores=CORES, layout=self.LAYOUT)),
+        ]
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                for index, (op, params) in enumerate(calls):
+                    source_work.update(parses=0, hashes=0)
+                    client.call(op, **params)
+                    assert source_work == {"parses": 1, "hashes": 1}, (
+                        index,
+                        op,
+                    )
+
+    def test_simulate_refuses_non_string_hint_policy(self):
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.call(
+                        "simulate",
+                        source=KEYWORD_SOURCE,
+                        args=ARGS,
+                        cores=CORES,
+                        layout=self.LAYOUT,
+                        hints={"processText": 3},
+                    )
+        assert excinfo.value.code == "bad_request"
+        assert "'hints' must map task names to policies" in str(
+            excinfo.value
+        )
+
+    def test_context_and_keys_are_unchanged(self):
+        from repro.serve import SynthesizeSpec
+
+        for params in (
+            dict(source=KEYWORD_SOURCE),
+            dict(source=KEYWORD_SOURCE, args=ARGS, optimize=True),
+        ):
+            spec = ProgramSpec.parse(params)
+            assert spec.context() == context_key(
+                params["source"],
+                params.get("args", []),
+                params.get("optimize", False),
+            )
+        # Pinned: the names a cache file written by an earlier daemon
+        # loads under, and the coalescing and memo keys.
+        assert context_key(KEYWORD_SOURCE, ARGS, True) == (
+            "11d64c8dd87374b63712e2856224bffd6947a659915adf09efb0ebe733a9e5da"
+        )
+        assert Request.parse("synthesize", REQUEST).key == (
+            "167f0aef9fdd8449439585078ae840df6218299035faeabb9fdd08c53623271c"
+        )
+        assert Request.parse("compile", REQUEST).key == (
+            "a61b3111483d7455e4f84f8109c2bfa92de7405afd42e29508dee320279f4e88"
+        )
+        assert Request.parse("synthesize", REQUEST).key == request_key(
+            "synthesize", SynthesizeSpec.parse(REQUEST).canonical()
+        )
 
 
 # -- the CLI -------------------------------------------------------------------

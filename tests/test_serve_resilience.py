@@ -30,12 +30,13 @@ from repro.serve import (
     NetChaosPlan,
     NetFault,
     ProtocolError,
+    Request,
     ServeClient,
     ServeConfig,
     ServeError,
     ServeUnavailable,
     ServerThread,
-    execute_synthesize,
+    execute,
     run_net_chaos,
     wait_for_server,
 )
@@ -74,7 +75,9 @@ def canonical(result):
 
 
 def offline_result(**overrides):
-    result, _telemetry = execute_synthesize(dict(REQUEST, **overrides))
+    result, _telemetry = execute(
+        Request.parse("synthesize", dict(REQUEST, **overrides))
+    )
     return result
 
 
@@ -359,7 +362,7 @@ class TestGracefulDrain:
             thread.join(timeout=30.0)
             assert not thread.is_alive()
             # Admitted before the drain began → answered, and correctly.
-            result, _ = execute_synthesize(dict(moderate))
+            result, _ = execute(Request.parse("synthesize", moderate))
             assert canonical(box["response"]["result"]) == canonical(result)
 
 
@@ -447,11 +450,11 @@ class TestDegradedReporting:
                     client.call("inject", fault="meteor_strike")
 
     def test_store_fault_point_leaves_store_dirty(self, tmp_path):
+        from repro.search.cache import CacheEntry
         from repro.serve import SimCacheStore
 
         store = SimCacheStore(path=str(tmp_path / "cache.bin"))
-        store.cache_for("ctx")
-        store.mark_dirty()
+        store.cache_for("ctx").put("fp", CacheEntry(cycles=1, result=None))
         store.fail_flushes = 1
         with pytest.raises(StorageError, match="injected flush failure"):
             store.flush()
@@ -493,7 +496,7 @@ class TestCancellationSeam:
         from repro.schedule.anneal import SearchCancelled
 
         with pytest.raises(SearchCancelled, match="before compile"):
-            execute_synthesize(dict(REQUEST), cancel=event)
+            execute(Request.parse("synthesize", REQUEST), cancel=event)
 
 
 # -- protocol fuzzing ----------------------------------------------------------
