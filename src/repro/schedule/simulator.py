@@ -31,7 +31,8 @@ Entry points
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from bisect import bisect_left, insort
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from time import perf_counter_ns as _perf_counter_ns
@@ -228,6 +229,24 @@ class SimResult:
         )
 
 
+def check_policies(
+    hints: Optional[Dict[str, str]] = None, exit_policy: str = "sequence"
+) -> None:
+    """Raises ``ValueError`` naming an exit policy or a hint policy the
+    simulator does not know: :class:`ExitChooser` runs ``"sequence"`` or
+    ``"counts"``, and ``"per_object"`` is the one hint (§4.4)."""
+    if exit_policy not in ("sequence", "counts"):
+        raise ValueError(
+            f"unknown exit policy {exit_policy!r}: expected 'sequence' or 'counts'"
+        )
+    for task, policy in (hints or {}).items():
+        if policy != "per_object":
+            raise ValueError(
+                f"unknown hint policy {policy!r} for task {task!r}: "
+                "expected 'per_object'"
+            )
+
+
 class ExitChooser:
     """Count-matching exit selection (deterministic low-discrepancy draw).
 
@@ -244,6 +263,7 @@ class ExitChooser:
         hints: Optional[Dict[str, str]] = None,
         policy: str = "sequence",
     ):
+        check_policies(hints, policy)
         self.profile = profile
         self.hints = hints or {}
         self.policy = policy
@@ -518,22 +538,32 @@ def _layout_links(layout: Layout):
 class _SimEngine:
     """One discrete-event simulation of one layout.
 
-    Heap events are flat 7-slot tuples ``(time, seq, target, rec, slot,
-    param_index, entry)`` — ``(time, seq)`` is unique, so the trailing
-    payload slots never participate in heap comparisons. An arrival
+    Pending events sit in one list per time, in the order they were
+    scheduled, under a heap of the distinct pending times; the loop runs
+    each time's list to its end before popping the next time. Events are
+    flat 5-tuples ``(core, rec, slot, param_index, entry)``. An arrival
     carries the destination core, the consuming task's record, the
     destination instance's parameter sets (None for a one-parameter
-    task, whose arrivals go straight to the ready queue) and the queue
-    entry ``(object, arrived_at, producer_event)``. A wake-up has ``rec``
-    None and ``target`` lists the cores it visits, in order.
+    task, whose arrivals go straight to the ready queue), the parameter
+    index and the queue entry ``(object, arrived_at, producer_event)``.
+    A wake-up has ``rec`` None, its core in the first slot, its visit
+    count in ``slot`` and, in ``param_index``, the trace length when it
+    was scheduled (its stamp).
 
-    A dispatch pushes one wake-up at its end time carrying the dispatching
-    core and then every other core that has queued work and is free by
-    then, in ascending order; an arrival that finds its core idle pushes a
-    one-core wake-up. ``_waiting`` holds the cores with a nonempty ready
-    queue, so a dispatch finds them without scanning every core. Each core
-    a wake-up visits counts as one processed event against
-    ``max_events``.
+    A dispatch schedules one wake-up at its end time. The wake-up visits
+    the dispatching core, then every other core that was waiting (had
+    queued work) and would be free by then when it was scheduled, in
+    ascending order, and each visit counts as one processed event against
+    ``max_events``. So the wake-up stores the number of its visits (a
+    bisect of ``_free_order``) and its stamp, not the list. A listed core
+    starts only if it waits and is free when the wake-up runs. Because
+    ``busy_until`` only grows, a core that waits and is free then was
+    listed exactly when it was waiting at the stamp, which ``_waits``
+    records; the wake-up finds such cores in the prefix of
+    ``_free_order``, and rebuilds its list only when the budget ends
+    inside it. An arrival that finds its core idle with work schedules a
+    one-core wake-up at the current time, which joins the end of the list
+    being run.
     """
 
     def __init__(
@@ -551,8 +581,10 @@ class _SimEngine:
         self._links = _layout_links(layout)
         core_list = layout.cores_used()
 
-        self._events: List[tuple] = []
-        self._seq = 0
+        #: the distinct times that have events pending, as a heap
+        self._times: List[int] = []
+        #: per pending time: its events, in scheduling order
+        self._due: Dict[int, list] = {}
         self._next_obj_id = 0
         self.busy_until: Dict[int, int] = {
             core: _INIT for core in core_list
@@ -570,10 +602,16 @@ class _SimEngine:
             ))
         #: cores whose ready queue is nonempty
         self._waiting: Set[int] = set()
+        #: the waiting cores as sorted keys ``busy_until * _stride + core``:
+        #: those free by time ``t`` are the keys below ``(t + 1) * _stride``
+        self._stride = layout.num_cores
+        self._free_order: List[int] = []
+        #: per core: the trace lengths at which it joined and left
+        #: ``_waiting``, alternately, so it waits now when the count is odd
+        self._waits: Dict[int, List[int]] = {core: [] for core in core_list}
         self._rr_state: Dict[Tuple[int, int], int] = {}
         self._alloc_carry: Dict[int, float] = {}
         self.trace = SimTrace()
-        self.invocations: Dict[str, int] = {}
 
     # -- main loop ---------------------------------------------------------------
 
@@ -605,58 +643,104 @@ class _SimEngine:
             finished=finished,
             trace=self.trace,
             core_busy=dict(self.core_busy),
-            invocations=dict(self.invocations),
+            invocations=dict(Counter(self.trace.task)),
             utilization=utilization,
         )
 
     def _drain(self) -> Tuple[bool, int, int]:
-        """The event loop: returns ``(finished, last_time, processed)``."""
-        events = self._events
-        pop = heapq.heappop
-        push = heapq.heappush
+        """The event loop: returns ``(finished, last_time, processed)``,
+        where ``last_time`` is the time of the last event the budget let
+        start."""
+        times = self._times
+        due = self._due
         max_events = self.max_events
         ready = self.ready
         waiting = self._waiting
         busy_until = self.busy_until
+        free_order = self._free_order
+        waits = self._waits
+        stride = self._stride
+        join = self._join
         dispatch = self._dispatch
         try_form = self._try_form
         processed = 0
-        finished = True
-        # Event times are nondecreasing (pushes never go backwards), so
-        # tracking the last popped time needs no max().
         last_time = _INIT
-        while events:
-            processed += 1
-            if processed > max_events:
-                finished = False
-                break
-            time, _, target, rec, slot, param_index, entry = pop(events)
-            last_time = time
-            if rec is None:
+        while times:
+            time = times[0]
+            batch = due[time]
+            # Wake-ups scheduled for ``time`` while the batch runs join
+            # its end, and the loop reaches them.
+            for target, rec, slot, param_index, entry in batch:
+                processed += 1
+                if processed > max_events:
+                    return False, last_time, processed
+                last_time = time
+                if rec is not None:
+                    # An arrival; a core it leaves idle with work gets a
+                    # one-core wake-up.
+                    if slot is None:
+                        ready[target].append((rec, (entry,), None))
+                        if target not in waiting:
+                            join(target)
+                        if busy_until[target] <= time:
+                            batch.append((target, None, 1, 0, None))
+                    else:
+                        slot[param_index].append(entry)
+                        try_form(target, rec, slot)
+                        if target in waiting and busy_until[target] <= time:
+                            batch.append((target, None, 1, 0, None))
+                    continue
+                if target in waiting and busy_until[target] <= time:
+                    dispatch(target, time)
+                if slot == 1:
+                    continue
                 # Every core after the first is one more processed event,
                 # so the budget can run out partway through a wake-up.
-                last = processed + len(target) - 1
-                if last > max_events:
-                    target = target[:max_events - processed + 1]
-                for core in target:
-                    if core in waiting and busy_until[core] <= time:
-                        dispatch(core, time)
-                if last > max_events:
-                    processed = max_events + 1
-                    finished = False
-                    break
-                processed = last
-            else:
-                if slot is None:
-                    ready[target].append((rec, (entry,), None))
-                    waiting.add(target)
-                else:
-                    slot[param_index].append(entry)
-                    try_form(target, rec, slot)
-                if target in waiting and busy_until[target] <= time:
-                    self._seq = s = self._seq + 1
-                    push(events, (time, s, (target,), None, None, 0, None))
-        return finished, last_time, processed
+                if processed + slot - 1 > max_events:
+                    listed = self._listed(target, time, param_index)
+                    for core in listed[:max_events - processed]:
+                        if core in waiting and busy_until[core] <= time:
+                            dispatch(core, time)
+                    return False, last_time, max_events + 1
+                processed += slot - 1
+                limit = (time + 1) * stride
+                if not free_order or free_order[0] >= limit:
+                    continue
+                # The waiting cores free now that were waiting at the
+                # stamp; starting one changes no other core's state.
+                stamp = param_index
+                others = []
+                for key in free_order[:bisect_left(free_order, limit)]:
+                    core = key % stride
+                    if core != target and bisect_left(waits[core], stamp) & 1:
+                        others.append(core)
+                others.sort()
+                for core in others:
+                    dispatch(core, time)
+            heapq.heappop(times)
+            del due[time]
+        return True, last_time, processed
+
+    def _listed(self, core: int, time: int, stamp: int) -> List[int]:
+        """The cores after ``core`` that a wake-up for ``time`` scheduled
+        at ``stamp`` visits, rebuilt from the trace: those that were
+        waiting then and free by ``time``, in ascending order."""
+        busy = dict.fromkeys(self.busy_until, _INIT)
+        trace = self.trace
+        for index in range(stamp):
+            busy[trace.core[index]] = trace.end[index]
+        return [
+            other for other in sorted(busy)
+            if other != core and busy[other] <= time
+            and bisect_left(self._waits[other], stamp) & 1
+        ]
+
+    def _join(self, core: int) -> None:
+        """Adds ``core``, whose ready queue just became nonempty, to the
+        waiting cores."""
+        self._waiting.add(core)
+        insort(self._free_order, self.busy_until[core] * self._stride + core)
+        self._waits[core].append(len(self.trace.task))
 
     # -- invocation formation -----------------------------------------------------
 
@@ -669,7 +753,8 @@ class _SimEngine:
             if combo is None:
                 return
             self.ready[core].append((rec, combo, slot))
-            self._waiting.add(core)
+            if core not in self._waiting:
+                self._join(core)
 
     @staticmethod
     def _pop_compatible(sets: List[deque], tag_match: bool) -> Optional[list]:
@@ -707,18 +792,33 @@ class _SimEngine:
         ready = self.ready[core]
         while ready:
             rec, combo, slot = ready.popleft()
-            for entry, accepts in zip(combo, rec.accepts):
-                if entry[0].state not in accepts:
+            if rec.nparams == 1:
+                if combo[0][0].state in rec.accepts[0]:
                     break
             else:
-                break  # every object still satisfies its parameter's guard
+                for entry, accepts in zip(combo, rec.accepts):
+                    if entry[0].state not in accepts:
+                        break
+                else:
+                    break  # every object still satisfies its parameter's guard
             self._requeue_stale(core, time, rec, combo, slot)
         else:
-            # Every ready invocation was stale.
-            self._waiting.discard(core)
-            return
+            rec = None  # every ready invocation was stale
+        trace = self.trace
+        event_id = len(trace.task)
+        busy_until = self.busy_until
+        stride = self._stride
+        free_order = self._free_order
+        # The core leaves its place in the free order: it is busy until a
+        # new time, or it waits no more.
+        del free_order[bisect_left(free_order, busy_until[core] * stride + core)]
         if not ready:
+            # Stamped before this dispatch's own event, so its wake-up
+            # counts the core out.
             self._waiting.discard(core)
+            self._waits[core].append(event_id)
+            if rec is None:
+                return
 
         tables = self.tables
         task = rec.name
@@ -733,9 +833,10 @@ class _SimEngine:
             )
         start = time
         end = start + duration
+        busy_until[core] = end
+        if ready:
+            insort(free_order, end * stride + core)
 
-        trace = self.trace
-        event_id = len(trace.task)
         trace.task.append(task)
         trace.core.append(core)
         trace.start.append(start)
@@ -749,11 +850,7 @@ class _SimEngine:
                 data_ready = arrived
         trace.data_ready.append(data_ready)
         trace.param_end.append(len(producer))
-        invocations = self.invocations
-        invocations[task] = invocations.get(task, 0) + 1
         self.core_busy[core] += duration
-        busy_until = self.busy_until
-        busy_until[core] = end
 
         # Transition parameter objects per the exit's flag/tag actions.
         route = self._route
@@ -787,16 +884,17 @@ class _SimEngine:
                         route(SimObject(obj_id, state, tag_key), core, end,
                               event_id)
 
-        # One wake-up at ``end``: this core, then every other core with
-        # queued work that is free by then, in ascending order.
-        visits = [
-            other for other in self._waiting
-            if busy_until[other] <= end and other != core
-        ]
-        visits.sort()
-        visits.insert(0, core)
-        self._seq = s = self._seq + 1
-        heapq.heappush(self._events, (end, s, visits, None, None, 0, None))
+        # One wake-up at ``end``: this core, then every other waiting core
+        # free by then. This core's own key, when it still waits, is one
+        # of the keys below the limit.
+        listed = bisect_left(free_order, (end + 1) * stride) - (1 if ready else 0)
+        wakeup = (core, None, listed + 1, event_id + 1, None)
+        bucket = self._due.get(end)
+        if bucket is None:
+            self._due[end] = [wakeup]
+            heapq.heappush(self._times, end)
+        else:
+            bucket.append(wakeup)
 
     def _requeue_stale(self, core: int, time: int, rec: _TaskRec,
                        combo, slot) -> None:
@@ -826,7 +924,7 @@ class _SimEngine:
             return
         dests = self._dests
         rr_state = self._rr_state
-        events = self._events
+        due = self._due
         links = None if sender is None else self._links[sender]
         for rec, param_index in consumers:
             cores, slots = dests[rec.index]
@@ -857,11 +955,14 @@ class _SimEngine:
                 arrived = time + _ENQUEUE
             else:
                 arrived = time + links[dest] + tables.words[obj.state]
-            self._seq = s = self._seq + 1
-            heapq.heappush(events, (
-                arrived, s, dest, rec, slots[index], param_index,
-                (obj, arrived, producer_event),
-            ))
+            event = (dest, rec, slots[index], param_index,
+                     (obj, arrived, producer_event))
+            bucket = due.get(arrived)
+            if bucket is None:
+                due[arrived] = [event]
+                heapq.heappush(self._times, arrived)
+            else:
+                bucket.append(event)
 
 
 # -- sessions & facade ----------------------------------------------------------
@@ -889,6 +990,7 @@ class SimSession:
         exit_policy: str = "sequence",
         max_events: int = 2_000_000,
     ):
+        check_policies(hints, exit_policy)
         self.compiled = compiled
         self.profile = profile
         self.hints = hints

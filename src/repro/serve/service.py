@@ -50,6 +50,7 @@ from ..core import (
 from ..obs import prof
 from ..schedule.anneal import AnnealConfig, SearchCancelled
 from ..schedule.layout import Layout
+from ..schedule.simulator import check_policies
 from ..search.cache import SimCache
 from ..search.evaluator import SerialEvaluator
 from .protocol import (
@@ -107,6 +108,10 @@ def _hints(params: Dict[str, object]) -> Optional[Tuple[Tuple[str, str], ...]]:
         isinstance(k, str) and isinstance(v, str) for k, v in hints.items()
     ):
         raise ProtocolError("'hints' must map task names to policies")
+    try:
+        check_policies(hints)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
     return tuple(sorted(hints.items()))
 
 

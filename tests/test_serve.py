@@ -1027,6 +1027,23 @@ class TestSinglePath:
             excinfo.value
         )
 
+    def test_simulate_refuses_unknown_hint_policy(self):
+        # The simulator would raise ValueError on it; the daemon must
+        # answer bad_request, not internal.
+        with ServerThread(ServeConfig()) as handle:
+            with handle.client() as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.call(
+                        "simulate",
+                        source=KEYWORD_SOURCE,
+                        args=ARGS,
+                        cores=CORES,
+                        layout=self.LAYOUT,
+                        hints={"processText": "per-object"},
+                    )
+        assert excinfo.value.code == "bad_request"
+        assert "unknown hint policy 'per-object'" in str(excinfo.value)
+
     def test_context_and_keys_are_unchanged(self):
         from repro.serve import SynthesizeSpec
 

@@ -77,6 +77,21 @@ class TestExitChooser:
         assert first_obj == second_obj
 
 
+class TestPolicies:
+    def test_unknown_exit_policy_is_refused(self, tracking_context):
+        compiled, profile = tracking_context
+        layout = Layout.make(4, {t: [0] for t in compiled.info.tasks})
+        with pytest.raises(ValueError, match="'sequnce'"):
+            simulate(compiled, layout, profile, exit_policy="sequnce")
+        with pytest.raises(ValueError, match="'sequnce'"):
+            ExitChooser(profile, policy="sequnce")
+
+    def test_unknown_hint_policy_is_refused(self, tracking_context):
+        compiled, profile = tracking_context
+        with pytest.raises(ValueError, match="'per-object' for task 'mergeTracks'"):
+            SimSession(compiled, profile, hints={"mergeTracks": "per-object"})
+
+
 class TestEstimates:
     def test_single_core_estimate_close_to_real(
         self, keyword_compiled, keyword_profile
@@ -395,10 +410,48 @@ GOLDEN_SPEEDS = {
     ),
 }
 
+#: Tracking on all_cores_layout(32) at SPEEDS: a core on some wake-up's
+#: list finishes its queued work and gets more before the wake-up runs,
+#: and must still start there.
+GOLDEN_REJOINED = (
+    "86f378fbac93cd033f9752619697a205827364004a203e7ecd688c06696b23e4", 2130
+)
+
+#: Tracking on an 11-core ring: a core gets queued work only after some
+#: wake-up was scheduled, is free when it runs, and must not start there.
+JOINED_LATE_LAYOUT = (11, {
+    "startup": [1],
+    "blurStrip": [1, 2, 4, 6, 8],
+    "gradientStrip": [2, 3, 4, 5, 6, 8],
+    "scoreStrip": [0, 1, 2, 3, 4, 5, 7, 9, 10],
+    "collectFeatures": [3],
+    "trackFeatures": list(range(11)),
+    "mergeTracks": [4],
+})
+GOLDEN_JOINED_LATE = (
+    "a04a9fe8c43d5cb96b5d9f68379b3dd8f13f717ca2f7c9d8c964a32ffb0abf57", 1585
+)
+
 GOLDEN_COUNTS_POLICY = {
     "KMeans": (
         "4b12c66adf1d4908ec2c7ba1d8ee21a02f6e43c65ad46af5ba4edb20320b6322", 1217
     ),
+}
+
+#: Tracking with the per-object exit hint on both of its multi-exit tasks,
+#: on the same layout: the only digest that reaches the hinted exit path.
+PER_OBJECT_HINTS = {"collectFeatures": "per_object", "mergeTracks": "per_object"}
+GOLDEN_PER_OBJECT = (
+    "4e05514cf6f6580922294036b8e8e49b0a1ffe0c5de288a59ef2067f2d7e7d3e", 3154
+)
+
+#: Per program, on all_cores_layout(16): the sha256 of repr() of
+#: (finished, total_cycles, len(trace), sim.events_processed) for every
+#: max_events from 1 to 300, whose cuts fall inside wake-ups that visit
+#: several cores and on the first event of a new time.
+GOLDEN_BUDGET_SWEEP = {
+    "KMeans": "63ba84134279cbc55e0ae704d35e3f9245d333165459007abb40b55f89bcff55",
+    "Series": "99790b011f662145e1831b7abd1a4b3b3c0c21a098d9d64b2ad74ca5a1e8e37f",
 }
 
 #: Contested-object layouts (tests/conftest.py CONTESTED_SOURCE): peek
@@ -429,6 +482,22 @@ def golden_run(compiled, layout, profile, **options):
     assert result.finished
     events = profiler.snapshot()["counters"]["sim.events_processed"]
     return sha256_repr(trace_data(result)), events
+
+
+def budget_sweep(compiled, layout, profile, budgets, **options):
+    """The sha256 of every budget's (finished, total_cycles, len(trace),
+    sim.events_processed)."""
+    outcomes = []
+    for max_events in budgets:
+        with prof.profiled() as profiler:
+            result = simulate(
+                compiled, layout, profile, max_events=max_events, **options
+            )
+        outcomes.append((
+            result.finished, result.total_cycles, len(result.trace),
+            profiler.snapshot()["counters"]["sim.events_processed"],
+        ))
+    return sha256_repr(outcomes)
 
 
 def tracked_reachable(root):
@@ -502,12 +571,45 @@ class TestGolden:
             core_speeds=speeds,
         ) == GOLDEN_SPEEDS[name]
 
+    def test_wakeup_starts_a_listed_core_that_rejoined(self, paper_context):
+        compiled, profile, hints = paper_context("Tracking")
+        speeds = {core: SPEEDS[core % 4] for core in range(32)}
+        assert golden_run(
+            compiled, all_cores_layout(compiled, 32), profile, hints=hints,
+            core_speeds=speeds,
+        ) == GOLDEN_REJOINED
+
+    def test_wakeup_skips_a_core_that_joined_late(self, paper_context):
+        compiled, profile, hints = paper_context("Tracking")
+        layout = Layout.make(*JOINED_LATE_LAYOUT, topology="ring")
+        assert golden_run(
+            compiled, layout, profile, hints=hints
+        ) == GOLDEN_JOINED_LATE
+
     def test_counts_exit_policy_digest(self, paper_context):
         compiled, profile, hints = paper_context("KMeans")
         assert golden_run(
             compiled, all_cores_layout(compiled, 16), profile, hints=hints,
             exit_policy="counts",
         ) == GOLDEN_COUNTS_POLICY["KMeans"]
+
+    def test_per_object_hints_digest(self, paper_context):
+        compiled, profile, _ = paper_context("Tracking")
+        assert golden_run(
+            compiled, all_cores_layout(compiled, 16), profile,
+            hints=PER_OBJECT_HINTS,
+        ) == GOLDEN_PER_OBJECT
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BUDGET_SWEEP))
+    def test_budget_sweep_digest(self, name, paper_context):
+        # Each budget either ends the run between two events or partway
+        # through a wake-up; total_cycles must count only events the
+        # budget let start.
+        compiled, profile, hints = paper_context(name)
+        assert budget_sweep(
+            compiled, all_cores_layout(compiled, 16), profile,
+            range(1, 301), hints=hints,
+        ) == GOLDEN_BUDGET_SWEEP[name]
 
     @pytest.mark.parametrize("name", sorted(CONTESTED_LAYOUTS))
     def test_stale_object_is_rerouted(self, name, contested_context):
