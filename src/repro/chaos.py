@@ -3,12 +3,15 @@
 :mod:`repro.resilience.chaos` breaks the simulated machine,
 :mod:`repro.search.hostchaos` the search's worker processes,
 :mod:`repro.serve.netchaos` the daemon and its network, and
-:mod:`repro.search.dist.chaos` whole worker hosts. Each declares only its
-plan generator, its fault points and its domain invariants; the verdict
-classes, the sweep loop, the shared accounting check, the worker-side
-crash/hang step and the fault-injecting proxy live here. Nothing raises
-on a violation: reports carry the verdicts, and callers (tests, the CLI)
-decide how to fail.
+:mod:`repro.search.dist.chaos` whole worker hosts. The host, net and dist
+harnesses plan their faults as one :class:`Plan` type (the machine's
+plans are :class:`repro.fault.plan.FaultPlan` schedules); each declares
+only its plan generator, its fault points and its domain invariants. The
+verdict classes, the sweep loop, the shared accounting check, the
+worker-side crash/hang step (a hang lasts its planned seconds, bounded
+only by the life of the worker's parent) and the fault-injecting proxy
+live here. Nothing raises on a violation: reports carry the verdicts,
+and callers (tests, the CLI) decide how to fail.
 """
 
 from __future__ import annotations
@@ -31,9 +34,64 @@ _WIRE_ALIASES = {"drop_conn": "reset", "garble": "garbage"}
 
 _GARBAGE = b"\x16\x03\x01 not a message \xff\xfe\n"
 
-#: Upper bound on an injected hang's sleep, so a worker its parent
-#: failed to terminate cannot outlive the run by more than this.
-HANG_SLEEP_CAP = 30.0
+
+@dataclass(frozen=True)
+class Fault:
+    """One injected fault: ``kind`` at sequence number ``at``; a hang
+    may carry the ``seconds`` it sleeps."""
+
+    at: int
+    kind: str
+    seconds: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A seeded set of faults for one run of the host, net or dist
+    harness (``layer``). Plan 0 of every sweep is empty: the control.
+
+    A plan is pure data. ``faults`` are keyed by the layer's dispatch
+    sequence (retries included), so the same plan against the same
+    workload designates the same dispatches; ``wire`` faults by the
+    :class:`ChaosProxy`'s downstream line sequence; ``phases`` name the
+    steps the harness drives itself (``flush_fail``, ``kill``,
+    ``kill_worker``).
+    """
+
+    layer: str
+    seed: int = 0
+    faults: Tuple[Fault, ...] = ()
+    wire: Tuple[Fault, ...] = ()
+    phases: Tuple[str, ...] = ()
+
+    def fault(self, at: int) -> Optional[Fault]:
+        """The dispatch hook: the fault riding on dispatch ``at``."""
+        for fault in self.faults:
+            if fault.at == at:
+                return fault
+        return None
+
+    def wire_fault(self, at: int) -> Optional[str]:
+        """The proxy's hook: the fault kind for downstream line ``at``."""
+        for fault in self.wire:
+            if fault.at == at:
+                return fault.kind
+        return None
+
+    def is_empty(self) -> bool:
+        return not (self.faults or self.wire or self.phases)
+
+    def describe(self) -> str:
+        if self.is_empty():
+            return f"{self.layer} chaos: empty plan (control)"
+        parts = [
+            f"{fault.kind}@{fault.at}"
+            for fault in sorted(
+                self.faults + self.wire, key=lambda f: (f.at, f.kind)
+            )
+        ]
+        parts.extend(self.phases)
+        return f"{self.layer} chaos: {len(parts)} fault(s): {', '.join(parts)}"
 
 
 @dataclass
@@ -198,11 +256,19 @@ def check_accounting(
 def worker_fault(kind: Optional[str], seconds: float = 0.0) -> None:
     """The worker-side fault step, taken before the real work: ``crash``
     exits at once like ``kill -9`` (no cleanup, no unwinding), ``hang``
-    sleeps ``seconds`` (at most :data:`HANG_SLEEP_CAP`)."""
+    sleeps ``seconds``, or until the worker's parent process is gone, so
+    a worker its parent failed to terminate does not outlive it."""
     if kind == "crash":
         os._exit(137)
     if kind == "hang":
-        time.sleep(min(seconds, HANG_SLEEP_CAP))
+        parent = os.getppid()
+        end = time.monotonic() + seconds
+        while os.getppid() == parent:
+            left = end - time.monotonic()
+            if left <= 0:
+                return
+            # Wake twice a second to notice an orphaning.
+            time.sleep(min(left, 0.5))
 
 
 def spawn_repro(args: List[str], stderr=subprocess.DEVNULL):

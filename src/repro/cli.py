@@ -452,9 +452,9 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     else:
         chaos = None
         if args.chaos_crash or args.chaos_hang or args.chaos_expire:
-            from .search.dist import DistChaosPlan
+            from .search.dist import scripted_plan
 
-            chaos = DistChaosPlan.scripted(
+            chaos = scripted_plan(
                 crash=args.chaos_crash,
                 hang=args.chaos_hang,
                 expire=args.chaos_expire,

@@ -31,7 +31,8 @@ from ..runtime.machine import MachineConfig
 from ..schedule.anneal import AnnealConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..search import HostChaosPlan, RetryPolicy, SimCache
+    from ..chaos import Plan
+    from ..search import RetryPolicy, SimCache
 
 
 @dataclass
@@ -64,7 +65,7 @@ class SynthesisOptions:
     #: resume from a checkpoint written by an earlier interrupted run
     resume: Optional[str] = None
     #: inject host-level worker faults (testing; needs ``workers >= 2``)
-    host_chaos: Optional["HostChaosPlan"] = None
+    host_chaos: Optional["Plan"] = None
     #: zero-argument callable polled at iteration boundaries; returning
     #: true raises :class:`repro.schedule.anneal.SearchCancelled` and the
     #: search stops cleanly. Installed by the serving layer's request

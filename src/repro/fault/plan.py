@@ -1,11 +1,12 @@
 """Deterministic fault plans.
 
 A :class:`FaultPlan` is an immutable, cycle-ordered list of fault events.
-Plans are data, never sampled at run time: a seeded generator
-(:meth:`FaultPlan.random_plan`) or an explicit constructor fixes every
-event before the machine starts, so a run under a given plan is exactly as
-reproducible as a fault-free run — the same plan always produces the same
-crash, the same recovery, and the same final cycle count.
+Plans are data, never sampled at run time: an explicit constructor, the
+``--inject-fault`` specs or the chaos sweep's seeded generator
+(:func:`repro.resilience.chaos.chaos_plan`) fixes every event before the
+machine starts, so a run under a given plan is exactly as reproducible as
+a fault-free run — the same plan always produces the same crash, the same
+recovery, and the same final cycle count.
 
 Three event kinds cover the failure modes a mesh machine sees:
 
@@ -19,7 +20,6 @@ Three event kinds cover the failure modes a mesh machine sees:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
@@ -91,45 +91,6 @@ class FaultPlan:
     @staticmethod
     def single_crash(core: int, cycle: int) -> "FaultPlan":
         return FaultPlan.make([CoreCrash(core=core, cycle=cycle)])
-
-    @staticmethod
-    def random_plan(
-        seed: int,
-        num_cores: int,
-        horizon: int,
-        crashes: int = 1,
-        stalls: int = 0,
-        max_stall: int = 10_000,
-        link_events: int = 0,
-        max_multiplier: float = 4.0,
-    ) -> "FaultPlan":
-        """Samples a plan with a private seeded generator.
-
-        Crash cores are drawn without replacement so a plan never crashes
-        the same core twice; at most ``num_cores - 1`` crashes are drawn so
-        one survivor always remains.
-        """
-        rng = random.Random(seed)
-        events: List[FaultEvent] = []
-        crash_cores = rng.sample(range(num_cores), min(crashes, num_cores - 1))
-        for core in crash_cores:
-            events.append(CoreCrash(core=core, cycle=rng.randrange(1, horizon)))
-        for _ in range(stalls):
-            events.append(
-                TransientStall(
-                    core=rng.randrange(num_cores),
-                    cycle=rng.randrange(1, horizon),
-                    duration=rng.randrange(1, max_stall),
-                )
-            )
-        for _ in range(link_events):
-            events.append(
-                LinkDegrade(
-                    cycle=rng.randrange(1, horizon),
-                    multiplier=1.0 + rng.random() * (max_multiplier - 1.0),
-                )
-            )
-        return FaultPlan.make(events)
 
     @staticmethod
     def parse(specs: Sequence[str]) -> "FaultPlan":

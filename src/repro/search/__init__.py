@@ -72,10 +72,9 @@ from .storage import (
     write_record,
 )
 from .hostchaos import (
-    HostChaosPlan,
     HostChaosReport,
     HostChaosRun,
-    HostFault,
+    host_plan,
     run_host_chaos,
 )
 from .supervise import RetryPolicy, SupervisionStats
@@ -86,10 +85,8 @@ __all__ = [
     "CacheEntry",
     "CheckpointError",
     "EvaluationError",
-    "HostChaosPlan",
     "HostChaosReport",
     "HostChaosRun",
-    "HostFault",
     "INFEASIBLE_CYCLES",
     "ParallelEvaluator",
     "RetryPolicy",
@@ -99,10 +96,12 @@ __all__ = [
     "SimCache",
     "StorageError",
     "SupervisionStats",
+    "host_plan",
     "make_evaluator",
     "read_checkpoint",
     "read_pickle_record",
     "read_record",
+    "run_host_chaos",
     "write_checkpoint",
     "write_pickle_record",
     "write_record",

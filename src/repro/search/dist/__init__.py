@@ -31,14 +31,12 @@ from .coordinator import (
     run_dist_search,
 )
 from .worker import WorkerStats, run_dist_worker
-from .chaos import DistChaosPlan, DistFault
+from .chaos import dist_plan, scripted_plan
 
 __all__ = [
     "DIST_PROTOCOL",
-    "DistChaosPlan",
     "DistCoordinator",
     "DistError",
-    "DistFault",
     "DistProtocolError",
     "DistResult",
     "DistStats",
@@ -48,6 +46,7 @@ __all__ = [
     "ShardSpec",
     "WorkerStats",
     "describe_dist_result",
+    "dist_plan",
     "execute_shard",
     "make_restart_shards",
     "merge_shard_results",
@@ -55,4 +54,5 @@ __all__ = [
     "run_dist_search",
     "run_dist_worker",
     "run_serial_baseline",
+    "scripted_plan",
 ]

@@ -27,12 +27,16 @@ checkpoint file) and checks that a resumed coordinator completes only
 the missing shards and merges to the identical key — and that a
 checkpoint from a *different* job is refused with a typed error.
 
-Fault transport: dispatch faults (``crash_worker``/``hang_worker``/
-``expire_lease``) ride shard messages through the coordinator's own
-chaos hook; wire faults (``drop_conn``/``garble``) fire in the shared
-full-duplex :class:`repro.chaos.ChaosProxy` between workers and the
-coordinator; ``kill_worker`` is a literal ``SIGKILL`` of a worker
-subprocess mid-run. The sweep loop and verdict classes come from
+Fault transport: each run's :class:`repro.chaos.Plan` comes from
+:func:`dist_plan` (or :func:`scripted_plan` for the CLI). Its dispatch
+faults (``crash_worker``/``hang_worker``/``expire_lease``) ride shard
+messages through the coordinator's own chaos hook; a hung worker sleeps
+the fault's ``seconds``, past its lease, or until its parent process is
+gone, then runs the shard late. Its wire faults (``drop_conn``/
+``garble``) fire in the shared full-duplex
+:class:`repro.chaos.ChaosProxy` between workers and the coordinator; its
+``kill_worker`` phase is a literal ``SIGKILL`` of a worker subprocess
+mid-run. The sweep loop and verdict classes come from
 :mod:`repro.chaos`.
 """
 
@@ -55,146 +59,56 @@ from .worker import local_workers
 RUN_DEADLINE = 180.0
 
 
-@dataclass(frozen=True)
-class DistFault:
-    """One injected distributed-search misbehavior.
-
-    ``key`` indexes either the coordinator's global dispatch sequence
-    (dispatch faults) or the chaos proxy's downstream message sequence
-    (wire faults), so — like a host-chaos fault — a plan is pure data.
-    """
-
-    key: int
-    kind: str  # dispatch: crash_worker | hang_worker | expire_lease
-    #          # wire:     drop_conn | garble
-    param: Optional[float] = None
-
-
 #: faults the coordinator injects itself, keyed by dispatch seq
 DIST_DISPATCH_KINDS = ("crash_worker", "hang_worker", "expire_lease")
 #: faults the chaos proxy injects in transit, keyed by message seq
 DIST_WIRE_KINDS = ("drop_conn", "garble")
 
 
-@dataclass(frozen=True)
-class DistChaosPlan:
-    """A seeded set of faults for one distributed search — the host-chaos
-    idea one level up: instead of misbehaving worker *processes* inside
-    one search, whole worker *hosts* and their connections misbehave.
-
-    Dispatch faults ride on shard messages (the worker crashes hard or
-    hangs past its lease; the coordinator force-expires a lease); wire
-    faults fire in the proxy between the two (connection dropped with an
-    RST, a message garbled in transit); ``kill_worker`` tells the
-    harness to SIGKILL one worker process externally mid-run. Plan 0 of
-    every sweep is empty — the control.
-    """
-
-    dispatch_faults: Tuple[DistFault, ...] = ()
-    wire_faults: Tuple[DistFault, ...] = ()
-    kill_worker: bool = False
-    seed: int = 0
-
-    @classmethod
-    def make(
-        cls,
-        index: int,
-        seed: int,
-        horizon: int,
-        hang_seconds: float = 3.0,
-        max_faults: int = 2,
-    ) -> "DistChaosPlan":
-        """Builds the ``index``-th plan of a sweep. ``horizon`` should be
-        the shard count: with one dispatch per shard guaranteed, every
-        designated id in ``1..horizon`` is reached. Fault families rotate
-        on fixed strides (like :class:`repro.serve.netchaos.NetChaosPlan`)
-        so even a 4-plan sweep exercises dispatch faults, wire faults,
-        and an external worker SIGKILL."""
-        if index == 0:
-            return cls(seed=seed)
-        rng = random.Random(seed)
-        horizon = max(1, horizon)
-        count = rng.randint(1, max(1, min(max_faults, horizon)))
-        picks = rng.sample(range(1, horizon + 1), min(horizon, count))
-        dispatch = tuple(
-            DistFault(
-                key=pick,
-                kind=rng.choice(DIST_DISPATCH_KINDS),
-                param=hang_seconds,
+def dist_plan(index: int, seed: int, horizon: int) -> chaos.Plan:
+    """Builds the ``index``-th plan of a sweep: one or two dispatch
+    faults, two wire faults on every even plan and a worker SIGKILL on
+    every third. Plan 0 is always empty — the control. ``horizon``
+    should be the shard count: with one dispatch per shard guaranteed,
+    every designated id in ``1..horizon`` is reached. Fault families
+    rotate on fixed strides (like :func:`repro.serve.netchaos.net_plan`)
+    so even a 4-plan sweep exercises dispatch faults, wire faults, and
+    an external worker SIGKILL. A hang sleeps 3 s, past the sweep's 2 s
+    lease floor."""
+    if index == 0:
+        return chaos.Plan("dist", seed)
+    rng = random.Random(seed)
+    horizon = max(1, horizon)
+    count = rng.randint(1, min(2, horizon))
+    picks = rng.sample(range(1, horizon + 1), min(horizon, count))
+    faults = tuple(
+        chaos.Fault(pick, rng.choice(DIST_DISPATCH_KINDS), 3.0)
+        for pick in sorted(picks)
+    )
+    wire: Tuple[chaos.Fault, ...] = ()
+    if index % 2 == 0:
+        wire = tuple(
+            chaos.Fault(pick, rng.choice(DIST_WIRE_KINDS))
+            for pick in sorted(
+                rng.sample(range(1, horizon + 1), min(horizon, 2))
             )
-            for pick in sorted(picks)
         )
-        wire: Tuple[DistFault, ...] = ()
-        if index % 2 == 0:
-            wire = tuple(
-                DistFault(
-                    key=pick, kind=rng.choice(DIST_WIRE_KINDS)
-                )
-                for pick in sorted(
-                    rng.sample(range(1, horizon + 1), min(horizon, 2))
-                )
-            )
-        return cls(
-            dispatch_faults=dispatch,
-            wire_faults=wire,
-            kill_worker=index % 3 == 2,
-            seed=seed,
-        )
+    phases = ("kill_worker",) if index % 3 == 2 else ()
+    return chaos.Plan("dist", seed, faults, wire, phases)
 
-    @classmethod
-    def scripted(
-        cls,
-        crash=(),
-        hang=(),
-        expire=(),
-        hang_seconds: float = 3.0,
-    ) -> "DistChaosPlan":
-        """A hand-written plan from explicit dispatch ids — what the
-        CLI's ``--chaos-crash/--chaos-hang/--chaos-expire`` flags and the
-        CI dist-smoke job build."""
-        faults = tuple(
-            [DistFault(key=s, kind="crash_worker") for s in crash]
-            + [
-                DistFault(key=s, kind="hang_worker", param=hang_seconds)
-                for s in hang
-            ]
-            + [DistFault(key=s, kind="expire_lease") for s in expire]
-        )
-        return cls(dispatch_faults=faults)
 
-    def dispatch_fault(self, seq: int) -> Optional[Tuple[str, Optional[float]]]:
-        """The coordinator's hook: the fault riding on dispatch ``seq``."""
-        for fault in self.dispatch_faults:
-            if fault.key == seq:
-                return fault.kind, fault.param
-        return None
-
-    def wire_fault(self, seq: int) -> Optional[str]:
-        """The proxy's hook: the fault for downstream message ``seq``
-        (numbered from 1)."""
-        for fault in self.wire_faults:
-            if fault.key == seq:
-                return fault.kind
-        return None
-
-    def is_empty(self) -> bool:
-        return not (
-            self.dispatch_faults or self.wire_faults or self.kill_worker
-        )
-
-    def describe(self) -> str:
-        if self.is_empty():
-            return "dist chaos: empty plan (control)"
-        parts = [
-            f"{fault.kind}@{fault.key}"
-            for fault in sorted(
-                self.dispatch_faults + self.wire_faults,
-                key=lambda f: (f.key, f.kind),
-            )
-        ]
-        if self.kill_worker:
-            parts.append("kill_worker")
-        return f"dist chaos: {len(parts)} fault(s): {', '.join(parts)}"
+def scripted_plan(
+    crash=(), hang=(), expire=(), hang_seconds: float = 3.0
+) -> chaos.Plan:
+    """A hand-written plan from explicit dispatch ids — what the CLI's
+    ``--chaos-crash/--chaos-hang/--chaos-expire`` flags and the CI
+    dist-smoke job build."""
+    faults = tuple(
+        [chaos.Fault(at, "crash_worker") for at in crash]
+        + [chaos.Fault(at, "hang_worker", hang_seconds) for at in hang]
+        + [chaos.Fault(at, "expire_lease") for at in expire]
+    )
+    return chaos.Plan("dist", faults=faults)
 
 
 @dataclass
@@ -273,7 +187,7 @@ def _check_run(run: DistChaosRun, result, baseline, stats: DistStats) -> None:
     # skipped when its target already died of a crash token.
     chaos.check_accounting(
         run,
-        planned=len(run.plan.dispatch_faults) + len(run.plan.wire_faults),
+        planned=len(run.plan.faults) + len(run.plan.wire),
         fired=stats.injected_crashes
         + stats.injected_hangs
         + stats.forced_lease_expiries
@@ -325,7 +239,7 @@ def _run_plan(
         with local_workers(proxy.host, proxy.port, workers) as procs:
             running = threading.Thread(target=coordinate, daemon=True)
             running.start()
-            if run.plan.kill_worker and procs:
+            if "kill_worker" in run.plan.phases and procs:
                 threading.Thread(
                     target=kill, args=(procs[0],), daemon=True
                 ).start()
@@ -454,7 +368,7 @@ def run_dist_chaos(
         continue_probability=0.2,
     )
     shard_list = make_restart_shards(template, restarts, base_seed=1234)
-    # A short lease floor so injected hangs (hang_seconds > floor) breach
+    # A short lease floor so injected hangs (3 s, see dist_plan) breach
     # their leases quickly; shards take well under a second each.
     lease = LeasePolicy(timeout_floor=2.0, timeout_mult=8.0)
     baseline = run_serial_baseline(context, shard_list)
@@ -467,9 +381,7 @@ def run_dist_chaos(
                 DistChaosRun,
                 plans,
                 base_seed,
-                lambda index, seed: DistChaosPlan.make(
-                    index, seed, horizon=restarts, hang_seconds=3.0
-                ),
+                lambda index, seed: dist_plan(index, seed, horizon=restarts),
                 lambda run: _run_plan(
                     run, context, shard_list, baseline, lease, workers, proxy
                 ),

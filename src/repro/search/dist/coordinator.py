@@ -16,10 +16,18 @@ Robustness is structural, not bolted on:
   the loser is discarded by dispatch sequence id
   (:attr:`DistStats.duplicates_discarded`), and since every execution of
   a shard is bit-identical the race cannot change the merged outcome.
-* **Failure taxonomy** — a connection lost mid-shard is a **crash**, a
-  connection lost while idle (or a garbled line) is a **disconnect**,
-  and a lease breach on a live connection is a **hang**; each is counted
-  separately and each costs only a retry.
+* **Failure taxonomy** — each class has its own counter and costs only
+  a retry. A connection that ends while a dispatch awaits its result is
+  a **crash** (``worker_crashes``). A shard that cannot be sent, or that
+  the worker answers with a ``shard_error`` reply, is a **disconnect**
+  (``worker_disconnects``); the worker stays connected after a
+  ``shard_error``. A line from the worker that does not decode, or whose
+  payload fails its digest, is **garbled** (``garbled_messages``): the
+  connection is dropped, and a dispatch in flight fails. A lease breach
+  on a live connection is a **hang** (``worker_hangs``). A connection
+  that ends while idle fails nothing and counts only under
+  ``workers_left``; a garbled coordinator→worker line makes the worker
+  leave mid-shard, so it reads as a crash.
 * **Graceful degradation** — shards that exhaust their dispatch retries,
   or sit ready while the worker set is empty past a grace period, are
   executed locally in the coordinator (the same
@@ -497,17 +505,16 @@ class DistCoordinator:
         (coordinator-side). Counts what it injects."""
         if self.chaos_plan is None:
             return None, False
-        fault = self.chaos_plan.dispatch_fault(seq)
+        fault = self.chaos_plan.fault(seq)
         if fault is None:
             return None, False
-        kind, param = fault
-        if kind == "crash_worker":
+        if fault.kind == "crash_worker":
             self.stats.injected_crashes += 1
             return {"kind": "crash"}, False
-        if kind == "hang_worker":
+        if fault.kind == "hang_worker":
             self.stats.injected_hangs += 1
-            return {"kind": "hang", "seconds": param}, False
-        if kind == "expire_lease":
+            return {"kind": "hang", "seconds": fault.seconds}, False
+        if fault.kind == "expire_lease":
             return None, True
         return None, False
 

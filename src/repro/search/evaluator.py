@@ -42,7 +42,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..chaos import worker_fault
+from ..chaos import Plan, worker_fault
 from ..obs import prof
 from ..obs.events import PoolRebuild, WorkerRetry
 from ..schedule.layout import Layout, layout_fingerprint
@@ -54,7 +54,6 @@ from .supervise import RetryPolicy, SupervisionStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.api import CompiledProgram
     from ..runtime.profiler import ProfileData
-    from .hostchaos import HostChaosPlan
 
 #: Sentinel cycle count for simulations that did not finish — worse than
 #: any real layout, so unfinishable candidates always rank last.
@@ -368,8 +367,8 @@ class ParallelEvaluator(_EvaluatorBase):
       propagates as :class:`EvaluationError` with its batch position.
 
     Every dispatch is numbered with a global sequence id; an optional
-    :class:`~repro.search.hostchaos.HostChaosPlan` uses it to make
-    designated dispatches crash or hang inside the worker
+    host :class:`~repro.chaos.Plan` uses it to make designated
+    dispatches crash or hang inside the worker
     (:func:`repro.chaos.worker_fault`). :attr:`stats` records what
     supervision did.
     """
@@ -383,7 +382,7 @@ class ParallelEvaluator(_EvaluatorBase):
         cache: Optional[SimCache] = None,
         workers: int = 2,
         policy: Optional[RetryPolicy] = None,
-        chaos: Optional["HostChaosPlan"] = None,
+        chaos: Optional[Plan] = None,
     ):
         super().__init__(
             compiled, profile, hints=hints, core_speeds=core_speeds,
@@ -492,10 +491,10 @@ class ParallelEvaluator(_EvaluatorBase):
         with :meth:`_count_fault` once the dispatch is submitted."""
         if self.chaos is None:
             return None
-        kind = self.chaos.kind_for(self._dispatch_seq)
-        if kind is None:
+        fault = self.chaos.fault(self._dispatch_seq)
+        if fault is None:
             return None
-        if kind == "crash":
+        if fault.kind == "crash":
             return ("crash", 0.0)
         # Sleep comfortably past the batch's most generous allowance so
         # the breach is detected, not raced.
@@ -690,7 +689,7 @@ def make_evaluator(
     cache: Optional[SimCache] = None,
     workers: int = 1,
     policy: Optional[RetryPolicy] = None,
-    chaos: Optional["HostChaosPlan"] = None,
+    chaos: Optional[Plan] = None,
 ) -> "SerialEvaluator | ParallelEvaluator":
     """Builds the right backend for ``workers``: the supervised pool for
     ``workers > 1``, the in-process serial evaluator otherwise.

@@ -4,7 +4,11 @@ The mirror image of :mod:`repro.resilience.chaos`, one level up: instead
 of injecting faults into the *simulated* TILEPro64 machine, this harness
 injects them into the *host* processes that evaluate candidate layouts —
 a worker calls ``os._exit`` mid-task (OOM-killer stand-in) or sleeps past
-its deadline (hang stand-in) — and checks the supervision invariants:
+its deadline (hang stand-in) — and checks the supervision invariants.
+:func:`host_plan` draws each run's :class:`repro.chaos.Plan`; a hang
+sleeps past the batch's most generous allowance, until the supervisor
+terminates the worker or the worker's parent is gone, so every planned
+hang is a deadline breach the supervisor must detect:
 
 * **Termination** — every chaos synthesis returns (no lost runs, no
   hangs; bounded retries guarantee it by construction).
@@ -31,69 +35,24 @@ from typing import Dict, List, Optional, Tuple
 from .. import chaos
 
 
-@dataclass(frozen=True)
-class HostFault:
-    """One injected worker misbehavior, keyed by dispatch sequence id."""
-
-    dispatch: int
-    kind: str  # "crash" | "hang"
-
-
-@dataclass(frozen=True)
-class HostChaosPlan:
-    """A seeded set of host faults for one supervised synthesis.
-
-    ``dispatch`` ids index the supervisor's global submission counter
-    (retries included), so a plan is pure data: the same plan against the
-    same workload designates the same simulations.
-    """
-
-    faults: Tuple[HostFault, ...]
-    seed: int = 0
-
-    @classmethod
-    def make(
-        cls,
-        index: int,
-        seed: int,
-        horizon: int,
-        max_crashes: int = 2,
-        max_hangs: int = 1,
-    ) -> "HostChaosPlan":
-        """Builds the ``index``-th plan of a sweep. Plan 0 is always
-        empty — the control. ``horizon`` should be the fault-free run's
-        dispatch count (the control's ``dispatches`` counter) so
-        designated ids actually fire."""
-        if index == 0:
-            return cls(faults=(), seed=seed)
-        rng = random.Random(seed)
-        horizon = max(1, horizon)
-        crashes = rng.randint(1, max(1, min(max_crashes, horizon)))
-        hangs = rng.randint(0, max_hangs)
-        picks = rng.sample(range(horizon), min(horizon, crashes + hangs))
-        faults = tuple(
-            HostFault(dispatch=pick, kind="crash" if i < crashes else "hang")
-            for i, pick in enumerate(picks)
-        )
-        return cls(faults=faults, seed=seed)
-
-    def kind_for(self, dispatch: int) -> Optional[str]:
-        for fault in self.faults:
-            if fault.dispatch == dispatch:
-                return fault.kind
-        return None
-
-    def is_empty(self) -> bool:
-        return not self.faults
-
-    def describe(self) -> str:
-        if not self.faults:
-            return "host chaos: empty plan (control)"
-        parts = ", ".join(
-            f"{fault.kind}@{fault.dispatch}"
-            for fault in sorted(self.faults, key=lambda f: f.dispatch)
-        )
-        return f"host chaos: {len(self.faults)} fault(s): {parts}"
+def host_plan(index: int, seed: int, horizon: int) -> chaos.Plan:
+    """Builds the ``index``-th plan of a sweep: one or two worker
+    crashes and at most one hang, on distinct dispatch ids below
+    ``horizon``. Plan 0 is always empty — the control. ``horizon``
+    should be the fault-free run's dispatch count (the control's
+    ``dispatches`` counter) so designated ids actually fire."""
+    if index == 0:
+        return chaos.Plan("host", seed)
+    rng = random.Random(seed)
+    horizon = max(1, horizon)
+    crashes = rng.randint(1, min(2, horizon))
+    hangs = rng.randint(0, 1)
+    picks = rng.sample(range(horizon), min(horizon, crashes + hangs))
+    faults = tuple(
+        chaos.Fault(pick, "crash" if i < crashes else "hang")
+        for i, pick in enumerate(picks)
+    )
+    return chaos.Plan("host", seed, faults)
 
 
 @dataclass
@@ -228,7 +187,7 @@ def run_host_chaos(
             HostChaosRun,
             runs,
             base_seed,
-            lambda index, seed: HostChaosPlan.make(index, seed, horizon),
+            lambda index, seed: host_plan(index, seed, horizon),
             execute,
         ),
         baseline=baseline,

@@ -34,9 +34,8 @@ from .client import (
 )
 from .netchaos import (
     ChaosProxy,
-    NetChaosPlan,
     NetChaosReport,
-    NetFault,
+    net_plan,
     run_net_chaos,
 )
 from .protocol import (
@@ -65,9 +64,7 @@ __all__ = [
     "ChaosProxy",
     "ClientRetryPolicy",
     "MAX_LINE_BYTES",
-    "NetChaosPlan",
     "NetChaosReport",
-    "NetFault",
     "OPS",
     "PROTOCOL",
     "ProgramMemo",
@@ -89,6 +86,7 @@ __all__ = [
     "TRACE_FIELD",
     "context_key",
     "execute",
+    "net_plan",
     "request_key",
     "run_net_chaos",
     "run_server",

@@ -7,13 +7,14 @@ daemon process* between a client and the synthesis service:
 
 * the shared fault-injecting TCP proxy (:class:`repro.chaos.ChaosProxy`)
   sits between a retrying :class:`repro.serve.client.ServeClient` and a
-  real ``repro serve`` subprocess, and — per a seeded
-  :class:`NetChaosPlan` — resets connections, truncates responses
-  mid-line, injects garbage bytes, or delays responses past the client's
-  timeout;
-* server-side fault points fire through the daemon's gated ``inject``
-  operation (a failing store flush) and through a mid-request SIGKILL of
-  the daemon process followed by a restart on the same cache file.
+  real ``repro serve`` subprocess, and — per the ``wire`` faults of a
+  seeded :class:`repro.chaos.Plan` from :func:`net_plan` — resets
+  connections, truncates responses mid-line, injects garbage bytes, or
+  delays responses past the client's timeout;
+* server-side fault points, the plan's ``phases``, fire through the
+  daemon's gated ``inject`` operation (``flush_fail``: a failing store
+  flush) and through a mid-request SIGKILL of the daemon process
+  followed by a restart on the same cache file (``kill``).
 
 :func:`run_net_chaos` sweeps N plans (plan 0 is always the fault-free
 control) and machine-checks the serve-layer failure contract:
@@ -64,79 +65,32 @@ from .client import (
 from .protocol import ProtocolError
 
 
-@dataclass(frozen=True)
-class NetFault:
-    """One injected network misbehavior, keyed by the proxy's global
-    request sequence (retries included, so a plan is pure data)."""
-
-    request: int
-    kind: str  # one of PROXY_FAULT_KINDS
-
-
-@dataclass(frozen=True)
-class NetChaosPlan:
-    """A seeded set of serve-layer faults for one sweep iteration."""
-
-    faults: Tuple[NetFault, ...]
-    seed: int = 0
-    #: arm the daemon's flush fault point and check degradation reporting
-    flush_fail: bool = False
-    #: SIGKILL the daemon mid-request, check the cache file, restart
-    kill: bool = False
-
-    @classmethod
-    def make(
-        cls,
-        index: int,
-        seed: int,
-        horizon: int = 3,
-        max_faults: int = 2,
-    ) -> "NetChaosPlan":
-        """Builds the ``index``-th plan of a sweep. Plan 0 is always
-        empty — the control. ``horizon`` must not exceed the number of
-        workload calls per plan, so every designated request id is
-        reached even when no retry inflates the count."""
-        if index == 0:
-            return cls(faults=(), seed=seed)
-        rng = random.Random(seed)
-        count = rng.randint(1, max(1, max_faults))
-        picks = rng.sample(range(max(1, horizon)), min(horizon, count))
-        faults = tuple(
-            NetFault(request=pick, kind=rng.choice(PROXY_FAULT_KINDS))
-            for pick in sorted(picks)
-        )
-        # Server-side fault points rotate on fixed strides so even a
-        # small sweep exercises both; proxy faults stay rng-driven.
-        return cls(
-            faults=faults,
-            seed=seed,
-            flush_fail=index % 4 == 1,
-            kill=index % 3 == 2,
-        )
-
-    def wire_fault(self, request: int) -> Optional[str]:
-        """The proxy's hook: the fault for response line ``request``
-        (numbered from 0; one response per request)."""
-        for fault in self.faults:
-            if fault.request == request:
-                return fault.kind
-        return None
-
-    def is_empty(self) -> bool:
-        return not (self.faults or self.flush_fail or self.kill)
-
-    def describe(self) -> str:
-        if self.is_empty():
-            return "net chaos: empty plan (control)"
-        parts = [
-            f"{fault.kind}@{fault.request}"
-            for fault in sorted(self.faults, key=lambda f: f.request)
-        ]
-        if self.flush_fail:
-            parts.append("flush_fail")
-        if self.kill:
-            parts.append("kill")
-        return f"net chaos: {len(parts)} fault(s): {', '.join(parts)}"
+def net_plan(index: int, seed: int, horizon: int = 3) -> chaos.Plan:
+    """Builds the ``index``-th plan of a sweep: one or two proxy faults
+    on distinct response lines below ``horizon``, plus the server-side
+    phases. Plan 0 is always empty — the control. ``horizon`` must not
+    exceed the number of workload calls per plan, so every designated
+    line is reached even when no retry inflates the count."""
+    if index == 0:
+        return chaos.Plan("net", seed)
+    rng = random.Random(seed)
+    count = rng.randint(1, 2)
+    picks = rng.sample(range(max(1, horizon)), min(horizon, count))
+    wire = tuple(
+        chaos.Fault(pick, rng.choice(PROXY_FAULT_KINDS))
+        for pick in sorted(picks)
+    )
+    # Server-side fault points rotate on fixed strides so even a small
+    # sweep exercises both; proxy faults stay rng-driven. ``flush_fail``
+    # arms the daemon's flush fault point and checks degradation
+    # reporting; ``kill`` SIGKILLs the daemon mid-request, checks the
+    # cache file and restarts it.
+    phases = []
+    if index % 4 == 1:
+        phases.append("flush_fail")
+    if index % 3 == 2:
+        phases.append("kill")
+    return chaos.Plan("net", seed, wire=wire, phases=tuple(phases))
 
 
 # -- daemon subprocess management ----------------------------------------------
@@ -282,8 +236,10 @@ class NetChaosReport(chaos.SweepReport):
         return self.total("retries")
 
     def summary(self) -> List[str]:
-        kills = sum(1 for run in self.runs if run.plan.kill)
-        flush_fails = sum(1 for run in self.runs if run.plan.flush_fail)
+        kills = sum(1 for run in self.runs if "kill" in run.plan.phases)
+        flush_fails = sum(
+            1 for run in self.runs if "flush_fail" in run.plan.phases
+        )
         return [
             f"net chaos: {len(self.runs)} plan(s), "
             f"{self.total_fired()} proxy fault(s) fired, "
@@ -415,7 +371,7 @@ def run_net_chaos(
                     NetChaosRun,
                     plans,
                     base_seed,
-                    lambda index, seed: NetChaosPlan.make(
+                    lambda index, seed: net_plan(
                         index, seed, horizon=len(workload)
                     ),
                     execute,
@@ -463,9 +419,9 @@ def _run_plan(
     run.fired = list(proxy.fired)
     proxy.arm(None)
 
-    if plan.kill:
+    if "kill" in plan.phases:
         daemon = _kill_phase(run, daemon, proxy, cache_path, synth_params)
-    if plan.flush_fail:
+    if "flush_fail" in plan.phases:
         _flush_fail_phase(run, daemon, synth_params)
 
     # Liveness: whatever was injected, the daemon answers afterwards.
@@ -479,7 +435,7 @@ def _run_plan(
 
     chaos.check_accounting(
         run,
-        planned=len(plan.faults),
+        planned=len(plan.wire),
         fired=len(run.fired),
         retries=run.retries,
     )

@@ -3,9 +3,12 @@
 The acceptance sweep: 20+ seeded plans across three benchmarks, every run
 terminating with exactly-once commits, balanced quarantine accounting, and
 (for plan 0, the empty control) bit-identity with the resilience-disabled
-baseline.
+baseline. The shared kernel's pieces are pinned here too: the one plan
+type the host, net and dist harnesses draw, and the worker-side hang.
 """
 
+import hashlib
+import os
 from dataclasses import replace
 
 import pytest
@@ -17,6 +20,9 @@ from repro.fault.plan import CoreCrash, FaultPlan
 from repro.resilience import ResilienceConfig, chaos_plan, run_chaos
 from repro.resilience.chaos import ChaosReport, ChaosRun
 from repro.schedule.layout import Layout
+from repro.search import host_plan
+from repro.search.dist import dist_plan, scripted_plan
+from repro.serve import net_plan
 
 SMALL_ARGS = {
     "Keyword": ["8"],
@@ -173,3 +179,77 @@ class TestChaosCLI:
         captured = capsys.readouterr()
         assert "total=16" in captured.out
         assert "heartbeat" in captured.err
+
+
+#: sha256 over 113 plans: host plans 0-15 at horizons 1, 5 and 55, net
+#: plans 0-15 at horizons 3 and 7, dist plans 0-15 at horizons 3 and 6,
+#: and one scripted dist plan; each plan's describe() and its lookups at
+#: every sequence number up to horizon + 1. Taken with the per-harness
+#: plan classes the one Plan type replaced, so a sweep plans the same
+#: faults and prints the same plan lines as before.
+PLAN_DIGEST = "6dfd1cbf2299db507dcdb5e71c285106f6c93bde8a49b1de49d1894b51b2ba6f"
+
+
+def _plan_line(plan, horizon):
+    rows = []
+    for at in range(horizon + 2):
+        fault = plan.fault(at)
+        kind, seconds = (fault.kind, fault.seconds) if fault else (None, None)
+        rows.append((kind, seconds, plan.wire_fault(at)))
+    return f"{plan.describe()}|{rows!r}"
+
+
+class _FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+class TestKernel:
+    def test_plans_are_pinned(self):
+        lines = [
+            _plan_line(host_plan(index, index, horizon), horizon)
+            for horizon in (1, 5, 55)
+            for index in range(16)
+        ]
+        lines += [
+            _plan_line(net_plan(index, index, horizon), horizon)
+            for horizon in (3, 7)
+            for index in range(16)
+        ]
+        lines += [
+            _plan_line(dist_plan(index, index, horizon), horizon)
+            for horizon in (3, 6)
+            for index in range(16)
+        ]
+        scripted = scripted_plan(
+            crash=(2,), hang=(4,), expire=(3,), hang_seconds=1.5
+        )
+        lines.append(_plan_line(scripted, 6))
+        assert len(lines) == 113
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == PLAN_DIGEST
+
+    def test_planned_hang_sleeps_its_full_length(self, monkeypatch):
+        # The host harness sleeps a hang past the batch's most generous
+        # allowance, which on a large batch is minutes; a shorter sleep
+        # turns the hang into a delay the supervisor never detects.
+        clock = _FakeClock()
+        monkeypatch.setattr(chaos, "time", clock)
+        chaos.worker_fault("hang", 125.0)
+        assert clock.now == pytest.approx(125.0)
+
+    def test_hang_ends_when_the_parent_is_gone(self, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(chaos, "time", clock)
+        parent = os.getppid()
+        monkeypatch.setattr(
+            os, "getppid", lambda: parent if clock.now < 10.0 else parent + 1
+        )
+        chaos.worker_fault("hang", 3600.0)
+        assert 10.0 <= clock.now < 11.0

@@ -14,6 +14,7 @@ from repro.bench import benchmark_names, load_benchmark
 from repro.core import RunOptions, run_layout, single_core_layout
 from repro.fault import CoreCrash, FaultPlan, LinkDegrade, TransientStall
 from repro.obs.events import Crash
+from repro.resilience import chaos_plan
 from repro.runtime.machine import MachineConfig
 from repro.schedule.layout import Layout
 
@@ -119,8 +120,9 @@ class TestFaultDeterminism:
         layout = quad_layout(keyword_compiled)
         results = []
         for _ in range(2):
-            plan = FaultPlan.random_plan(
-                seed=3, num_cores=4, horizon=3000, crashes=1, stalls=1
+            plan = chaos_plan(
+                1, seed=3, cores=[0, 1, 2, 3], horizon=3000,
+                suspicion_window=1500,
             )
             config = MachineConfig(fault_plan=plan, validate=True)
             results.append(run_layout(keyword_compiled, layout, ["12"], options=RunOptions(machine=config)))

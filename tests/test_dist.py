@@ -15,24 +15,28 @@ CI; elsewhere we keep per-test workloads tiny and use in-thread workers
 wherever the fault does not require killing a real process.
 """
 
+import base64
 import dataclasses
 import hashlib
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.bench import get_spec, load_source
+from repro.chaos import Fault
 from repro.core import compile_program, profile_program
 from repro.schedule.anneal import AnnealConfig
 from repro.search.dist import (
-    DistChaosPlan,
     DistCoordinator,
     DistError,
     DistProtocolError,
     JobContext,
     LeasePolicy,
+    ShardSpec,
     describe_dist_result,
+    dist_plan,
     execute_shard,
     make_restart_shards,
     merge_shard_results,
@@ -40,14 +44,19 @@ from repro.search.dist import (
     run_dist_search,
     run_dist_worker,
     run_serial_baseline,
+    scripted_plan,
 )
 from repro.search.dist.chaos import run_dist_chaos
 from repro.search.dist.messages import (
     DIST_PROTOCOL,
     JOB_FORMAT,
+    RESULT_FORMAT,
     SHARD_FORMAT,
+    LineReader,
     check_hello,
     pack_payload,
+    recv_message,
+    send_message,
     unpack_payload,
 )
 
@@ -105,6 +114,56 @@ def worker_thread(port, name="t0", stats=None):
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     return thread
+
+
+def scripted_worker(port, first_reply):
+    """A protocol worker in a thread that answers its first shard with
+    ``first_reply(reply)``, where ``reply`` is the honest result message,
+    and every later shard honestly. Returns the thread and an event set
+    once that first reply is sent."""
+    replied = threading.Event()
+
+    def serve():
+        address = ("127.0.0.1", port)
+        with socket.create_connection(address, timeout=30.0) as sock:
+            reader = LineReader(sock)
+            send_message(
+                sock,
+                {"op": "hello", "proto": DIST_PROTOCOL, "worker": "scripted",
+                 "pid": 0},
+            )
+            context = None
+            while True:
+                try:
+                    message = recv_message(reader, "coordinator")
+                except OSError:
+                    return
+                if message is None or message["op"] == "bye":
+                    return
+                if message["op"] == "job":
+                    context = unpack_payload(
+                        message["payload"], JOB_FORMAT, expected_type=dict
+                    )["context"]
+                    continue
+                spec = unpack_payload(
+                    message["payload"], SHARD_FORMAT, expected_type=ShardSpec
+                )
+                reply = {
+                    "op": "result",
+                    "shard": spec.shard_id,
+                    "seq": message["seq"],
+                    "payload": pack_payload(
+                        RESULT_FORMAT, execute_shard(context, spec)
+                    ),
+                }
+                if not replied.is_set():
+                    reply = first_reply(reply)
+                send_message(sock, reply)
+                replied.set()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread, replied
 
 
 class TestMessages:
@@ -278,7 +337,7 @@ class TestBitIdentity:
         # Real worker processes, a crash and a forced lease expiry: the
         # canonical smoke the CI job runs through the CLI.
         context, shards = small_job()
-        plan = DistChaosPlan.scripted(crash=(2,), expire=(3,))
+        plan = scripted_plan(crash=(2,), expire=(3,))
         result = run_dist_search(
             context,
             shards,
@@ -318,7 +377,7 @@ class TestLeases:
             lease=LeasePolicy(timeout_floor=2.0),
             expect_workers=1,
             degrade_after=30.0,
-            chaos_plan=DistChaosPlan.scripted(expire=(1,)),
+            chaos_plan=scripted_plan(expire=(1,)),
         )
         host, port = coordinator.start()
         thread = worker_thread(port)
@@ -336,6 +395,57 @@ class TestLeases:
         # shard was discarded or abandoned, never double-counted.
         assert stats["shards_completed"] == len(shards)
         assert coordinator.stats.check_accounting() == []
+
+
+class TestFailureClasses:
+    """A scripted worker's bad first reply: the event lands in its own
+    counter, the shard is retried, and the merged result is the serial
+    baseline's."""
+
+    def _run(self, first_reply):
+        context, shards = small_job()
+        coordinator = DistCoordinator(
+            context, shards, expect_workers=1, degrade_after=0.5
+        )
+        _, port = coordinator.start()
+        thread, replied = scripted_worker(port, first_reply)
+        try:
+            assert replied.wait(timeout=60.0)
+            result = coordinator.run()
+        finally:
+            coordinator.stop()
+        thread.join(timeout=30.0)
+        assert result.key() == baseline_key()
+        assert coordinator.stats.check_accounting() == []
+        stats = result.stats
+        assert stats["dispatch_failures"] == 1
+        assert stats["retries"] == 1
+        assert stats["worker_crashes"] == 0
+        return stats
+
+    def test_result_failing_its_digest_is_garbled(self):
+        def garble(reply):
+            record = bytearray(base64.b64decode(reply["payload"]))
+            record[-1] ^= 0xFF
+            payload = base64.b64encode(bytes(record)).decode("ascii")
+            return dict(reply, payload=payload)
+
+        stats = self._run(garble)
+        assert stats["garbled_messages"] == 1
+        assert stats["worker_disconnects"] == 0
+
+    def test_shard_error_reply_is_a_disconnect(self):
+        def fail(reply):
+            return {
+                "op": "shard_error",
+                "shard": reply["shard"],
+                "seq": reply["seq"],
+                "error": "RuntimeError: scripted",
+            }
+
+        stats = self._run(fail)
+        assert stats["worker_disconnects"] == 1
+        assert stats["garbled_messages"] == 0
 
 
 class TestDegradation:
@@ -407,34 +517,34 @@ class TestFrontierResume:
 class TestDistChaosPlan:
     def test_sweep_plans_are_deterministic(self):
         for index in range(4):
-            a = DistChaosPlan.make(index, seed=index, horizon=6)
-            b = DistChaosPlan.make(index, seed=index, horizon=6)
+            a = dist_plan(index, seed=index, horizon=6)
+            b = dist_plan(index, seed=index, horizon=6)
             assert a == b
 
     def test_plan_zero_is_the_control(self):
-        plan = DistChaosPlan.make(0, seed=7, horizon=6)
+        plan = dist_plan(0, seed=7, horizon=6)
         assert plan.is_empty()
-        assert plan.dispatch_faults == () and plan.wire_faults == ()
-        assert not plan.kill_worker
+        assert plan.faults == () and plan.wire == ()
+        assert plan.phases == ()
 
     def test_scripted_maps_cli_flags(self):
-        plan = DistChaosPlan.scripted(
+        plan = scripted_plan(
             crash=(2,), hang=(4,), expire=(5,), hang_seconds=1.5
         )
-        assert plan.dispatch_fault(2) == ("crash_worker", None)
-        assert plan.dispatch_fault(4) == ("hang_worker", 1.5)
-        assert plan.dispatch_fault(5) == ("expire_lease", None)
-        assert plan.dispatch_fault(1) is None
+        assert plan.fault(2) == Fault(2, "crash_worker")
+        assert plan.fault(4) == Fault(4, "hang_worker", 1.5)
+        assert plan.fault(5) == Fault(5, "expire_lease")
+        assert plan.fault(1) is None
         assert not plan.is_empty()
 
     def test_fault_families_rotate_across_a_sweep(self):
         plans = [
-            DistChaosPlan.make(index, seed=index, horizon=8)
+            dist_plan(index, seed=index, horizon=8)
             for index in range(6)
         ]
-        assert any(p.wire_faults for p in plans)
-        assert any(p.kill_worker for p in plans)
-        assert any(p.dispatch_faults for p in plans)
+        assert any(p.wire for p in plans)
+        assert any("kill_worker" in p.phases for p in plans)
+        assert any(p.faults for p in plans)
 
 
 @pytest.mark.timeout(300)
@@ -448,16 +558,14 @@ class TestDistChaosSweep:
         crash, wired = report.runs[1], report.runs[2]
         # A worker that dies behind the proxy reads as a crash at once,
         # not as a hang found when its lease expires.
-        assert [f.kind for f in crash.plan.dispatch_faults] == [
-            "crash_worker"
-        ]
+        assert [f.kind for f in crash.plan.faults] == ["crash_worker"]
         assert crash.stats["worker_crashes"] >= 1
         assert crash.stats["worker_hangs"] == 0
         assert crash.stats["lease_expiries"] == 0
         # Every planned wire fault fired and reached the report.
-        assert wired.plan.wire_faults
+        assert wired.plan.wire
         assert wired.wire_fired == [
-            (fault.key, fault.kind) for fault in wired.plan.wire_faults
+            (fault.at, fault.kind) for fault in wired.plan.wire
         ]
         assert report.resumed_shards >= 1
 

@@ -36,18 +36,18 @@ from test_search import (
 )
 
 from repro.bench import benchmark_names, get_spec, load_benchmark
+from repro.chaos import Fault, Plan
 from repro.core import SynthesisOptions, synthesize_layout
 from repro.obs import CheckpointWritten, PoolRebuild, WorkerRetry
 from repro.schedule.anneal import AnnealConfig, DirectedSimulatedAnnealing
 from repro.search import (
     CHECKPOINT_FORMAT,
     CheckpointError,
-    HostChaosPlan,
-    HostFault,
     ParallelEvaluator,
     RetryPolicy,
     SearchCheckpoint,
     SerialEvaluator,
+    host_plan,
     read_checkpoint,
     run_host_chaos,
     write_checkpoint,
@@ -76,9 +76,7 @@ def _cycles(outcome):
 
 
 def crash_plan(*dispatches):
-    return HostChaosPlan(
-        faults=tuple(HostFault(d, "crash") for d in dispatches)
-    )
+    return Plan("host", faults=tuple(Fault(d, "crash") for d in dispatches))
 
 
 class TestSupervisedEvaluator:
@@ -108,7 +106,7 @@ class TestSupervisedEvaluator:
 
     def test_injected_hang_breaches_deadline_and_is_rescued(self):
         layouts = _keyword_layout_pool(count=4)
-        chaos = HostChaosPlan(faults=(HostFault(1, "hang"),))
+        chaos = Plan("host", faults=(Fault(1, "hang"),))
         serial, supervised = _keyword_evaluators(chaos=chaos)
         with serial, supervised:
             expected = _cycles(serial.evaluate(layouts))
@@ -243,14 +241,14 @@ class TestSupervisedEvaluator:
 
 class TestHostChaosHarness:
     def test_plan_zero_is_the_control(self):
-        assert HostChaosPlan.make(0, seed=5, horizon=100).is_empty()
+        assert host_plan(0, seed=5, horizon=100).is_empty()
 
     def test_plans_are_deterministic(self):
-        first = HostChaosPlan.make(2, seed=9, horizon=50)
-        second = HostChaosPlan.make(2, seed=9, horizon=50)
+        first = host_plan(2, seed=9, horizon=50)
+        second = host_plan(2, seed=9, horizon=50)
         assert first == second
         assert not first.is_empty()
-        assert all(f.dispatch < 50 for f in first.faults)
+        assert all(f.at < 50 for f in first.faults)
 
     def test_host_chaos_needs_a_worker_pool(self):
         # A serial search has no workers to fault: the plan is refused,

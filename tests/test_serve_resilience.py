@@ -22,13 +22,12 @@ import pytest
 
 from conftest import KEYWORD_SOURCE
 
+from repro.chaos import Fault, Plan
 from repro.search.storage import StorageError
 from repro.serve import (
     MAX_LINE_BYTES,
     ChaosProxy,
     ClientRetryPolicy,
-    NetChaosPlan,
-    NetFault,
     ProtocolError,
     Request,
     ServeClient,
@@ -37,6 +36,7 @@ from repro.serve import (
     ServeUnavailable,
     ServerThread,
     execute,
+    net_plan,
     run_net_chaos,
     wait_for_server,
 )
@@ -138,11 +138,7 @@ class TestRetryingClient:
             for kind in ("reset", "truncate", "garbage"):
                 proxy = ChaosProxy(handle.port)
                 try:
-                    proxy.arm(
-                        NetChaosPlan(
-                            faults=(NetFault(request=0, kind=kind),), seed=0
-                        )
-                    )
+                    proxy.arm(Plan("net", wire=(Fault(0, kind),)))
                     with ServeClient(
                         proxy.host,
                         proxy.port,
@@ -162,11 +158,7 @@ class TestRetryingClient:
                 warm.call("synthesize", **REQUEST)
             proxy = ChaosProxy(handle.port, delay_seconds=1.0)
             try:
-                proxy.arm(
-                    NetChaosPlan(
-                        faults=(NetFault(request=0, kind="delay"),), seed=0
-                    )
-                )
+                proxy.arm(Plan("net", wire=(Fault(0, "delay"),)))
                 with ServeClient(
                     proxy.host,
                     proxy.port,
@@ -564,28 +556,26 @@ class TestProtocolFuzz:
 
 class TestNetChaosPlans:
     def test_plan_zero_is_control(self):
-        plan = NetChaosPlan.make(0, seed=42)
+        plan = net_plan(0, seed=42)
         assert plan.is_empty()
         assert "control" in plan.describe()
 
     def test_plans_are_seed_deterministic(self):
         for index in range(1, 6):
-            assert NetChaosPlan.make(index, seed=7) == NetChaosPlan.make(
-                index, seed=7
-            )
-        assert NetChaosPlan.make(1, seed=7) != NetChaosPlan.make(1, seed=8)
+            assert net_plan(index, seed=7) == net_plan(index, seed=7)
+        assert net_plan(1, seed=7) != net_plan(1, seed=8)
 
     def test_plans_use_known_kinds_within_horizon(self):
         for index in range(1, 12):
-            plan = NetChaosPlan.make(index, seed=index, horizon=3)
-            for fault in plan.faults:
+            plan = net_plan(index, seed=index, horizon=3)
+            for fault in plan.wire:
                 assert fault.kind in PROXY_FAULT_KINDS
-                assert 0 <= fault.request < 3
+                assert 0 <= fault.at < 3
 
     def test_sweep_covers_server_side_faults(self):
-        plans = [NetChaosPlan.make(i, seed=i) for i in range(6)]
-        assert any(plan.kill for plan in plans)
-        assert any(plan.flush_fail for plan in plans)
+        plans = [net_plan(i, seed=i) for i in range(6)]
+        assert any("kill" in plan.phases for plan in plans)
+        assert any("flush_fail" in plan.phases for plan in plans)
 
     def test_proxy_is_transparent_without_a_plan(self):
         with ServerThread(ServeConfig()) as handle:
@@ -617,8 +607,8 @@ class TestNetChaosSweep:
         assert len(report.runs) == 3
         assert report.runs[0].plan.is_empty()
         assert report.runs[0].retries == 0
-        assert report.runs[1].plan.flush_fail
-        assert report.runs[2].plan.kill
+        assert "flush_fail" in report.runs[1].plan.phases
+        assert "kill" in report.runs[2].plan.phases
         assert report.total_fired() >= 1
         payload = report.as_dict()
         assert payload["format"] == "repro.serve/net-chaos-report-v1"
