@@ -45,7 +45,8 @@ Commands
 ``obs validate|summarize FILE``
     Schema-check (or render one screen about) any exported
     observability artifact: Chrome traces, machine/search/serve
-    metrics, profiles, benchmark telemetry, or Prometheus text.
+    metrics (a serve document's nested profile included), profiles, or
+    benchmark telemetry.
 ``serve [--cache FILE] [--port N]``
     Start the synthesis daemon (:mod:`repro.serve`): compile / profile /
     synthesize / simulate served over newline-delimited JSON, with a
@@ -57,11 +58,10 @@ Commands
     thread), ``--drain-timeout`` bounds the graceful drain on shutdown,
     ``--idle-timeout`` reclaims silent connections, and ``--allow-chaos``
     gates the fault-injection operation used by ``serve-chaos``.
-    ``--metrics-port N`` additionally serves ``GET /metrics``
-    (Prometheus text exposition), ``/healthz``, and ``/profilez`` over
-    plain HTTP — scrapable even while the daemon drains. The daemon
-    always runs a wall-clock profiler; it feeds ``/profilez`` and the
-    ``repro_profile_*`` series and never changes a result.
+    The daemon always runs a wall-clock profiler, which never changes a
+    result. The ``metrics`` operation answers, even while the daemon
+    drains, with a ``repro.obs/serve-metrics-v1`` document that carries
+    the profile as ``profile``.
 ``request OP [FILE [ARGS...]] --port N``
     Send one request to a running daemon and print the deterministic
     result JSON on stdout (telemetry goes to stderr). With ``--offline``
@@ -90,9 +90,9 @@ Commands
     ``--expect-workers N`` waits for externally started ones instead.
     ``--checkpoint FILE`` persists the merged frontier after every
     completed shard and ``--resume`` continues a killed coordinator
-    bit-identically. ``--metrics-out``/``--prom-out`` export the
-    ``dist_*`` counters (JSON snapshot / ``repro_dist_*`` Prometheus
-    series); ``--chaos-crash/--chaos-hang/--chaos-expire SEQ`` inject
+    bit-identically. ``--metrics-out`` writes the search metrics
+    snapshot with the coordinator's counters in its ``dist`` block;
+    ``--chaos-crash/--chaos-hang/--chaos-expire SEQ`` inject
     deterministic faults on dispatch SEQ (CI's dist-smoke uses these).
 ``dist-worker --port N``
     Serve shards to a coordinator until it says bye: stateless, killable
@@ -326,7 +326,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout=args.drain_timeout,
         idle_timeout=args.idle_timeout,
         allow_fault_injection=args.allow_chaos,
-        metrics_port=args.metrics_port,
     )
 
     def announce(server):
@@ -335,13 +334,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
             flush=True,
         )
-        if server.metrics_port is not None:
-            print(
-                f"repro.serve: metrics on "
-                f"http://{server.metrics_host}:{server.metrics_port}/metrics",
-                file=sys.stderr,
-                flush=True,
-            )
         print(
             f"repro.serve: {server.load_report.describe()}",
             file=sys.stderr,
@@ -417,7 +409,7 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
     import hashlib
     import json
 
-    from .obs.metrics import MetricsRegistry, build_search_metrics
+    from .obs.metrics import build_search_metrics
     from .search.dist import (
         DistCoordinator,
         JobContext,
@@ -505,14 +497,6 @@ def _cmd_dist_coordinator(args: argparse.Namespace) -> int:
             json.dump(snapshot, handle, indent=2)
             handle.write("\n")
         print(f"[dist metrics: {args.metrics_out}]", file=sys.stderr)
-    if args.prom_out:
-        from .obs.promexp import render_prometheus
-
-        registry = MetricsRegistry()
-        registry.fill_counters("dist_", result.stats or {})
-        with open(args.prom_out, "w") as handle:
-            handle.write(render_prometheus(registry))
-        print(f"[dist prometheus: {args.prom_out}]", file=sys.stderr)
     return 0
 
 
@@ -942,8 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
     p_obs_validate = obs_sub.add_parser(
         "validate",
-        help="schema-check one exported file (JSON artifact or "
-             "Prometheus text); nonzero exit on any violation",
+        help="schema-check one exported JSON artifact (a serve-metrics "
+             "document's profile included); nonzero exit on any violation",
     )
     p_obs_validate.add_argument("file")
     p_obs_validate.set_defaults(func=_cmd_obs)
@@ -956,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="start the synthesis daemon (repro.serve); it always runs a "
-             "wall-clock profiler (GET /profilez with --metrics-port)",
+             "wall-clock profiler, reported in its 'metrics' answer",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -1007,12 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--allow-chaos", action="store_true",
         help="accept the 'inject' fault-point operation (testing only)",
-    )
-    p_serve.add_argument(
-        "--metrics-port", type=int, default=None, metavar="N",
-        help="also serve GET /metrics (Prometheus text), /healthz, and "
-             "/profilez over HTTP on this port (0 picks an ephemeral "
-             "one, announced on stderr)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -1145,10 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dco.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write the search metrics snapshot (JSON)")
-    p_dco.add_argument(
-        "--prom-out", metavar="FILE", default=None,
-        help="write the repro_dist_* series in Prometheus text format",
-    )
     p_dco.set_defaults(func=_cmd_dist_coordinator)
 
     p_dwk = sub.add_parser(

@@ -49,7 +49,6 @@ from .metrics import (
     cycle_accounting,
 )
 from .prof import PROFILE_SCHEMA, Profiler
-from .promexp import render_prometheus, validate_prometheus_text
 from .runmeta import run_metadata
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "load_artifact",
     "occupancy_intervals",
     "prof",
-    "render_prometheus",
     "run_metadata",
     "summarize_artifact",
     "validate_artifact",

@@ -1,26 +1,25 @@
 """Schema checks and one-screen summaries for exported artifacts.
 
-The repo now exports half a dozen JSON artifact flavors (Chrome traces,
-machine metrics, search/serve metrics, profiles, benchmark telemetry)
-plus the Prometheus text endpoint. ``repro obs validate <file>`` and
-``repro obs summarize <file>`` route any of them through this module so
-nobody has to eyeball raw JSON to know whether an export is well-formed.
+The repo exports half a dozen JSON artifact flavors (Chrome traces,
+machine metrics, search/serve metrics, profiles, benchmark telemetry).
+``repro obs validate <file>`` and ``repro obs summarize <file>`` route
+any of them through this module so nobody has to eyeball raw JSON to
+know whether an export is well-formed.
 
 Identification is by the embedded ``schema`` id (top-level or under
-``otherData`` for traces); a document that parses as JSON but carries no
-known schema is an error, and a non-JSON file is linted as Prometheus
-text exposition.
+``otherData`` for traces); a file that is not JSON, or a document that
+carries no known schema, is an error. A serve-metrics document's nested
+``profile`` is checked as the profile it is.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import prof
 from .export import validate_chrome_trace
 from .metrics import SCHEMA, SEARCH_SCHEMA, SERVE_SCHEMA
-from .promexp import validate_prometheus_text
 
 BENCH_SCHEMA = "repro.bench/telemetry-v1"
 
@@ -38,14 +37,14 @@ class ArtifactError(ValueError):
     """A document that fails identification or schema validation."""
 
 
-def load_artifact(path: str) -> Tuple[str, object]:
-    """Reads ``path`` -> (``"json"`` | ``"prometheus"``, payload)."""
+def load_artifact(path: str) -> object:
+    """The parsed JSON document at ``path``."""
     with open(path) as handle:
         text = handle.read()
     try:
-        return "json", json.loads(text)
-    except json.JSONDecodeError:
-        return "prometheus", text
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{path}: not a JSON artifact ({exc})") from None
 
 
 def identify(doc: object) -> str:
@@ -115,10 +114,18 @@ def _validate_serve_metrics(doc: dict) -> Dict[str, object]:
     for name, summary in doc["histograms"].items():
         if summary["count"] < 0 or summary["sum"] < 0:
             raise ArtifactError(f"{SERVE_SCHEMA}: negative histogram {name}")
-    return {
+    report: Dict[str, object] = {
         "requests": doc["counters"].get("serve_requests", 0),
         "histograms": len(doc["histograms"]),
     }
+    profile = doc.get("profile")
+    if profile is not None:
+        if identify(profile) != prof.PROFILE_SCHEMA:
+            raise ArtifactError(
+                f"{SERVE_SCHEMA}: 'profile' is not a {prof.PROFILE_SCHEMA}"
+            )
+        report["profile"] = _validate_profile(profile)
+    return report
 
 
 def _check_profile_node(node: dict, path: str) -> int:
@@ -163,12 +170,7 @@ def validate_artifact(path: str) -> Dict[str, object]:
     """Validates one exported file; raises :class:`ArtifactError` (or the
     underlying validator's :class:`ValueError`) on any violation and
     returns ``{"schema", "summary"}``."""
-    kind, payload = load_artifact(path)
-    if kind == "prometheus":
-        return {
-            "schema": "prometheus-text",
-            "summary": validate_prometheus_text(payload),
-        }
+    payload = load_artifact(path)
     schema = identify(payload)
     if schema == prof.TRACE_SCHEMA:
         summary = validate_chrome_trace(payload)
@@ -189,15 +191,7 @@ def validate_artifact(path: str) -> Dict[str, object]:
 
 def summarize_artifact(path: str) -> str:
     """One screen of text describing a validated artifact."""
-    kind, payload = load_artifact(path)
-    if kind == "prometheus":
-        summary = validate_prometheus_text(payload)
-        return (
-            f"prometheus text exposition: {summary['families']} families, "
-            f"{summary['samples']} samples "
-            f"({summary['histograms']} histograms)"
-        )
-
+    payload = load_artifact(path)
     schema = identify(payload)
     lines: List[str] = [f"schema: {schema}"]
     if schema == prof.PROFILE_SCHEMA:

@@ -105,8 +105,8 @@ class Histogram:
     """A distribution of observed values with summary statistics.
 
     ``buckets`` are upper bounds (ascending; an implicit ``+Inf`` bucket
-    is always present) used by :meth:`bucket_counts` for the Prometheus
-    exposition and the ``buckets`` key of :meth:`summary`. Boundaries
+    is always present) used by :meth:`bucket_counts` for the ``buckets``
+    key of :meth:`summary`. Boundaries
     are configurable per histogram because the registry mixes unit
     domains: seconds for serve/profiler latencies, simulated cycles for
     machine-run distributions.
@@ -129,8 +129,8 @@ class Histogram:
         self.values.append(value)
 
     def bucket_counts(self) -> Dict[str, int]:
-        """Cumulative observation counts per upper bound (Prometheus
-        ``le`` semantics), including the terminal ``+Inf`` bucket."""
+        """Cumulative observation counts per upper bound (a value equal
+        to a bound counts in it), including the terminal ``+Inf`` bucket."""
         counts: Dict[str, int] = {}
         ordered = sorted(self.values)
         index = 0
@@ -202,9 +202,10 @@ class MetricsRegistry:
         """Sets counter ``prefix + name`` to every nonzero integer in
         ``counts`` (booleans skipped).
 
-        Counts that live on a stats object (``DistStats``, a
-        :class:`repro.search.SimCache`) enter a registry only this way,
-        when it is exported, so no count is kept in two places.
+        Counts that live on a stats object (a
+        :class:`repro.search.SimCache`, the daemon's store) enter a
+        registry only this way, when it is exported, so no count is kept
+        in two places.
         """
         for name, value in counts.items():
             if type(value) is int and value:
@@ -260,9 +261,7 @@ def build_search_metrics(
 
     ``dist`` is the distributed-search coordinator summary
     (:meth:`repro.search.dist.DistStats.snapshot`, ``None`` for
-    single-host runs) — counters only, same no-wall-clock rule;
-    ``repro dist-coordinator --prom-out`` exports its nonzero integers
-    as ``repro_dist_*`` Prometheus series.
+    single-host runs) — counters only, same no-wall-clock rule.
     """
     requested = evaluations + cache_hits
     return {
@@ -299,6 +298,7 @@ def build_serve_metrics(
     degraded: bool = False,
     draining: bool = False,
     last_flush_error: Optional[Dict[str, object]] = None,
+    profile: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """The JSON-ready metrics snapshot of one synthesis daemon.
 
@@ -312,7 +312,8 @@ def build_serve_metrics(
     ``load_report`` records what happened to the persistent cache file at
     startup. ``degraded`` is the daemon's persistence-health flag: true
     while the most recent store flush failed (``last_flush_error`` then
-    carries the error string and its epoch timestamp).
+    carries the error string and its epoch timestamp). ``profile`` is the
+    daemon's wall-clock profile, a ``repro.obs/profile-v1`` document.
     """
     requests = registry.counter("serve_requests").value
     shed = registry.counter("serve_shed").value
@@ -334,6 +335,7 @@ def build_serve_metrics(
         "store": store,
         "memo": memo,
         "load_report": load_report,
+        "profile": profile,
         **registry.snapshot(),
     }
 

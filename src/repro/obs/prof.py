@@ -19,7 +19,8 @@ Design constraints, in order:
    keys, no string hashing, no allocation proportional to depth.
 3. **Thread-safe by construction.** Each thread accumulates into its own
    node arrays (no locks on the hot path); :meth:`Profiler.snapshot`
-   merges the per-thread trees by phase-name path.
+   merges the per-thread trees by phase-name path, and may run while
+   those threads are still adding to them.
 
 The data model is a tree of *phase nodes*. A node accumulates
 ``count`` (times entered), ``total_ns`` (wall clock inside the phase,
@@ -120,12 +121,14 @@ class _ThreadState:
         node = self.children[cur].get(key)
         if node is None:
             node = len(self.key)
-            self.children[cur][key] = node
             self.key.append(key)
             self.children.append({})
             self.count.append(0)
             self.total_ns.append(0)
             self.self_ns.append(0)
+            # Published last: a snapshot on another thread that finds
+            # the node finds its slots too.
+            self.children[cur][key] = node
         return node
 
 
@@ -226,7 +229,9 @@ class Profiler:
         root: Dict[int, dict] = {}
 
         def fold(state: _ThreadState, node: int, into: Dict[int, dict]) -> None:
-            for key, child in state.children[node].items():
+            # A copy, taken in one step: the owning thread may be adding
+            # a child meanwhile.
+            for key, child in state.children[node].copy().items():
                 entry = into.get(key)
                 if entry is None:
                     entry = {
@@ -265,8 +270,10 @@ class Profiler:
         """The mergeable ``repro.obs/profile-v1`` document.
 
         Only *closed* phases are included: a snapshot taken while other
-        threads are mid-phase (the ``/profilez`` endpoint) reflects work
-        committed so far, never a torn frame.
+        threads are mid-phase (the daemon's ``metrics`` answer) reflects
+        work committed so far, never a torn frame. Such a snapshot never
+        fails either: it copies each dict it walks, and a thread adds a
+        node to its tree only once the node's slots exist.
         """
         with self._states_lock:
             states = list(self._states.values())
@@ -274,7 +281,7 @@ class Profiler:
         recorded = 0
         dropped = 0
         for state in states:
-            for key, value in state.counters.items():
+            for key, value in state.counters.copy().items():
                 name = _names[key]
                 counters[name] = counters.get(name, 0) + value
             recorded += len(state.spans)

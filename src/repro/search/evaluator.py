@@ -351,9 +351,10 @@ class ParallelEvaluator(_EvaluatorBase):
     failures:
 
     * **Deadlines** — every dispatch gets a wall-clock deadline from an
-      EWMA of observed simulation times (:attr:`RetryPolicy.timeout_mult`,
-      floored at :attr:`RetryPolicy.timeout_floor` for cold starts); a
-      breach means the worker hung or the pool starved.
+      EWMA of observed simulation times (:attr:`RetryPolicy.timeout_mult`
+      per layout in the chunk, floored once at
+      :attr:`RetryPolicy.timeout_floor` for cold starts); a breach means
+      the worker hung or the pool starved.
     * **Retry with backoff** — a chunk lost to a crash or a breach is
       re-submitted up to :attr:`RetryPolicy.max_retries` times, with
       exponential backoff and deterministic jitter between rounds.
@@ -407,10 +408,14 @@ class ParallelEvaluator(_EvaluatorBase):
 
     # -- deadline model ------------------------------------------------------
 
-    def _deadline(self) -> float:
-        """Per-dispatch deadline in seconds, from the observed EWMA."""
+    def _deadline(self, layouts: int = 1) -> float:
+        """Deadline in seconds of one dispatch of ``layouts`` layouts:
+        the observed per-layout EWMA scaled by the chunk, floored once
+        (the floor is a dispatch's cold-start allowance)."""
         return retry.ewma_deadline(
-            self.policy.timeout_floor, self.policy.timeout_mult, self._ewma
+            self.policy.timeout_floor,
+            self.policy.timeout_mult * layouts,
+            self._ewma,
         )
 
     def _observe(self, elapsed: float) -> None:
@@ -565,6 +570,13 @@ class ParallelEvaluator(_EvaluatorBase):
                                                      self.workers)
                 ]
                 deadline = self._deadline()
+                # Queued chunks get one extra allowance per full wave of
+                # workers ahead of them.
+                allowances = [
+                    self._deadline(len(member_indices))
+                    * (1 + rank // self.workers)
+                    for rank, member_indices in enumerate(chunks)
+                ]
                 failure: Optional[str] = None
                 futures = {}
                 try:
@@ -607,12 +619,9 @@ class ParallelEvaluator(_EvaluatorBase):
                 if failure is None:
                     started = time.monotonic()
                     for rank, member_indices in enumerate(chunks):
-                        allowance = (
-                            deadline
-                            * len(member_indices)
-                            * (1 + rank // self.workers)
+                        remaining = (
+                            started + allowances[rank] - time.monotonic()
                         )
-                        remaining = started + allowance - time.monotonic()
                         try:
                             elapsed_ns, chunk_results = futures[rank].result(
                                 timeout=max(0.0, remaining)

@@ -22,10 +22,11 @@ from ..obs.events import Event
 class RetryPolicy:
     """Supervision knobs for :class:`~repro.search.ParallelEvaluator`.
 
-    The per-dispatch deadline is ``max(timeout_floor, ewma *
-    timeout_mult)`` where ``ewma`` tracks observed simulation wall-times;
-    queued dispatches get one extra deadline per full wave ahead of them,
-    so a deep batch on few workers is not falsely timed out.
+    A dispatch of ``n`` layouts gets the deadline ``max(timeout_floor,
+    ewma * timeout_mult * n)`` where ``ewma`` tracks observed
+    per-simulation wall-times; queued dispatches get one extra deadline
+    per full wave ahead of them, so a deep batch on few workers is not
+    falsely timed out.
     """
 
     #: deadline = EWMA of observed simulation seconds × this

@@ -55,8 +55,11 @@ Metrics: per-operation request counters and latency histograms,
 load-shed/coalesce/deadline/drain counters, queue-depth and inflight
 gauges, the ``sim_cache_*`` totals of every context cache (this
 daemon's share; copied from the store at each export), and the
-store/memo snapshots — exported through the ``metrics`` operation as a
-``repro.obs/serve-metrics-v1`` document.
+store/memo snapshots, and the daemon's wall-clock profile — exported
+through the ``metrics`` operation as a ``repro.obs/serve-metrics-v1``
+document. ``ping`` and ``metrics`` are answered on the event loop,
+outside admission control, so a saturated or draining daemon stays
+observable.
 
 Determinism: results come from :mod:`repro.serve.service`, which runs
 the offline pipeline under a request-charged budget — so a served
@@ -74,15 +77,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import json
+from typing import Dict, Optional
 
 from ..lang.errors import BambooError
 from ..obs import prof
 from ..obs.metrics import MetricsRegistry, build_serve_metrics
-from ..obs.promexp import render_prometheus
-from ..obs.runmeta import run_metadata
 from ..schedule.anneal import SearchCancelled
 from .protocol import (
     E_BAD_REQUEST,
@@ -141,9 +140,6 @@ class ServeConfig:
     idle_timeout: Optional[float] = 300.0
     #: accept the ``inject`` fault-point operation (chaos testing only)
     allow_fault_injection: bool = False
-    #: serve ``GET /metrics`` (Prometheus text), ``/healthz``, and
-    #: ``/profilez`` on this HTTP port (0 = ephemeral, None = no listener)
-    metrics_port: Optional[int] = None
 
 
 class SynthesisServer:
@@ -184,14 +180,10 @@ class SynthesisServer:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         #: the daemon's wall-clock profiler, installed for its lifetime; it
-        #: feeds ``/profilez``, the profiler series on ``/metrics``, and the
-        #: span slices echoed in request telemetry. Never changes results.
+        #: feeds the ``profile`` of every ``metrics`` answer and the span
+        #: slices echoed in request telemetry. Never changes results.
         self.profiler = prof.Profiler(record_spans=True)
         self._previous_profiler: Optional[prof.Profiler] = None
-        self._http_server: Optional[asyncio.base_events.Server] = None
-        #: bound address of the observability listener, once it is up
-        self.metrics_host: Optional[str] = None
-        self.metrics_port: Optional[int] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -206,17 +198,6 @@ class SynthesisServer:
         )
         address = self._server.sockets[0].getsockname()
         self.host, self.port = address[0], address[1]
-        if self.config.metrics_port is not None:
-            self._http_server = await asyncio.start_server(
-                self._handle_http,
-                host=self.config.host,
-                port=self.config.metrics_port,
-            )
-            http_address = self._http_server.sockets[0].getsockname()
-            self.metrics_host, self.metrics_port = (
-                http_address[0],
-                http_address[1],
-            )
         self._flusher = asyncio.ensure_future(self._flush_behind())
 
     async def serve_until_shutdown(self) -> None:
@@ -230,9 +211,6 @@ class SynthesisServer:
         finally:
             self._server.close()
             await self._server.wait_closed()
-            if self._http_server is not None:
-                self._http_server.close()
-                await self._http_server.wait_closed()
             prof.uninstall(self._previous_profiler)
             if self._flusher is not None:
                 self._flusher.cancel()
@@ -374,123 +352,17 @@ class SynthesisServer:
                         break
                 finally:
                     self._busy_lines -= 1
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, AttributeError):  # pragma: no cover
-                pass
-
-    # -- observability HTTP listener ------------------------------------------
-
-    async def _handle_http(self, reader, writer) -> None:
-        """One HTTP/1.x exchange on the observability port.
-
-        Deliberately minimal (stdlib asyncio, GET only, connection:
-        close) — the audience is ``curl``, a Prometheus scraper, and the
-        CI smoke job, not a general web stack. Requests here never touch
-        admission control: scraping a draining or saturated daemon must
-        keep working, that is the point of the endpoint.
-        """
-        try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), timeout=10.0
-            )
-            parts = request_line.decode("latin-1", "replace").split()
-            # Drain the headers; nothing in them changes the answer.
-            while True:
-                header = await asyncio.wait_for(
-                    reader.readline(), timeout=10.0
-                )
-                if not header or header in (b"\r\n", b"\n"):
-                    break
-            if len(parts) < 2:
-                status, content_type, body = (
-                    "400 Bad Request",
-                    "text/plain; charset=utf-8",
-                    b"malformed request line\n",
-                )
-            else:
-                status, content_type, body = self._http_response(
-                    parts[0], parts[1].split("?", 1)[0]
-                )
-            writer.write(
-                (
-                    f"HTTP/1.1 {status}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    f"Connection: close\r\n\r\n"
-                ).encode("ascii")
-                + body
-            )
-            await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError, OSError):
+        except asyncio.CancelledError:
+            # The loop is ending: ``asyncio.run`` cancels every connection
+            # still open at shutdown. End normally, since Python 3.11's
+            # stream callback logs a cancelled handler as an error.
             pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
+            except (ConnectionError, asyncio.CancelledError):
                 pass
-
-    def _http_response(
-        self, method: str, path: str
-    ) -> Tuple[str, str, bytes]:
-        if method not in ("GET", "HEAD"):
-            return (
-                "405 Method Not Allowed",
-                "text/plain; charset=utf-8",
-                b"only GET is supported\n",
-            )
-        if path == "/metrics":
-            text = render_prometheus(
-                self._filled_registry(),
-                profiler=self.profiler,
-                extra_gauges={
-                    "serve_uptime_seconds": time.monotonic()
-                    - self._started_monotonic,
-                    "serve_admitted": float(self._admitted),
-                    "serve_draining": 1.0 if self._draining else 0.0,
-                    "serve_degraded": 1.0 if self.degraded else 0.0,
-                },
-            )
-            return (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                text.encode("utf-8"),
-            )
-        if path == "/healthz":
-            healthy = not self._draining
-            body = json.dumps(
-                {
-                    "ok": healthy,
-                    "draining": self._draining,
-                    "degraded": self.degraded,
-                    "uptime_seconds": time.monotonic()
-                    - self._started_monotonic,
-                },
-                sort_keys=True,
-            ).encode("utf-8")
-            status = "200 OK" if healthy else "503 Service Unavailable"
-            return (status, "application/json", body + b"\n")
-        if path == "/profilez":
-            doc = self.profiler.snapshot(
-                meta=run_metadata(),
-                extra={
-                    "uptime_seconds": time.monotonic()
-                    - self._started_monotonic
-                },
-            )
-            return (
-                "200 OK",
-                "application/json",
-                (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"),
-            )
-        return (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            b"unknown path; try /metrics, /healthz, or /profilez\n",
-        )
 
     async def _handle_line(self, line: bytes) -> Dict[str, object]:
         try:
@@ -797,6 +669,7 @@ class SynthesisServer:
             degraded=self.degraded,
             draining=self._draining,
             last_flush_error=self.last_flush_error,
+            profile=self.profiler.snapshot(),
         )
 
 

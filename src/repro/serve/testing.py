@@ -31,8 +31,6 @@ class ServerThread:
         self.server: Optional[SynthesisServer] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
-        #: bound observability-HTTP port (None unless the config asked)
-        self.metrics_port: Optional[int] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -54,7 +52,6 @@ class ServerThread:
         self._loop = asyncio.get_event_loop()
         await self.server.start()
         self.host, self.port = self.server.host, self.server.port
-        self.metrics_port = self.server.metrics_port
         self._ready.set()
         await self.server.serve_until_shutdown()
 

@@ -618,37 +618,25 @@ class TestCli:
         snapshot = json.loads(metrics.read_text())
         assert "dist" in snapshot
 
-    def test_prom_out_exports_the_dist_block(self, tmp_path):
-        # The Prometheus series are folded from the same DistStats
-        # snapshot the JSON carries: one sample per nonzero integer.
+    def test_coordinator_run_exports_the_dist_block(self, tmp_path):
+        # With no workers the coordinator degrades to local execution;
+        # the JSON snapshot's dist block carries what it counted.
         import json
 
         from repro.cli import main
-        from repro.obs.promexp import validate_prometheus_text
+        from repro.obs.artifacts import validate_artifact
 
-        metrics, prom = tmp_path / "metrics.json", tmp_path / "dist.prom"
+        metrics = tmp_path / "metrics.json"
         argv = [
             "dist-coordinator", "Keyword", "8", "--cores", "4",
             "--restarts", "2", "--initial-candidates", "1",
             "--max-iterations", "2", "--max-evaluations", "20",
-            "--metrics-out", str(metrics), "--prom-out", str(prom),
+            "--metrics-out", str(metrics),
         ]
         assert main(argv) == 0
+        validate_artifact(str(metrics))
         dist = json.loads(metrics.read_text())["dist"]
-        text = prom.read_text()
-        validate_prometheus_text(text)
-        samples = {
-            line.split()[0]: int(line.split()[1])
-            for line in text.splitlines()
-            if line and not line.startswith("#")
-        }
-        expected = {
-            f"repro_dist_{name}_total": value
-            for name, value in dist.items()
-            if type(value) is int and value
-        }
-        assert expected["repro_dist_local_executions_total"] == 2
-        assert samples == expected
+        assert dist["local_executions"] == 2
 
     def test_unknown_target_exits_2(self, capsys):
         from repro.cli import main

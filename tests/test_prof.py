@@ -8,15 +8,18 @@ The load-bearing claims:
 2. **Accounting is exact** (under an injectable fake clock): ``total``
    includes children, ``self`` excludes them, exclusive ``add_time``
    subtracts from the parent's self and non-exclusive does not, and
-   per-thread trees merge by phase path.
+   per-thread trees merge by phase path, also while a thread is still
+   adding to its tree.
 3. **Every export validates.** Snapshots are schema-valid
    ``repro.obs/profile-v1``, span tracks and merged request traces pass
-   the Chrome-trace validator, the Prometheus rendering passes the
-   exposition lint, and ``repro obs validate`` routes them all.
+   the Chrome-trace validator, and ``repro obs validate`` routes them
+   all (and refuses a file that is not JSON).
 """
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -37,8 +40,7 @@ from repro.obs.artifacts import (
     validate_artifact,
 )
 from repro.obs.export import validate_chrome_trace
-from repro.obs.metrics import CYCLE_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.promexp import render_prometheus, validate_prometheus_text
+from repro.obs.metrics import Histogram, MetricsRegistry, build_serve_metrics
 from repro.obs.runmeta import run_metadata
 from repro.schedule.anneal import AnnealConfig
 
@@ -167,6 +169,42 @@ class TestAccounting:
         a = by_name(doc["phases"])["test.a"]
         assert a["count"] == 2
         assert a["total_ns"] == 10
+
+    def test_snapshot_while_another_thread_grows_its_tree(self):
+        """The daemon's ``metrics`` answer snapshots the profiler while
+        its request threads are still adding phases."""
+        p = prof.Profiler(record_spans=True)
+        leaves = [prof.intern_phase(f"test.leaf.{i}") for i in range(300)]
+        done = threading.Event()
+
+        def grow():
+            try:
+                p.enter(A)
+                for leaf in leaves:
+                    p.enter(leaf)
+                    p.add_count(leaf)
+                    p.exit()
+                    time.sleep(0)  # let the snapshots in between
+                p.exit()
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        # Switch threads as often as the interpreter can, so snapshots
+        # land in the middle of the other thread's additions.
+        sys.setswitchinterval(1e-6)
+        worker = threading.Thread(target=grow)
+        worker.start()
+        try:
+            while not done.is_set():
+                p.snapshot()
+        finally:
+            worker.join()
+            sys.setswitchinterval(interval)
+        doc = p.snapshot()
+        a = by_name(doc["phases"])["test.a"]
+        assert len(a["children"]) == len(leaves)
+        assert len(doc["counters"]) == len(leaves)
 
     def test_interning_is_stable(self):
         key = prof.intern_phase("test.interned")
@@ -363,14 +401,41 @@ class TestArtifacts:
         with pytest.raises(ArtifactError):
             validate_artifact(str(path))
 
-    def test_prometheus_file_lints(self, tmp_path):
+    def test_non_json_file_refused(self, tmp_path):
+        path = tmp_path / "metrics.txt"
+        path.write_text("serve_requests_total 1\n")
+        with pytest.raises(ArtifactError, match="not a JSON artifact"):
+            validate_artifact(str(path))
+        with pytest.raises(ArtifactError, match="not a JSON artifact"):
+            summarize_artifact(str(path))
+
+    def test_serve_metrics_profile_is_checked(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("serve_requests").inc()
-        path = tmp_path / "metrics.prom"
-        path.write_text(render_prometheus(registry))
-        verdict = validate_artifact(str(path))
-        assert verdict["schema"] == "prometheus-text"
-        assert verdict["summary"]["samples"] >= 1
+        clock = FakeClock()
+        p = prof.Profiler(clock=clock)
+        p.enter(A)
+        clock.advance(10)
+        p.exit()
+        doc = build_serve_metrics(
+            registry=registry, store={}, memo={}, load_report={},
+            uptime_seconds=1.0, admitted=0, capacity=10,
+            profile=p.snapshot(),
+        )
+        path = tmp_path / "serve-metrics.json"
+        path.write_text(json.dumps(doc))
+        summary = validate_artifact(str(path))["summary"]
+        assert summary["requests"] == 1
+        assert summary["profile"]["phases"] == 1
+        # The nested profile is held to the profile schema.
+        doc["profile"]["phases"][0]["count"] = -1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="negative accounting"):
+            validate_artifact(str(path))
+        doc["profile"] = {"phases": []}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError):
+            validate_artifact(str(path))
 
     def test_bench_telemetry_meta_is_checked(self, tmp_path):
         path = tmp_path / "bench.json"
@@ -410,63 +475,6 @@ class TestArtifacts:
             assert key in meta
         assert meta["git_dirty"] in (True, False, None)
         assert meta["schema"] == "x/y-v1"
-
-
-# -- the Prometheus rendering --------------------------------------------------
-
-
-class TestPrometheus:
-    def test_registry_and_profiler_render_lints(self):
-        registry = MetricsRegistry()
-        registry.counter("serve_requests").inc(3)
-        registry.counter("serve_requests[synthesize]").inc(2)
-        registry.gauge("serve_inflight").set(1)
-        registry.histogram("serve_latency[synthesize]").observe(0.25)
-        clock = FakeClock()
-        profiler = prof.Profiler(clock=clock)
-        profiler.enter(A)
-        clock.advance(10)
-        profiler.exit()
-        profiler.add_count(N, 2)
-        text = render_prometheus(
-            registry, profiler=profiler,
-            extra_gauges={"serve_uptime_seconds": 1.5},
-        )
-        summary = validate_prometheus_text(text)
-        assert summary["histograms"] == 1
-        assert 'repro_serve_requests_total{key="synthesize"} 2' in text
-        assert 'repro_profile_phase_seconds_total{kind="total",phase="test.a"}' in text
-        assert 'repro_profile_counter_total{name="test_n"} 2' in text
-        assert "repro_serve_uptime_seconds 1.5" in text
-
-    def test_lint_rejects_malformed_documents(self):
-        for bad in (
-            "metric_without_type 1\n",
-            "# TYPE m counter\nm{unclosed 1\n",
-            "# TYPE m counter\nm not-a-number\n",
-            "# TYPE h histogram\nh_bucket 1\n",  # bucket without le
-        ):
-            with pytest.raises(ValueError):
-                validate_prometheus_text(bad)
-
-    def test_lint_rejects_non_cumulative_histogram(self):
-        bad = (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\n'
-            'h_bucket{le="+Inf"} 3\n'
-        )
-        with pytest.raises(ValueError):
-            validate_prometheus_text(bad)
-
-    def test_histogram_custom_buckets_expand(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("queue_wait", buckets=CYCLE_BUCKETS)
-        histogram.observe(50)
-        histogram.observe(5000)
-        text = render_prometheus(registry)
-        validate_prometheus_text(text)
-        assert 'repro_queue_wait_bucket{le="100"} 1' in text
-        assert 'repro_queue_wait_bucket{le="+Inf"} 2' in text
 
 
 # -- configurable histogram boundaries ----------------------------------------

@@ -121,6 +121,59 @@ class TestSupervisedEvaluator:
         }
         assert "deadline" in reasons
 
+    def test_hung_chunk_waits_the_floor_once(self):
+        # A chunk's allowance scales the learned per-layout deadline by
+        # its size but pays the cold-start floor once, so hang detection
+        # does not grow with the batch. The pool runs in-process and the
+        # hung chunk's future records the wait it is given.
+        from concurrent.futures import TimeoutError as FutureTimeout
+
+        layouts = _keyword_layout_pool(count=24, num_cores=8)
+        policy = RetryPolicy()
+        serial, supervised = _keyword_evaluators(
+            chaos=Plan("host", faults=(Fault(2, "hang"),)), policy=policy
+        )
+        sizes, waits = [], []
+
+        class Done:
+            def __init__(self, chunk):
+                self.answer = (0, [supervised.session.simulate(layout)
+                                   for layout in chunk])
+
+            def done(self):
+                return True
+
+            def result(self, timeout=None):
+                return self.answer
+
+        class Hung:
+            def done(self):
+                return False
+
+            def result(self, timeout=None):
+                waits.append(timeout)
+                raise FutureTimeout()
+
+        class InProcessPool:
+            def submit(self, _fn, chunk, token):
+                sizes.append(len(chunk))
+                return Hung() if token is not None else Done(chunk)
+
+        supervised._pool = InProcessPool
+        with serial, supervised:
+            expected = _cycles(serial.evaluate(layouts))
+            got = _cycles(supervised.evaluate(layouts))
+        assert got == expected
+        # Dispatch 2 is the third of four six-layout chunks, so it waits
+        # behind one full wave on two workers: two floors, not twelve.
+        assert sizes[:4] == [6, 6, 6, 6]
+        assert len(waits) == 1
+        assert policy.timeout_floor < waits[0] <= 2 * policy.timeout_floor
+        retries = [e for e in supervised.stats.events
+                   if isinstance(e, WorkerRetry)]
+        assert [e.reason for e in retries] == ["deadline"] * 6
+        assert supervised.stats.pool_rebuilds == 1
+
     def test_retry_exhaustion_falls_back_to_serial(self):
         # Crash every dispatch: each task burns its max_retries pool
         # attempts, then the in-process fallback must still produce the

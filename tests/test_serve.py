@@ -1109,77 +1109,45 @@ class TestRequestCli:
         assert "--port" in capsys.readouterr().err
 
 
-# -- the observability endpoints -----------------------------------------------
+# -- the observability exports -------------------------------------------------
 
 
 class TestObservabilityEndpoints:
-    """The HTTP sidecar: /metrics, /healthz, /profilez, and request traces."""
+    """The daemon's exports: the ``metrics`` op with its wall-clock
+    profile, and request traces."""
 
-    @staticmethod
-    def _fetch(handle, path):
-        import urllib.request
+    def test_metrics_lints_and_carries_serve_series(self, tmp_path):
+        from repro.obs.artifacts import validate_artifact
+        from repro.obs.metrics import SERVE_SCHEMA
 
-        url = f"http://{handle.server.metrics_host}:{handle.metrics_port}{path}"
-        try:
-            with urllib.request.urlopen(url, timeout=10) as response:
-                return response.status, response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            return exc.code, exc.read().decode("utf-8")
-
-    def test_metrics_lints_and_carries_serve_series(self):
-        from repro.obs.promexp import validate_prometheus_text
-
-        with ServerThread(ServeConfig(metrics_port=0)) as handle:
+        with ServerThread(ServeConfig()) as handle:
             with handle.client() as client:
                 served_synthesize(client)
-            status, text = self._fetch(handle, "/metrics")
-        assert status == 200
-        summary = validate_prometheus_text(text)
-        assert summary["families"] > 0
-        assert "repro_serve_requests_total" in text
-        assert "repro_serve_uptime_seconds" in text
-        # Profiling defaults on, so the profiler series ride along.
-        assert 'repro_profile_phase_seconds_total{kind="total",phase="serve.synthesize"}' in text
-
-    def test_healthz_reports_ok(self):
-        with ServerThread(ServeConfig(metrics_port=0)) as handle:
-            status, body = self._fetch(handle, "/healthz")
-        assert status == 200
-        doc = json.loads(body)
-        assert doc["ok"] is True
-        assert doc["draining"] is False
+                doc = client.metrics()
+        assert doc["counters"]["serve_requests[synthesize]"] == 1
         assert doc["uptime_seconds"] >= 0
+        path = tmp_path / "serve-metrics.json"
+        path.write_text(json.dumps(doc))
+        verdict = validate_artifact(str(path))
+        assert verdict["schema"] == SERVE_SCHEMA
+        assert verdict["summary"]["profile"]["phases"] >= 1
 
     def test_profilez_is_a_valid_profile_snapshot(self, tmp_path):
+        """Profiling defaults on, so every ``metrics`` answer carries
+        the daemon's profile, a document of its own."""
         from repro.obs import prof
         from repro.obs.artifacts import validate_artifact
 
-        with ServerThread(ServeConfig(metrics_port=0)) as handle:
+        with ServerThread(ServeConfig()) as handle:
             with handle.client() as client:
                 served_synthesize(client)
-            status, body = self._fetch(handle, "/profilez")
-        assert status == 200
-        doc = json.loads(body)
-        assert doc["schema"] == prof.PROFILE_SCHEMA
-        path = tmp_path / "profilez.json"
-        path.write_text(body)
+                profile = client.metrics()["profile"]
+        assert profile["schema"] == prof.PROFILE_SCHEMA
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile))
         assert validate_artifact(str(path))["schema"] == prof.PROFILE_SCHEMA
-        names = {node["name"] for node in doc["phases"]}
+        names = {node["name"] for node in profile["phases"]}
         assert "serve.synthesize" in names
-
-    def test_unknown_path_and_method(self):
-        import socket
-
-        with ServerThread(ServeConfig(metrics_port=0)) as handle:
-            status, body = self._fetch(handle, "/nope")
-            assert status == 404
-            assert "/metrics" in body
-            with socket.create_connection(
-                (handle.server.metrics_host, handle.metrics_port), timeout=10
-            ) as sock:
-                sock.sendall(b"POST /metrics HTTP/1.1\r\n\r\n")
-                reply = sock.recv(4096).decode("latin-1")
-        assert "405" in reply.split("\r\n")[0]
 
     def test_traced_request_merges_into_one_chrome_trace(self):
         from repro.obs import prof

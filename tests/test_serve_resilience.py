@@ -12,6 +12,7 @@ network-chaos harness whose invariants are machine-checked.
 """
 
 import json
+import logging
 import os
 import random
 import socket
@@ -357,6 +358,27 @@ class TestGracefulDrain:
             result, _ = execute(Request.parse("synthesize", moderate))
             assert canonical(box["response"]["result"]) == canonical(result)
 
+    def test_clean_shutdown_logs_no_asyncio_errors(self, caplog):
+        # The loop's end cancels every connection still open; each
+        # handler must end quietly, not as an error asyncio logs.
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        for idle_sockets in (0, 1):
+            with ServerThread(ServeConfig()) as handle:
+                idle = [
+                    socket.create_connection(
+                        (handle.host, handle.port), timeout=10.0
+                    )
+                    for _ in range(idle_sockets)
+                ]
+                with handle.client() as client:
+                    client.ping()
+                    client.call("shutdown")
+                    # Let the daemon exit while both sockets are open.
+                    handle.stop()
+                for sock in idle:
+                    sock.close()
+        assert [r.getMessage() for r in caplog.records] == []
+
 
 # -- connection hygiene --------------------------------------------------------
 
@@ -621,19 +643,8 @@ class TestNetChaosSweep:
 
 class TestObservabilityUnderChaos:
     """The chaos paths must leave the exports healthy: after a deadline
-    kill or mid-drain, /metrics still renders valid Prometheus text and
-    the daemon's profiler stacks are balanced (every span closed)."""
-
-    @staticmethod
-    def _fetch(handle, path):
-        import urllib.request
-
-        url = f"http://{handle.server.metrics_host}:{handle.metrics_port}{path}"
-        try:
-            with urllib.request.urlopen(url, timeout=10) as response:
-                return response.status, response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            return exc.code, exc.read().decode("utf-8")
+    kill or mid-drain, the ``metrics`` op still answers a valid document
+    and the daemon's profiler stacks are balanced (every span closed)."""
 
     @staticmethod
     def _stacks_balanced(profiler):
@@ -642,10 +653,10 @@ class TestObservabilityUnderChaos:
             for state in profiler._states.values()
         )
 
-    def test_deadline_exceeded_leaves_exports_healthy(self):
-        from repro.obs.promexp import validate_prometheus_text
+    def test_deadline_exceeded_leaves_exports_healthy(self, tmp_path):
+        from repro.obs.artifacts import validate_artifact
 
-        config = ServeConfig(request_deadline=0.1, metrics_port=0)
+        config = ServeConfig(request_deadline=0.1)
         with ServerThread(config) as handle:
             with handle.client() as client:
                 with pytest.raises(ServeError) as excinfo:
@@ -657,22 +668,18 @@ class TestObservabilityUnderChaos:
                     if client.metrics()["admitted"] == 0:
                         break
                     time.sleep(0.01)
-            status, text = self._fetch(handle, "/metrics")
-            assert status == 200
-            summary = validate_prometheus_text(text)
-            assert summary["families"] > 0
-            assert "repro_serve_deadline_exceeded_total 1" in text
+                doc = client.metrics()
+            assert doc["counters"]["serve_deadline_exceeded"] == 1
+            path = tmp_path / "serve-metrics.json"
+            path.write_text(json.dumps(doc))
+            assert validate_artifact(str(path))["summary"]["profile"]
             # The killed request did not leak an open phase.
             assert self._stacks_balanced(handle.server.profiler)
-            status, body = self._fetch(handle, "/profilez")
-            assert status == 200
-            names = {n["name"] for n in json.loads(body)["phases"]}
+            names = {n["name"] for n in doc["profile"]["phases"]}
             assert "serve.synthesize" in names
 
     def test_draining_daemon_still_answers_metrics(self):
-        from repro.obs.promexp import validate_prometheus_text
-
-        config = ServeConfig(drain_timeout=0.3, metrics_port=0)
+        config = ServeConfig(drain_timeout=0.3)
         with ServerThread(config) as handle:
             box = {}
 
@@ -694,18 +701,10 @@ class TestObservabilityUnderChaos:
                         break
                     time.sleep(0.01)
                 control.call("shutdown")
-                # Mid-drain: health honestly reports unready (503) while
-                # the scrape endpoint keeps answering valid text —
+                # Mid-drain: both ops honestly report the drain —
                 # observability must not die before the daemon does.
-                status, body_text = self._fetch(handle, "/healthz")
-                assert status == 503
-                health = json.loads(body_text)
-                assert health["ok"] is False
-                assert health["draining"] is True
-                status, text = self._fetch(handle, "/metrics")
-                assert status == 200
-                validate_prometheus_text(text)
-                assert "repro_serve_draining 1" in text
+                assert control.ping()["draining"] is True
+                assert control.metrics()["draining"] is True
             thread.join(timeout=30.0)
             assert not thread.is_alive()
             # The cancelled slow call unwound its spans too.
